@@ -24,6 +24,7 @@ from .core import (
     QuantizerConfig,
     SymbolBook,
     quantize_vector,
+    real_components,
 )
 
 # beyond this many ADC samples the binomial tail terms are evaluated in
@@ -91,13 +92,8 @@ def compute_dmin(cb: Codebook) -> int:
 
 def compute_gmin(h: np.ndarray, book: SymbolBook, real_mode: bool = False) -> float:
     """Smallest absolute real/imaginary component over all noiseless outputs."""
-    h = np.asarray(h, dtype=complex)
-    clean = book.vectors @ h.T
-    if real_mode:
-        stacked = clean.real
-    else:
-        stacked = np.hstack([clean.real, clean.imag])
-    return float(np.abs(stacked).min())
+    clean = book.vectors @ np.asarray(h, dtype=complex).T
+    return float(np.abs(real_components(clean, real_mode)).min())
 
 
 def geometry(h: np.ndarray, book: SymbolBook, cfg: QuantizerConfig) -> GeometrySummary:

@@ -21,6 +21,7 @@ from .core import (
     QuantizerConfig,
     SymbolBook,
     cell_edges,
+    real_components,
 )
 
 _LOG_FLOOR = 1e-300
@@ -72,13 +73,6 @@ def estimate_channel_ls(pilots, observations) -> ChannelEstimate:
     return ChannelEstimate(h_hat=h_hat, method="ls", pilot_count=t_t)
 
 
-def _stacked_clean(h: np.ndarray, book: SymbolBook, cfg: QuantizerConfig) -> np.ndarray:
-    clean = book.vectors @ np.asarray(h, dtype=complex).T
-    if cfg.real_mode:
-        return clean.real
-    return np.hstack([clean.real, clean.imag])
-
-
 def mld_log_likelihoods(
     levels: np.ndarray,
     h: np.ndarray,
@@ -95,7 +89,8 @@ def mld_log_likelihoods(
     if not sigma2 > 0.0:
         raise ValueError("quantized MLD needs strictly positive noise")
     levels = np.atleast_2d(np.asarray(levels, dtype=np.int64))
-    g = _stacked_clean(h, book, cfg)
+    clean = book.vectors @ np.asarray(h, dtype=complex).T
+    g = real_components(clean, cfg.real_mode)
     lower, upper = cell_edges(cfg)
     scale = np.sqrt(sigma2 / 2.0)
     a = lower[levels][:, None, :]

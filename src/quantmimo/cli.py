@@ -51,8 +51,7 @@ def _demo() -> None:
     book = enumerate_symbols(bpsk(), 2)
     schedule = training.build_implicit_pilots(book, 1)
     levels = transmit_batch(h, schedule.rows(), 0.0, cfg)
-    model = training.learn_implicit(
-        vectors_from_levels(levels, cfg), book, 1)
+    model = training.learn_implicit(levels, book, 1, cfg)
     print("channel:")
     print(np.array2string(h.real))
     print("trained pairs (symbol vector -> one-bit observation):")

@@ -204,11 +204,15 @@ class QuantizedVector:
 
 
 def real_components(r, real_mode: bool = False) -> np.ndarray:
-    """Stack a complex antenna vector as [Re; Im], or just Re in real mode."""
+    """Stack complex antenna samples as [Re, Im] along the last axis.
+
+    Works on one vector or on any stack of them; in real mode only the real
+    parts are kept.
+    """
     r = np.asarray(r, dtype=complex)
     if real_mode:
         return r.real.copy()
-    return np.concatenate([r.real, r.imag])
+    return np.concatenate([r.real, r.imag], axis=-1)
 
 
 def quantize_vector(r, cfg: QuantizerConfig) -> QuantizedVector:
@@ -354,8 +358,4 @@ def transmit_batch(
         raise ValueError(
             f"dimension mismatch: channel {h.shape}, symbol rows {x_rows.shape}")
     r = x_rows @ h.T + complex_noise((x_rows.shape[0], h.shape[0]), sigma2, rng)
-    if cfg.real_mode:
-        stacked = r.real
-    else:
-        stacked = np.hstack([r.real, r.imag])
-    return quantize_levels(stacked, cfg)
+    return quantize_levels(real_components(r, cfg.real_mode), cfg)

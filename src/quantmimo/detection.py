@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuantizedVector
+from .core import QuantizedVector, level_values
 from .training import EmpiricalModel
 
 
@@ -51,13 +51,10 @@ def neighbor_set(
     Membership is decided on exact integer level arithmetic, so equidistant
     vectors are found reliably; the returned radius is in value units.
     """
-    trained = model.trained_vectors
-    if not trained:
-        raise ValueError("model has no trained vectors")
     levels, _, _ = model.support_arrays
     d2 = _level_sqdist(_as_level_rows(y), levels)[0]
     d2_min = int(d2.min())
-    members = [trained[i] for i in np.flatnonzero(d2 == d2_min)]
+    members = [model.trained_vectors[i] for i in np.flatnonzero(d2 == d2_min)]
     return members, y.step * float(np.sqrt(d2_min))
 
 
@@ -88,8 +85,7 @@ def detect_mmd_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
         if not count_matrix[:, k].any():
             raise ValueError(f"symbol {k} has an empty trained support")
     levels = np.atleast_2d(np.asarray(levels, dtype=np.int64))
-    step = model.trained_vectors[0].step
-    dist = step * np.sqrt(_level_sqdist(levels, trained_levels))
+    dist = model.cfg.step * np.sqrt(_level_sqdist(levels, trained_levels))
     # multiplicities instead of probabilities: the 1/L factor is common to
     # every symbol and cannot change the argmin
     scores = dist @ count_matrix
@@ -102,18 +98,19 @@ def detect_mmd(y: QuantizedVector, model: EmpiricalModel) -> int:
 
 
 def centroids(model: EmpiricalModel) -> CentroidBook:
-    """Exact probability-weighted mean output vector per symbol."""
-    rows = []
-    for k in range(model.size):
-        per_symbol = model.counts[k]
-        if not per_symbol:
-            raise ValueError(f"symbol {k} has an empty trained support")
-        acc = None
-        for y, c in per_symbol.items():
-            term = c * y.values
-            acc = term if acc is None else acc + term
-        rows.append(acc / model.samples_per_symbol)
-    return CentroidBook(centers=np.array(rows))
+    """Exact probability-weighted mean output vector per symbol.
+
+    Each center is the sum of its symbol's trained output values over
+    ``samples_per_symbol``. At a dyadic step every value and partial sum is
+    exact, so the result does not depend on summation order.
+    """
+    per_symbol = np.bincount(model.symbols, minlength=model.size)
+    empty = np.flatnonzero(per_symbol == 0)
+    if empty.size:
+        raise ValueError(f"symbol {empty[0]} has an empty trained support")
+    starts = np.cumsum(per_symbol) - per_symbol
+    sums = np.add.reduceat(level_values(model.levels, model.cfg), starts, axis=0)
+    return CentroidBook(centers=sums / model.samples_per_symbol)
 
 
 def detect_mcd_batch(values: np.ndarray, book: CentroidBook) -> np.ndarray:

@@ -11,7 +11,6 @@ how many worker processes are used.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -100,14 +99,16 @@ class ExperimentConfig:
                      "vectors_per_channel"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
-        if self.step <= 0:
-            raise ConfigError("delta must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ConfigError("delta must be a positive finite number")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must list at least one SNR point")
+        if not all(math.isfinite(v) for v in self.snr_grid_db):
+            raise ConfigError("snr_grid_db values must be finite")
         if self.modulation not in ("bpsk", "qpsk"):
             raise ConfigError(
                 f"unknown modulation {self.modulation!r} (expected bpsk or qpsk)")
@@ -262,7 +263,6 @@ class ResultRecord:
     ser: float
     svep: float | None = None
     bound: float | None = None
-    wall_time: float = 0.0
 
 
 def _fmt(value) -> str:
@@ -337,8 +337,7 @@ def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
             pilot_matrix = schedule.matrix()
             if needs_model:
                 model = training.learn_implicit(
-                    vectors_from_levels(pilot_levels, qcfg), book,
-                    cfg.repetitions)
+                    pilot_levels, book, cfg.repetitions, qcfg)
         h_hat = h
         if cfg.csir == "ls":
             if pilot_matrix is None:
@@ -392,10 +391,8 @@ def run_ser_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     detector) and emitted in canonical (snr, detector) order.
     """
     cfg.validate_for_ser()
-    started = time.perf_counter()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.channel_count)
     totals = sum(_map_channels(_ser_channel_counts, cfg, children))
-    elapsed = time.perf_counter() - started
     framework = (
         f"sic[n_t1={cfg.n_t1}]" if cfg.framework == "sic" else "full")
     records = []
@@ -412,7 +409,6 @@ def run_ser_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
                 ser=sym_err / sym_trials,
                 svep=vec_err / vec_trials,
                 bound=None,
-                wall_time=elapsed,
             ))
     records.sort(key=lambda r: (r.snr_db, r.detector))
     return records
@@ -445,7 +441,6 @@ def run_bound_validation(
         raise ConfigError("bound validation requires one-bit ADCs and BPSK")
     if use_trained_centroids and (cfg.repetitions or 0) < 1:
         raise ConfigError("trained-centroid validation needs l >= 1")
-    started = time.perf_counter()
     qcfg = QuantizerConfig(cfg.bits, cfg.step)
     book = enumerate_symbols(constellation(cfg.modulation), cfg.n_t)
     root = np.random.SeedSequence(cfg.seed)
@@ -481,8 +476,7 @@ def run_bound_validation(
                 pilot_levels = transmit_batch(
                     h, schedule.rows(), sigma2, qcfg, rng)
                 model = training.learn_implicit(
-                    vectors_from_levels(pilot_levels, qcfg),
-                    book, cfg.repetitions)
+                    pilot_levels, book, cfg.repetitions, qcfg)
                 centers = detection.centroids(model)
             else:
                 centers = detection.CentroidBook(centers=codeword_values)
@@ -494,7 +488,6 @@ def run_bound_validation(
             mismatched = book.vectors[detected] != x_true
             sym_err[si] += int(mismatched.sum())
             vec_err[si] += int(mismatched.any(axis=1).sum())
-    elapsed = time.perf_counter() - started
     vec_trials = cfg.channel_count * cfg.vectors_per_channel
     sym_trials = vec_trials * cfg.n_t
     framework = "bound-trained" if use_trained_centroids else "bound-exact"
@@ -509,7 +502,6 @@ def run_bound_validation(
             ser=sym_err[si] / sym_trials,
             svep=vec_err[si] / vec_trials,
             bound=bound_sum[si] / cfg.channel_count,
-            wall_time=elapsed,
         )
         for si, snr_db in enumerate(cfg.snr_grid_db)
     ]
@@ -563,12 +555,10 @@ def run_ccdf_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     if cfg.bits != 1 or cfg.modulation != "bpsk":
         raise ConfigError(
             "the minimum-distance distribution requires one-bit ADCs and BPSK")
-    started = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     samples = sample_dmin(cfg.n_t, cfg.n_r, cfg.channel_count, rng)
     book = enumerate_symbols(constellation("bpsk"), cfg.n_t)
     records = []
-    elapsed = time.perf_counter() - started
     for n in range(cfg.n_r + 2):
         if cfg.n_t == 2:
             analytic = analysis.dmin_ccdf_exact_2tx(cfg.n_r, n)
@@ -585,6 +575,5 @@ def run_ccdf_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
             ser=hits / cfg.channel_count,
             svep=None,
             bound=analytic,
-            wall_time=elapsed,
         ))
     return records

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +26,7 @@ from .core import (
     complex_noise,
     level_values,
     quantize_levels,
+    real_components,
 )
 
 
@@ -127,27 +129,34 @@ def build_plan(h_hat: np.ndarray, n_t1: int, real_mode: bool = False) -> SicPlan
 class FirstStageModel:
     """Marginal PMFs and centroids of the projected receive signal.
 
-    ``atoms[k]`` maps each distinct projected vector (as a float tuple) to
-    its multiplicity among the K2 * samples_per_pair synthesized signals for
-    first-subvector candidate k.
+    ``projected[k]`` holds, one per row, the K2 * samples_per_pair projected
+    signals synthesized for first-subvector candidate k; they are the samples
+    of its marginal PMF. ``atoms[k]`` is the boundary view of that PMF: each
+    distinct projected vector (as a float tuple) with its multiplicity,
+    built only when read.
     """
 
-    atoms: tuple[dict[tuple[float, ...], int], ...]
-    samples_per_symbol: int
-    centroids: np.ndarray
+    projected: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.atoms)
+        return self.projected.shape[0]
+
+    @property
+    def samples_per_symbol(self) -> int:
+        return self.projected.shape[1]
+
+    @cached_property
+    def centroids(self) -> np.ndarray:
+        return self.projected.mean(axis=1)
+
+    @cached_property
+    def atoms(self) -> tuple[dict[tuple[float, ...], int], ...]:
+        return tuple(
+            dict(Counter(map(tuple, rows.tolist()))) for rows in self.projected)
 
     def pmf(self, k: int) -> dict[tuple[float, ...], float]:
         return {a: c / self.samples_per_symbol for a, c in self.atoms[k].items()}
-
-
-def _stack_real(r: np.ndarray, real_mode: bool) -> np.ndarray:
-    if real_mode:
-        return r.real
-    return np.concatenate([r.real, r.imag], axis=-1)
 
 
 def learn_first_stage(
@@ -182,18 +191,10 @@ def learn_first_stage(
         noise = complex_noise(
             (k1, k2, samples_per_pair, n_r), sigma2, rng)
         r = clean[:, :, None, :] + noise
-    levels = quantize_levels(_stack_real(r, cfg.real_mode), cfg)
+    levels = quantize_levels(real_components(r, cfg.real_mode), cfg)
     projected = level_values(levels, cfg) @ plan.w1.T
-    flat = projected.reshape(k1, k2 * samples_per_pair, -1)
-    atoms = tuple(
-        dict(Counter(tuple(float(v) for v in row) for row in flat[k]))
-        for k in range(k1)
-    )
     return FirstStageModel(
-        atoms=atoms,
-        samples_per_symbol=k2 * samples_per_pair,
-        centroids=flat.mean(axis=1),
-    )
+        projected=projected.reshape(k1, k2 * samples_per_pair, -1))
 
 
 def _candidate_sqdist(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -218,7 +219,7 @@ def second_stage_candidates(
 ) -> np.ndarray:
     """Noise-free quantized outputs for every second-subvector hypothesis."""
     clean = plan.h1 @ np.asarray(x1, dtype=complex) + book2.vectors @ plan.h2.T
-    levels = quantize_levels(_stack_real(clean, cfg.real_mode), cfg)
+    levels = quantize_levels(real_components(clean, cfg.real_mode), cfg)
     return level_values(levels, cfg)
 
 

@@ -10,7 +10,6 @@ signals from a channel estimate instead of transmitting anything.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -22,7 +21,9 @@ from .core import (
     QuantizerConfig,
     SymbolBook,
     complex_noise,
+    level_values,
     quantize_levels,
+    real_components,
     vectors_from_levels,
 )
 
@@ -59,21 +60,116 @@ def build_implicit_pilots(book: SymbolBook, repetitions: int) -> PilotSchedule:
     return PilotSchedule(symbol_indices=idx, book=book, repetitions=repetitions)
 
 
+def _vector_rows(
+    vectors: Sequence[QuantizedVector],
+) -> tuple[np.ndarray, QuantizerConfig]:
+    """Level matrix and quantizer shape of a sequence of QuantizedVectors."""
+    if not vectors:
+        # no sample constrains the quantizer; any shape describes no data
+        return np.zeros((0, 0), dtype=np.int64), QuantizerConfig(1, 1.0)
+    shapes = {(y.bits, y.step) for y in vectors}
+    if len(shapes) != 1:
+        raise ValueError("vectors come from different quantizers")
+    (bits, step), = shapes
+    levels = np.array([y.levels for y in vectors], dtype=np.int64)
+    return levels, QuantizerConfig(bits, step)
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalModel:
     """Per-symbol empirical PMFs over quantized receive vectors.
 
-    ``counts[k]`` maps each trained vector to its multiplicity; every symbol
-    has exactly ``samples_per_symbol`` samples, so probabilities are the exact
-    rationals count / samples_per_symbol.
+    ``levels`` holds every trained sample as one integer level row, in
+    symbol-major order: row i is a sample of symbol ``symbols[i]``. A trained
+    model has exactly ``samples_per_symbol`` rows per symbol, so probabilities
+    are the exact rationals count / samples_per_symbol.
+
+    The distinct support, the per-symbol count dictionaries and the
+    QuantizedVector views are derived lazily, only when a caller reads them.
     """
 
-    counts: tuple[dict[QuantizedVector, int], ...]
+    levels: np.ndarray
+    symbols: np.ndarray
+    size: int
     samples_per_symbol: int
+    cfg: QuantizerConfig
 
-    @property
-    def size(self) -> int:
-        return len(self.counts)
+    def __post_init__(self) -> None:
+        if self.levels.ndim != 2 or self.symbols.shape != self.levels.shape[:1]:
+            raise ValueError("need one symbol index per level row")
+        in_range = self.symbols.size == 0 or (
+            self.symbols[0] >= 0 and self.symbols[-1] < self.size)
+        if not in_range or np.any(np.diff(self.symbols) < 0):
+            raise ValueError("level rows must be symbol-major within [0, size)")
+
+    @classmethod
+    def from_counts(
+        cls,
+        counts: Sequence[dict[QuantizedVector, int]],
+        samples_per_symbol: int,
+    ) -> "EmpiricalModel":
+        """Model holding ``counts[k][y]`` copies of y for every symbol k."""
+        vectors = [y for per_symbol in counts for y in per_symbol]
+        levels, cfg = _vector_rows(vectors)
+        multiplicity = [c for per_symbol in counts for c in per_symbol.values()]
+        symbols = np.repeat(np.arange(len(counts)), [len(d) for d in counts])
+        return cls(
+            levels=np.repeat(levels, multiplicity, axis=0),
+            symbols=np.repeat(symbols, multiplicity),
+            size=len(counts),
+            samples_per_symbol=samples_per_symbol,
+            cfg=cfg,
+        )
+
+    @cached_property
+    def _row_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """First row of each distinct level row, in first-seen order, and the
+        distinct-row id of every row."""
+        rows = np.ascontiguousarray(self.levels)
+        if rows.shape[0] == 0:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        packed = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+        _, first, inverse = np.unique(
+            packed.ravel(), return_index=True, return_inverse=True)
+        # np.unique sorts by bytes; re-rank the distinct rows by first sight
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return first[order], rank[inverse]
+
+    @cached_property
+    def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(levels, values, count matrix) views over the distinct trained set.
+
+        ``levels`` is S x d integer, in first-seen order over the trained
+        rows; ``values`` is the matching float view, and ``count_matrix`` is
+        S x K with the per-symbol multiplicities; column k divided by
+        ``samples_per_symbol`` is the PMF of symbol k.
+        """
+        first, ids = self._row_ids
+        if first.size == 0:
+            raise ValueError("model has no trained vectors")
+        levels = np.asarray(self.levels[first], dtype=np.int64)
+        count_matrix = np.zeros((first.size, self.size), dtype=np.int64)
+        np.add.at(count_matrix, (ids, self.symbols), 1)
+        return levels, level_values(levels, self.cfg), count_matrix
+
+    @cached_property
+    def trained_vectors(self) -> tuple[QuantizedVector, ...]:
+        """Distinct trained vectors over all symbols, first-seen order."""
+        first, _ = self._row_ids
+        return tuple(vectors_from_levels(self.levels[first], self.cfg))
+
+    @cached_property
+    def counts(self) -> tuple[dict[QuantizedVector, int], ...]:
+        """Per symbol, each trained vector (first-seen order) and its count."""
+        trained = self.trained_vectors
+        _, ids = self._row_ids
+        out: list[dict[QuantizedVector, int]] = [{} for _ in range(self.size)]
+        for k, i in zip(self.symbols.tolist(), ids.tolist()):
+            y = trained[i]
+            out[k][y] = out[k].get(y, 0) + 1
+        return tuple(out)
 
     def support(self, k: int) -> list[QuantizedVector]:
         return list(self.counts[k].keys())
@@ -85,60 +181,43 @@ class EmpiricalModel:
         return {
             y: c / self.samples_per_symbol for y, c in self.counts[k].items()}
 
-    @cached_property
-    def trained_vectors(self) -> tuple[QuantizedVector, ...]:
-        """Distinct trained vectors over all symbols, first-seen order."""
-        seen: dict[QuantizedVector, None] = {}
-        for per_symbol in self.counts:
-            for y in per_symbol:
-                seen.setdefault(y, None)
-        return tuple(seen.keys())
-
-    @cached_property
-    def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(levels, values, count matrix) views over the distinct trained set.
-
-        ``levels`` is S x d integer, ``values`` the matching float view, and
-        ``count_matrix`` is S x K with the per-symbol multiplicities; column k
-        divided by ``samples_per_symbol`` is the PMF of symbol k.
-        """
-        trained = self.trained_vectors
-        if not trained:
-            raise ValueError("model has no trained vectors")
-        levels = np.array([y.levels for y in trained], dtype=np.int64)
-        values = np.array([y.values for y in trained], dtype=float)
-        position = {y: i for i, y in enumerate(trained)}
-        count_matrix = np.zeros((len(trained), self.size), dtype=np.int64)
-        for k, per_symbol in enumerate(self.counts):
-            for y, c in per_symbol.items():
-                count_matrix[position[y], k] = c
-        return levels, values, count_matrix
-
 
 def learn_implicit(
-    observations: Sequence[QuantizedVector],
+    observations: np.ndarray | Sequence[QuantizedVector],
     book: SymbolBook,
     repetitions: int,
+    cfg: QuantizerConfig | None = None,
 ) -> EmpiricalModel:
     """Empirical PMFs from pilot observations in schedule order.
 
-    Block k of L observations feeds symbol k for k < K/2; the PMF of the
-    mirrored symbol K-1-k is the same block with every vector negated, which
-    is valid because noise is sign-symmetric and the quantizer is odd.
+    ``observations`` is the pilot level matrix (one row per slot, quantized
+    with ``cfg``) or a sequence of QuantizedVectors, which carry their own
+    quantizer shape (``cfg`` is then not read). Block k of L observations
+    feeds symbol k for k < K/2; the PMF of the mirrored symbol K-1-k is the
+    same block with every vector negated (``top - levels``), which is valid
+    because noise is sign-symmetric and the quantizer is odd.
     """
     schedule = build_implicit_pilots(book, repetitions)
     if len(observations) != schedule.length:
         raise ValueError(
             f"expected {schedule.length} observations, got {len(observations)}")
+    if isinstance(observations, np.ndarray):
+        if cfg is None:
+            raise ValueError("a pilot level matrix needs its quantizer config")
+        block = np.asarray(observations, dtype=np.int64)
+    else:
+        block, cfg = _vector_rows(observations)
     half = book.size // 2
-    counts: list[dict[QuantizedVector, int]] = [dict() for _ in range(book.size)]
-    for k in range(half):
-        block = observations[k * repetitions:(k + 1) * repetitions]
-        counts[k] = dict(Counter(block))
-    for k in range(half, book.size):
-        mirrored = counts[book.size - 1 - k]
-        counts[k] = {-y: c for y, c in mirrored.items()}
-    return EmpiricalModel(counts=tuple(counts), samples_per_symbol=repetitions)
+    d = block.shape[1]
+    top = cfg.n_levels - 1
+    mirrored = top - block.reshape(half, repetitions, d)[::-1]
+    return EmpiricalModel(
+        levels=np.concatenate([block, mirrored.reshape(-1, d)]),
+        symbols=np.repeat(np.arange(book.size), repetitions),
+        size=book.size,
+        samples_per_symbol=repetitions,
+        cfg=cfg,
+    )
 
 
 def learn_explicit(
@@ -166,15 +245,14 @@ def learn_explicit(
     noise = complex_noise(
         (book.size, artificial_count, h_hat.shape[0]), sigma2, rng)
     r = clean[:, None, :] + noise
-    if cfg.real_mode:
-        stacked = r.real
-    else:
-        stacked = np.concatenate([r.real, r.imag], axis=2)
-    levels = quantize_levels(stacked, cfg)
-    counts = []
-    for k in range(book.size):
-        counts.append(dict(Counter(vectors_from_levels(levels[k], cfg))))
-    return EmpiricalModel(counts=tuple(counts), samples_per_symbol=artificial_count)
+    levels = quantize_levels(real_components(r, cfg.real_mode), cfg)
+    return EmpiricalModel(
+        levels=levels.reshape(book.size * artificial_count, -1),
+        symbols=np.repeat(np.arange(book.size), artificial_count),
+        size=book.size,
+        samples_per_symbol=artificial_count,
+        cfg=cfg,
+    )
 
 
 def total_variation(model_a: EmpiricalModel, model_b: EmpiricalModel, k: int) -> float:

@@ -12,8 +12,8 @@ def _qv(levels, bits=1, step=2.0):
 
 
 def _model(count_dicts, samples):
-    return training.EmpiricalModel(
-        counts=tuple(dict(d) for d in count_dicts), samples_per_symbol=samples)
+    return training.EmpiricalModel.from_counts(
+        tuple(dict(d) for d in count_dicts), samples_per_symbol=samples)
 
 
 @pytest.fixture
@@ -264,8 +264,8 @@ def test_relabeling_equivariance():
     h = core.sample_channel(3, 2, rng)
     model = training.learn_explicit(h, 0.4, 16, book, cfg, rng)
     perm = np.array([2, 0, 3, 1])
-    permuted = training.EmpiricalModel(
-        counts=tuple(model.counts[k] for k in perm),
+    permuted = training.EmpiricalModel.from_counts(
+        tuple(model.counts[k] for k in perm),
         samples_per_symbol=model.samples_per_symbol)
     cb, cb_p = detection.centroids(model), detection.centroids(permuted)
     inverse = np.argsort(perm)

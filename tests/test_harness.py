@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quantmimo import analysis, core, harness
+from quantmimo import analysis, core, detection, harness, training
 from quantmimo.cli import main
 from quantmimo.harness import ConfigError, ExperimentConfig
 
@@ -371,8 +371,48 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert main(["ser", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("delta", "nan"), ("snr_grid_db", "nan"), ("snr_grid_db", "inf")])
+def test_cli_rejects_non_finite_values(tmp_path, capsys, key, value):
+    lines = [
+        f"{key} = {value}" if line.startswith(f"{key} =") else line
+        for line in CONFIG_TEXT.splitlines()]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("\n".join(lines))
+    assert main(["ser", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_cli_demo_prints_worked_example(capsys):
     assert main(["demo"]) == 0
     out = capsys.readouterr().out
     assert "index 3" in out
     assert out.count("index 3") == 3
+
+
+# ---------------------------------------------------------------------------
+# trained detection without the per-vector object layer
+
+
+def test_trained_detection_never_builds_quantized_vectors(monkeypatch):
+    cfg = _cfg(snr_grid_db=(5.0,), detectors=("emld", "mmd", "mcd", "mld"))
+    child = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    expected = harness._ser_channel_counts(cfg, child)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("vectors_from_levels called on a hot path")
+
+    for module in (core, harness, training):
+        monkeypatch.setattr(module, "vectors_from_levels", forbidden)
+    qcfg = core.QuantizerConfig(bits=2, step=0.5)
+    book = core.enumerate_symbols(core.qpsk(), 2)
+    h = core.sample_channel(4, 2, np.random.default_rng(3))
+    model = training.learn_explicit(
+        h, 0.2, 16, book, qcfg, np.random.default_rng(4))
+    levels = core.transmit_batch(
+        h, book.vectors, 0.2, qcfg, np.random.default_rng(6))
+    detected = detection.detect_mcd_batch(
+        core.level_values(levels, qcfg), detection.centroids(model))
+    assert detected.shape == (book.size,)
+    assert np.array_equal(harness._ser_channel_counts(cfg, child), expected)

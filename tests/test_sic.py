@@ -1,3 +1,4 @@
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -150,6 +151,33 @@ def test_first_stage_residual_interference_bounded_at_high_resolution():
         assert spread <= budget
 
 
+def test_first_stage_lazy_atoms_match_dict_construction():
+    # the per-candidate float-tuple dicts built eagerly from the same draws
+    cfg = QuantizerConfig(bits=2, step=0.5)
+    h = core.sample_channel(4, 3, np.random.default_rng(31))
+    plan = sic.build_plan(h, 2)
+    book1 = core.enumerate_symbols(core.qpsk(), 2)
+    book2 = core.enumerate_symbols(core.qpsk(), 1)
+    model = sic.learn_first_stage(
+        plan, 0.4, 3, book1, book2, cfg, np.random.default_rng(5))
+    clean = (book1.vectors @ plan.h1.T)[:, None, :] + (
+        book2.vectors @ plan.h2.T)[None, :, :]
+    noise = core.complex_noise(
+        (book1.size, book2.size, 3, 4), 0.4, np.random.default_rng(5))
+    levels = core.quantize_levels(
+        core.real_components(clean[:, :, None, :] + noise), cfg)
+    flat = (core.level_values(levels, cfg) @ plan.w1.T).reshape(
+        book1.size, book2.size * 3, -1)
+    atoms = tuple(
+        dict(Counter(tuple(float(v) for v in row) for row in flat[k]))
+        for k in range(book1.size))
+    assert model.samples_per_symbol == book2.size * 3
+    assert model.atoms == atoms
+    assert [list(d.items()) for d in model.atoms] == [
+        list(d.items()) for d in atoms]
+    assert model.centroids.tobytes() == flat.mean(axis=1).tobytes()
+
+
 def test_first_stage_rejects_bad_inputs():
     cfg = QuantizerConfig(bits=1, step=2.0)
     h = core.sample_channel(3, 2, np.random.default_rng(2))
@@ -202,9 +230,7 @@ def test_detect_first_tie_breaks_to_smallest_index():
         h1=np.zeros((2, 1)), h2=np.zeros((2, 1)),
         w1=np.eye(2), real_mode=True)
     model = sic.FirstStageModel(
-        atoms=({(1.0, 0.0): 1}, {(1.0, 2.0): 1}),
-        samples_per_symbol=1,
-        centroids=np.array([[1.0, 0.0], [1.0, 2.0]]))
+        projected=np.array([[[1.0, 0.0]], [[1.0, 2.0]]]))
     y = core.QuantizedVector((1, 1), bits=1, step=2.0)
     proj = y.values  # (1, 1): equidistant from both centroids
     assert np.linalg.norm(proj - model.centroids[0]) == np.linalg.norm(

@@ -1,10 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from quantmimo import core, training
+from quantmimo import core, detection, training
 from quantmimo.core import QuantizedVector, QuantizerConfig
 
 
@@ -197,3 +199,113 @@ def test_implicit_explicit_total_variation():
     explicit = training.learn_explicit(h, sigma2, samples, book, cfg, rng)
     for k in range(book.size):
         assert training.total_variation(implicit, explicit, k) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# the array model against a dict-built oracle
+
+
+def _oracle_support_arrays(counts):
+    """Distinct vectors in first-seen order over the per-symbol dicts."""
+    trained = list(dict.fromkeys(y for per_symbol in counts for y in per_symbol))
+    position = {y: i for i, y in enumerate(trained)}
+    count_matrix = np.zeros((len(trained), len(counts)), dtype=np.int64)
+    for k, per_symbol in enumerate(counts):
+        for y, c in per_symbol.items():
+            count_matrix[position[y], k] = c
+    levels = np.array([y.levels for y in trained], dtype=np.int64)
+    values = np.array([y.values for y in trained], dtype=float)
+    return levels, values, count_matrix
+
+
+def _oracle_centroids(counts, samples):
+    rows = []
+    for per_symbol in counts:
+        acc = None
+        for y, c in per_symbol.items():
+            term = c * y.values
+            acc = term if acc is None else acc + term
+        rows.append(acc / samples)
+    return np.array(rows)
+
+
+def _assert_matches_oracle(model, counts, samples):
+    assert model.counts == tuple(counts)
+    # dict order too: each symbol lists its vectors in first-seen order
+    assert [list(d) for d in model.counts] == [list(d) for d in counts]
+    for got, want in zip(model.support_arrays, _oracle_support_arrays(counts)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    centers = detection.centroids(model).centers
+    assert centers.tobytes() == _oracle_centroids(counts, samples).tobytes()
+
+
+_DYADIC_STEPS = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.integers(1, 3), step=_DYADIC_STEPS, n_t=st.integers(1, 3),
+    dim=st.integers(1, 4), reps=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_implicit_array_model_matches_dict_oracle(bits, step, n_t, dim, reps, seed):
+    cfg = QuantizerConfig(bits=bits, step=step)
+    book = core.enumerate_symbols(core.bpsk(), n_t)
+    half = book.size // 2
+    rng = np.random.default_rng(seed)
+    # a narrow level range makes repeated vectors common
+    low = rng.integers(0, cfg.n_levels)
+    block = rng.integers(low, min(low + 2, cfg.n_levels), size=(half * reps, dim))
+    model = training.learn_implicit(block, book, reps, cfg)
+    vectors = core.vectors_from_levels(block, cfg)
+    counts = [dict(Counter(vectors[k * reps:(k + 1) * reps])) for k in range(half)]
+    counts += [{-y: c for y, c in counts[half - 1 - k].items()} for k in range(half)]
+    _assert_matches_oracle(model, counts, reps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bits=st.integers(1, 3), step=_DYADIC_STEPS, n_t=st.integers(1, 2),
+    n_r=st.integers(1, 3), samples=st.integers(1, 9), real_mode=st.booleans(),
+    sigma2=st.sampled_from([0.0, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_explicit_array_model_matches_dict_oracle(
+        bits, step, n_t, n_r, samples, real_mode, sigma2, seed):
+    cfg = QuantizerConfig(bits=bits, step=step, real_mode=real_mode)
+    book = core.enumerate_symbols(core.qpsk(), n_t)
+    h = core.sample_channel(n_r, n_t, np.random.default_rng(seed))
+    model = training.learn_explicit(
+        h, sigma2, samples, book, cfg, np.random.default_rng(seed + 1))
+    # the same draws, counted per symbol into dicts
+    noise = core.complex_noise(
+        (book.size, samples, n_r), sigma2, np.random.default_rng(seed + 1))
+    r = (book.vectors @ h.T)[:, None, :] + noise
+    levels = core.quantize_levels(core.real_components(r, real_mode), cfg)
+    counts = [
+        dict(Counter(core.vectors_from_levels(levels[k], cfg)))
+        for k in range(book.size)]
+    _assert_matches_oracle(model, counts, samples)
+
+
+def test_implicit_vector_and_level_inputs_give_equal_models():
+    rng = np.random.default_rng(12)
+    cfg = QuantizerConfig(bits=2, step=0.5)
+    book = core.enumerate_symbols(core.qpsk(), 2)
+    h = core.sample_channel(3, 2, rng)
+    schedule = training.build_implicit_pilots(book, 6)
+    levels = core.transmit_batch(h, schedule.rows(), 0.3, cfg, rng)
+    from_levels = training.learn_implicit(levels, book, 6, cfg)
+    from_vectors = training.learn_implicit(
+        core.vectors_from_levels(levels, cfg), book, 6)
+    for a, b in ((from_levels, from_vectors), (from_vectors, from_levels)):
+        assert np.array_equal(a.levels, b.levels)
+        assert np.array_equal(a.symbols, b.symbols)
+        assert (a.size, a.samples_per_symbol) == (b.size, b.samples_per_symbol)
+        assert (a.cfg.bits, a.cfg.step) == (b.cfg.bits, b.cfg.step)
+    assert from_levels.counts == from_vectors.counts
+    assert np.array_equal(
+        detection.centroids(from_levels).centers,
+        detection.centroids(from_vectors).centers)
+
+
+def test_implicit_level_matrix_needs_quantizer(demo_book):
+    with pytest.raises(ValueError, match="quantizer config"):
+        training.learn_implicit(np.zeros((2, 2), dtype=np.int64), demo_book, 1)
