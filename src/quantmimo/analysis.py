@@ -16,8 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import norm
+from scipy.special import logsumexp, ndtr
 
 from .core import (
     QuantizedVector,
@@ -111,7 +110,7 @@ def flip_probability(g: float, snr: float, n_t: int) -> float:
     """Probability that noise flips the sign of a component of magnitude g."""
     if not snr > 0.0:
         raise ValueError("SNR must be positive")
-    return float(norm.sf(math.sqrt(2.0 * snr * g * g / n_t)))
+    return float(ndtr(-math.sqrt(2.0 * snr * g * g / n_t)))
 
 
 def svep_upper_bound(

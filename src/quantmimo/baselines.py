@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .core import (
     Constellation,
@@ -85,6 +85,12 @@ def mld_log_likelihoods(
     The likelihood of one observed level is the Gaussian probability of its
     quantizer input cell around the noiseless component; per-component terms
     multiply across the (independent) real samples.
+
+    Each component takes one of 2**bits levels, so the per-component terms
+    form a K x d x 2**bits table that the observed levels gather from. Each
+    gathered element equals the one a direct N x K x d evaluation computes,
+    and the sum runs over the same contiguous last axis, so both forms give
+    the same bits.
     """
     if not sigma2 > 0.0:
         raise ValueError("quantized MLD needs strictly positive noise")
@@ -93,10 +99,12 @@ def mld_log_likelihoods(
     g = real_components(clean, cfg.real_mode)
     lower, upper = cell_edges(cfg)
     scale = np.sqrt(sigma2 / 2.0)
-    a = lower[levels][:, None, :]
-    b = upper[levels][:, None, :]
-    cell_prob = norm.cdf((b - g[None]) / scale) - norm.cdf((a - g[None]) / scale)
-    return np.log(np.maximum(cell_prob, _LOG_FLOOR)).sum(axis=2)
+    cell_prob = (ndtr((upper - g[..., None]) / scale)
+                 - ndtr((lower - g[..., None]) / scale))
+    table = np.log(np.maximum(cell_prob, _LOG_FLOOR))
+    k, d = g.shape
+    gathered = table[np.arange(k)[:, None], np.arange(d), levels[:, None, :]]
+    return gathered.sum(axis=2)
 
 
 def detect_mld_batch(

@@ -9,7 +9,6 @@ concurrently with independent generators.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -266,11 +265,13 @@ def enumerate_symbols(c: Constellation, n_t: int) -> SymbolBook:
     """
     if n_t < 0:
         raise ValueError("n_t must be non-negative")
-    pts = c.as_array()
-    digits = np.array(
-        list(itertools.product(range(c.size), repeat=n_t)), dtype=np.int64)
-    digits = digits.reshape(c.size**n_t, n_t)
-    vectors = pts[digits] if n_t > 0 else np.zeros((1, 0), dtype=complex)
+    if n_t == 0:
+        vectors = np.zeros((1, 0), dtype=complex)
+    else:
+        # C order over the (M,)*n_t grid: the first antenna's digit varies
+        # slowest; the copy keeps the book C-contiguous for the matmuls
+        digits = np.indices((c.size,) * n_t).reshape(n_t, -1).T
+        vectors = np.ascontiguousarray(c.as_array()[digits])
     vectors.setflags(write=False)
     return SymbolBook(constellation=c, n_t=n_t, vectors=vectors)
 

@@ -37,6 +37,10 @@ _MODEL_DETECTORS = {"emld", "mmd", "mcd"}
 CSV_COLUMNS = (
     "snr_db", "detector", "framework", "errors", "trials", "ser", "svep", "bound")
 
+# Largest accepted per-channel array estimate (ExperimentConfig.peak_bytes).
+# The K = 4**6 full search with l_a = 16 and n_r = 32 estimates 34 MB.
+_PEAK_BYTES_BUDGET = 1 << 30
+
 
 class ConfigError(ValueError):
     """Raised for malformed experiment configurations."""
@@ -87,6 +91,23 @@ class ExperimentConfig:
     def symbol_count(self) -> int:
         return constellation(self.modulation).size ** self.n_t
 
+    def peak_bytes(self) -> int:
+        """Integer estimate of one channel's largest arrays, in bytes.
+
+        Counts the K x n_t complex symbol book, the K*L x d int64 trained
+        levels (L samples per symbol) and, with MLD, the N x K x d float64
+        likelihood gather, for K = M**n_t and d = 2 n_r; builds none of them.
+        """
+        k, d = self.symbol_count, 2 * self.n_r
+        if self.framework == "sic":
+            per_symbol = self.first_stage_count or 1
+        elif self.training == "implicit":
+            per_symbol = self.repetitions or 0
+        else:
+            per_symbol = self.artificial_count or 0
+        mld_rows = self.vectors_per_channel if "mld" in self.detectors else 0
+        return 16 * k * self.n_t + 8 * k * d * (per_symbol + mld_rows)
+
     def pilot_slots(self) -> int:
         """Effective T_t: the implicit schedule length, or the configured value."""
         if self.training == "implicit" and self.framework == "full":
@@ -127,6 +148,13 @@ class ExperimentConfig:
         if self.csir not in ("perfect", "ls"):
             raise ConfigError(
                 f"unknown csir {self.csir!r} (expected perfect or ls)")
+        peak = self.peak_bytes()
+        if peak > _PEAK_BYTES_BUDGET:
+            raise ConfigError(
+                f"n_t={self.n_t} with {self.modulation} gives "
+                f"{self.symbol_count} candidate symbol vectors, needing about "
+                f"{peak >> 20} MiB per channel (limit "
+                f"{_PEAK_BYTES_BUDGET >> 20} MiB)")
         if self.symbol_count > 2 ** (2 * self.bits * self.n_r):
             warnings.warn(
                 "more candidate symbol vectors than distinguishable receiver "
@@ -320,6 +348,9 @@ def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
     qcfg = QuantizerConfig(cfg.bits, cfg.step)
     c = constellation(cfg.modulation)
     book = enumerate_symbols(c, cfg.n_t)
+    if cfg.framework == "sic":
+        book1 = enumerate_symbols(c, cfg.n_t1)
+        book2 = enumerate_symbols(c, cfg.n_t - cfg.n_t1)
     h = sample_channel(cfg.n_r, cfg.n_t, rng)
     needs_model = bool(_MODEL_DETECTORS & set(cfg.detectors))
     out = np.zeros((len(cfg.snr_grid_db), len(cfg.detectors), 4), dtype=np.int64)
@@ -353,8 +384,6 @@ def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
             cb = detection.centroids(model)
         if cfg.framework == "sic":
             plan = sic.build_plan(h_hat, cfg.n_t1)
-            book1 = enumerate_symbols(c, cfg.n_t1)
-            book2 = enumerate_symbols(c, cfg.n_t - cfg.n_t1)
             fs_model = sic.learn_first_stage(
                 plan, sigma2, cfg.first_stage_count or 1, book1, book2,
                 qcfg, rng)

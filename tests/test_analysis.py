@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from quantmimo import analysis, core
 from quantmimo.core import QuantizedVector, QuantizerConfig
@@ -111,6 +112,14 @@ def test_geometry_summary(demo_channel, demo_cfg, demo_book):
 
 # ---------------------------------------------------------------------------
 # flip probability and the error bound
+
+
+def test_flip_probability_equals_gaussian_tail_exactly():
+    for g in (0.0, 1e-3, 0.25, 1.0, 3.0, 10.0, 40.0):
+        for snr in (1e-3, 1.0, 10.0, 1e4):
+            for n_t in (1, 2, 4):
+                expected = float(norm.sf(math.sqrt(2.0 * snr * g * g / n_t)))
+                assert analysis.flip_probability(g, snr, n_t) == expected
 
 
 def test_flip_probability_values():

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from quantmimo import analysis, baselines, core
@@ -118,6 +122,58 @@ def test_mld_worked_example_and_oracle(demo_channel, demo_cfg, demo_book):
         if best is None or prob > best[1]:
             best = (k, prob)
     assert got == best[0]
+
+
+def _mld_direct(levels, h, sigma2, book, cfg):
+    """N x K x d evaluation of the quantized-MLD log-likelihoods."""
+    g = core.real_components(book.vectors @ h.T, cfg.real_mode)
+    lower, upper = core.cell_edges(cfg)
+    scale = np.sqrt(sigma2 / 2.0)
+    a = lower[levels][:, None, :]
+    b = upper[levels][:, None, :]
+    cell_prob = norm.cdf((b - g[None]) / scale) - norm.cdf((a - g[None]) / scale)
+    return np.log(np.maximum(cell_prob, baselines._LOG_FLOOR)).sum(axis=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bits=st.integers(1, 3),
+    real_mode=st.booleans(),
+    modulation=st.sampled_from(["bpsk", "qpsk"]),
+    n_t=st.integers(1, 3),
+    n_r=st.integers(1, 6),
+    rows=st.integers(1, 40),
+    log_sigma2=st.floats(-4.0, math.log10(30.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(bits=2, real_mode=False, modulation="qpsk", n_t=2, n_r=4, rows=8,
+         log_sigma2=-4.0, seed=1)
+def test_mld_table_matches_direct_evaluation(
+        bits, real_mode, modulation, n_t, n_r, rows, log_sigma2, seed):
+    rng = np.random.default_rng(seed)
+    cfg = QuantizerConfig(bits=bits, step=0.5, real_mode=real_mode)
+    book = core.enumerate_symbols(core.constellation(modulation), n_t)
+    h = core.sample_channel(n_r, n_t, rng)
+    sigma2 = 10.0 ** log_sigma2
+    top = cfg.n_levels - 1
+    levels = rng.integers(0, top + 1, size=(rows, cfg.observed_dim(n_r)))
+    # both saturating end cells, whose edges are -inf and +inf
+    levels = np.vstack([levels, np.zeros_like(levels[:1]),
+                        np.full_like(levels[:1], top)])
+    got = baselines.mld_log_likelihoods(levels, h, sigma2, book, cfg)
+    assert got.tobytes() == _mld_direct(levels, h, sigma2, book, cfg).tobytes()
+
+
+def test_mld_table_reaches_the_log_floor():
+    # at sigma2 = 1e-4 a saturating cell on the far side of a unit-size
+    # component has probability below the floor
+    cfg = QuantizerConfig(bits=1, step=0.5, real_mode=True)
+    book = core.enumerate_symbols(core.bpsk(), 1)
+    h = np.array([[1.0]], dtype=complex)
+    got = baselines.mld_log_likelihoods(np.array([[0]]), h, 1e-4, book, cfg)
+    assert got[0, 0] == np.log(baselines._LOG_FLOOR)
+    assert got.tobytes() == _mld_direct(
+        np.array([[0]]), h, 1e-4, book, cfg).tobytes()
 
 
 def test_mld_requires_noise():

@@ -174,6 +174,19 @@ def test_book_completeness_and_antipodality(c, n_t):
         assert np.array_equal(book.vectors[book.size - 1 - k], -book.vectors[k])
 
 
+@pytest.mark.parametrize("c", [core.bpsk(), core.qpsk()], ids=["bpsk", "qpsk"])
+@pytest.mark.parametrize("n_t", range(7))
+def test_book_matches_lexicographic_product(c, n_t):
+    book = core.enumerate_symbols(c, n_t)
+    expected = np.array(
+        list(itertools.product(c.points, repeat=n_t)), dtype=complex)
+    expected = expected.reshape(c.size**n_t, n_t)
+    assert book.vectors.tobytes() == expected.tobytes()
+    assert book.vectors.shape == expected.shape
+    assert book.vectors.flags.c_contiguous and not book.vectors.flags.writeable
+    assert np.array_equal(book.vectors[::-1], -book.vectors)
+
+
 def test_empty_book_for_zero_antennas():
     book = core.enumerate_symbols(core.qpsk(), 0)
     assert book.size == 1 and book.vectors.shape == (1, 0)

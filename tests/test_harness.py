@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +100,22 @@ def test_validate_catches_inconsistencies():
     with pytest.raises(ConfigError, match="pilot slots"):
         _cfg(training="explicit", artificial_count=4,
              csir="ls", t_t=1).validate_for_ser()
+
+
+def test_peak_bytes_estimate_and_budget():
+    full_search = ExperimentConfig(
+        n_t=6, n_r=32, bits=2, modulation="qpsk", snr_grid_db=(10.0,),
+        channel_count=3, vectors_per_channel=200, seed=42,
+        training="explicit", artificial_count=16, detectors=("mcd",))
+    # 4096 x 6 complex symbols plus 4096*16 x 64 trained int64 levels
+    assert full_search.peak_bytes() == 16 * 4096 * 6 + 8 * 4096 * 16 * 64
+    assert full_search.peak_bytes() < 100 * 2**20
+    full_search.validate()
+    mld = _cfg(vectors_per_channel=500)
+    assert mld.peak_bytes() == 16 * 16 * 2 + 8 * 16 * 8 * (5 + 500)
+    for n_t in (12, 40):
+        with pytest.raises(ConfigError, match=f"n_t={n_t}"):
+            _cfg(n_t=n_t).validate()
 
 
 def test_downlink_guard_warns():
@@ -384,11 +405,64 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, key, value):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("command, modulation", [
+    ("ser", "qpsk"), ("bound", "bpsk"), ("ccdf", "bpsk")])
+def test_cli_rejects_huge_symbol_book_without_building_it(
+        tmp_path, capsys, monkeypatch, command, modulation):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerate_symbols reached past validation")
+
+    for module in (core, harness):
+        monkeypatch.setattr(module, "enumerate_symbols", forbidden)
+    lines = [
+        "n_t = 40" if line.startswith("n_t =")
+        else f"modulation = {modulation}" if line.startswith("modulation =")
+        else line
+        for line in CONFIG_TEXT.splitlines()]
+    bad = tmp_path / "big.cfg"
+    bad.write_text("\n".join(lines))
+    start = time.perf_counter()
+    assert main([command, "--config", str(bad)]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_t=40" in err
+
+
+def test_cli_import_skips_scipy_stats():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import quantmimo.cli, sys; assert 'scipy.stats' not in sys.modules"],
+        env=env, check=True, timeout=120)
+
+
 def test_cli_demo_prints_worked_example(capsys):
     assert main(["demo"]) == 0
     out = capsys.readouterr().out
     assert "index 3" in out
     assert out.count("index 3") == 3
+
+
+def test_sic_books_built_once_per_channel(monkeypatch):
+    cfg = ExperimentConfig(
+        n_t=3, n_r=8, bits=2, modulation="qpsk",
+        snr_grid_db=(0.0, 5.0, 10.0), channel_count=1, vectors_per_channel=20,
+        seed=4, training="explicit", csir="perfect", detectors=("mcd",),
+        framework="sic", n_t1=2)
+    child = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    expected = harness._ser_channel_counts(cfg, child)
+    calls = []
+
+    def counting(c, n_t):
+        calls.append(n_t)
+        return core.enumerate_symbols(c, n_t)
+
+    monkeypatch.setattr(harness, "enumerate_symbols", counting)
+    assert np.array_equal(harness._ser_channel_counts(cfg, child), expected)
+    assert sorted(calls) == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
