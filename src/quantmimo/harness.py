@@ -96,17 +96,26 @@ class ExperimentConfig:
 
         Counts the K x n_t complex symbol book, the K*L x d int64 trained
         levels (L samples per symbol) and, with MLD, the N x K x d float64
-        likelihood gather, for K = M**n_t and d = 2 n_r; builds none of them.
+        likelihood gather, for K = M**n_t and d = 2 n_r. With SIC it adds
+        the K1 x K2 x d float64 stage-two candidate table and one chunk of
+        its N x K2 x d gather (``sic.stage_two_chunk``). Builds none of them.
         """
-        k, d = self.symbol_count, 2 * self.n_r
+        k, d, n = self.symbol_count, 2 * self.n_r, self.vectors_per_channel
+        stage_two = 0
         if self.framework == "sic":
             per_symbol = self.first_stage_count or 1
+            # validate_for_ser rejects an n_t1 outside [1, n_t]
+            n_t1 = min(max(self.n_t1 or 1, 1), self.n_t)
+            row = 8 * d * constellation(self.modulation).size ** (
+                self.n_t - n_t1)
+            stage_two = 8 * k * d + row * min(n, sic.stage_two_chunk(row))
         elif self.training == "implicit":
             per_symbol = self.repetitions or 0
         else:
             per_symbol = self.artificial_count or 0
-        mld_rows = self.vectors_per_channel if "mld" in self.detectors else 0
-        return 16 * k * self.n_t + 8 * k * d * (per_symbol + mld_rows)
+        mld_rows = n if "mld" in self.detectors else 0
+        return (16 * k * self.n_t + 8 * k * d * (per_symbol + mld_rows)
+                + stage_two)
 
     def pilot_slots(self) -> int:
         """Effective T_t: the implicit schedule length, or the configured value."""
@@ -338,6 +347,14 @@ def _detect_all(cfg, qcfg, book, levels, values, sigma2, h, h_hat, model, cb):
             yield det, baselines.detect_zf_batch(values, h_hat, c)
 
 
+def _sic_model(cfg, h_hat, sigma2, book1, book2, qcfg, rng):
+    """Division plan and first-stage model, in the form ``_detect_all`` reads."""
+    plan = sic.build_plan(h_hat, cfg.n_t1)
+    fs_model = sic.learn_first_stage(
+        plan, sigma2, cfg.first_stage_count or 1, book1, book2, qcfg, rng)
+    return plan, fs_model, book1, book2
+
+
 def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
     """Error counts for one channel realization.
 
@@ -352,6 +369,12 @@ def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
         book1 = enumerate_symbols(c, cfg.n_t1)
         book2 = enumerate_symbols(c, cfg.n_t - cfg.n_t1)
     h = sample_channel(cfg.n_r, cfg.n_t, rng)
+    # Noise-free first-stage training (l_a1 = 1) on the true channel draws
+    # nothing and is the same at every SNR point, so it is built once.
+    sic_model = None
+    if (cfg.framework == "sic" and cfg.csir == "perfect"
+            and (cfg.first_stage_count or 1) == 1):
+        sic_model = _sic_model(cfg, h, 0.0, book1, book2, qcfg, rng)
     needs_model = bool(_MODEL_DETECTORS & set(cfg.detectors))
     out = np.zeros((len(cfg.snr_grid_db), len(cfg.detectors), 4), dtype=np.int64)
     for si, snr_db in enumerate(cfg.snr_grid_db):
@@ -383,11 +406,8 @@ def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
         if cfg.framework == "full" and needs_model and "mcd" in cfg.detectors:
             cb = detection.centroids(model)
         if cfg.framework == "sic":
-            plan = sic.build_plan(h_hat, cfg.n_t1)
-            fs_model = sic.learn_first_stage(
-                plan, sigma2, cfg.first_stage_count or 1, book1, book2,
-                qcfg, rng)
-            model = (plan, fs_model, book1, book2)
+            model = sic_model or _sic_model(
+                cfg, h_hat, sigma2, book1, book2, qcfg, rng)
         # --- data phase
         data_idx = rng.integers(0, book.size, size=cfg.vectors_per_channel)
         x_true = book.vectors[data_idx]

@@ -4,9 +4,11 @@ The transmit antennas are split into two groups by channel-correlation
 greedy selection. Stage one detects the first subvector from the receive
 signal projected onto the orthogonal complement of the second group's
 (real-expanded) channel columns, using nearest-centroid detection against
-marginalized first-stage training. Stage two re-synthesizes noiseless
-candidate outputs with the stage-one decision substituted and picks the
-closest one. Total search effort per vector is M**n_t1 + M**n_t2 candidate
+marginalized first-stage training. Stage two picks the closest noiseless
+quantized output with the stage-one decision substituted. First-stage
+training quantizes those outputs once per channel, for every (first,
+second) hypothesis pair, into the K1 x K2 x d candidate table that stage
+two reads. Total search effort per vector is M**n_t1 + M**n_t2 candidate
 evaluations instead of M**n_t.
 """
 
@@ -28,6 +30,17 @@ from .core import (
     quantize_levels,
     real_components,
 )
+
+# Largest stage-two gather (observations x K2 x d float64 values) that
+# detect_sic_batch materializes at once; n_t1 = 1 of 6 QPSK antennas at
+# n_r = 32 needs 512 KiB per observation.
+_GATHER_BYTES = 1 << 24
+
+
+def stage_two_chunk(row_bytes: int) -> int:
+    """Observations per stage-two gather: as many candidate blocks of
+    ``row_bytes`` as ``_GATHER_BYTES`` holds, and at least one."""
+    return max(1, _GATHER_BYTES // row_bytes)
 
 
 def divide_symbols(h_hat: np.ndarray, n_t1: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -133,10 +146,14 @@ class FirstStageModel:
     signals synthesized for first-subvector candidate k; they are the samples
     of its marginal PMF. ``atoms[k]`` is the boundary view of that PMF: each
     distinct projected vector (as a float tuple) with its multiplicity,
-    built only when read.
+    built only when read. ``table[k]`` holds the K2 noiseless quantized
+    outputs (``second_stage_candidates``) with candidate k substituted, the
+    stage-two candidates; a model built by hand for stage one alone may
+    leave it out.
     """
 
     projected: np.ndarray
+    table: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -174,7 +191,10 @@ def learn_first_stage(
     signals are synthesized; the single-sample case is noise free by
     convention. Each first-stage candidate weights its second-subvector
     hypotheses uniformly, so its marginal PMF has K2 * samples_per_pair
-    samples.
+    samples. The noiseless outputs of every pair are quantized once into the
+    model's stage-two ``table``; with one sample per pair they are also the
+    training signals, so the model draws no randomness and ignores
+    ``sigma2``.
     """
     if samples_per_pair < 1:
         raise ValueError("samples_per_pair must be at least 1")
@@ -182,19 +202,18 @@ def learn_first_stage(
         raise ValueError("plan and quantizer disagree about real mode")
     k1, k2 = book1.size, book2.size
     n_r = plan.h1.shape[0]
-    clean = (
-        book1.vectors @ plan.h1.T
-    )[:, None, :] + (book2.vectors @ plan.h2.T)[None, :, :]
+    clean = _noiseless(plan, book1.vectors, book2)
+    table = _output_values(clean, cfg)
     if samples_per_pair == 1:
-        r = clean[:, :, None, :]
+        values = table[:, :, None, :]
     else:
         noise = complex_noise(
             (k1, k2, samples_per_pair, n_r), sigma2, rng)
-        r = clean[:, :, None, :] + noise
-    levels = quantize_levels(real_components(r, cfg.real_mode), cfg)
-    projected = level_values(levels, cfg) @ plan.w1.T
+        values = _output_values(clean[:, :, None, :] + noise, cfg)
+    projected = values @ plan.w1.T
     return FirstStageModel(
-        projected=projected.reshape(k1, k2 * samples_per_pair, -1))
+        projected=projected.reshape(k1, k2 * samples_per_pair, -1),
+        table=table)
 
 
 def _candidate_sqdist(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -214,13 +233,32 @@ def detect_first(y: QuantizedVector, plan: SicPlan, model: FirstStageModel) -> i
     return int(np.argmin(_candidate_sqdist(model.centroids, y_tilde)))
 
 
+def _noiseless(plan: SicPlan, x1: np.ndarray, book2: SymbolBook) -> np.ndarray:
+    """Receive signals of first-subvector hypotheses x1 (..., n_t1) with
+    every second-subvector hypothesis substituted: (..., K2, n_r)."""
+    return (x1 @ plan.h1.T)[..., None, :] + book2.vectors @ plan.h2.T
+
+
+def _output_values(r: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
+    """Quantized output values of complex receive signals (last axis n_r)."""
+    return level_values(
+        quantize_levels(real_components(r, cfg.real_mode), cfg), cfg)
+
+
 def second_stage_candidates(
     plan: SicPlan, x1: np.ndarray, book2: SymbolBook, cfg: QuantizerConfig
 ) -> np.ndarray:
-    """Noise-free quantized outputs for every second-subvector hypothesis."""
-    clean = plan.h1 @ np.asarray(x1, dtype=complex) + book2.vectors @ plan.h2.T
-    levels = quantize_levels(real_components(clean, cfg.real_mode), cfg)
-    return level_values(levels, cfg)
+    """Noise-free quantized outputs for every second-subvector hypothesis.
+
+    ``x1`` is one first-subvector hypothesis (n_t1,) or a stack of them
+    (S, n_t1); the result is (K2, d) or (S, K2, d). The whole first book
+    gives ``learn_first_stage``'s table bit for bit. A shorter stack sums
+    ``x1 @ h1.T`` with another BLAS kernel, so its values can differ from
+    the table only where a noiseless sum lies within rounding of a
+    quantizer threshold.
+    """
+    return _output_values(
+        _noiseless(plan, np.asarray(x1, dtype=complex), book2), cfg)
 
 
 def detect_second(
@@ -263,12 +301,16 @@ def detect_sic(
     book2: SymbolBook,
     cfg: QuantizerConfig,
 ) -> np.ndarray:
-    """Full two-stage detection returning the reconstructed symbol vector."""
+    """Full two-stage detection returning the reconstructed symbol vector.
+
+    Stage two reads the model's candidate table, as ``detect_sic_batch``
+    does.
+    """
     k1 = detect_first(y, plan, model)
-    x1_hat = book1.vectors[k1]
-    k2 = detect_second(y, plan, x1_hat, book2, cfg)
+    k2 = int(np.argmin(_candidate_sqdist(model.table[k1], y.values)))
     return reconstruct(
-        x1_hat, book2.vectors[k2], plan.first_indices, plan.second_indices)
+        book1.vectors[k1], book2.vectors[k2],
+        plan.first_indices, plan.second_indices)
 
 
 def detect_sic_batch(
@@ -281,9 +323,10 @@ def detect_sic_batch(
 ) -> np.ndarray:
     """Two-stage detection of many observations (one value row each).
 
-    Stage-two candidate outputs depend only on the stage-one decision, so
-    rows are grouped by that decision and each group is scored against its
-    K2 candidates in one shot.
+    Stage one scores every row against the K1 first-stage centroids. Stage
+    two gathers each row's K2 candidates from the model's table by its
+    stage-one decision and takes one argmin over them, in row chunks of at
+    most ``_GATHER_BYTES``.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     projected = values @ plan.w1.T
@@ -294,13 +337,15 @@ def detect_sic_batch(
         + np.einsum("kd,kd->k", centers, centers)[None, :]
     )
     first = np.argmin(d2, axis=1)
+    second = np.empty_like(first)
+    table = model.table
+    chunk = stage_two_chunk(table[0].nbytes)
+    for start in range(0, values.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        diff = table[first[rows]]
+        np.subtract(values[rows, None, :], diff, out=diff)
+        second[rows] = np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
     out = np.empty((values.shape[0], plan.n_t), dtype=complex)
-    for k1 in np.unique(first):
-        rows = np.flatnonzero(first == k1)
-        candidates = second_stage_candidates(
-            plan, book1.vectors[k1], book2, cfg)
-        diff = values[rows][:, None, :] - candidates[None, :, :]
-        second = np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
-        out[rows[:, None], list(plan.first_indices)] = book1.vectors[k1]
-        out[np.ix_(rows, list(plan.second_indices))] = book2.vectors[second]
+    out[:, list(plan.first_indices)] = book1.vectors[first]
+    out[:, list(plan.second_indices)] = book2.vectors[second]
     return out

@@ -4,11 +4,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from quantmimo import analysis, core, detection, harness, training
+from quantmimo import analysis, core, detection, harness, sic, training
 from quantmimo.cli import main
 from quantmimo.harness import ConfigError, ExperimentConfig
 
@@ -116,6 +117,15 @@ def test_peak_bytes_estimate_and_budget():
     for n_t in (12, 40):
         with pytest.raises(ConfigError, match=f"n_t={n_t}"):
             _cfg(n_t=n_t).validate()
+    sic_split = dataclasses.replace(
+        full_search, framework="sic", n_t1=5, first_stage_count=1)
+    # symbol book, first-stage levels, 4096 x 64 candidate table and the
+    # stage-two gather of all 200 observations against K2 = 4 candidates
+    assert sic_split.peak_bytes() == (
+        16 * 4096 * 6 + 8 * 4096 * 64 + 8 * 4096 * 64 + 200 * 8 * 4 * 64)
+    # K2 = 1024: the gather is cut to 32 observations of 512 KiB each
+    assert dataclasses.replace(sic_split, n_t1=1).peak_bytes() == (
+        16 * 4096 * 6 + 8 * 4096 * 64 + 8 * 4096 * 64 + 32 * 8 * 1024 * 64)
 
 
 def test_downlink_guard_warns():
@@ -490,3 +500,48 @@ def test_trained_detection_never_builds_quantized_vectors(monkeypatch):
         core.level_values(levels, qcfg), detection.centroids(model))
     assert detected.shape == (book.size,)
     assert np.array_equal(harness._ser_channel_counts(cfg, child), expected)
+
+
+def _sic_split_cfg(**overrides):
+    base = dict(
+        n_t=3, n_r=5, bits=2, modulation="qpsk",
+        snr_grid_db=(0.0, 5.0, 10.0), channel_count=2, vectors_per_channel=50,
+        seed=19, training="explicit", csir="perfect", detectors=("mcd",),
+        framework="sic", n_t1=2, first_stage_count=1)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("overrides,per_channel", [
+    ({}, 1),
+    ({"first_stage_count": 2}, 3),
+    ({"csir": "ls", "t_t": 12}, 3),
+])
+def test_sic_model_built_once_per_channel_when_snr_free(
+        monkeypatch, overrides, per_channel):
+    # perfect CSIR with l_a1 = 1 trains on the noiseless true channel, so
+    # the plan and first-stage model cannot change across the SNR grid
+    cfg = _sic_split_cfg(**overrides)
+    spies = {}
+    for name in ("build_plan", "learn_first_stage"):
+        spies[name] = mock.Mock(wraps=getattr(sic, name))
+        monkeypatch.setattr(sic, name, spies[name])
+    harness.run_ser_experiment(cfg)
+    for spy in spies.values():
+        assert spy.call_count == per_channel * cfg.channel_count
+
+
+@pytest.mark.parametrize("first_stage_count,expected", [
+    (1, [[[41, 150, 32, 50], [18, 150, 15, 50], [5, 150, 5, 50]],
+         [[56, 150, 35, 50], [31, 150, 21, 50], [17, 150, 11, 50]]]),
+    (2, [[[57, 150, 37, 50], [20, 150, 16, 50], [6, 150, 6, 50]],
+         [[65, 150, 42, 50], [44, 150, 32, 50], [11, 150, 9, 50]]]),
+])
+def test_sic_channel_counts_match_recorded(first_stage_count, expected):
+    # recorded with the per-SNR build and the per-decision stage-two loop
+    cfg = _sic_split_cfg(first_stage_count=first_stage_count)
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.channel_count)
+    for child, counts in zip(children, expected):
+        got = harness._ser_channel_counts(cfg, child)
+        assert got.shape == (3, 1, 4)
+        assert got[:, 0].tolist() == counts

@@ -432,3 +432,36 @@ def test_batch_sic_matches_single_path():
     for i, y in enumerate(core.vectors_from_levels(levels, cfg)):
         single = sic.detect_sic(y, plan, model, book1, book2, cfg)
         assert np.array_equal(batch[i], single)
+
+
+@pytest.mark.parametrize("samples_per_pair", [1, 2])
+def test_chunked_stage_two_matches_per_vector_path(monkeypatch, samples_per_pair):
+    # n_t1 = 1 of 4 QPSK antennas: K2 = 64 candidates per stage-one decision
+    rng = np.random.default_rng(61)
+    cfg = QuantizerConfig(bits=2, step=0.5)
+    c = core.qpsk()
+    h = core.sample_channel(6, 4, rng)
+    plan = sic.build_plan(h, 1)
+    book1 = core.enumerate_symbols(c, 1)
+    book2 = core.enumerate_symbols(c, 3)
+    model = sic.learn_first_stage(
+        plan, 0.3, samples_per_pair, book1, book2, cfg, rng)
+    assert model.table.shape == (4, 64, 12)
+    assert sic.second_stage_candidates(
+        plan, book1.vectors, book2, cfg).tobytes() == model.table.tobytes()
+    for k1, x1 in enumerate(book1.vectors):
+        assert sic.second_stage_candidates(
+            plan, x1, book2, cfg).tobytes() == model.table[k1].tobytes()
+
+    row_bytes = model.table[0].nbytes
+    monkeypatch.setattr(sic, "_GATHER_BYTES", 7 * row_bytes + 5)
+    assert sic.stage_two_chunk(row_bytes) == 7
+    full_book = core.enumerate_symbols(c, 4)
+    data = full_book.vectors[rng.integers(0, full_book.size, size=50)]
+    levels = core.transmit_batch(h, data, 0.3, cfg, rng)
+    batch = sic.detect_sic_batch(
+        core.level_values(levels, cfg), plan, model, book1, book2, cfg)
+    assert batch.shape == (50, 4)
+    for i, y in enumerate(core.vectors_from_levels(levels, cfg)):
+        single = sic.detect_sic(y, plan, model, book1, book2, cfg)
+        assert np.array_equal(batch[i], single)
