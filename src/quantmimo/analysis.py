@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from .core import (
     QuantizedVector,
@@ -110,6 +109,9 @@ def flip_probability(g: float, snr: float, n_t: int) -> float:
     """Probability that noise flips the sign of a component of magnitude g."""
     if not snr > 0.0:
         raise ValueError("SNR must be positive")
+    # imported here, so that the CLI's import path stays free of scipy
+    from scipy.special import ndtr
+
     return float(ndtr(-math.sqrt(2.0 * snr * g * g / n_t)))
 
 
@@ -166,6 +168,8 @@ def _binomial_band(n_samples: int, lo: int, hi: int, p_eq: float) -> float:
          - math.lgamma(n_samples - k + 1) for k in ks])
     log_terms = (
         log_combs + ks * math.log1p(-p_eq) + (n_samples - ks) * math.log(p_eq))
+    from scipy.special import logsumexp
+
     return float(np.exp(logsumexp(log_terms)))
 
 

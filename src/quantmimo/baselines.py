@@ -10,10 +10,10 @@ in the infinite-resolution limit and direction-informative at one bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (
     Constellation,
@@ -21,6 +21,8 @@ from .core import (
     QuantizerConfig,
     SymbolBook,
     cell_edges,
+    level_values,
+    level_matrix,
     real_components,
 )
 
@@ -50,12 +52,18 @@ def reassemble_complex(values: np.ndarray) -> np.ndarray:
     return values[:, :half] + 1j * values[:, half:]
 
 
-def estimate_channel_ls(pilots, observations) -> ChannelEstimate:
+def estimate_channel_ls(
+    pilots,
+    observations: np.ndarray | Sequence[QuantizedVector],
+    cfg: QuantizerConfig | None = None,
+) -> ChannelEstimate:
     """Least-squares channel fit of quantized observations against pilots.
 
     Solves h_hat = Y X^H (X X^H)^-1 with Y the complex-reassembled quantized
-    outputs (one column per slot). Requires at least n_t slots and pilots of
-    full row rank.
+    outputs (one column per slot). ``observations`` is the pilot level matrix
+    (one row per slot, quantized with ``cfg``) or a sequence of
+    QuantizedVectors, which carry their own quantizer shape (``cfg`` is then
+    not read). Requires at least n_t slots and pilots of full row rank.
     """
     x = np.asarray(pilots, dtype=complex)
     n_t, t_t = x.shape
@@ -64,8 +72,7 @@ def estimate_channel_ls(pilots, observations) -> ChannelEstimate:
     if len(observations) != t_t:
         raise ValueError(
             f"expected {t_t} observations, got {len(observations)}")
-    values = np.array([y.values for y in observations])
-    y = reassemble_complex(values).T
+    y = reassemble_complex(level_values(*level_matrix(observations, cfg))).T
     gram = x @ x.conj().T
     if np.linalg.matrix_rank(gram) < n_t:
         raise ValueError("pilot matrix is rank deficient")
@@ -94,6 +101,9 @@ def mld_log_likelihoods(
     """
     if not sigma2 > 0.0:
         raise ValueError("quantized MLD needs strictly positive noise")
+    # imported here: a run without MLD never loads scipy.special
+    from scipy.special import ndtr
+
     levels = np.atleast_2d(np.asarray(levels, dtype=np.int64))
     clean = book.vectors @ np.asarray(h, dtype=complex).T
     g = real_components(clean, cfg.real_mode)

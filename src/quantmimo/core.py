@@ -10,6 +10,7 @@ concurrently with independent generators.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,13 +135,18 @@ def quantize_levels(x, cfg: QuantizerConfig) -> np.ndarray:
 
     Saturates below the lowest and at/above the highest decision threshold;
     inputs exactly on a threshold land in the upper cell (so 0 maps to the
-    smallest positive output).
+    smallest positive output). The input is never modified.
     """
     x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
+    cells = np.subtract(x, cfg.r_low, out=np.empty(x.shape))
+    cells /= cfg.step
+    np.floor(cells, out=cells)
+    # NaN propagates through floor and min, so one reduction finds it
+    if cells.size and np.isnan(cells.min()):
         raise ValueError("cannot quantize NaN samples")
-    raw = np.floor((x - cfg.r_low) / cfg.step) + 1.0
-    return np.clip(raw, 0, cfg.n_levels - 1).astype(np.int64)
+    cells += 1.0
+    np.clip(cells, 0, cfg.n_levels - 1, out=cells)
+    return cells.astype(np.int64)
 
 
 def quantize_level(x: float, cfg: QuantizerConfig) -> int:
@@ -232,6 +238,31 @@ def vectors_from_levels(levels, cfg: QuantizerConfig) -> list[QuantizedVector]:
     ]
 
 
+def level_matrix(
+    observations: np.ndarray | Sequence[QuantizedVector],
+    cfg: QuantizerConfig | None = None,
+) -> tuple[np.ndarray, QuantizerConfig]:
+    """Integer level matrix (one row per observation) and its quantizer.
+
+    ``observations`` is a level matrix quantized with ``cfg``, or a sequence
+    of QuantizedVectors, which carry their own quantizer shape (``cfg`` is
+    then not read).
+    """
+    if isinstance(observations, np.ndarray):
+        if cfg is None:
+            raise ValueError("a level matrix needs its quantizer config")
+        return np.asarray(observations, dtype=np.int64), cfg
+    if not observations:
+        # no sample constrains the quantizer; any shape describes no data
+        return np.zeros((0, 0), dtype=np.int64), QuantizerConfig(1, 1.0)
+    shapes = {(y.bits, y.step) for y in observations}
+    if len(shapes) != 1:
+        raise ValueError("vectors come from different quantizers")
+    (bits, step), = shapes
+    levels = np.array([y.levels for y in observations], dtype=np.int64)
+    return levels, QuantizerConfig(bits, step)
+
+
 @dataclass(frozen=True, eq=False)
 class SymbolBook:
     """All K = M**n_t candidate symbol vectors with antipodal index pairing.
@@ -311,16 +342,43 @@ def sample_channel(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
     ) / math.sqrt(2.0)
 
 
-def complex_noise(shape, sigma2: float, rng: np.random.Generator | None) -> np.ndarray:
-    """i.i.d. CN(0, sigma2) samples; sigma2 == 0 needs no generator."""
+def noisy_components(
+    clean: np.ndarray,
+    shape: tuple[int, ...],
+    sigma2: float,
+    rng: np.random.Generator | None,
+    real_mode: bool = False,
+) -> np.ndarray:
+    """Stacked real coordinates of ``clean`` plus i.i.d. CN(0, sigma2) noise.
+
+    ``shape`` is the shape of the complex noise (last axis n_r) and the
+    complex ``clean`` broadcasts against it. The result has shape
+    ``shape[:-1] + (d,)`` holding [Re, Im] (d = 2 n_r), or only Re in real
+    mode (d = n_r). The noise is the real ``standard_normal`` block, then the
+    imaginary one, both scaled by sqrt(sigma2 / 2); real mode still draws the
+    imaginary block, so the generator advances the same way in both modes.
+    sigma2 == 0 draws nothing and needs no generator.
+    """
+    clean = np.asarray(clean, dtype=complex)
+    shape = tuple(shape)
     if sigma2 == 0.0:
-        return np.zeros(shape, dtype=complex)
+        return real_components(np.broadcast_to(clean, shape), real_mode)
     if sigma2 < 0.0:
         raise ValueError("noise variance must be non-negative")
     if rng is None:
         raise ValueError("a random generator is required for sigma2 > 0")
+    n_r = shape[-1]
+    out = np.empty(shape[:-1] + ((1 if real_mode else 2) * n_r,))
+    draw = np.empty(shape)
     scale = math.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for block, part in enumerate((clean.real, clean.imag)):
+        rng.standard_normal(out=draw)
+        if block and real_mode:
+            break
+        view = out[..., block * n_r:(block + 1) * n_r]
+        np.multiply(draw, scale, out=view)
+        view += part
+    return out
 
 
 def transmit(
@@ -330,14 +388,15 @@ def transmit(
     cfg: QuantizerConfig,
     rng: np.random.Generator | None = None,
 ) -> QuantizedVector:
-    """One channel use: quantize ``h @ x`` plus complex Gaussian noise."""
-    h = np.asarray(h, dtype=complex)
+    """One channel use: quantize ``h @ x`` plus complex Gaussian noise.
+
+    The single-row case of :func:`transmit_batch`, drawing the same noise.
+    """
     x = np.asarray(x, dtype=complex)
-    if h.ndim != 2 or x.shape != (h.shape[1],):
-        raise ValueError(
-            f"dimension mismatch: channel {h.shape}, symbol vector {x.shape}")
-    r = h @ x + complex_noise(h.shape[0], sigma2, rng)
-    return quantize_vector(r, cfg)
+    if x.ndim != 1:
+        raise ValueError(f"dimension mismatch: symbol vector {x.shape}")
+    levels = transmit_batch(h, x[None, :], sigma2, cfg, rng)
+    return QuantizedVector(tuple(levels[0]), cfg.bits, cfg.step)
 
 
 def transmit_batch(
@@ -350,13 +409,15 @@ def transmit_batch(
     """Quantized levels for many symbol vectors at once.
 
     ``x_rows`` has one symbol vector per row; the returned integer matrix has
-    one observation per row. Noise for the whole batch is drawn in a single
-    generator call, so results are reproducible per (generator state, batch).
+    one observation per row. Noise for the whole batch is drawn in one
+    :func:`noisy_components` call, so results are reproducible per
+    (generator state, batch).
     """
     h = np.asarray(h, dtype=complex)
     x_rows = np.asarray(x_rows, dtype=complex)
-    if x_rows.ndim != 2 or x_rows.shape[1] != h.shape[1]:
+    if h.ndim != 2 or x_rows.ndim != 2 or x_rows.shape[1] != h.shape[1]:
         raise ValueError(
             f"dimension mismatch: channel {h.shape}, symbol rows {x_rows.shape}")
-    r = x_rows @ h.T + complex_noise((x_rows.shape[0], h.shape[0]), sigma2, rng)
-    return quantize_levels(real_components(r, cfg.real_mode), cfg)
+    clean = x_rows @ h.T
+    return quantize_levels(
+        noisy_components(clean, clean.shape, sigma2, rng, cfg.real_mode), cfg)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuantizedVector, level_values
+from .core import QuantizedVector
 from .training import EmpiricalModel
 
 
@@ -98,19 +98,32 @@ def detect_mmd(y: QuantizedVector, model: EmpiricalModel) -> int:
 
 
 def centroids(model: EmpiricalModel) -> CentroidBook:
-    """Exact probability-weighted mean output vector per symbol.
+    """Probability-weighted mean output vector per symbol.
 
-    Each center is the sum of its symbol's trained output values over
-    ``samples_per_symbol``. At a dyadic step every value and partial sum is
-    exact, so the result does not depend on summation order.
+    With S_k the integer level sum over the n_k trained rows of symbol k,
+    L = ``samples_per_symbol``, Δ the quantizer step and
+    off = 2**(bits-1) - 0.5, the center of symbol k is
+    ``((S_k - n_k * off) * Δ) / L``, evaluated in that order. This is the
+    definition at every step. At a dyadic step (a power of two) each output
+    value and each partial sum of values is exact, so it equals the sum of
+    the symbol's output values over L bit for bit.
     """
     per_symbol = np.bincount(model.symbols, minlength=model.size)
     empty = np.flatnonzero(per_symbol == 0)
     if empty.size:
         raise ValueError(f"symbol {empty[0]} has an empty trained support")
-    starts = np.cumsum(per_symbol) - per_symbol
-    sums = np.add.reduceat(level_values(model.levels, model.cfg), starts, axis=0)
-    return CentroidBook(centers=sums / model.samples_per_symbol)
+    if np.all(per_symbol == model.samples_per_symbol):
+        # a trained model: one reduction over equal blocks is ~5x faster than
+        # reduceat's per-row updates, and integer sums agree exactly
+        sums = model.levels.reshape(
+            model.size, model.samples_per_symbol, model.levels.shape[1]
+        ).sum(axis=1)
+    else:
+        starts = np.cumsum(per_symbol) - per_symbol
+        sums = np.add.reduceat(model.levels, starts, axis=0)
+    off = (1 << (model.cfg.bits - 1)) - 0.5
+    centers = (sums - per_symbol[:, None] * off) * model.cfg.step
+    return CentroidBook(centers=centers / model.samples_per_symbol)
 
 
 def detect_mcd_batch(values: np.ndarray, book: CentroidBook) -> np.ndarray:

@@ -28,7 +28,6 @@ from .core import (
     sample_channel,
     snr_db_to_sigma2,
     transmit_batch,
-    vectors_from_levels,
 )
 
 KNOWN_DETECTORS = ("emld", "mmd", "mcd", "mld", "zf")
@@ -399,7 +398,7 @@ def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
                 pilot_levels = transmit_batch(
                     h, pilot_matrix.T, sigma2, qcfg, rng)
             h_hat = baselines.estimate_channel_ls(
-                pilot_matrix, vectors_from_levels(pilot_levels, qcfg)).h_hat
+                pilot_matrix, pilot_levels, qcfg).h_hat
         if cfg.framework == "full" and cfg.training == "explicit" and needs_model:
             model = training.learn_explicit(
                 h_hat, sigma2, cfg.artificial_count, book, qcfg, rng)

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     QuantizedVector,
     QuantizerConfig,
     SymbolBook,
-    complex_noise,
     level_values,
+    noisy_components,
     quantize_levels,
     real_components,
 )
@@ -102,10 +101,16 @@ def projection_matrix(h2: np.ndarray, real_mode: bool = False) -> np.ndarray:
     rows, cols = expanded.shape
     if cols == 0:
         return np.eye(rows)
-    basis = scipy.linalg.null_space(expanded.T)
-    if basis.shape[1] != rows - cols:
+    # scipy.linalg.null_space(expanded.T), bit for bit: the right singular
+    # vectors past the numerical rank, at scipy's rank tolerance. Fortran
+    # order keeps scipy's memory layout, so the BLAS products reading the
+    # projector see the same operand strides.
+    _, s, vh = np.linalg.svd(expanded.T, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * (np.finfo(s.dtype).eps * max(cols, rows))
+    rank = int(np.sum(s > tol))
+    if rank != cols:
         raise ValueError("interference channel estimate is rank deficient")
-    return basis.T
+    return np.asfortranarray(vh)[rank:, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,13 +208,13 @@ def learn_first_stage(
     k1, k2 = book1.size, book2.size
     n_r = plan.h1.shape[0]
     clean = _noiseless(plan, book1.vectors, book2)
-    table = _output_values(clean, cfg)
+    table = _output_values(real_components(clean, cfg.real_mode), cfg)
     if samples_per_pair == 1:
         values = table[:, :, None, :]
     else:
-        noise = complex_noise(
-            (k1, k2, samples_per_pair, n_r), sigma2, rng)
-        values = _output_values(clean[:, :, None, :] + noise, cfg)
+        values = _output_values(noisy_components(
+            clean[:, :, None, :], (k1, k2, samples_per_pair, n_r),
+            sigma2, rng, cfg.real_mode), cfg)
     projected = values @ plan.w1.T
     return FirstStageModel(
         projected=projected.reshape(k1, k2 * samples_per_pair, -1),
@@ -239,10 +244,9 @@ def _noiseless(plan: SicPlan, x1: np.ndarray, book2: SymbolBook) -> np.ndarray:
     return (x1 @ plan.h1.T)[..., None, :] + book2.vectors @ plan.h2.T
 
 
-def _output_values(r: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    """Quantized output values of complex receive signals (last axis n_r)."""
-    return level_values(
-        quantize_levels(real_components(r, cfg.real_mode), cfg), cfg)
+def _output_values(received: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
+    """Quantized output values of receive signals in stacked real coordinates."""
+    return level_values(quantize_levels(received, cfg), cfg)
 
 
 def second_stage_candidates(
@@ -257,8 +261,8 @@ def second_stage_candidates(
     the table only where a noiseless sum lies within rounding of a
     quantizer threshold.
     """
-    return _output_values(
-        _noiseless(plan, np.asarray(x1, dtype=complex), book2), cfg)
+    clean = _noiseless(plan, np.asarray(x1, dtype=complex), book2)
+    return _output_values(real_components(clean, cfg.real_mode), cfg)
 
 
 def detect_second(

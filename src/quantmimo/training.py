@@ -20,10 +20,10 @@ from .core import (
     QuantizedVector,
     QuantizerConfig,
     SymbolBook,
-    complex_noise,
     level_values,
+    level_matrix,
+    noisy_components,
     quantize_levels,
-    real_components,
     vectors_from_levels,
 )
 
@@ -58,21 +58,6 @@ def build_implicit_pilots(book: SymbolBook, repetitions: int) -> PilotSchedule:
         raise ValueError("symbol book size must be even for implicit training")
     idx = np.repeat(np.arange(book.size // 2), repetitions)
     return PilotSchedule(symbol_indices=idx, book=book, repetitions=repetitions)
-
-
-def _vector_rows(
-    vectors: Sequence[QuantizedVector],
-) -> tuple[np.ndarray, QuantizerConfig]:
-    """Level matrix and quantizer shape of a sequence of QuantizedVectors."""
-    if not vectors:
-        # no sample constrains the quantizer; any shape describes no data
-        return np.zeros((0, 0), dtype=np.int64), QuantizerConfig(1, 1.0)
-    shapes = {(y.bits, y.step) for y in vectors}
-    if len(shapes) != 1:
-        raise ValueError("vectors come from different quantizers")
-    (bits, step), = shapes
-    levels = np.array([y.levels for y in vectors], dtype=np.int64)
-    return levels, QuantizerConfig(bits, step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +95,7 @@ class EmpiricalModel:
     ) -> "EmpiricalModel":
         """Model holding ``counts[k][y]`` copies of y for every symbol k."""
         vectors = [y for per_symbol in counts for y in per_symbol]
-        levels, cfg = _vector_rows(vectors)
+        levels, cfg = level_matrix(vectors)
         multiplicity = [c for per_symbol in counts for c in per_symbol.values()]
         symbols = np.repeat(np.arange(len(counts)), [len(d) for d in counts])
         return cls(
@@ -201,12 +186,7 @@ def learn_implicit(
     if len(observations) != schedule.length:
         raise ValueError(
             f"expected {schedule.length} observations, got {len(observations)}")
-    if isinstance(observations, np.ndarray):
-        if cfg is None:
-            raise ValueError("a pilot level matrix needs its quantizer config")
-        block = np.asarray(observations, dtype=np.int64)
-    else:
-        block, cfg = _vector_rows(observations)
+    block, cfg = level_matrix(observations, cfg)
     half = book.size // 2
     d = block.shape[1]
     top = cfg.n_levels - 1
@@ -233,7 +213,8 @@ def learn_explicit(
     For every symbol vector, ``artificial_count`` signals are synthesized by
     pushing the estimated noiseless receive point through fresh complex
     Gaussian noise and the quantizer. All K * artificial_count noise vectors
-    are independent; the loop order is symbol-major.
+    are independent; the loop order is symbol-major. The signals exist only
+    in stacked real coordinates (:func:`~quantmimo.core.noisy_components`).
     """
     if artificial_count < 1:
         raise ValueError("artificial_count must be at least 1")
@@ -242,10 +223,9 @@ def learn_explicit(
         raise ValueError(
             f"dimension mismatch: channel {h_hat.shape}, book n_t {book.n_t}")
     clean = book.vectors @ h_hat.T
-    noise = complex_noise(
-        (book.size, artificial_count, h_hat.shape[0]), sigma2, rng)
-    r = clean[:, None, :] + noise
-    levels = quantize_levels(real_components(r, cfg.real_mode), cfg)
+    levels = quantize_levels(noisy_components(
+        clean[:, None, :], (book.size, artificial_count, h_hat.shape[0]),
+        sigma2, rng, cfg.real_mode), cfg)
     return EmpiricalModel(
         levels=levels.reshape(book.size * artificial_count, -1),
         symbols=np.repeat(np.arange(book.size), artificial_count),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, assume
 from hypothesis import strategies as st
 
-from quantmimo import core
+from quantmimo import core, training
 from quantmimo.core import QuantizerConfig, QuantizedVector
 
 
@@ -40,6 +40,38 @@ def test_nan_rejected():
     cfg = QuantizerConfig(bits=2, step=0.5)
     with pytest.raises(ValueError, match="NaN"):
         core.quantize_scalar(float("nan"), cfg)
+
+
+@pytest.mark.parametrize("real_mode", [False, True])
+@pytest.mark.parametrize("sigma2", [0.0, 0.4])
+def test_nan_channel_reaches_quantizer_check(real_mode, sigma2):
+    cfg = QuantizerConfig(bits=2, step=0.5, real_mode=real_mode)
+    book = core.enumerate_symbols(core.qpsk(), 2)
+    h = core.sample_channel(3, 2, np.random.default_rng(1))
+    h[1, 0] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        core.transmit_batch(
+            h, book.vectors, sigma2, cfg, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="NaN"):
+        training.learn_explicit(
+            h, sigma2, 4, book, cfg, np.random.default_rng(2))
+
+
+def test_quantize_levels_leaves_input_unchanged():
+    cfg = QuantizerConfig(bits=3, step=0.25)
+    x = np.random.default_rng(4).normal(size=(6, 8))
+    x[0, 0], x[1, 1] = np.inf, -np.inf
+    for view in (x, x[:, ::3], x.T):
+        before = view.copy()
+        levels = core.quantize_levels(view, cfg)
+        assert levels.dtype == np.int64 and levels.shape == view.shape
+        assert view.tobytes() == before.tobytes()
+    assert (levels[0, 0], levels[1, 1]) == (cfg.n_levels - 1, 0)
+    x[2, 3] = np.nan
+    before = x.copy()
+    with pytest.raises(ValueError, match="NaN"):
+        core.quantize_levels(x, cfg)
+    assert x.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])
@@ -269,6 +301,25 @@ def test_transmit_dimension_mismatch(demo_channel, demo_cfg):
         core.transmit(demo_channel, np.ones(3, dtype=complex), 0.0, demo_cfg)
     with pytest.raises(ValueError, match="generator"):
         core.transmit(demo_channel, np.ones(2, dtype=complex), 1.0, demo_cfg)
+
+
+@pytest.mark.parametrize("real_mode", [False, True])
+def test_transmit_is_one_row_of_transmit_batch(real_mode):
+    cfg = QuantizerConfig(bits=3, step=0.25, real_mode=real_mode)
+    h = core.sample_channel(5, 3, np.random.default_rng(8))
+    book = core.enumerate_symbols(core.qpsk(), 3)
+    single, batch = np.random.default_rng(9), np.random.default_rng(9)
+    stream = np.random.default_rng(9)
+    for x in book.vectors[:16]:
+        y = core.transmit(h, x, 0.3, cfg, single)
+        row = core.transmit_batch(h, x[None, :], 0.3, cfg, batch)[0]
+        assert y.levels == tuple(row.tolist())
+        assert (y.bits, y.step) == (cfg.bits, cfg.step)
+        # one Re block and one Im block of n_r normals per use, real mode too
+        stream.standard_normal((1, 5))
+        stream.standard_normal((1, 5))
+    state = stream.bit_generator.state
+    assert single.bit_generator.state == batch.bit_generator.state == state
 
 
 def test_transmit_batch_agrees_with_single_noiseless(demo_channel):

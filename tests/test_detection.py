@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantmimo import core, detection, training
 from quantmimo.core import QuantizedVector, QuantizerConfig
@@ -198,6 +200,58 @@ def test_centroid_antipodality_is_exact():
     centers = detection.centroids(model).centers
     for k in range(book.size):
         assert np.array_equal(centers[book.size - 1 - k], -centers[k])
+
+
+@st.composite
+def _count_models(draw, steps):
+    """from_counts models with a drawn step and rows per symbol that are
+    uneven, or all equal to ``samples_per_symbol`` as in a trained model."""
+    bits, dim = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    step = draw(steps)
+    row = st.tuples(*[st.integers(0, (1 << bits) - 1)] * dim)
+    counts = [
+        {QuantizedVector(levels, bits, step): c for levels, c in draw(
+            st.dictionaries(row, st.integers(1, 5), min_size=1, max_size=4)
+        ).items()}
+        for _ in range(draw(st.integers(1, 4)))]
+    samples = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        samples = max(sum(d.values()) for d in counts)
+        for d in counts:
+            first = next(iter(d))
+            d[first] += samples - sum(d.values())
+    return _model(counts, samples=samples), counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_count_models(st.floats(1e-6, 1e6)))
+def test_centroids_are_integer_level_sums_at_any_step(case):
+    model, counts = case
+    cfg, dim = model.cfg, model.levels.shape[1]
+    off = (1 << (cfg.bits - 1)) - 0.5
+    want = []
+    for per_symbol in counts:
+        # exact python-int level sums over the symbol's rows
+        rows = sum(per_symbol.values())
+        sums = [sum(c * y.levels[j] for y, c in per_symbol.items())
+                for j in range(dim)]
+        want.append((np.array(sums, dtype=float) - rows * off) * cfg.step
+                    / model.samples_per_symbol)
+    got = detection.centroids(model).centers
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_count_models(st.integers(-8, 8).map(lambda e: 2.0 ** e)))
+def test_centroids_equal_value_sums_at_dyadic_steps(case):
+    model, _ = case
+    per_symbol = np.bincount(model.symbols, minlength=model.size)
+    starts = np.cumsum(per_symbol) - per_symbol
+    # the value-sum form the integer sums replaced
+    sums = np.add.reduceat(
+        core.level_values(model.levels, model.cfg), starts, axis=0)
+    want = sums / model.samples_per_symbol
+    assert detection.centroids(model).centers.tobytes() == want.tobytes()
 
 
 def test_mcd_worked_example(demo_model):

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from quantmimo import analysis, core, detection, harness, sic, training
+from quantmimo import analysis, baselines, core, detection, harness, sic, training
 from quantmimo.cli import main
 from quantmimo.harness import ConfigError, ExperimentConfig
 
@@ -438,14 +438,36 @@ def test_cli_rejects_huge_symbol_book_without_building_it(
     assert err.startswith("error: ") and "n_t=40" in err
 
 
-def test_cli_import_skips_scipy_stats():
+_NO_SCIPY = """
+import sys
+from quantmimo.cli import main
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded(), loaded()
+for path in sys.argv[1:]:
+    assert main(["ser", "--config", path, "--out", path + ".csv"]) == 0
+    assert not loaded(), (path, loaded())
+"""
+
+
+def test_cli_import_skips_scipy_stats(tmp_path):
+    # neither the import nor a ser run without mld loads any of scipy:
+    # scipy.special is imported only by the MLD table and the analysis
     src = str(Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    full = tmp_path / "full.cfg"
+    full.write_text(CONFIG_TEXT.replace(
+        "detectors = emld, mmd, mcd, mld", "detectors = emld, mmd, mcd, zf"))
+    split = tmp_path / "split.cfg"
+    split.write_text("\n".join((
+        "n_t = 3", "n_r = 4", "b = 2", "modulation = qpsk",
+        "snr_grid_db = 5", "detectors = mcd", "framework = sic", "n_t1 = 2",
+        "csir = ls", "t_t = 8", "channel_count = 1",
+        "vectors_per_channel = 10", "seed = 1")))
     subprocess.run(
-        [sys.executable, "-c",
-         "import quantmimo.cli, sys; assert 'scipy.stats' not in sys.modules"],
+        [sys.executable, "-c", _NO_SCIPY, str(full), str(split)],
         env=env, check=True, timeout=120)
 
 
@@ -480,15 +502,21 @@ def test_sic_books_built_once_per_channel(monkeypatch):
 
 
 def test_trained_detection_never_builds_quantized_vectors(monkeypatch):
-    cfg = _cfg(snr_grid_db=(5.0,), detectors=("emld", "mmd", "mcd", "mld"))
-    child = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    expected = harness._ser_channel_counts(cfg, child)
+    configs = (
+        _cfg(snr_grid_db=(5.0,), detectors=("emld", "mmd", "mcd", "mld")),
+        # least-squares estimation from random pilots, then explicit training
+        _cfg(snr_grid_db=(5.0,), detectors=("mcd", "zf"), csir="ls",
+             training="explicit", artificial_count=8, t_t=12),
+    )
+    child = np.random.SeedSequence(5).spawn(1)[0]
+    expected = [harness._ser_channel_counts(cfg, child) for cfg in configs]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("vectors_from_levels called on a hot path")
 
-    for module in (core, harness, training):
-        monkeypatch.setattr(module, "vectors_from_levels", forbidden)
+    for module in (core, harness, training, baselines):
+        monkeypatch.setattr(
+            module, "vectors_from_levels", forbidden, raising=False)
     qcfg = core.QuantizerConfig(bits=2, step=0.5)
     book = core.enumerate_symbols(core.qpsk(), 2)
     h = core.sample_channel(4, 2, np.random.default_rng(3))
@@ -499,7 +527,8 @@ def test_trained_detection_never_builds_quantized_vectors(monkeypatch):
     detected = detection.detect_mcd_batch(
         core.level_values(levels, qcfg), detection.centroids(model))
     assert detected.shape == (book.size,)
-    assert np.array_equal(harness._ser_channel_counts(cfg, child), expected)
+    for cfg, counts in zip(configs, expected):
+        assert np.array_equal(harness._ser_channel_counts(cfg, child), counts)
 
 
 def _sic_split_cfg(**overrides):

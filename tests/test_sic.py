@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from unittest import mock
 
@@ -98,8 +99,43 @@ def test_projection_rejects_rank_deficiency():
         sic.projection_matrix(h2)
 
 
+def test_projection_equals_scipy_null_space():
+    # the SVD at scipy's rank tolerance gives null_space byte for byte and
+    # in its memory layout, so the products that read the projector keep
+    # their bits
+    import scipy.linalg
+
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        n_r = int(rng.integers(1, 33))
+        n_t2 = int(rng.integers(1, min(n_r, 5) + 1))
+        h2 = core.sample_channel(n_r, n_t2, rng)
+        for real_mode, expanded in (
+                (False, sic.real_expand(h2)), (True, h2.real.copy())):
+            want = scipy.linalg.null_space(expanded.T).T
+            got = sic.projection_matrix(
+                expanded.astype(complex) if real_mode else h2, real_mode)
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+    # a complex multiple of a column is deficient for scipy's rank too
+    col = core.sample_channel(6, 1, rng)
+    h2 = np.hstack([col, (0.5 - 2j) * col])
+    assert scipy.linalg.null_space(sic.real_expand(h2).T).shape[1] != 12 - 4
+    with pytest.raises(ValueError, match="rank deficient"):
+        sic.projection_matrix(h2)
+
+
 # ---------------------------------------------------------------------------
 # first-stage training
+
+
+def _complex_noise(shape, sigma2, rng):
+    """i.i.d. CN(0, sigma2) samples as the complex signal path drew them:
+    the reference for the real-coordinate noise kernel."""
+    if sigma2 == 0.0:
+        return np.zeros(shape, dtype=complex)
+    scale = math.sqrt(sigma2 / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def _real_mode_plan(h, n_t1):
@@ -162,7 +198,7 @@ def test_first_stage_lazy_atoms_match_dict_construction():
         plan, 0.4, 3, book1, book2, cfg, np.random.default_rng(5))
     clean = (book1.vectors @ plan.h1.T)[:, None, :] + (
         book2.vectors @ plan.h2.T)[None, :, :]
-    noise = core.complex_noise(
+    noise = _complex_noise(
         (book1.size, book2.size, 3, 4), 0.4, np.random.default_rng(5))
     levels = core.quantize_levels(
         core.real_components(clean[:, :, None, :] + noise), cfg)

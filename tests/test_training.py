@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,15 @@ from scipy.stats import norm
 
 from quantmimo import core, detection, training
 from quantmimo.core import QuantizedVector, QuantizerConfig
+
+
+def _complex_noise(shape, sigma2, rng):
+    """i.i.d. CN(0, sigma2) samples as the complex signal path drew them:
+    the reference for the real-coordinate noise kernel."""
+    if sigma2 == 0.0:
+        return np.zeros(shape, dtype=complex)
+    scale = math.sqrt(sigma2 / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def _observe_schedule(h, schedule, sigma2, cfg, rng=None):
@@ -275,7 +285,7 @@ def test_explicit_array_model_matches_dict_oracle(
     model = training.learn_explicit(
         h, sigma2, samples, book, cfg, np.random.default_rng(seed + 1))
     # the same draws, counted per symbol into dicts
-    noise = core.complex_noise(
+    noise = _complex_noise(
         (book.size, samples, n_r), sigma2, np.random.default_rng(seed + 1))
     r = (book.vectors @ h.T)[:, None, :] + noise
     levels = core.quantize_levels(core.real_components(r, real_mode), cfg)
@@ -283,6 +293,24 @@ def test_explicit_array_model_matches_dict_oracle(
         dict(Counter(core.vectors_from_levels(levels[k], cfg)))
         for k in range(book.size)]
     _assert_matches_oracle(model, counts, samples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 1), (3, 4), (2, 5, 3)]), real_mode=st.booleans(),
+    sigma2=st.sampled_from([0.0, 0.1, 2.5]), seed=st.integers(0, 2**32 - 1))
+def test_noisy_components_equal_complex_path(shape, real_mode, sigma2, seed):
+    rng = np.random.default_rng(seed)
+    # a clean signal that broadcasts along the second-to-last axis
+    clean_shape = shape[:-2] + (1, shape[-1])
+    clean = rng.normal(size=clean_shape) + 1j * rng.normal(size=clean_shape)
+    kernel, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = core.noisy_components(clean, shape, sigma2, kernel, real_mode)
+    want = core.real_components(
+        clean + _complex_noise(shape, sigma2, oracle), real_mode)
+    # equal up to the sign of a zero, which no quantizer can see
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert kernel.bit_generator.state == oracle.bit_generator.state
 
 
 def test_implicit_vector_and_level_inputs_give_equal_models():
