@@ -112,15 +112,9 @@ def centroids(model: EmpiricalModel) -> CentroidBook:
     empty = np.flatnonzero(per_symbol == 0)
     if empty.size:
         raise ValueError(f"symbol {empty[0]} has an empty trained support")
-    if np.all(per_symbol == model.samples_per_symbol):
-        # a trained model: one reduction over equal blocks is ~5x faster than
-        # reduceat's per-row updates, and integer sums agree exactly
-        sums = model.levels.reshape(
-            model.size, model.samples_per_symbol, model.levels.shape[1]
-        ).sum(axis=1)
-    else:
-        starts = np.cumsum(per_symbol) - per_symbol
-        sums = np.add.reduceat(model.levels, starts, axis=0)
+    starts = np.cumsum(per_symbol) - per_symbol
+    # an explicit int64 accumulator, so narrow level dtypes cannot wrap
+    sums = np.add.reduceat(model.levels, starts, axis=0, dtype=np.int64)
     off = (1 << (model.cfg.bits - 1)) - 0.5
     centers = (sums - per_symbol[:, None] * off) * model.cfg.step
     return CentroidBook(centers=centers / model.samples_per_symbol)

@@ -304,20 +304,26 @@ def test_transmit_dimension_mismatch(demo_channel, demo_cfg):
 
 
 @pytest.mark.parametrize("real_mode", [False, True])
-def test_transmit_is_one_row_of_transmit_batch(real_mode):
+@pytest.mark.parametrize("sigma2", [0.0, 0.3])
+def test_transmit_is_one_row_of_transmit_batch(real_mode, sigma2):
     cfg = QuantizerConfig(bits=3, step=0.25, real_mode=real_mode)
     h = core.sample_channel(5, 3, np.random.default_rng(8))
     book = core.enumerate_symbols(core.qpsk(), 3)
     single, batch = np.random.default_rng(9), np.random.default_rng(9)
     stream = np.random.default_rng(9)
+    scale = math.sqrt(sigma2 / 2.0)
     for x in book.vectors[:16]:
-        y = core.transmit(h, x, 0.3, cfg, single)
-        row = core.transmit_batch(h, x[None, :], 0.3, cfg, batch)[0]
+        y = core.transmit(h, x, sigma2, cfg, single)
+        row = core.transmit_batch(h, x[None, :], sigma2, cfg, batch)[0]
         assert y.levels == tuple(row.tolist())
         assert (y.bits, y.step) == (cfg.bits, cfg.step)
-        # one Re block and one Im block of n_r normals per use, real mode too
-        stream.standard_normal((1, 5))
-        stream.standard_normal((1, 5))
+        # independent reference: the complex matrix-vector form with one Re
+        # and one Im block of n_r normals per use, drawn in real mode too
+        noise = 0.0
+        if sigma2:
+            noise = scale * (stream.standard_normal(5)
+                             + 1j * stream.standard_normal(5))
+        assert y == core.quantize_vector(h @ x + noise, cfg)
     state = stream.bit_generator.state
     assert single.bit_generator.state == batch.bit_generator.state == state
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -224,9 +225,12 @@ def _count_models(draw, steps):
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=_count_models(st.floats(1e-6, 1e6)))
-def test_centroids_are_integer_level_sums_at_any_step(case):
+@given(case=_count_models(st.floats(1e-6, 1e6)),
+       dtype=st.sampled_from([np.int64, np.uint8, np.int8]))
+def test_centroids_are_integer_level_sums_at_any_step(case, dtype):
     model, counts = case
+    # a model may hold narrow integer levels; the sums must not wrap
+    model = dataclasses.replace(model, levels=model.levels.astype(dtype))
     cfg, dim = model.cfg, model.levels.shape[1]
     off = (1 << (cfg.bits - 1)) - 0.5
     want = []
@@ -239,6 +243,18 @@ def test_centroids_are_integer_level_sums_at_any_step(case):
                     / model.samples_per_symbol)
     got = detection.centroids(model).centers
     assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8])
+def test_centroids_of_narrow_levels_do_not_wrap(dtype):
+    # 300 rows of level 7 sum to 2100, beyond either 8-bit range
+    top, low = _qv((7, 7), bits=3, step=0.5), _qv((0, 1), bits=3, step=0.5)
+    model = _model([{top: 300}, {low: 2, top: 1}], samples=300)
+    narrow = dataclasses.replace(model, levels=model.levels.astype(dtype))
+    want = detection.centroids(model).centers
+    assert model.levels.dtype == np.int64
+    assert want[0].tolist() == [1.75, 1.75]
+    assert detection.centroids(narrow).centers.tobytes() == want.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
