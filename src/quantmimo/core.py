@@ -263,6 +263,28 @@ def level_matrix(
     return levels, QuantizerConfig(bits, step)
 
 
+def distinct_rows(levels) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct row of an integer matrix, and row ids.
+
+    Returns ``(first, inverse)``: ``first`` lists the index of the first
+    occurrence of each distinct row, in first-seen order, and ``inverse``
+    gives every row's position in ``first``, so ``levels[first][inverse]``
+    rebuilds ``levels``. A matrix whose rows are all distinct gets
+    ``first == arange(len(levels))``.
+    """
+    rows = np.ascontiguousarray(levels)
+    if rows.shape[0] == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    packed = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(
+        packed.ravel(), return_index=True, return_inverse=True)
+    # np.unique sorts by bytes; re-rank the distinct rows by first sight
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
+
+
 @dataclass(frozen=True, eq=False)
 class SymbolBook:
     """All K = M**n_t candidate symbol vectors with antipodal index pairing.

@@ -23,6 +23,7 @@ from . import analysis, baselines, detection, sic, training
 from .core import (
     QuantizerConfig,
     constellation,
+    distinct_rows,
     enumerate_symbols,
     level_values,
     sample_channel,
@@ -37,7 +38,7 @@ CSV_COLUMNS = (
     "snr_db", "detector", "framework", "errors", "trials", "ser", "svep", "bound")
 
 # Largest accepted per-channel array estimate (ExperimentConfig.peak_bytes).
-# The K = 4**6 full search with l_a = 16 and n_r = 32 estimates 34 MB.
+# The K = 4**6 full search with l_a = 16 and n_r = 32 estimates 98.4 MiB.
 _PEAK_BYTES_BUDGET = 1 << 30
 
 
@@ -93,28 +94,33 @@ class ExperimentConfig:
     def peak_bytes(self) -> int:
         """Integer estimate of one channel's largest arrays, in bytes.
 
-        Counts the K x n_t complex symbol book, the K*L x d int64 trained
-        levels (L samples per symbol) and, with MLD, the N x K x d float64
-        likelihood gather, for K = M**n_t and d = 2 n_r. With SIC it adds
-        the K1 x K2 x d float64 stage-two candidate table and one chunk of
-        its N x K2 x d gather (``sic.stage_two_chunk``). Builds none of them.
+        With K = M**n_t, d = 2 n_r and L trained samples per symbol it
+        counts the K x n_t complex symbol book and training at its peak.
+        Explicit training holds three K*L x d arrays of 8-byte elements at
+        once (the float signals, the quantizer's float temporary and the
+        int64 levels) and the K x n_r complex noiseless sums. Implicit
+        training holds the K*L/2 x n_t complex pilot symbols and 2 K*L x d
+        int64 levels (the pilot frame, its mirror and their concatenation).
+        SIC holds the K*L x d first-stage levels, the K1 x K2 x d float64
+        candidate table and one chunk of its N x K2 x d stage-two gather
+        (``sic.stage_two_chunk``). MLD adds its N x K x d float64
+        likelihood gather. Builds none of them.
         """
         k, d, n = self.symbol_count, 2 * self.n_r, self.vectors_per_channel
-        stage_two = 0
         if self.framework == "sic":
-            per_symbol = self.first_stage_count or 1
             # validate_for_ser rejects an n_t1 outside [1, n_t]
             n_t1 = min(max(self.n_t1 or 1, 1), self.n_t)
             row = 8 * d * constellation(self.modulation).size ** (
                 self.n_t - n_t1)
-            stage_two = 8 * k * d + row * min(n, sic.stage_two_chunk(row))
+            training = (8 * k * d * ((self.first_stage_count or 1) + 1)
+                        + row * min(n, sic.stage_two_chunk(row)))
         elif self.training == "implicit":
-            per_symbol = self.repetitions or 0
+            training = 8 * k * (self.repetitions or 0) * (2 * d + self.n_t)
         else:
-            per_symbol = self.artificial_count or 0
-        mld_rows = n if "mld" in self.detectors else 0
-        return (16 * k * self.n_t + 8 * k * d * (per_symbol + mld_rows)
-                + stage_two)
+            training = (24 * k * (self.artificial_count or 0) * d
+                        + 16 * k * self.n_r)
+        mld = 8 * n * k * d if "mld" in self.detectors else 0
+        return 16 * k * self.n_t + training + mld
 
     def pilot_slots(self) -> int:
         """Effective T_t: the implicit schedule length, or the configured value."""
@@ -359,6 +365,13 @@ def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
 
     Returns an array of shape (snr points, detectors, 4) holding symbol
     errors, symbol trials, vector errors, and vector trials.
+
+    With b-bit ADCs a data batch repeats observations often (a one-bit,
+    n_r = 4 batch of 500 holds 26 to 184 distinct rows), and every detector
+    decides a row from that row alone. So the detectors see only the
+    distinct rows of each batch, in first-seen order, and their decisions
+    are copied back to every repeat before errors are counted. A batch
+    whose rows are all distinct reaches the detectors unchanged.
     """
     rng = np.random.default_rng(child)
     qcfg = QuantizerConfig(cfg.bits, cfg.step)
@@ -411,10 +424,12 @@ def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
         data_idx = rng.integers(0, book.size, size=cfg.vectors_per_channel)
         x_true = book.vectors[data_idx]
         levels = transmit_batch(h, x_true, sigma2, qcfg, rng)
-        values = level_values(levels, qcfg)
+        first, inverse = distinct_rows(levels)
+        distinct = levels[first]
         for di, (det, x_det) in enumerate(_detect_all(
-                cfg, qcfg, book, levels, values, sigma2, h, h_hat, model, cb)):
-            mismatched = x_det != x_true
+                cfg, qcfg, book, distinct, level_values(distinct, qcfg),
+                sigma2, h, h_hat, model, cb)):
+            mismatched = x_det[inverse] != x_true
             out[si, di] = (
                 int(mismatched.sum()),
                 x_true.size,
@@ -585,9 +600,12 @@ def sample_dmin(
         g = np.concatenate([clean.real, clean.imag], axis=1)
         signs = np.where(g >= 0.0, 1.0, -1.0).astype(np.float32)
         gram = signs.transpose(0, 2, 1) @ signs
-        dist = np.rint((2 * n_r - gram) / 2.0).astype(np.int64)
-        dist[:, np.arange(k), np.arange(k)] = 2 * n_r + 1
-        out[done:done + m] = dist.reshape(m, -1).min(axis=1)
+        # Hamming distance = (2 n_r - gram) / 2 is non-increasing in the
+        # small-integer Gram entries, so the closest pair is the largest
+        # off-diagonal entry; the diagonal is pushed below every entry
+        gram[:, np.arange(k), np.arange(k)] = -2 * n_r - 1
+        g_max = gram.reshape(m, -1).max(axis=1)
+        out[done:done + m] = np.rint((2 * n_r - g_max) / 2.0)
         done += m
     return out
 

@@ -20,6 +20,7 @@ from .core import (
     QuantizedVector,
     QuantizerConfig,
     SymbolBook,
+    distinct_rows,
     level_values,
     level_matrix,
     noisy_components,
@@ -110,17 +111,7 @@ class EmpiricalModel:
     def _row_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """First row of each distinct level row, in first-seen order, and the
         distinct-row id of every row."""
-        rows = np.ascontiguousarray(self.levels)
-        if rows.shape[0] == 0:
-            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-        packed = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-        _, first, inverse = np.unique(
-            packed.ravel(), return_index=True, return_inverse=True)
-        # np.unique sorts by bytes; re-rank the distinct rows by first sight
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        return first[order], rank[inverse]
+        return distinct_rows(self.levels)
 
     @cached_property
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

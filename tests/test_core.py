@@ -345,3 +345,48 @@ def test_vector_negation_closure_off_boundary():
         y_pos = core.quantize_vector(r, cfg)
         y_neg = core.quantize_vector(-r, cfg)
         assert y_neg == -y_pos
+
+
+# ---------------------------------------------------------------------------
+# distinct rows
+
+
+def test_distinct_rows_first_seen_order_and_reconstruction():
+    levels = np.array([[1, 0], [0, 1], [1, 0], [3, 3], [0, 1], [1, 0]])
+    first, inverse = core.distinct_rows(levels)
+    assert first.tolist() == [0, 1, 3]
+    assert inverse.tolist() == [0, 1, 0, 2, 1, 0]
+    assert np.array_equal(levels[first][inverse], levels)
+
+
+def test_distinct_rows_all_distinct_is_identity():
+    levels = np.random.default_rng(1).permutation(
+        np.indices((4, 4)).reshape(2, -1).T)
+    first, inverse = core.distinct_rows(levels)
+    assert np.array_equal(first, np.arange(16))
+    assert np.array_equal(inverse, np.arange(16))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_distinct_rows_dtypes_and_non_contiguous_input(dtype):
+    rng = np.random.default_rng(2)
+    wide = rng.integers(0, 3, size=(200, 10)).astype(dtype)
+    levels = wide[::2, 1::3]  # strided in both axes
+    assert not levels.flags.c_contiguous
+    first, inverse = core.distinct_rows(levels)
+    assert np.array_equal(levels[first][inverse], levels)
+    # first-seen order: the first occurrences appear in increasing position
+    assert np.all(np.diff(first) > 0)
+    expected = {tuple(row) for row in levels.tolist()}
+    assert len(first) == len(expected)
+    assert {tuple(row) for row in levels[first].tolist()} == expected
+    # each row's id is the rank of its first occurrence
+    seen = {}
+    ids = [seen.setdefault(tuple(row), len(seen)) for row in levels.tolist()]
+    assert inverse.tolist() == ids
+
+
+def test_distinct_rows_of_no_rows():
+    first, inverse = core.distinct_rows(np.zeros((0, 4), dtype=np.int64))
+    assert first.shape == inverse.shape == (0,)
+    assert first.dtype == inverse.dtype == np.intp

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -108,12 +110,17 @@ def test_peak_bytes_estimate_and_budget():
         n_t=6, n_r=32, bits=2, modulation="qpsk", snr_grid_db=(10.0,),
         channel_count=3, vectors_per_channel=200, seed=42,
         training="explicit", artificial_count=16, detectors=("mcd",))
-    # 4096 x 6 complex symbols plus 4096*16 x 64 trained int64 levels
-    assert full_search.peak_bytes() == 16 * 4096 * 6 + 8 * 4096 * 16 * 64
+    # 4096 x 6 complex symbols, three 4096*16 x 64 arrays of 8-byte
+    # elements while explicit training quantizes, and 4096 x 32 complex sums
+    assert full_search.peak_bytes() == (
+        16 * 4096 * 6 + 3 * 8 * 4096 * 16 * 64 + 16 * 4096 * 32)
     assert full_search.peak_bytes() < 100 * 2**20
     full_search.validate()
     mld = _cfg(vectors_per_channel=500)
-    assert mld.peak_bytes() == 16 * 16 * 2 + 8 * 16 * 8 * (5 + 500)
+    # implicit: 16*5/2 x 2 complex pilots, two 16*5 x 8 int64 level arrays;
+    # MLD: the 500 x 16 x 8 float64 gather
+    assert mld.peak_bytes() == (
+        16 * 16 * 2 + 8 * 16 * 5 * (2 * 8 + 2) + 8 * 500 * 16 * 8)
     for n_t in (12, 40):
         with pytest.raises(ConfigError, match=f"n_t={n_t}"):
             _cfg(n_t=n_t).validate()
@@ -126,6 +133,41 @@ def test_peak_bytes_estimate_and_budget():
     # K2 = 1024: the gather is cut to 32 observations of 512 KiB each
     assert dataclasses.replace(sic_split, n_t1=1).peak_bytes() == (
         16 * 4096 * 6 + 8 * 4096 * 64 + 8 * 4096 * 64 + 32 * 8 * 1024 * 64)
+
+
+@pytest.mark.parametrize("training_kind", ["explicit", "implicit"])
+def test_peak_bytes_bounds_traced_training_peak(training_kind):
+    # the K = 4096, n_r = 32 full search, trained explicitly with l_a = 16
+    # as in the benchmark, or implicitly from a 4096*16/2-slot pilot frame
+    cfg = ExperimentConfig(
+        n_t=6, n_r=32, bits=2, modulation="qpsk", snr_grid_db=(10.0,),
+        channel_count=1, vectors_per_channel=200, seed=0,
+        training=training_kind, artificial_count=16, repetitions=16,
+        detectors=("mcd",))
+    qcfg = core.QuantizerConfig(cfg.bits, cfg.step)
+    book = core.enumerate_symbols(core.qpsk(), cfg.n_t)
+    rng = np.random.default_rng(3)
+    h = core.sample_channel(cfg.n_r, cfg.n_t, rng)
+    sigma2 = core.snr_db_to_sigma2(10.0, cfg.n_t)
+
+    def train():
+        # the training phase of harness._ser_channel_counts
+        if training_kind == "explicit":
+            return training.learn_explicit(
+                h, sigma2, cfg.artificial_count, book, qcfg, rng)
+        schedule = training.build_implicit_pilots(book, cfg.repetitions)
+        pilot_levels = core.transmit_batch(
+            h, schedule.rows(), sigma2, qcfg, rng)
+        return training.learn_implicit(
+            pilot_levels, book, cfg.repetitions, qcfg)
+
+    tracemalloc.start()
+    try:
+        train()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cfg.peak_bytes() <= 1.25 * peak
 
 
 def test_downlink_guard_warns():
@@ -321,6 +363,41 @@ def test_sample_dmin_matches_codebook_geometry():
              + 1j * rng.standard_normal((1, 4, 3)))[0] / np.sqrt(2.0)
         geom = analysis.geometry(h, book, qcfg)
         assert d_sampled == geom.d_min
+
+
+def _sample_dmin_full_distances(n_t, n_r, count, rng, chunk):
+    """The m x K x K integer distance formulation sample_dmin replaced."""
+    book = core.enumerate_symbols(core.bpsk(), n_t)
+    x = book.vectors.real.T
+    k = book.size
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    while done < count:
+        m = min(chunk, count - done)
+        h = (rng.standard_normal((m, n_r, n_t))
+             + 1j * rng.standard_normal((m, n_r, n_t))) / np.sqrt(2.0)
+        clean = h @ x
+        g = np.concatenate([clean.real, clean.imag], axis=1)
+        signs = np.where(g >= 0.0, 1.0, -1.0).astype(np.float32)
+        gram = signs.transpose(0, 2, 1) @ signs
+        dist = np.rint((2 * n_r - gram) / 2.0).astype(np.int64)
+        dist[:, np.arange(k), np.arange(k)] = 2 * n_r + 1
+        out[done:done + m] = dist.reshape(m, -1).min(axis=1)
+        done += m
+    return out
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_r", [1, 2, 4, 8, 16])
+def test_sample_dmin_matches_full_distance_matrix(n_t, n_r):
+    # 300 channels in chunks of 128: two full chunks and a partial one
+    got_rng = np.random.default_rng(n_t * 100 + n_r)
+    ref_rng = np.random.default_rng(n_t * 100 + n_r)
+    got = harness.sample_dmin(n_t, n_r, 300, got_rng, chunk=128)
+    ref = _sample_dmin_full_distances(n_t, n_r, 300, ref_rng, chunk=128)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ref)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_ccdf_records_structure():
@@ -574,3 +651,91 @@ def test_sic_channel_counts_match_recorded(first_stage_count, expected):
         got = harness._ser_channel_counts(cfg, child)
         assert got.shape == (3, 1, 4)
         assert got[:, 0].tolist() == counts
+
+
+# ---------------------------------------------------------------------------
+# each distinct observation detected once
+
+
+_DEDUPE_CONFIGS = (
+    _cfg(snr_grid_db=(0.0, 10.0, 25.0), vectors_per_channel=120),
+    _cfg(snr_grid_db=(0.0, 25.0), detectors=("mcd", "zf"), csir="ls",
+         training="explicit", artificial_count=8, t_t=12, n_r=3, bits=2),
+    _cfg(snr_grid_db=(0.0, 25.0), detectors=("emld", "mld"), csir="ls",
+         modulation="bpsk", n_t=1, n_r=2),
+    _sic_split_cfg(),
+    _sic_split_cfg(first_stage_count=2, modulation="bpsk", snr_grid_db=(20.0,)),
+    _sic_split_cfg(csir="ls", t_t=12),
+)
+
+
+@pytest.mark.parametrize("cfg", _DEDUPE_CONFIGS)
+def test_channel_counts_equal_detecting_every_row(monkeypatch, cfg):
+    children = np.random.SeedSequence(cfg.seed).spawn(2)
+    deduped = [harness._ser_channel_counts(cfg, c) for c in children]
+
+    def every_row(levels):
+        rows = np.arange(len(levels))
+        return rows, rows
+
+    monkeypatch.setattr(harness, "distinct_rows", every_row)
+    for child, counts in zip(children, deduped):
+        assert np.array_equal(harness._ser_channel_counts(cfg, child), counts)
+
+
+_BATCH_DETECTORS = (
+    (detection, "detect_emld_batch"), (detection, "detect_mmd_batch"),
+    (detection, "detect_mcd_batch"), (baselines, "detect_mld_batch"),
+    (baselines, "detect_zf_batch"), (sic, "detect_sic_batch"))
+
+
+@pytest.mark.parametrize("cfg", _DEDUPE_CONFIGS)
+def test_detectors_receive_pairwise_distinct_rows(monkeypatch, cfg):
+    batches = []
+
+    def spy(fn):
+        def wrapped(rows, *args):
+            batches.append(len(rows))
+            assert len(np.unique(rows, axis=0)) == len(rows)
+            return fn(rows, *args)
+        return wrapped
+
+    for module, name in _BATCH_DETECTORS:
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    counts = harness._ser_channel_counts(
+        cfg, np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    per_batch = len(cfg.snr_grid_db) * len(cfg.detectors)
+    assert len(batches) == per_batch
+    # every detector still scores all vectors, and some batch had repeats
+    assert (counts[:, :, 3] == cfg.vectors_per_channel).all()
+    assert min(batches) < cfg.vectors_per_channel
+
+
+# sha256 of each shipped config's CSV at reduced size, recorded at commit
+# f39c63a, before the harness detected each distinct observation once
+_REDUCED_CSV_SHA256 = {
+    "detector_comparison.cfg": (
+        harness.run_ser_experiment, 5,
+        "ff5d504adf997b67dba69ece86d4775a51d4a9550d37f085112202a31c5f1e1d"),
+    "bound_validation.cfg": (
+        harness.run_bound_validation, 5,
+        "cca32344cb86d3997db0ff286b0c0d2c883599028acf96f208242a7ad25ecc12"),
+    "dmin_ccdf.cfg": (
+        harness.run_ccdf_experiment, 2000,
+        "973117b125e7bb3a20c1610573e648c305d1aa3b54db235ce3d1b2ac4331719e"),
+    "multibit_downlink_b2.cfg": (
+        harness.run_ser_experiment, 5,
+        "cc0117cb76ea09e6ac046dc28e235abd8d1a0370a2b0254e00843a17705e7592"),
+    "sic_tradeoff_nt1_5.cfg": (
+        harness.run_ser_experiment, 5,
+        "a8fa889f1df77efc2b087b206b43b3ababa35aca47ef232bd16c051234fed02e"),
+}
+
+@pytest.mark.parametrize("name", sorted(_REDUCED_CSV_SHA256))
+def test_shipped_config_csv_is_byte_identical_at_reduced_size(name):
+    runner, channels, digest = _REDUCED_CSV_SHA256[name]
+    cfg = dataclasses.replace(
+        harness.load_config(Path(__file__).parents[1] / "configs" / name),
+        channel_count=channels)
+    csv_text = harness.render_csv(runner(cfg))
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == digest
