@@ -18,6 +18,10 @@ import numpy as np
 
 _POWER_TOL = 1e-12
 
+# Largest noise chunk (float64 values) that noisy_levels draws at once; the
+# K = 4096, l_a = 16, n_r = 32 explicit training draws 128 symbols per chunk.
+_NOISE_BYTES = 1 << 19
+
 
 @dataclass(frozen=True)
 class Constellation:
@@ -121,6 +125,11 @@ class QuantizerConfig:
     def r_up(self) -> float:
         return ((1 << (self.bits - 1)) - 1) * self.step
 
+    @property
+    def level_dtype(self) -> np.dtype:
+        """Narrowest unsigned integer dtype holding every level index."""
+        return np.min_scalar_type(self.n_levels - 1)
+
     def output_values(self) -> np.ndarray:
         """All 2**bits producible output values, ascending."""
         offsets = np.arange(self.n_levels) - (1 << (self.bits - 1)) + 0.5
@@ -131,11 +140,13 @@ class QuantizerConfig:
 
 
 def quantize_levels(x, cfg: QuantizerConfig) -> np.ndarray:
-    """Vectorized quantizer returning integer level indices in [0, 2**bits).
+    """Vectorized quantizer returning level indices in [0, 2**bits).
 
-    Saturates below the lowest and at/above the highest decision threshold;
-    inputs exactly on a threshold land in the upper cell (so 0 maps to the
-    smallest positive output). The input is never modified.
+    The levels have ``cfg.level_dtype``, the narrowest unsigned integer type
+    that holds them (uint8 up to 8 bits). Saturates below the lowest and
+    at/above the highest decision threshold; inputs exactly on a threshold
+    land in the upper cell (so 0 maps to the smallest positive output). The
+    input is never modified.
     """
     x = np.asarray(x, dtype=float)
     cells = np.subtract(x, cfg.r_low, out=np.empty(x.shape))
@@ -146,7 +157,7 @@ def quantize_levels(x, cfg: QuantizerConfig) -> np.ndarray:
         raise ValueError("cannot quantize NaN samples")
     cells += 1.0
     np.clip(cells, 0, cfg.n_levels - 1, out=cells)
-    return cells.astype(np.int64)
+    return cells.astype(cfg.level_dtype)
 
 
 def quantize_level(x: float, cfg: QuantizerConfig) -> int:
@@ -160,9 +171,13 @@ def quantize_scalar(x: float, cfg: QuantizerConfig) -> float:
 
 
 def level_values(levels, cfg: QuantizerConfig) -> np.ndarray:
-    """Map level indices to output values ``(-2**(B-1) + 0.5 + level) * step``."""
+    """Map level indices to output values ``(level + 0.5 - 2**(B-1)) * step``.
+
+    The offset is one float, so unsigned levels never wrap; every value is
+    exact before the final multiplication.
+    """
     levels = np.asarray(levels)
-    return (levels - (1 << (cfg.bits - 1)) + 0.5) * cfg.step
+    return (levels + (0.5 - (1 << (cfg.bits - 1)))) * cfg.step
 
 
 def cell_edges(cfg: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -244,14 +259,15 @@ def level_matrix(
 ) -> tuple[np.ndarray, QuantizerConfig]:
     """Integer level matrix (one row per observation) and its quantizer.
 
-    ``observations`` is a level matrix quantized with ``cfg``, or a sequence
-    of QuantizedVectors, which carry their own quantizer shape (``cfg`` is
-    then not read).
+    ``observations`` is a level matrix quantized with ``cfg``, returned as
+    it is (in its own dtype), or a sequence of QuantizedVectors, which carry
+    their own quantizer shape (``cfg`` is then not read) and give int64
+    levels.
     """
     if isinstance(observations, np.ndarray):
         if cfg is None:
             raise ValueError("a level matrix needs its quantizer config")
-        return np.asarray(observations, dtype=np.int64), cfg
+        return observations, cfg
     if not observations:
         # no sample constrains the quantizer; any shape describes no data
         return np.zeros((0, 0), dtype=np.int64), QuantizerConfig(1, 1.0)
@@ -364,43 +380,68 @@ def sample_channel(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
     ) / math.sqrt(2.0)
 
 
-def noisy_components(
+def noise_chunk(row_values: int) -> int:
+    """Leading-axis rows per :func:`noisy_levels` chunk: as many rows of
+    ``row_values`` float64 values as ``_NOISE_BYTES`` holds, and at least
+    one."""
+    return max(1, _NOISE_BYTES // (8 * max(1, row_values)))
+
+
+def noisy_levels(
     clean: np.ndarray,
     shape: tuple[int, ...],
     sigma2: float,
     rng: np.random.Generator | None,
-    real_mode: bool = False,
+    cfg: QuantizerConfig,
 ) -> np.ndarray:
-    """Stacked real coordinates of ``clean`` plus i.i.d. CN(0, sigma2) noise.
+    """Quantized levels of ``clean`` plus i.i.d. CN(0, sigma2) noise.
 
-    ``shape`` is the shape of the complex noise (last axis n_r) and the
-    complex ``clean`` broadcasts against it. The result has shape
-    ``shape[:-1] + (d,)`` holding [Re, Im] (d = 2 n_r), or only Re in real
-    mode (d = n_r). The noise is the real ``standard_normal`` block, then the
+    ``shape`` is the shape of the complex noise (at least two axes, the last
+    n_r) and the complex ``clean`` broadcasts against it. The result has
+    shape ``shape[:-1] + (d,)`` and ``cfg.level_dtype``, holding the levels
+    of [Re, Im] (d = 2 n_r), or of Re only in real mode (d = n_r).
+
+    The noise is the real ``standard_normal`` block of ``shape``, then the
     imaginary one, both scaled by sqrt(sigma2 / 2); real mode still draws the
     imaginary block, so the generator advances the same way in both modes.
-    sigma2 == 0 draws nothing and needs no generator.
+    Each block is drawn in chunks of :func:`noise_chunk` leading-axis rows
+    into one scratch buffer, where the clean part is added and the chunk is
+    quantized; consecutive fills of a generator give the stream of one fill,
+    so the levels do not depend on the chunk size. sigma2 == 0 draws nothing
+    and needs no generator.
     """
     clean = np.asarray(clean, dtype=complex)
     shape = tuple(shape)
-    if sigma2 == 0.0:
-        return real_components(np.broadcast_to(clean, shape), real_mode)
+    if len(shape) < 2:
+        raise ValueError("noise shape needs a leading axis and n_r")
     if sigma2 < 0.0:
         raise ValueError("noise variance must be non-negative")
-    if rng is None:
+    if sigma2 != 0.0 and rng is None:
         raise ValueError("a random generator is required for sigma2 > 0")
-    n_r = shape[-1]
-    out = np.empty(shape[:-1] + ((1 if real_mode else 2) * n_r,))
-    draw = np.empty(shape)
+    n_r, rows = shape[-1], shape[0]
+    levels = np.empty(
+        shape[:-1] + (cfg.observed_dim(n_r),), dtype=cfg.level_dtype)
+    chunk = noise_chunk(math.prod(shape[1:]))
+    buffer = np.empty((min(chunk, rows),) + shape[1:])
     scale = math.sqrt(sigma2 / 2.0)
     for block, part in enumerate((clean.real, clean.imag)):
-        rng.standard_normal(out=draw)
-        if block and real_mode:
+        kept = not (block and cfg.real_mode)
+        if not (kept or sigma2):
             break
-        view = out[..., block * n_r:(block + 1) * n_r]
-        np.multiply(draw, scale, out=view)
-        view += part
-    return out
+        part = np.broadcast_to(part, shape)
+        for start in range(0, rows, chunk):
+            stop = min(start + chunk, rows)
+            signal = part[start:stop]
+            if sigma2:
+                signal = buffer[:stop - start]
+                rng.standard_normal(out=signal)
+                if not kept:
+                    continue
+                signal *= scale
+                signal += part[start:stop]
+            levels[start:stop, ..., block * n_r:(block + 1) * n_r] = (
+                quantize_levels(signal, cfg))
+    return levels
 
 
 def transmit(
@@ -430,10 +471,10 @@ def transmit_batch(
 ) -> np.ndarray:
     """Quantized levels for many symbol vectors at once.
 
-    ``x_rows`` has one symbol vector per row; the returned integer matrix has
-    one observation per row. Noise for the whole batch is drawn in one
-    :func:`noisy_components` call, so results are reproducible per
-    (generator state, batch).
+    ``x_rows`` has one symbol vector per row; the returned level matrix
+    (``cfg.level_dtype``) has one observation per row. Noise for the whole
+    batch comes from one :func:`noisy_levels` call, so results are
+    reproducible per (generator state, batch).
     """
     h = np.asarray(h, dtype=complex)
     x_rows = np.asarray(x_rows, dtype=complex)
@@ -441,5 +482,4 @@ def transmit_batch(
         raise ValueError(
             f"dimension mismatch: channel {h.shape}, symbol rows {x_rows.shape}")
     clean = x_rows @ h.T
-    return quantize_levels(
-        noisy_components(clean, clean.shape, sigma2, rng, cfg.real_mode), cfg)
+    return noisy_levels(clean, clean.shape, sigma2, rng, cfg)

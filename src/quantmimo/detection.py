@@ -21,6 +21,9 @@ import numpy as np
 from .core import QuantizedVector
 from .training import EmpiricalModel
 
+# Largest int64 copy of trained level rows that centroids sums at once.
+_SUM_BYTES = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class CentroidBook:
@@ -107,14 +110,30 @@ def centroids(model: EmpiricalModel) -> CentroidBook:
     definition at every step. At a dyadic step (a power of two) each output
     value and each partial sum of values is exact, so it equals the sum of
     the symbol's output values over L bit for bit.
+
+    The sums are taken over blocks of whole symbols, each at most
+    ``_SUM_BYTES`` of int64 levels (or one symbol), so narrow levels are
+    never widened all at once.
     """
     per_symbol = np.bincount(model.symbols, minlength=model.size)
     empty = np.flatnonzero(per_symbol == 0)
     if empty.size:
         raise ValueError(f"symbol {empty[0]} has an empty trained support")
-    starts = np.cumsum(per_symbol) - per_symbol
-    # an explicit int64 accumulator, so narrow level dtypes cannot wrap
-    sums = np.add.reduceat(model.levels, starts, axis=0, dtype=np.int64)
+    ends = np.cumsum(per_symbol)
+    starts = ends - per_symbol
+    levels = model.levels
+    block_rows = max(1, _SUM_BYTES // (8 * max(1, levels.shape[1])))
+    sums = np.empty((model.size, levels.shape[1]), dtype=np.int64)
+    k = 0
+    while k < model.size:
+        # the symbols whose rows end within one block, and at least one
+        stop = max(k + 1, int(np.searchsorted(
+            ends, starts[k] + block_rows, side="right")))
+        # an int64 accumulator, so narrow level dtypes cannot wrap
+        np.add.reduceat(
+            levels[starts[k]:ends[stop - 1]], starts[k:stop] - starts[k],
+            axis=0, dtype=np.int64, out=sums[k:stop])
+        k = stop
     off = (1 << (model.cfg.bits - 1)) - 0.5
     centers = (sums - per_symbol[:, None] * off) * model.cfg.step
     return CentroidBook(centers=centers / model.samples_per_symbol)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -26,6 +25,7 @@ from .core import (
     distinct_rows,
     enumerate_symbols,
     level_values,
+    noise_chunk,
     sample_channel,
     snr_db_to_sigma2,
     transmit_batch,
@@ -38,7 +38,9 @@ CSV_COLUMNS = (
     "snr_db", "detector", "framework", "errors", "trials", "ser", "svep", "bound")
 
 # Largest accepted per-channel array estimate (ExperimentConfig.peak_bytes).
-# The K = 4**6 full search with l_a = 16 and n_r = 32 estimates 98.4 MiB.
+# The K = 4**6 full search with l_a = 16 and n_r = 32 estimates 7.44 MiB
+# with MCD, and 8.3 GiB with eMLD and MMD, whose count matrix and distance
+# tensor span all 65 536 distinct trained rows.
 _PEAK_BYTES_BUDGET = 1 << 30
 
 
@@ -94,19 +96,32 @@ class ExperimentConfig:
     def peak_bytes(self) -> int:
         """Integer estimate of one channel's largest arrays, in bytes.
 
-        With K = M**n_t, d = 2 n_r and L trained samples per symbol it
-        counts the K x n_t complex symbol book and training at its peak.
-        Explicit training holds three K*L x d arrays of 8-byte elements at
-        once (the float signals, the quantizer's float temporary and the
-        int64 levels) and the K x n_r complex noiseless sums. Implicit
-        training holds the K*L/2 x n_t complex pilot symbols and 2 K*L x d
-        int64 levels (the pilot frame, its mirror and their concatenation).
-        SIC holds the K*L x d first-stage levels, the K1 x K2 x d float64
-        candidate table and one chunk of its N x K2 x d stage-two gather
+        With K = M**n_t, d = 2 n_r, L trained samples per symbol and levels
+        of ``QuantizerConfig.level_dtype`` it counts the K x n_t complex
+        symbol book and training at its peak, where one noise chunk of
+        ``core.noisy_levels`` holds its float buffer, the quantizer's float
+        temporary and their levels. Explicit training holds the K x n_r
+        complex noiseless sums and the K*L x d levels while it draws, and
+        the int64 symbol index of every row once it has drawn. Implicit
+        training holds the K*L/2 x n_t complex pilot symbols with, while it
+        transmits, their complex noiseless sums and the pilot levels, and
+        afterwards 2 K*L x d levels (the pilot frame, its mirror and their
+        concatenation) with the row symbol indices. eMLD and MMD add the
+        S x K int64 count matrix and the N x S x d int64 distance tensor of
+        the S = min(K*L, 2**(b*d)) distinct trained rows. SIC holds the
+        K*L x d first-stage levels, the K1 x K2 x d float64 candidate table
+        and one chunk of its N x K2 x d stage-two gather
         (``sic.stage_two_chunk``). MLD adds its N x K x d float64
         likelihood gather. Builds none of them.
         """
         k, d, n = self.symbol_count, 2 * self.n_r, self.vectors_per_channel
+        level = QuantizerConfig(self.bits, self.step).level_dtype.itemsize
+
+        def noise(rows: int, row_values: int) -> int:
+            values = min(rows, noise_chunk(row_values)) * row_values
+            return (16 + level) * values
+
+        samples = 0
         if self.framework == "sic":
             # validate_for_ser rejects an n_t1 outside [1, n_t]
             n_t1 = min(max(self.n_t1 or 1, 1), self.n_t)
@@ -115,12 +130,22 @@ class ExperimentConfig:
             training = (8 * k * d * ((self.first_stage_count or 1) + 1)
                         + row * min(n, sic.stage_two_chunk(row)))
         elif self.training == "implicit":
-            training = 8 * k * (self.repetitions or 0) * (2 * d + self.n_t)
+            samples = self.repetitions or 0
+            slots = k * samples // 2
+            transmitting = (16 * slots * self.n_r + level * slots * d
+                            + noise(slots, self.n_r))
+            trained = 2 * level * k * samples * d + 8 * k * samples
+            training = 16 * slots * self.n_t + max(transmitting, trained)
         else:
-            training = (24 * k * (self.artificial_count or 0) * d
-                        + 16 * k * self.n_r)
+            samples = self.artificial_count or 0
+            training = (16 * k * self.n_r + level * k * samples * d
+                        + max(noise(k, samples * self.n_r), 8 * k * samples))
+        support = 0
+        if {"emld", "mmd"} & set(self.detectors):
+            s = min(k * samples, 2 ** (self.bits * d))
+            support = 8 * s * k + 8 * n * s * d
         mld = 8 * n * k * d if "mld" in self.detectors else 0
-        return 16 * k * self.n_t + training + mld
+        return 16 * k * self.n_t + training + support + mld
 
     def pilot_slots(self) -> int:
         """Effective T_t: the implicit schedule length, or the configured value."""
@@ -442,6 +467,10 @@ def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
 def _map_channels(worker, cfg: ExperimentConfig, children):
     if cfg.threads <= 1:
         return [worker(cfg, child) for child in children]
+    # imported here, not at module level: the pool loads multiprocessing,
+    # which single-worker runs (and the CLI's import) never need
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
         return list(pool.map(worker, repeat(cfg), children, chunksize=4))
 

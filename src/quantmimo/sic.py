@@ -25,7 +25,7 @@ from .core import (
     QuantizerConfig,
     SymbolBook,
     level_values,
-    noisy_components,
+    noisy_levels,
     quantize_levels,
     real_components,
 )
@@ -212,9 +212,9 @@ def learn_first_stage(
     if samples_per_pair == 1:
         values = table[:, :, None, :]
     else:
-        values = _output_values(noisy_components(
+        values = level_values(noisy_levels(
             clean[:, :, None, :], (k1, k2, samples_per_pair, n_r),
-            sigma2, rng, cfg.real_mode), cfg)
+            sigma2, rng, cfg), cfg)
     projected = values @ plan.w1.T
     return FirstStageModel(
         projected=projected.reshape(k1, k2 * samples_per_pair, -1),

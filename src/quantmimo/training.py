@@ -23,8 +23,7 @@ from .core import (
     distinct_rows,
     level_values,
     level_matrix,
-    noisy_components,
-    quantize_levels,
+    noisy_levels,
     vectors_from_levels,
 )
 
@@ -204,8 +203,9 @@ def learn_explicit(
     For every symbol vector, ``artificial_count`` signals are synthesized by
     pushing the estimated noiseless receive point through fresh complex
     Gaussian noise and the quantizer. All K * artificial_count noise vectors
-    are independent; the loop order is symbol-major. The signals exist only
-    in stacked real coordinates (:func:`~quantmimo.core.noisy_components`).
+    are independent; the loop order is symbol-major. The signals are drawn
+    and quantized in chunks of symbols (:func:`~quantmimo.core.noisy_levels`),
+    so only their narrow levels are kept.
     """
     if artificial_count < 1:
         raise ValueError("artificial_count must be at least 1")
@@ -214,9 +214,9 @@ def learn_explicit(
         raise ValueError(
             f"dimension mismatch: channel {h_hat.shape}, book n_t {book.n_t}")
     clean = book.vectors @ h_hat.T
-    levels = quantize_levels(noisy_components(
+    levels = noisy_levels(
         clean[:, None, :], (book.size, artificial_count, h_hat.shape[0]),
-        sigma2, rng, cfg.real_mode), cfg)
+        sigma2, rng, cfg)
     return EmpiricalModel(
         levels=levels.reshape(book.size * artificial_count, -1),
         symbols=np.repeat(np.arange(book.size), artificial_count),

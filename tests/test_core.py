@@ -64,7 +64,7 @@ def test_quantize_levels_leaves_input_unchanged():
     for view in (x, x[:, ::3], x.T):
         before = view.copy()
         levels = core.quantize_levels(view, cfg)
-        assert levels.dtype == np.int64 and levels.shape == view.shape
+        assert levels.dtype == cfg.level_dtype and levels.shape == view.shape
         assert view.tobytes() == before.tobytes()
     assert (levels[0, 0], levels[1, 1]) == (cfg.n_levels - 1, 0)
     x[2, 3] = np.nan
@@ -72,6 +72,96 @@ def test_quantize_levels_leaves_input_unchanged():
     with pytest.raises(ValueError, match="NaN"):
         core.quantize_levels(x, cfg)
     assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("bits, dtype", [
+    (1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16),
+    (24, np.uint32)])
+def test_level_dtype_is_narrowest_unsigned(bits, dtype):
+    cfg = QuantizerConfig(bits=bits, step=0.5)
+    assert cfg.level_dtype == dtype
+    levels = core.quantize_levels(np.array([-np.inf, 0.0, np.inf]), cfg)
+    assert levels.dtype == dtype
+    assert levels.tolist() == [0, 1 << (bits - 1), (1 << bits) - 1]
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 8, 9, 16, 24])
+@pytest.mark.parametrize("step", [0.5, 0.3, 1e-3])
+def test_level_values_of_narrow_levels_equal_int64_values(bits, step):
+    cfg = QuantizerConfig(bits=bits, step=step)
+    top = (1 << bits) - 1
+    wide = np.unique(np.r_[np.arange(min(top, 600) + 1), top // 2, top])
+    narrow = wide.astype(cfg.level_dtype)
+    assert narrow[0] == 0 and narrow[-1] == top
+    # the form before narrow levels: a signed offset on int64 levels
+    want = (wide.astype(np.int64) - (1 << (bits - 1)) + 0.5) * step
+    assert core.level_values(narrow, cfg).tobytes() == want.tobytes()
+    assert core.level_values(wide, cfg).tobytes() == want.tobytes()
+    assert core.level_values(0, cfg) == want[0]
+
+
+def _float_noisy_components(clean, shape, sigma2, rng, real_mode):
+    """The unchunked float kernel that noisy_levels replaced: every signal in
+    stacked real coordinates, drawn as one real and one imaginary block."""
+    clean = np.asarray(clean, dtype=complex)
+    if sigma2 == 0.0:
+        return core.real_components(np.broadcast_to(clean, shape), real_mode)
+    n_r = shape[-1]
+    out = np.empty(shape[:-1] + ((1 if real_mode else 2) * n_r,))
+    draw = np.empty(shape)
+    scale = math.sqrt(sigma2 / 2.0)
+    for block, part in enumerate((clean.real, clean.imag)):
+        rng.standard_normal(out=draw)
+        if block and real_mode:
+            break
+        view = out[..., block * n_r:(block + 1) * n_r]
+        np.multiply(draw, scale, out=view)
+        view += part
+    return out
+
+
+def _int64_quantize_levels(x, cfg):
+    cells = np.floor((np.asarray(x, dtype=float) - cfg.r_low) / cfg.step)
+    return np.clip(cells + 1.0, 0, cfg.n_levels - 1).astype(np.int64)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+@pytest.mark.parametrize("real_mode", [False, True])
+@pytest.mark.parametrize("sigma2", [0.0, 0.7])
+def test_noisy_levels_match_unchunked_float_kernel(
+        monkeypatch, bits, real_mode, sigma2):
+    cfg = QuantizerConfig(bits=bits, step=0.5, real_mode=real_mode)
+    rng = np.random.default_rng(bits)
+    for shape, clean_shape in (((5, 3), (5, 3)), ((7, 4, 2), (7, 1, 2)),
+                               ((3, 2, 4, 3), (3, 2, 1, 3)), ((1, 6), (6,))):
+        clean = (rng.normal(size=clean_shape)
+                 + 1j * rng.normal(size=clean_shape))
+        want_rng = np.random.default_rng(11)
+        want = _int64_quantize_levels(_float_noisy_components(
+            clean, shape, sigma2, want_rng, real_mode), cfg)
+        # rows per chunk: one, two (a partial last chunk), and all at once
+        for rows in (1, 2, shape[0]):
+            monkeypatch.setattr(
+                core, "_NOISE_BYTES", 8 * rows * math.prod(shape[1:]))
+            assert core.noise_chunk(math.prod(shape[1:])) == rows
+            got_rng = np.random.default_rng(11)
+            got = core.noisy_levels(clean, shape, sigma2, got_rng, cfg)
+            assert got.dtype == cfg.level_dtype
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_noisy_levels_rejects_bad_arguments():
+    cfg = QuantizerConfig(bits=2, step=0.5)
+    with pytest.raises(ValueError, match="generator"):
+        core.noisy_levels(np.zeros((2, 3)), (2, 3), 0.5, None, cfg)
+    with pytest.raises(ValueError, match="non-negative"):
+        core.noisy_levels(np.zeros((2, 3)), (2, 3), -1.0, None, cfg)
+    with pytest.raises(ValueError, match="leading axis"):
+        core.noisy_levels(np.zeros(3), (3,), 0.0, None, cfg)
+    empty = core.noisy_levels(
+        np.zeros((0, 3)), (0, 3), 0.5, np.random.default_rng(0), cfg)
+    assert empty.shape == (0, 6) and empty.dtype == np.uint8
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])

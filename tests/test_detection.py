@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -255,6 +256,28 @@ def test_centroids_of_narrow_levels_do_not_wrap(dtype):
     assert model.levels.dtype == np.int64
     assert want[0].tolist() == [1.75, 1.75]
     assert detection.centroids(narrow).centers.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_count_models(st.floats(1e-6, 1e6)),
+       block_rows=st.integers(1, 7),
+       dtype=st.sampled_from([np.int64, np.uint8]))
+def test_centroids_summed_in_blocks_equal_one_sum(case, block_rows, dtype):
+    model, _ = case
+    model = dataclasses.replace(model, levels=model.levels.astype(dtype))
+    per_symbol = np.bincount(model.symbols, minlength=model.size)
+    starts = np.cumsum(per_symbol) - per_symbol
+    # the one-pass form: every level row widened to int64 at once
+    sums = np.add.reduceat(
+        model.levels.astype(np.int64), starts, axis=0)
+    off = (1 << (model.cfg.bits - 1)) - 0.5
+    want = ((sums - per_symbol[:, None] * off) * model.cfg.step
+            / model.samples_per_symbol)
+    # blocks of whole symbols, some symbols longer than a block
+    block_bytes = 8 * model.levels.shape[1] * block_rows
+    with mock.patch.object(detection, "_SUM_BYTES", block_bytes):
+        got = detection.centroids(model).centers
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=80, deadline=None)

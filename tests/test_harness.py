@@ -110,17 +110,22 @@ def test_peak_bytes_estimate_and_budget():
         n_t=6, n_r=32, bits=2, modulation="qpsk", snr_grid_db=(10.0,),
         channel_count=3, vectors_per_channel=200, seed=42,
         training="explicit", artificial_count=16, detectors=("mcd",))
-    # 4096 x 6 complex symbols, three 4096*16 x 64 arrays of 8-byte
-    # elements while explicit training quantizes, and 4096 x 32 complex sums
+    # 4096 x 6 complex symbols, 4096 x 32 complex sums, 4096*16 x 64 uint8
+    # levels and one 128-symbol noise chunk of 128*16 x 32 values (float64
+    # buffer, quantizer temporary and uint8 levels)
     assert full_search.peak_bytes() == (
-        16 * 4096 * 6 + 3 * 8 * 4096 * 16 * 64 + 16 * 4096 * 32)
+        16 * 4096 * 6 + 16 * 4096 * 32 + 4096 * 16 * 64
+        + (8 + 8 + 1) * 128 * 16 * 32)
     assert full_search.peak_bytes() < 100 * 2**20
     full_search.validate()
     mld = _cfg(vectors_per_channel=500)
-    # implicit: 16*5/2 x 2 complex pilots, two 16*5 x 8 int64 level arrays;
+    # implicit: 16*5/2 x 2 complex pilots and, while they are sent, their
+    # 40 x 4 complex sums, 40 x 8 uint8 levels and one 40 x 4 noise chunk;
+    # eMLD/MMD: the 80 x 16 int64 counts and 500 x 80 x 8 int64 distances;
     # MLD: the 500 x 16 x 8 float64 gather
     assert mld.peak_bytes() == (
-        16 * 16 * 2 + 8 * 16 * 5 * (2 * 8 + 2) + 8 * 500 * 16 * 8)
+        16 * 16 * 2 + 16 * 40 * 2 + 16 * 40 * 4 + 40 * 8 + 17 * 40 * 4
+        + 8 * 80 * 16 + 8 * 500 * 80 * 8 + 8 * 500 * 16 * 8)
     for n_t in (12, 40):
         with pytest.raises(ConfigError, match=f"n_t={n_t}"):
             _cfg(n_t=n_t).validate()
@@ -513,6 +518,51 @@ def test_cli_rejects_huge_symbol_book_without_building_it(
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "n_t=40" in err
+
+
+def test_cli_rejects_huge_trained_support_before_drawing_a_channel(
+        tmp_path, capsys, monkeypatch):
+    # K = 4096 with l_a = 16: eMLD and MMD would hold a 65 536 x 4096 count
+    # matrix and 200 x 65 536 x 64 distances, about 8 GB
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a channel was drawn past validation")
+
+    for module in (core, harness):
+        monkeypatch.setattr(module, "sample_channel", forbidden)
+    text = "\n".join((
+        "n_t = 6", "n_r = 32", "b = 2", "modulation = qpsk",
+        "snr_grid_db = 10", "l_a = 16", "detectors = emld, mmd",
+        "training = explicit", "channel_count = 3",
+        "vectors_per_channel = 200", "seed = 42"))
+    bad = tmp_path / "support.cfg"
+    bad.write_text(text)
+    assert main(["ser", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MiB per channel" in err
+    # the same search with MCD alone trains in a few MiB and is accepted
+    harness.parse_config(text.replace("emld, mmd", "mcd")).validate_for_ser()
+
+
+_NO_POOL = """
+import sys
+from quantmimo.cli import main
+assert "concurrent.futures.process" not in sys.modules
+assert main(["ser", "--config", sys.argv[1], "--out", sys.argv[1] + ".csv"]) == 0
+assert "concurrent.futures.process" not in sys.modules
+"""
+
+
+def test_cli_import_skips_process_pool(tmp_path):
+    # only a multi-worker run imports the process pool
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    cfg = tmp_path / "one_worker.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("channel_count = 8", "channel_count = 2"))
+    subprocess.run(
+        [sys.executable, "-c", _NO_POOL, str(cfg)],
+        env=env, check=True, timeout=120)
 
 
 _NO_SCIPY = """

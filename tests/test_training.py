@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -298,19 +299,55 @@ def test_explicit_array_model_matches_dict_oracle(
 @settings(max_examples=40, deadline=None)
 @given(
     shape=st.sampled_from([(1, 1), (3, 4), (2, 5, 3)]), real_mode=st.booleans(),
-    sigma2=st.sampled_from([0.0, 0.1, 2.5]), seed=st.integers(0, 2**32 - 1))
-def test_noisy_components_equal_complex_path(shape, real_mode, sigma2, seed):
+    sigma2=st.sampled_from([0.0, 0.1, 2.5]), bits=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1))
+def test_noisy_levels_equal_complex_path(shape, real_mode, sigma2, bits, seed):
     rng = np.random.default_rng(seed)
+    cfg = QuantizerConfig(bits=bits, step=0.5, real_mode=real_mode)
     # a clean signal that broadcasts along the second-to-last axis
     clean_shape = shape[:-2] + (1, shape[-1])
     clean = rng.normal(size=clean_shape) + 1j * rng.normal(size=clean_shape)
     kernel, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = core.noisy_components(clean, shape, sigma2, kernel, real_mode)
-    want = core.real_components(
-        clean + _complex_noise(shape, sigma2, oracle), real_mode)
-    # equal up to the sign of a zero, which no quantizer can see
+    got = core.noisy_levels(clean, shape, sigma2, kernel, cfg)
+    want = core.quantize_levels(core.real_components(
+        clean + _complex_noise(shape, sigma2, oracle), real_mode), cfg)
     assert got.shape == want.shape and np.array_equal(got, want)
     assert kernel.bit_generator.state == oracle.bit_generator.state
+
+
+def test_explicit_training_keeps_only_narrow_levels():
+    # the K = 4096, l_a = 16, n_r = 32 full search: 4 MiB of uint8 levels,
+    # where float signals, a float temporary and int64 levels took 98 MiB
+    cfg = QuantizerConfig(bits=2, step=0.5)
+    book = core.enumerate_symbols(core.qpsk(), 6)
+    rng = np.random.default_rng(8)
+    h = core.sample_channel(32, 6, rng)
+    tracemalloc.start()
+    try:
+        model = training.learn_explicit(h, 0.6, 16, book, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.levels.dtype == np.uint8
+    assert model.levels.shape == (4096 * 16, 64)
+    assert peak <= 16 * 2**20
+
+
+def test_implicit_training_keeps_the_level_dtype():
+    cfg = QuantizerConfig(bits=3, step=0.5)
+    book = core.enumerate_symbols(core.qpsk(), 2)
+    h = core.sample_channel(3, 2, np.random.default_rng(2))
+    schedule = training.build_implicit_pilots(book, 4)
+    levels = core.transmit_batch(
+        h, schedule.rows(), 0.4, cfg, np.random.default_rng(3))
+    assert levels.dtype == np.uint8
+    assert core.level_matrix(levels, cfg)[0] is levels
+    model = training.learn_implicit(levels, book, 4, cfg)
+    assert model.levels.dtype == np.uint8
+    wide = training.learn_implicit(levels.astype(np.int64), book, 4, cfg)
+    assert np.array_equal(model.levels, wide.levels)
+    assert np.array_equal(
+        detection.centroids(model).centers, detection.centroids(wide).centers)
 
 
 def test_implicit_vector_and_level_inputs_give_equal_models():
