@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -355,113 +356,120 @@ def write_csv(records, path) -> None:
 # SER sweeps
 
 
-def _detect_all(cfg, qcfg, book, levels, values, sigma2, h, h_hat, model, cb):
-    """Run every configured detector on one data batch; yields symbol matrices."""
-    c = book.constellation
-    for det in cfg.detectors:
-        if cfg.framework == "sic" and det == "mcd":
-            plan, fs_model, book1, book2 = model
-            yield det, sic.detect_sic_batch(
-                values, plan, fs_model, book1, book2, qcfg)
-        elif det == "emld":
-            yield det, book.vectors[detection.detect_emld_batch(levels, model)]
-        elif det == "mmd":
-            yield det, book.vectors[detection.detect_mmd_batch(levels, model)]
-        elif det == "mcd":
-            yield det, book.vectors[detection.detect_mcd_batch(values, cb)]
-        elif det == "mld":
-            h_mld = h if cfg.csir == "perfect" else h_hat
-            yield det, book.vectors[
-                baselines.detect_mld_batch(levels, h_mld, sigma2, book, qcfg)]
-        elif det == "zf":
-            yield det, baselines.detect_zf_batch(values, h_hat, c)
+def _receivers(cfg, qcfg, book, h, sigma2, rng, books=None):
+    """Train one SNR point in frame order; one decision function
+    ``(distinct levels, their values) -> symbol vectors`` per detector.
+
+    The pilot frame comes first: the implicit schedule when a trained
+    detector or the least-squares estimate reads it, else random pilots for
+    the estimate alone. Explicit training, or first-stage training for a
+    SIC split (``books`` holds its two subvector books, and its detector is
+    the one entry), then runs on the estimate. Detectors are looked up in
+    their modules when they run.
+    """
+    trained = cfg.framework == "full" and bool(
+        _MODEL_DETECTORS & set(cfg.detectors))
+    model = pilots = None
+    if (cfg.framework == "full" and cfg.training == "implicit"
+            and (trained or cfg.csir == "ls")):
+        # the repetition schedule is the pilot frame; the least-squares
+        # estimate (when requested) reuses the same observations
+        schedule = training.build_implicit_pilots(book, cfg.repetitions)
+        pilots = schedule.matrix(), transmit_batch(
+            h, schedule.rows(), sigma2, qcfg, rng)
+        if trained:
+            model = training.learn_implicit(
+                pilots[1], book, cfg.repetitions, qcfg)
+    h_hat = h
+    if cfg.csir == "ls":
+        if pilots is None:
+            x = baselines.random_pilots(book.constellation, cfg.n_t, cfg.t_t, rng)
+            pilots = x, transmit_batch(h, x.T, sigma2, qcfg, rng)
+        h_hat = baselines.estimate_channel_ls(*pilots, qcfg).h_hat
+    if cfg.framework == "sic":
+        plan = sic.build_plan(h_hat, cfg.n_t1)
+        first_stage = sic.learn_first_stage(
+            plan, sigma2, cfg.first_stage_count or 1, *books, qcfg, rng)
+        return [lambda _, values: sic.detect_sic_batch(
+            values, plan, first_stage, *books, qcfg)]
+    if trained and cfg.training == "explicit":
+        model = training.learn_explicit(
+            h_hat, sigma2, cfg.artificial_count, book, qcfg, rng)
+    centers = (detection.centroids(model)
+               if trained and "mcd" in cfg.detectors else None)
+    decide = {
+        "emld": lambda levels, _: book.vectors[
+            detection.detect_emld_batch(levels, model)],
+        "mmd": lambda levels, _: book.vectors[
+            detection.detect_mmd_batch(levels, model)],
+        "mcd": lambda _, values: book.vectors[
+            detection.detect_mcd_batch(values, centers)],
+        "mld": lambda levels, _: book.vectors[
+            baselines.detect_mld_batch(levels, h_hat, sigma2, book, qcfg)],
+        "zf": lambda _, values: baselines.detect_zf_batch(
+            values, h_hat, book.constellation),
+    }
+    return [decide[det] for det in cfg.detectors]
 
 
-def _sic_model(cfg, h_hat, sigma2, book1, book2, qcfg, rng):
-    """Division plan and first-stage model, in the form ``_detect_all`` reads."""
-    plan = sic.build_plan(h_hat, cfg.n_t1)
-    fs_model = sic.learn_first_stage(
-        plan, sigma2, cfg.first_stage_count or 1, book1, book2, qcfg, rng)
-    return plan, fs_model, book1, book2
+def _error_counts(x_det: np.ndarray, x_true: np.ndarray) -> tuple[int, ...]:
+    """Symbol errors, symbol trials, vector errors and vector trials."""
+    mismatched = x_det != x_true
+    return (int(mismatched.sum()), x_true.size,
+            int(mismatched.any(axis=1).sum()), x_true.shape[0])
+
+
+def _channel_counts(cfg, qcfg, book, h, rng, train, *, noise_free=False,
+                    dedupe=True) -> np.ndarray:
+    """Error counts of one channel: (snr points, detectors, 4) symbol
+    errors, symbol trials, vector errors and vector trials.
+
+    Each SNR point trains (``train(sigma2)``, run once in all when
+    ``noise_free`` training draws nothing), then draws, transmits and
+    decides a data batch. A b-bit batch repeats observations often (a
+    one-bit, n_r = 4 batch of 500 holds 26 to 184 distinct rows), and every
+    detector decides a row from that row alone. So with ``dedupe`` the
+    detectors see the distinct rows, in first-seen order, and each decision
+    is copied back to every repeat before errors are counted.
+    """
+    fixed = train(0.0) if noise_free else None
+    out = []
+    for snr_db in cfg.snr_grid_db:
+        sigma2 = snr_db_to_sigma2(snr_db, cfg.n_t)
+        decide = fixed or train(sigma2)
+        data_idx = rng.integers(0, book.size, size=cfg.vectors_per_channel)
+        x_true = book.vectors[data_idx]
+        levels = transmit_batch(h, x_true, sigma2, qcfg, rng)
+        first, inverse = (
+            distinct_rows(levels) if dedupe else (slice(None), slice(None)))
+        rows = levels[first]
+        values = level_values(rows, qcfg)
+        out.append([_error_counts(d(rows, values)[inverse], x_true)
+                    for d in decide])
+        # the next point trains afresh; this one's training is let go first
+        del decide
+    return np.array(out, dtype=np.int64)
 
 
 def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
-    """Error counts for one channel realization.
-
-    Returns an array of shape (snr points, detectors, 4) holding symbol
-    errors, symbol trials, vector errors, and vector trials.
-
-    With b-bit ADCs a data batch repeats observations often (a one-bit,
-    n_r = 4 batch of 500 holds 26 to 184 distinct rows), and every detector
-    decides a row from that row alone. So the detectors see only the
-    distinct rows of each batch, in first-seen order, and their decisions
-    are copied back to every repeat before errors are counted. A batch
-    whose rows are all distinct reaches the detectors unchanged.
-    """
+    """Error counts of one channel realization of a SER sweep, each batch
+    deduplicated (:func:`_channel_counts`)."""
     rng = np.random.default_rng(child)
     qcfg = QuantizerConfig(cfg.bits, cfg.step)
     c = constellation(cfg.modulation)
     book = enumerate_symbols(c, cfg.n_t)
+    books = None
     if cfg.framework == "sic":
-        book1 = enumerate_symbols(c, cfg.n_t1)
-        book2 = enumerate_symbols(c, cfg.n_t - cfg.n_t1)
+        books = (enumerate_symbols(c, cfg.n_t1),
+                 enumerate_symbols(c, cfg.n_t - cfg.n_t1))
     h = sample_channel(cfg.n_r, cfg.n_t, rng)
-    # Noise-free first-stage training (l_a1 = 1) on the true channel draws
-    # nothing and is the same at every SNR point, so it is built once.
-    sic_model = None
-    if (cfg.framework == "sic" and cfg.csir == "perfect"
-            and (cfg.first_stage_count or 1) == 1):
-        sic_model = _sic_model(cfg, h, 0.0, book1, book2, qcfg, rng)
-    needs_model = bool(_MODEL_DETECTORS & set(cfg.detectors))
-    out = np.zeros((len(cfg.snr_grid_db), len(cfg.detectors), 4), dtype=np.int64)
-    for si, snr_db in enumerate(cfg.snr_grid_db):
-        sigma2 = snr_db_to_sigma2(snr_db, cfg.n_t)
-        # --- training / channel estimation phase
-        model = cb = None
-        pilot_matrix = pilot_levels = None
-        implicit_frame = cfg.framework == "full" and cfg.training == "implicit"
-        if implicit_frame and (needs_model or cfg.csir == "ls"):
-            # the repetition schedule is the pilot frame; the least-squares
-            # estimate (when requested) reuses the same observations
-            schedule = training.build_implicit_pilots(book, cfg.repetitions)
-            pilot_levels = transmit_batch(h, schedule.rows(), sigma2, qcfg, rng)
-            pilot_matrix = schedule.matrix()
-            if needs_model:
-                model = training.learn_implicit(
-                    pilot_levels, book, cfg.repetitions, qcfg)
-        h_hat = h
-        if cfg.csir == "ls":
-            if pilot_matrix is None:
-                pilot_matrix = baselines.random_pilots(c, cfg.n_t, cfg.t_t, rng)
-                pilot_levels = transmit_batch(
-                    h, pilot_matrix.T, sigma2, qcfg, rng)
-            h_hat = baselines.estimate_channel_ls(
-                pilot_matrix, pilot_levels, qcfg).h_hat
-        if cfg.framework == "full" and cfg.training == "explicit" and needs_model:
-            model = training.learn_explicit(
-                h_hat, sigma2, cfg.artificial_count, book, qcfg, rng)
-        if cfg.framework == "full" and needs_model and "mcd" in cfg.detectors:
-            cb = detection.centroids(model)
-        if cfg.framework == "sic":
-            model = sic_model or _sic_model(
-                cfg, h_hat, sigma2, book1, book2, qcfg, rng)
-        # --- data phase
-        data_idx = rng.integers(0, book.size, size=cfg.vectors_per_channel)
-        x_true = book.vectors[data_idx]
-        levels = transmit_batch(h, x_true, sigma2, qcfg, rng)
-        first, inverse = distinct_rows(levels)
-        distinct = levels[first]
-        for di, (det, x_det) in enumerate(_detect_all(
-                cfg, qcfg, book, distinct, level_values(distinct, qcfg),
-                sigma2, h, h_hat, model, cb)):
-            mismatched = x_det[inverse] != x_true
-            out[si, di] = (
-                int(mismatched.sum()),
-                x_true.size,
-                int(mismatched.any(axis=1).sum()),
-                x_true.shape[0],
-            )
-    return out
+    # first-stage training with l_a1 = 1 on the true channel draws nothing
+    noise_free = (cfg.framework == "sic" and cfg.csir == "perfect"
+                  and (cfg.first_stage_count or 1) == 1)
+    return _channel_counts(
+        cfg, qcfg, book, h, rng,
+        partial(_receivers, cfg, qcfg, book, h, rng=rng, books=books),
+        noise_free=noise_free)
 
 
 def _map_channels(worker, cfg: ExperimentConfig, children):
@@ -473,6 +481,21 @@ def _map_channels(worker, cfg: ExperimentConfig, children):
 
     with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
         return list(pool.map(worker, repeat(cfg), children, chunksize=4))
+
+
+def _records(cfg, totals, framework, detectors, bounds=None):
+    """Result rows of summed (snr points, detectors, 4) counts, in canonical
+    (snr, detector) order; ``bounds`` holds one value per SNR point."""
+    records = [
+        ResultRecord(cfg, float(snr_db), det, framework, int(sym_err),
+                     int(sym_trials), sym_err / sym_trials,
+                     vec_err / vec_trials, bound)
+        for snr_db, bound, per_detector in zip(
+            cfg.snr_grid_db, bounds or repeat(None), totals)
+        for det, (sym_err, sym_trials, vec_err, vec_trials)
+        in zip(detectors, per_detector)]
+    records.sort(key=lambda r: (r.snr_db, r.detector))
+    return records
 
 
 def run_ser_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -487,23 +510,7 @@ def run_ser_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     totals = sum(_map_channels(_ser_channel_counts, cfg, children))
     framework = (
         f"sic[n_t1={cfg.n_t1}]" if cfg.framework == "sic" else "full")
-    records = []
-    for si, snr_db in enumerate(cfg.snr_grid_db):
-        for di, det in enumerate(cfg.detectors):
-            sym_err, sym_trials, vec_err, vec_trials = totals[si, di]
-            records.append(ResultRecord(
-                config=cfg,
-                snr_db=float(snr_db),
-                detector=det,
-                framework=framework,
-                errors=int(sym_err),
-                trials=int(sym_trials),
-                ser=sym_err / sym_trials,
-                svep=vec_err / vec_trials,
-                bound=None,
-            ))
-    records.sort(key=lambda r: (r.snr_db, r.detector))
-    return records
+    return _records(cfg, totals, framework, cfg.detectors)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +526,10 @@ def run_bound_validation(
     budget of exactly one (d_min of 1 or 2) are found; the reported bound per
     SNR is the analytic value averaged over those channels. By default the
     detector uses the exact noiseless codewords as centroids, matching the
-    regime the bound is derived for; ``use_trained_centroids`` switches to
-    implicit training with ``repetitions`` pilot repetitions.
+    regime the bound is derived for: noise-free explicit training with one
+    sample per symbol, built once per channel. ``use_trained_centroids``
+    switches to implicit training with ``repetitions`` pilot repetitions.
+    Every data batch is detected whole.
 
     Over 0-20 dB the averaged bound of these channels stays above 1
     (7.4 -> 4.2 for the 2x2 acceptance run at seed 42), so the
@@ -551,55 +560,23 @@ def run_bound_validation(
         raise RuntimeError(
             f"no {cfg.channel_count} channels with a unit flip budget found "
             f"within {budget} draws")
-    n_snr = len(cfg.snr_grid_db)
-    sym_err = np.zeros(n_snr, dtype=np.int64)
-    vec_err = np.zeros(n_snr, dtype=np.int64)
-    bound_sum = np.zeros(n_snr)
-    for (h, geom), child in zip(kept, channel_children):
-        rng = np.random.default_rng(child)
-        codeword_values = analysis.build_codebook(h, book, qcfg).value_matrix
-        for si, snr_db in enumerate(cfg.snr_grid_db):
-            sigma2 = snr_db_to_sigma2(snr_db, cfg.n_t)
-            snr = 10.0 ** (snr_db / 10.0)
-            bound_sum[si] += analysis.svep_upper_bound(
-                geom, snr, cfg.n_t, cfg.n_r)
-            if use_trained_centroids:
-                schedule = training.build_implicit_pilots(book, cfg.repetitions)
-                pilot_levels = transmit_batch(
-                    h, schedule.rows(), sigma2, qcfg, rng)
-                model = training.learn_implicit(
-                    pilot_levels, book, cfg.repetitions, qcfg)
-                centers = detection.centroids(model)
-            else:
-                centers = detection.CentroidBook(centers=codeword_values)
-            data_idx = rng.integers(0, book.size, size=cfg.vectors_per_channel)
-            x_true = book.vectors[data_idx]
-            levels = transmit_batch(h, x_true, sigma2, qcfg, rng)
-            detected = detection.detect_mcd_batch(
-                level_values(levels, qcfg), centers)
-            mismatched = book.vectors[detected] != x_true
-            sym_err[si] += int(mismatched.sum())
-            vec_err[si] += int(mismatched.any(axis=1).sum())
-    vec_trials = cfg.channel_count * cfg.vectors_per_channel
-    sym_trials = vec_trials * cfg.n_t
+    mcd = replace(
+        cfg, framework="full", csir="perfect", detectors=("mcd",),
+        training="implicit" if use_trained_centroids else "explicit",
+        artificial_count=1)
+    totals = sum(
+        _channel_counts(
+            mcd, qcfg, book, h, rng,
+            partial(_receivers, mcd, qcfg, book, h, rng=rng),
+            noise_free=not use_trained_centroids, dedupe=False)
+        for (h, _), rng in zip(kept, map(np.random.default_rng, channel_children)))
+    bounds = [
+        sum(analysis.svep_upper_bound(
+                geom, 10.0 ** (snr_db / 10.0), cfg.n_t, cfg.n_r)
+            for _, geom in kept) / cfg.channel_count
+        for snr_db in cfg.snr_grid_db]
     framework = "bound-trained" if use_trained_centroids else "bound-exact"
-    records = [
-        ResultRecord(
-            config=cfg,
-            snr_db=float(snr_db),
-            detector="mcd",
-            framework=framework,
-            errors=int(sym_err[si]),
-            trials=sym_trials,
-            ser=sym_err[si] / sym_trials,
-            svep=vec_err[si] / vec_trials,
-            bound=bound_sum[si] / cfg.channel_count,
-        )
-        for si, snr_db in enumerate(cfg.snr_grid_db)
-    ]
-    records.sort(key=lambda r: (r.snr_db, r.detector))
-    return records
-
+    return _records(cfg, totals, framework, ("mcd",), bounds)
 
 # ---------------------------------------------------------------------------
 # minimum-distance distribution
