@@ -38,11 +38,15 @@ _MODEL_DETECTORS = {"emld", "mmd", "mcd"}
 CSV_COLUMNS = (
     "snr_db", "detector", "framework", "errors", "trials", "ser", "svep", "bound")
 
-# Largest accepted per-channel array estimate (ExperimentConfig.peak_bytes).
-# The K = 4**6 full search with l_a = 16 and n_r = 32 estimates 7.44 MiB
+# Largest accepted array estimate of one channel (ExperimentConfig.peak_bytes),
+# of bound's code geometry or of one sample_dmin block. The K = 4**6 full
+# search with l_a = 16, n_r = 32 and 200 data vectors estimates 15.3 MiB
 # with MCD, and 8.3 GiB with eMLD and MMD, whose count matrix and distance
 # tensor span all 65 536 distinct trained rows.
 _PEAK_BYTES_BUDGET = 1 << 30
+# Allowance in that estimate for the channel, the small arrays and the Python
+# objects of one channel realization.
+_SMALL_BYTES = 1 << 17
 
 
 class ConfigError(ValueError):
@@ -97,56 +101,88 @@ class ExperimentConfig:
     def peak_bytes(self) -> int:
         """Integer estimate of one channel's largest arrays, in bytes.
 
-        With K = M**n_t, d = 2 n_r, L trained samples per symbol and levels
-        of ``QuantizerConfig.level_dtype`` it counts the K x n_t complex
-        symbol book and training at its peak, where one noise chunk of
-        ``core.noisy_levels`` holds its float buffer, the quantizer's float
-        temporary and their levels. Explicit training holds the K x n_r
-        complex noiseless sums and the K*L x d levels while it draws, and
-        the int64 symbol index of every row once it has drawn. Implicit
-        training holds the K*L/2 x n_t complex pilot symbols with, while it
-        transmits, their complex noiseless sums and the pilot levels, and
-        afterwards 2 K*L x d levels (the pilot frame, its mirror and their
-        concatenation) with the row symbol indices. eMLD and MMD add the
-        S x K int64 count matrix and the N x S x d int64 distance tensor of
-        the S = min(K*L, 2**(b*d)) distinct trained rows. SIC holds the
-        K*L x d first-stage levels, the K1 x K2 x d float64 candidate table
-        and one chunk of its N x K2 x d stage-two gather
-        (``sic.stage_two_chunk``). MLD adds its N x K x d float64
-        likelihood gather. Builds none of them.
+        With K = M**n_t, d = 2 n_r, N data vectors, L trained samples per
+        symbol and levels of ``QuantizerConfig.level_dtype`` it counts the
+        K x n_t complex symbol book, ``_SMALL_BYTES`` and the larger of two
+        peaks. Builds none of the arrays.
+
+        Training: one noise chunk of ``core.noisy_levels`` holds its float
+        buffer, the quantizer's float temporary and their levels. Explicit
+        training holds the K x n_r complex noiseless sums and the K*L x d
+        levels while it draws, and the int64 symbol index of every row once
+        it has drawn. Implicit training holds the K*L/2 x n_t complex pilot
+        symbols, their int64 indices and their levels with, while it
+        transmits, their complex noiseless sums, and afterwards the mirrored
+        levels and the model (K*L x d levels and their symbol indices). MCD
+        sums its centroids next to the model into K x d int64 sums and two
+        float temporaries. SIC, with K1 = M**n_t1 and d1 = d - 2 (n_t - n_t1)
+        projected dimensions, holds its two subvector books, the K x n_r
+        complex noiseless sums and the K x d float64 candidate table with
+        either the table's float input, its quantizer temporary and levels,
+        or the K*l x d1 float64 projections of its l = l_a1 samples per
+        pair, which for l > 1 also hold their levels and float values.
+
+        Data phase: what training leaves (MCD's K x d centroids; for eMLD
+        and MMD the model and the S x K int64 count matrix of its
+        S = min(K*L, 2**(b*d)) distinct trained rows; SIC's table,
+        projections and K1 x d1 centroids) and the batch: N x n_t complex
+        symbols, N x n_r complex sums, two N x d level copies, and N x d
+        float64 values with their scaled copy. Each detector adds its own
+        terms: MCD an N x K float64 product and distances, eMLD and MMD an
+        N x S x d int64 distance tensor, MLD an N x K x d float64 likelihood
+        gather, SIC an N x K1 stage-one product and distances and one chunk
+        of its N x K2 x d stage-two gather (``sic.stage_two_chunk``).
         """
         k, d, n = self.symbol_count, 2 * self.n_r, self.vectors_per_channel
         level = QuantizerConfig(self.bits, self.step).level_dtype.itemsize
+        detectors = set(self.detectors)
 
         def noise(rows: int, row_values: int) -> int:
             values = min(rows, noise_chunk(row_values)) * row_values
             return (16 + level) * values
 
-        samples = 0
+        data = n * (16 * self.n_t + 16 * self.n_r + 2 * level * d + 16 * d)
         if self.framework == "sic":
             # validate_for_ser rejects an n_t1 outside [1, n_t]
             n_t1 = min(max(self.n_t1 or 1, 1), self.n_t)
-            row = 8 * d * constellation(self.modulation).size ** (
-                self.n_t - n_t1)
-            training = (8 * k * d * ((self.first_stage_count or 1) + 1)
-                        + row * min(n, sic.stage_two_chunk(row)))
-        elif self.training == "implicit":
-            samples = self.repetitions or 0
-            slots = k * samples // 2
-            transmitting = (16 * slots * self.n_r + level * slots * d
-                            + noise(slots, self.n_r))
-            trained = 2 * level * k * samples * d + 8 * k * samples
-            training = 16 * slots * self.n_t + max(transmitting, trained)
+            k1 = constellation(self.modulation).size ** n_t1
+            samples = self.first_stage_count or 1
+            d1 = d - 2 * (self.n_t - n_t1)
+            projected = 8 * k * samples * d1
+            drawn = (level + 8) * k * samples * d if samples > 1 else 0
+            books = 16 * (k1 * n_t1 + k // k1 * (self.n_t - n_t1))
+            training = books + 16 * k * self.n_r + 8 * k * d + max(
+                (8 + level) * k * d, drawn + projected)
+            held = books + 8 * k * d + projected + 8 * k1 * d1
+            row = 8 * d * (k // k1)
+            data += 16 * n * k1 + row * min(n, sic.stage_two_chunk(row))
         else:
-            samples = self.artificial_count or 0
-            training = (16 * k * self.n_r + level * k * samples * d
-                        + max(noise(k, samples * self.n_r), 8 * k * samples))
-        support = 0
-        if {"emld", "mmd"} & set(self.detectors):
-            s = min(k * samples, 2 ** (self.bits * d))
-            support = 8 * s * k + 8 * n * s * d
-        mld = 8 * n * k * d if "mld" in self.detectors else 0
-        return 16 * k * self.n_t + training + support + mld
+            implicit = self.training == "implicit"
+            samples = (self.repetitions if implicit
+                       else self.artificial_count) or 0
+            model = level * k * samples * d + 8 * k * samples
+            build = model + 24 * k * d if "mcd" in detectors else 0
+            if implicit:
+                slots = k * samples // 2
+                pilots = (16 * self.n_t + 8 + level * d) * slots
+                training = pilots + max(
+                    16 * slots * self.n_r + noise(slots, self.n_r),
+                    model + level * slots * d, build)
+            else:
+                drawing = 16 * k * self.n_r + level * k * samples * d + max(
+                    noise(k, samples * self.n_r), 8 * k * samples)
+                training = max(drawing, build)
+            held = 0
+            if "mcd" in detectors:
+                held += 8 * k * d
+                data += 16 * n * k
+            if {"emld", "mmd"} & detectors:
+                s = min(k * samples, 2 ** (self.bits * d))
+                held += model + 8 * s * k
+                data += 8 * n * s * d
+            if "mld" in detectors:
+                data += 8 * n * k * d
+        return 16 * k * self.n_t + _SMALL_BYTES + max(training, held + data)
 
     def pilot_slots(self) -> int:
         """Effective T_t: the implicit schedule length, or the configured value."""
@@ -179,6 +215,9 @@ class ExperimentConfig:
                 f"unknown detectors {unknown}; known: {', '.join(KNOWN_DETECTORS)}")
         if not self.detectors:
             raise ConfigError("detectors must list at least one detector")
+        if len(set(self.detectors)) < len(self.detectors):
+            raise ConfigError(
+                f"detectors lists one twice: {', '.join(self.detectors)}")
         if self.framework not in ("full", "sic"):
             raise ConfigError(
                 f"unknown framework {self.framework!r} (expected full or sic)")
@@ -188,13 +227,7 @@ class ExperimentConfig:
         if self.csir not in ("perfect", "ls"):
             raise ConfigError(
                 f"unknown csir {self.csir!r} (expected perfect or ls)")
-        peak = self.peak_bytes()
-        if peak > _PEAK_BYTES_BUDGET:
-            raise ConfigError(
-                f"n_t={self.n_t} with {self.modulation} gives "
-                f"{self.symbol_count} candidate symbol vectors, needing about "
-                f"{peak >> 20} MiB per channel (limit "
-                f"{_PEAK_BYTES_BUDGET >> 20} MiB)")
+        _require_budget(self, self.peak_bytes(), "per channel")
         if self.symbol_count > 2 ** (2 * self.bits * self.n_r):
             warnings.warn(
                 "more candidate symbol vectors than distinguishable receiver "
@@ -233,6 +266,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"t={self.total_slots} must equal t_t + vectors_per_channel"
                     f"={expected}")
+
+
+def _require_budget(cfg: ExperimentConfig, peak: int, scope: str) -> None:
+    """Reject a run whose array estimate exceeds ``_PEAK_BYTES_BUDGET``."""
+    if peak > _PEAK_BYTES_BUDGET:
+        raise ConfigError(
+            f"n_t={cfg.n_t} with {cfg.modulation} gives "
+            f"{cfg.symbol_count} candidate symbol vectors, needing about "
+            f"{peak >> 20} MiB {scope} (limit {_PEAK_BYTES_BUDGET >> 20} MiB)")
 
 
 _KEY_TO_FIELD = {
@@ -375,11 +417,11 @@ def _receivers(cfg, qcfg, book, h, sigma2, rng, books=None):
         # the repetition schedule is the pilot frame; the least-squares
         # estimate (when requested) reuses the same observations
         schedule = training.build_implicit_pilots(book, cfg.repetitions)
-        pilots = schedule.matrix(), transmit_batch(
-            h, schedule.rows(), sigma2, qcfg, rng)
+        pilot_levels = transmit_batch(h, schedule.rows(), sigma2, qcfg, rng)
+        pilots = schedule.matrix(), pilot_levels
         if trained:
             model = training.learn_implicit(
-                pilots[1], book, cfg.repetitions, qcfg)
+                pilot_levels, book, cfg.repetitions, qcfg)
     h_hat = h
     if cfg.csir == "ls":
         if pilots is None:
@@ -542,6 +584,12 @@ def run_bound_validation(
         raise ConfigError("bound validation requires one-bit ADCs and BPSK")
     if use_trained_centroids and (cfg.repetitions or 0) < 1:
         raise ConfigError("trained-centroid validation needs l >= 1")
+    # analysis.geometry: K x K int64 distances with the K x K x d bool
+    # differences they sum, or with the bool mask and masked copy of them,
+    # and at most 1 KiB per codeword object
+    k = cfg.symbol_count
+    _require_budget(
+        cfg, k * k * (8 + max(2 * cfg.n_r, 9)) + 1024 * k, "per channel")
     qcfg = QuantizerConfig(cfg.bits, cfg.step)
     book = enumerate_symbols(constellation(cfg.modulation), cfg.n_t)
     root = np.random.SeedSequence(cfg.seed)
@@ -581,10 +629,13 @@ def run_bound_validation(
 # ---------------------------------------------------------------------------
 # minimum-distance distribution
 
+# Channels per sample_dmin block.
+_DMIN_CHUNK = 1 << 14
+
 
 def sample_dmin(
     n_t: int, n_r: int, count: int, rng: np.random.Generator,
-    chunk: int = 1 << 14,
+    chunk: int = _DMIN_CHUNK,
 ) -> np.ndarray:
     """Monte Carlo minimum distances over Rayleigh channels (BPSK, one bit).
 
@@ -613,6 +664,8 @@ def sample_dmin(
         g_max = gram.reshape(m, -1).max(axis=1)
         out[done:done + m] = np.rint((2 * n_r - g_max) / 2.0)
         done += m
+        # let this block go before the next one is drawn
+        del h, clean, g, signs, gram
     return out
 
 
@@ -627,6 +680,14 @@ def run_ccdf_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     if cfg.bits != 1 or cfg.modulation != "bpsk":
         raise ConfigError(
             "the minimum-distance distribution requires one-bit ADCs and BPSK")
+    # sample_dmin: the int64 results and, for a block of m channels, their
+    # m x n_r x n_t complex channels, m x n_r x K complex sums, the float64
+    # real form of those, its float64 and float32 signs and the m x K x K
+    # float32 Gram matrix
+    m, k = min(_DMIN_CHUNK, cfg.channel_count), cfg.symbol_count
+    block = 16 * cfg.n_r * cfg.n_t + k * (56 * cfg.n_r + 4 * k)
+    _require_budget(cfg, 8 * cfg.channel_count + m * block,
+                    f"for {cfg.channel_count} channels")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     samples = sample_dmin(cfg.n_t, cfg.n_r, cfg.channel_count, rng)
     book = enumerate_symbols(constellation("bpsk"), cfg.n_t)

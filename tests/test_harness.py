@@ -10,6 +10,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantmimo import analysis, baselines, core, detection, harness, sic, training
 from quantmimo.cli import main
@@ -105,73 +107,103 @@ def test_validate_catches_inconsistencies():
              csir="ls", t_t=1).validate_for_ser()
 
 
-def test_peak_bytes_estimate_and_budget():
-    full_search = ExperimentConfig(
+def test_validate_rejects_duplicate_detectors():
+    with pytest.raises(ConfigError, match="twice"):
+        harness.parse_config(CONFIG_TEXT.replace(
+            "detectors = emld, mmd, mcd, mld", "detectors = mcd, MCD"))
+
+
+def _full_search(**overrides):
+    # the K = 4096, n_r = 32 full search of the benchmark at one SNR point
+    base = dict(
         n_t=6, n_r=32, bits=2, modulation="qpsk", snr_grid_db=(10.0,),
         channel_count=3, vectors_per_channel=200, seed=42,
         training="explicit", artificial_count=16, detectors=("mcd",))
-    # 4096 x 6 complex symbols, 4096 x 32 complex sums, 4096*16 x 64 uint8
-    # levels and one 128-symbol noise chunk of 128*16 x 32 values (float64
-    # buffer, quantizer temporary and uint8 levels)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def test_peak_bytes_estimate_and_budget():
+    full_search = _full_search()
+    # each 200-row data batch: 200 x 6 complex symbols, 200 x 32 complex
+    # sums, two 200 x 64 uint8 level copies, 200 x 64 float64 values and
+    # their scaled copy
+    batch = 200 * (16 * 6 + 16 * 32 + 2 * 64 + 16 * 64)
+    # besides the 4096 x 6 complex symbol book and the small-object
+    # allowance, the data phase holds the 4096 x 64 float64 centroids, the
+    # batch and MCD's 200 x 4096 float64 product and distances
     assert full_search.peak_bytes() == (
-        16 * 4096 * 6 + 16 * 4096 * 32 + 4096 * 16 * 64
-        + (8 + 8 + 1) * 128 * 16 * 32)
+        16 * 4096 * 6 + harness._SMALL_BYTES
+        + 8 * 4096 * 64 + batch + 16 * 200 * 4096)
+    # which is more than training holds at its peak, while the centroids are
+    # summed next to the 4096*16 x 64 uint8 levels and their int64 symbol
+    # indices into 4096 x 64 int64 sums and two float temporaries
+    assert (4096 * 16 * 64 + 8 * 4096 * 16 + 24 * 4096 * 64
+            < 8 * 4096 * 64 + batch + 16 * 200 * 4096)
     assert full_search.peak_bytes() < 100 * 2**20
     full_search.validate()
+    # 20 000 data vectors: MCD's product and distances alone take 1.2 GiB
+    with pytest.raises(ConfigError, match="MiB per channel"):
+        _full_search(vectors_per_channel=20_000).validate()
     mld = _cfg(vectors_per_channel=500)
-    # implicit: 16*5/2 x 2 complex pilots and, while they are sent, their
-    # 40 x 4 complex sums, 40 x 8 uint8 levels and one 40 x 4 noise chunk;
-    # eMLD/MMD: the 80 x 16 int64 counts and 500 x 80 x 8 int64 distances;
-    # MLD: the 500 x 16 x 8 float64 gather
+    # implicit: training (a 16*5/2-slot pilot frame) holds less than the
+    # data phase: the 16 x 8 float64 MCD centroids, the model (80 x 8 uint8
+    # levels and 80 int64 symbol indices) with its 80 x 16 int64 count
+    # matrix, the 500-row batch, eMLD/MMD's 500 x 80 x 8 int64 distances,
+    # MCD's 500 x 16 product and distances and MLD's 500 x 16 x 8 gather
     assert mld.peak_bytes() == (
-        16 * 16 * 2 + 16 * 40 * 2 + 16 * 40 * 4 + 40 * 8 + 17 * 40 * 4
-        + 8 * 80 * 16 + 8 * 500 * 80 * 8 + 8 * 500 * 16 * 8)
+        16 * 16 * 2 + harness._SMALL_BYTES
+        + 8 * 16 * 8 + 80 * 8 + 8 * 80 + 8 * 80 * 16
+        + 500 * (16 * 2 + 16 * 4 + 2 * 8 + 16 * 8)
+        + 8 * 500 * 80 * 8 + 16 * 500 * 16 + 8 * 500 * 16 * 8)
     for n_t in (12, 40):
         with pytest.raises(ConfigError, match=f"n_t={n_t}"):
             _cfg(n_t=n_t).validate()
     sic_split = dataclasses.replace(
         full_search, framework="sic", n_t1=5, first_stage_count=1)
-    # symbol book, first-stage levels, 4096 x 64 candidate table and the
+    # the data phase: the 1024 x 5 and 4 x 1 subvector books, the 4096 x 64
+    # float64 table, the 4096 x 62 projections and 1024 x 62 centroids, the
+    # batch, the 200 x 1024 stage-one product and distances, and the
     # stage-two gather of all 200 observations against K2 = 4 candidates
     assert sic_split.peak_bytes() == (
-        16 * 4096 * 6 + 8 * 4096 * 64 + 8 * 4096 * 64 + 200 * 8 * 4 * 64)
+        16 * 4096 * 6 + harness._SMALL_BYTES + 16 * (1024 * 5 + 4 * 1)
+        + 8 * 4096 * 64 + 8 * 4096 * 62 + 8 * 1024 * 62 + batch
+        + 16 * 200 * 1024 + 200 * 8 * 4 * 64)
     # K2 = 1024: the gather is cut to 32 observations of 512 KiB each
     assert dataclasses.replace(sic_split, n_t1=1).peak_bytes() == (
-        16 * 4096 * 6 + 8 * 4096 * 64 + 8 * 4096 * 64 + 32 * 8 * 1024 * 64)
+        16 * 4096 * 6 + harness._SMALL_BYTES + 16 * (4 * 1 + 1024 * 5)
+        + 8 * 4096 * 64 + 8 * 4096 * 54 + 8 * 4 * 54 + batch
+        + 16 * 200 * 4 + 32 * 8 * 1024 * 64)
+
+
+def _traced_channel_peak(cfg):
+    """tracemalloc peak of one channel of a SER sweep: symbol books,
+    channel, training, then the data phase."""
+    child = np.random.SeedSequence(3).spawn(1)[0]
+    tracemalloc.start()
+    try:
+        harness._ser_channel_counts(cfg, child)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("training_kind", ["explicit", "implicit"])
 def test_peak_bytes_bounds_traced_training_peak(training_kind):
-    # the K = 4096, n_r = 32 full search, trained explicitly with l_a = 16
-    # as in the benchmark, or implicitly from a 4096*16/2-slot pilot frame
-    cfg = ExperimentConfig(
-        n_t=6, n_r=32, bits=2, modulation="qpsk", snr_grid_db=(10.0,),
-        channel_count=1, vectors_per_channel=200, seed=0,
-        training=training_kind, artificial_count=16, repetitions=16,
-        detectors=("mcd",))
-    qcfg = core.QuantizerConfig(cfg.bits, cfg.step)
-    book = core.enumerate_symbols(core.qpsk(), cfg.n_t)
-    rng = np.random.default_rng(3)
-    h = core.sample_channel(cfg.n_r, cfg.n_t, rng)
-    sigma2 = core.snr_db_to_sigma2(10.0, cfg.n_t)
+    # one SNR point of the full search, trained explicitly with l_a = 16 as
+    # in the benchmark, or implicitly from a 4096*16/2-slot pilot frame
+    cfg = _full_search(
+        channel_count=1, training=training_kind, repetitions=16)
+    peak = _traced_channel_peak(cfg)
+    assert peak <= cfg.peak_bytes() <= 1.25 * peak
 
-    def train():
-        # the training phase of harness._ser_channel_counts
-        if training_kind == "explicit":
-            return training.learn_explicit(
-                h, sigma2, cfg.artificial_count, book, qcfg, rng)
-        schedule = training.build_implicit_pilots(book, cfg.repetitions)
-        pilot_levels = core.transmit_batch(
-            h, schedule.rows(), sigma2, qcfg, rng)
-        return training.learn_implicit(
-            pilot_levels, book, cfg.repetitions, qcfg)
 
-    tracemalloc.start()
-    try:
-        train()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+@pytest.mark.parametrize("first_stage_count", [1, 4, 8])
+def test_peak_bytes_bounds_traced_sic_peak(first_stage_count):
+    # the 5/1 split of the full search; l_a1 > 1 trains on noisy samples
+    cfg = _full_search(channel_count=1, framework="sic", n_t1=5,
+                       first_stage_count=first_stage_count)
+    peak = _traced_channel_peak(cfg)
     assert peak <= cfg.peak_bytes() <= 1.25 * peak
 
 
@@ -323,6 +355,39 @@ def test_bound_validation_trained_centroids_close_to_exact():
         ExperimentConfig(**base, repetitions=5), use_trained_centroids=True)
     for r_exact, r_trained in zip(exact, trained):
         assert r_trained.svep == pytest.approx(r_exact.svep, rel=0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_t=st.integers(1, 4), n_r=st.integers(1, 4),
+       modulation=st.sampled_from(["bpsk", "qpsk"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_noise_free_one_sample_centroids_are_the_codewords(
+        n_t, n_r, modulation, seed):
+    # bound-exact's centroids: noise-free explicit training with one sample
+    # per symbol gives the noiseless one-bit codewords, bit for bit
+    qcfg = core.QuantizerConfig(bits=1, step=0.5)
+    book = core.enumerate_symbols(core.constellation(modulation), n_t)
+    h = core.sample_channel(n_r, n_t, np.random.default_rng(seed))
+    centers = detection.centroids(
+        training.learn_explicit(h, 0.0, 1, book, qcfg)).centers
+    codewords = analysis.build_codebook(h, book, qcfg).value_matrix
+    assert centers.dtype == codewords.dtype
+    assert centers.shape == codewords.shape
+    assert centers.tobytes() == codewords.tobytes()
+
+
+def test_bound_exact_trains_once_per_kept_channel(monkeypatch):
+    cfg = ExperimentConfig(
+        n_t=2, n_r=2, bits=1, modulation="bpsk",
+        snr_grid_db=(0.0, 10.0, 20.0), channel_count=4,
+        vectors_per_channel=50, seed=3, detectors=("mcd",))
+    spy = mock.Mock(wraps=training.learn_explicit)
+    monkeypatch.setattr(training, "learn_explicit", spy)
+    harness.run_bound_validation(cfg)
+    assert spy.call_count == cfg.channel_count
+    for call in spy.call_args_list:
+        _, sigma2, artificial_count, *_ = call.args
+        assert sigma2 == 0.0 and artificial_count == 1
 
 
 def test_bound_validation_vanishing_noise():
@@ -541,6 +606,57 @@ def test_cli_rejects_huge_trained_support_before_drawing_a_channel(
     assert err.startswith("error: ") and "MiB per channel" in err
     # the same search with MCD alone trains in a few MiB and is accepted
     harness.parse_config(text.replace("emld, mmd", "mcd")).validate_for_ser()
+
+
+def test_cli_rejects_huge_data_batch_before_drawing_a_channel(
+        tmp_path, capsys, monkeypatch):
+    # 20 000 data vectors against K = 4096 centroids: MCD's product and
+    # distances need about 1.2 GiB, though training fits in a few MiB
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a channel was drawn past validation")
+
+    for module in (core, harness):
+        monkeypatch.setattr(module, "sample_channel", forbidden)
+    config = Path(__file__).parents[1] / "perfbench/configs/full_search_k4096.cfg"
+    bad = tmp_path / "batch.cfg"
+    bad.write_text(config.read_text().replace(
+        "vectors_per_channel = 200", "vectors_per_channel = 20000"))
+    assert main(["ser", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MiB per channel" in err
+
+
+@pytest.mark.parametrize("command, config, n_t", [
+    # sample_dmin's 16 384 x 1024 x 1024 float32 Gram matrix: 64 GiB
+    ("ccdf", "dmin_ccdf.cfg", 10),
+    # analysis.geometry's 16 384 x 16 384 int64 distances: 2 GiB
+    ("bound", "bound_validation.cfg", 14),
+])
+def test_cli_rejects_huge_analysis_arrays_before_drawing(
+        tmp_path, capsys, monkeypatch, command, config, n_t):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an analysis array was built past the budget")
+
+    for module in (core, harness):
+        monkeypatch.setattr(module, "enumerate_symbols", forbidden)
+        monkeypatch.setattr(module, "sample_channel", forbidden)
+    monkeypatch.setattr(harness, "sample_dmin", forbidden)
+    monkeypatch.setattr(analysis, "geometry", forbidden)
+    shipped = Path(__file__).parents[1] / "configs" / config
+    lines = [
+        f"n_t = {n_t}" if line.startswith("n_t =")
+        # a short batch, so that the SER-phase estimate stays small
+        else "vectors_per_channel = 10" if line.startswith("vectors_per_channel")
+        else line
+        for line in shipped.read_text().splitlines()]
+    bad = tmp_path / "big.cfg"
+    bad.write_text("\n".join(lines))
+    with pytest.warns(UserWarning, match="irreducible"):
+        # the per-channel estimate of a SER sweep accepts the config
+        harness.load_config(bad).validate()
+        assert main([command, "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"n_t={n_t}" in err
 
 
 _NO_POOL = """
@@ -781,6 +897,12 @@ _REDUCED_CSV_SHA256 = {
         "a8fa889f1df77efc2b087b206b43b3ababa35aca47ef232bd16c051234fed02e"),
 }
 
+# sha256 of bound_validation.cfg's CSV with trained centroids at the same
+# reduced size, recorded at commit 123c14e, before bound validation ran
+# through the SER sweeps' receiver pipeline
+_REDUCED_TRAINED_BOUND_SHA256 = (
+    "67fe6d6761b5afa7b614c8cacc8933a9a8e4029ee8c660b46033d034f10e0fd5")
+
 @pytest.mark.parametrize("name", sorted(_REDUCED_CSV_SHA256))
 def test_shipped_config_csv_is_byte_identical_at_reduced_size(name):
     runner, channels, digest = _REDUCED_CSV_SHA256[name]
@@ -789,3 +911,14 @@ def test_shipped_config_csv_is_byte_identical_at_reduced_size(name):
         channel_count=channels)
     csv_text = harness.render_csv(runner(cfg))
     assert hashlib.sha256(csv_text.encode()).hexdigest() == digest
+
+
+def test_trained_bound_csv_is_byte_identical_at_reduced_size():
+    cfg = dataclasses.replace(
+        harness.load_config(
+            Path(__file__).parents[1] / "configs" / "bound_validation.cfg"),
+        channel_count=5)
+    csv_text = harness.render_csv(
+        harness.run_bound_validation(cfg, use_trained_centroids=True))
+    digest = hashlib.sha256(csv_text.encode()).hexdigest()
+    assert digest == _REDUCED_TRAINED_BOUND_SHA256
