@@ -664,8 +664,6 @@ def sample_dmin(
         g_max = gram.reshape(m, -1).max(axis=1)
         out[done:done + m] = np.rint((2 * n_r - g_max) / 2.0)
         done += m
-        # let this block go before the next one is drawn
-        del h, clean, g, signs, gram
     return out
 
 
@@ -683,10 +681,11 @@ def run_ccdf_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     # sample_dmin: the int64 results and, for a block of m channels, their
     # m x n_r x n_t complex channels, m x n_r x K complex sums, the float64
     # real form of those, its float64 and float32 signs and the m x K x K
-    # float32 Gram matrix
+    # float32 Gram matrix, twice: a block's arrays are let go only as the
+    # next block's replace them
     m, k = min(_DMIN_CHUNK, cfg.channel_count), cfg.symbol_count
     block = 16 * cfg.n_r * cfg.n_t + k * (56 * cfg.n_r + 4 * k)
-    _require_budget(cfg, 8 * cfg.channel_count + m * block,
+    _require_budget(cfg, 8 * cfg.channel_count + 2 * m * block,
                     f"for {cfg.channel_count} channels")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     samples = sample_dmin(cfg.n_t, cfg.n_r, cfg.channel_count, rng)

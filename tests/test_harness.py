@@ -135,11 +135,13 @@ def test_peak_bytes_estimate_and_budget():
     assert full_search.peak_bytes() == (
         16 * 4096 * 6 + harness._SMALL_BYTES
         + 8 * 4096 * 64 + batch + 16 * 200 * 4096)
-    # which is more than training holds at its peak, while the centroids are
-    # summed next to the 4096*16 x 64 uint8 levels and their int64 symbol
-    # indices into 4096 x 64 int64 sums and two float temporaries
-    assert (4096 * 16 * 64 + 8 * 4096 * 16 + 24 * 4096 * 64
-            < 8 * 4096 * 64 + batch + 16 * 200 * 4096)
+    # with one data vector the training peak is the larger one: the
+    # centroids are summed next to the 4096*16 x 64 uint8 levels and their
+    # int64 symbol indices into 4096 x 64 int64 sums and two float
+    # temporaries
+    assert _full_search(vectors_per_channel=1).peak_bytes() == (
+        16 * 4096 * 6 + harness._SMALL_BYTES
+        + 4096 * 16 * 64 + 8 * 4096 * 16 + 24 * 4096 * 64)
     assert full_search.peak_bytes() < 100 * 2**20
     full_search.validate()
     # 20 000 data vectors: MCD's product and distances alone take 1.2 GiB
