@@ -608,16 +608,17 @@ def run_bound_validation(
         raise RuntimeError(
             f"no {cfg.channel_count} channels with a unit flip budget found "
             f"within {budget} draws")
-    mcd = replace(
+    mcd_cfg = replace(
         cfg, framework="full", csir="perfect", detectors=("mcd",),
         training="implicit" if use_trained_centroids else "explicit",
         artificial_count=1)
+    rngs = map(np.random.default_rng, channel_children)
     totals = sum(
         _channel_counts(
-            mcd, qcfg, book, h, rng,
-            partial(_receivers, mcd, qcfg, book, h, rng=rng),
+            mcd_cfg, qcfg, book, h, rng,
+            partial(_receivers, mcd_cfg, qcfg, book, h, rng=rng),
             noise_free=not use_trained_centroids, dedupe=False)
-        for (h, _), rng in zip(kept, map(np.random.default_rng, channel_children)))
+        for (h, _), rng in zip(kept, rngs))
     bounds = [
         sum(analysis.svep_upper_bound(
                 geom, 10.0 ** (snr_db / 10.0), cfg.n_t, cfg.n_r)
@@ -625,6 +626,7 @@ def run_bound_validation(
         for snr_db in cfg.snr_grid_db]
     framework = "bound-trained" if use_trained_centroids else "bound-exact"
     return _records(cfg, totals, framework, ("mcd",), bounds)
+
 
 # ---------------------------------------------------------------------------
 # minimum-distance distribution
