@@ -13,17 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    QuantizedVector,
-    QuantizerConfig,
-    SymbolBook,
-    quantize_vector,
-    real_components,
-)
+from .core import QuantizerConfig, SymbolBook, real_components, transmit_batch
 
 # beyond this many ADC samples the binomial tail terms are evaluated in
 # log space to dodge float underflow
@@ -31,31 +24,11 @@ _EXACT_BINOMIAL_LIMIT = 64
 
 
 @dataclass(frozen=True, eq=False)
-class Codebook:
-    """Noiseless one-bit outputs of every candidate symbol vector."""
-
-    codewords: tuple[QuantizedVector, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.codewords)
-
-    @cached_property
-    def level_matrix(self) -> np.ndarray:
-        return np.array([c.levels for c in self.codewords], dtype=np.int64)
-
-    @cached_property
-    def value_matrix(self) -> np.ndarray:
-        return np.array([c.values for c in self.codewords], dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
 class GeometrySummary:
-    """Code geometry of a fixed channel: d_min, g_min, pairwise distances."""
+    """Code geometry of a fixed channel: d_min and g_min."""
 
     d_min: int
     g_min: float
-    pair_distances: np.ndarray
 
     @property
     def half_flips(self) -> int:
@@ -63,13 +36,14 @@ class GeometrySummary:
         return (self.d_min + 1) // 2
 
 
-def build_codebook(h: np.ndarray, book: SymbolBook, cfg: QuantizerConfig) -> Codebook:
-    """Quantize every noiseless receive point; one-bit configs only."""
+def build_codebook(
+    h: np.ndarray, book: SymbolBook, cfg: QuantizerConfig
+) -> np.ndarray:
+    """Noiseless outputs of every candidate symbol vector, one-bit configs
+    only: the K x d level matrix of one noise-free ``transmit_batch``."""
     if cfg.bits != 1:
         raise ValueError("codebook analysis requires a one-bit quantizer")
-    h = np.asarray(h, dtype=complex)
-    words = tuple(quantize_vector(h @ x, cfg) for x in book.vectors)
-    return Codebook(codewords=words)
+    return transmit_batch(h, book.vectors, 0.0, cfg)
 
 
 def pairwise_hamming(levels: np.ndarray) -> np.ndarray:
@@ -79,12 +53,14 @@ def pairwise_hamming(levels: np.ndarray) -> np.ndarray:
     return diff.sum(axis=2)
 
 
-def compute_dmin(cb: Codebook) -> int:
-    """Minimum pairwise Hamming distance; 0 means channel ambiguity."""
-    if cb.size < 2:
+def compute_dmin(codebook: np.ndarray) -> int:
+    """Minimum Hamming distance between two rows of a codebook level
+    matrix; 0 means channel ambiguity."""
+    size = len(codebook)
+    if size < 2:
         raise ValueError("d_min needs at least two codewords")
-    d = pairwise_hamming(cb.level_matrix)
-    mask = ~np.eye(cb.size, dtype=bool)
+    d = pairwise_hamming(codebook)
+    mask = ~np.eye(size, dtype=bool)
     return int(d[mask].min())
 
 
@@ -95,13 +71,9 @@ def compute_gmin(h: np.ndarray, book: SymbolBook, real_mode: bool = False) -> fl
 
 
 def geometry(h: np.ndarray, book: SymbolBook, cfg: QuantizerConfig) -> GeometrySummary:
-    cb = build_codebook(h, book, cfg)
-    distances = pairwise_hamming(cb.level_matrix)
-    mask = ~np.eye(cb.size, dtype=bool)
     return GeometrySummary(
-        d_min=int(distances[mask].min()),
+        d_min=compute_dmin(build_codebook(h, book, cfg)),
         g_min=compute_gmin(h, book, cfg.real_mode),
-        pair_distances=distances,
     )
 
 

@@ -10,7 +10,6 @@ in the infinite-resolution limit and direction-informative at one bit.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .core import (
     SymbolBook,
     cell_edges,
     level_values,
-    level_matrix,
     real_components,
 )
 
@@ -53,26 +51,22 @@ def reassemble_complex(values: np.ndarray) -> np.ndarray:
 
 
 def estimate_channel_ls(
-    pilots,
-    observations: np.ndarray | Sequence[QuantizedVector],
-    cfg: QuantizerConfig | None = None,
+    pilots, levels: np.ndarray, cfg: QuantizerConfig
 ) -> ChannelEstimate:
     """Least-squares channel fit of quantized observations against pilots.
 
     Solves h_hat = Y X^H (X X^H)^-1 with Y the complex-reassembled quantized
-    outputs (one column per slot). ``observations`` is the pilot level matrix
-    (one row per slot, quantized with ``cfg``) or a sequence of
-    QuantizedVectors, which carry their own quantizer shape (``cfg`` is then
-    not read). Requires at least n_t slots and pilots of full row rank.
+    outputs (one column per slot). ``levels`` is the pilot level matrix, one
+    row per slot, quantized with ``cfg``. Requires at least n_t slots and
+    pilots of full row rank.
     """
     x = np.asarray(pilots, dtype=complex)
     n_t, t_t = x.shape
     if t_t < n_t:
         raise ValueError("need at least n_t pilot slots")
-    if len(observations) != t_t:
-        raise ValueError(
-            f"expected {t_t} observations, got {len(observations)}")
-    y = reassemble_complex(level_values(*level_matrix(observations, cfg))).T
+    if len(levels) != t_t:
+        raise ValueError(f"expected {t_t} observations, got {len(levels)}")
+    y = reassemble_complex(level_values(levels, cfg)).T
     gram = x @ x.conj().T
     if np.linalg.matrix_rank(gram) < n_t:
         raise ValueError("pilot matrix is rank deficient")

@@ -10,7 +10,6 @@ concurrently with independent generators.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -206,10 +205,6 @@ class QuantizedVector:
         if any(v < 0 or v >= top for v in self.levels):
             raise ValueError(f"levels out of range for {self.bits}-bit quantizer")
 
-    @property
-    def dim(self) -> int:
-        return len(self.levels)
-
     @cached_property
     def values(self) -> np.ndarray:
         cfg = QuantizerConfig(self.bits, self.step)
@@ -253,32 +248,6 @@ def vectors_from_levels(levels, cfg: QuantizerConfig) -> list[QuantizedVector]:
     ]
 
 
-def level_matrix(
-    observations: np.ndarray | Sequence[QuantizedVector],
-    cfg: QuantizerConfig | None = None,
-) -> tuple[np.ndarray, QuantizerConfig]:
-    """Integer level matrix (one row per observation) and its quantizer.
-
-    ``observations`` is a level matrix quantized with ``cfg``, returned as
-    it is (in its own dtype), or a sequence of QuantizedVectors, which carry
-    their own quantizer shape (``cfg`` is then not read) and give int64
-    levels.
-    """
-    if isinstance(observations, np.ndarray):
-        if cfg is None:
-            raise ValueError("a level matrix needs its quantizer config")
-        return observations, cfg
-    if not observations:
-        # no sample constrains the quantizer; any shape describes no data
-        return np.zeros((0, 0), dtype=np.int64), QuantizerConfig(1, 1.0)
-    shapes = {(y.bits, y.step) for y in observations}
-    if len(shapes) != 1:
-        raise ValueError("vectors come from different quantizers")
-    (bits, step), = shapes
-    levels = np.array([y.levels for y in observations], dtype=np.int64)
-    return levels, QuantizerConfig(bits, step)
-
-
 def distinct_rows(levels) -> tuple[np.ndarray, np.ndarray]:
     """First index of each distinct row of an integer matrix, and row ids.
 
@@ -317,12 +286,6 @@ class SymbolBook:
     def size(self) -> int:
         return self.vectors.shape[0]
 
-    def __len__(self) -> int:
-        return self.size
-
-    def vector(self, k: int) -> np.ndarray:
-        return self.vectors[k]
-
 
 def enumerate_symbols(c: Constellation, n_t: int) -> SymbolBook:
     """Enumerate the full Cartesian symbol-vector book for n_t antennas.
@@ -343,21 +306,6 @@ def enumerate_symbols(c: Constellation, n_t: int) -> SymbolBook:
         vectors = np.ascontiguousarray(c.as_array()[digits])
     vectors.setflags(write=False)
     return SymbolBook(constellation=c, n_t=n_t, vectors=vectors)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Complex noise variance per receive antenna (sigma^2 >= 0)."""
-
-    sigma2: float
-
-    def __post_init__(self) -> None:
-        if self.sigma2 < 0.0:
-            raise ValueError("noise variance must be non-negative")
-
-    @property
-    def per_component_variance(self) -> float:
-        return self.sigma2 / 2.0
 
 
 def snr_to_sigma2(snr_linear: float, n_t: int) -> float:

@@ -54,7 +54,7 @@ def neighbor_set(
     Membership is decided on exact integer level arithmetic, so equidistant
     vectors are found reliably; the returned radius is in value units.
     """
-    levels, _, _ = model.support_arrays
+    levels, _ = model.support_arrays
     d2 = _level_sqdist(_as_level_rows(y), levels)[0]
     d2_min = int(d2.min())
     members = [model.trained_vectors[i] for i in np.flatnonzero(d2 == d2_min)]
@@ -68,7 +68,7 @@ def detect_emld_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     minimum distance: the winning symbol maximizes the summed multiplicities
     of those neighbors (an exact integer score).
     """
-    trained_levels, _, count_matrix = model.support_arrays
+    trained_levels, count_matrix = model.support_arrays
     levels = np.atleast_2d(np.asarray(levels, dtype=np.int64))
     d2 = _level_sqdist(levels, trained_levels)
     neighbor_mask = d2 == d2.min(axis=1, keepdims=True)
@@ -83,7 +83,7 @@ def detect_emld(y: QuantizedVector, model: EmpiricalModel) -> int:
 
 def detect_mmd_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     """Minimum-mean-distance detection of each level-matrix row."""
-    trained_levels, _, count_matrix = model.support_arrays
+    trained_levels, count_matrix = model.support_arrays
     for k in range(model.size):
         if not count_matrix[:, k].any():
             raise ValueError(f"symbol {k} has an empty trained support")
@@ -139,16 +139,24 @@ def centroids(model: EmpiricalModel) -> CentroidBook:
     return CentroidBook(centers=centers / model.samples_per_symbol)
 
 
-def detect_mcd_batch(values: np.ndarray, book: CentroidBook) -> np.ndarray:
-    """Nearest-centroid detection of each value-matrix row."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    centers = book.centers
+def nearest_center(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest center row for each float row of ``values``.
+
+    The squared distances are expanded as |v|^2 - 2 v.c + |c|^2, so rounding
+    can misorder near ties. MCD and stage one of SIC share this kernel.
+    """
     d2 = (
         np.einsum("nd,nd->n", values, values)[:, None]
         - 2.0 * values @ centers.T
         + np.einsum("kd,kd->k", centers, centers)[None, :]
     )
     return np.argmin(d2, axis=1)
+
+
+def detect_mcd_batch(values: np.ndarray, book: CentroidBook) -> np.ndarray:
+    """Nearest-centroid detection of each value-matrix row."""
+    return nearest_center(
+        np.atleast_2d(np.asarray(values, dtype=float)), book.centers)
 
 
 def detect_mcd(y: QuantizedVector, book: CentroidBook) -> int:

@@ -586,10 +586,13 @@ def run_bound_validation(
         raise ConfigError("trained-centroid validation needs l >= 1")
     # analysis.geometry: K x K int64 distances with the K x K x d bool
     # differences they sum, or with the bool mask and masked copy of them,
-    # and at most 1 KiB per codeword object
-    k = cfg.symbol_count
+    # besides the K x d uint8 codebook; before and after those, at most
+    # three arrays of 16 K n_r bytes (the noiseless sums, their real form
+    # and its magnitudes)
+    k, d = cfg.symbol_count, 2 * cfg.n_r
     _require_budget(
-        cfg, k * k * (8 + max(2 * cfg.n_r, 9)) + 1024 * k, "per channel")
+        cfg, k * k * (8 + max(d, 9)) + k * d + 48 * k * cfg.n_r + _SMALL_BYTES,
+        "per channel")
     qcfg = QuantizerConfig(cfg.bits, cfg.step)
     book = enumerate_symbols(constellation(cfg.modulation), cfg.n_t)
     root = np.random.SeedSequence(cfg.seed)

@@ -29,6 +29,7 @@ from .core import (
     quantize_levels,
     real_components,
 )
+from .detection import nearest_center
 
 # Largest stage-two gather (observations x K2 x d float64 values) that
 # detect_sic_batch materializes at once; n_t1 = 1 of 6 QPSK antennas at
@@ -333,14 +334,7 @@ def detect_sic_batch(
     most ``_GATHER_BYTES``.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    projected = values @ plan.w1.T
-    centers = model.centroids
-    d2 = (
-        np.einsum("nd,nd->n", projected, projected)[:, None]
-        - 2.0 * projected @ centers.T
-        + np.einsum("kd,kd->k", centers, centers)[None, :]
-    )
-    first = np.argmin(d2, axis=1)
+    first = nearest_center(values @ plan.w1.T, model.centroids)
     second = np.empty_like(first)
     table = model.table
     chunk = stage_two_chunk(table[0].nbytes)

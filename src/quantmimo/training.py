@@ -21,8 +21,6 @@ from .core import (
     QuantizerConfig,
     SymbolBook,
     distinct_rows,
-    level_values,
-    level_matrix,
     noisy_levels,
     vectors_from_levels,
 )
@@ -93,9 +91,18 @@ class EmpiricalModel:
         counts: Sequence[dict[QuantizedVector, int]],
         samples_per_symbol: int,
     ) -> "EmpiricalModel":
-        """Model holding ``counts[k][y]`` copies of y for every symbol k."""
+        """Model holding ``counts[k][y]`` copies of y for every symbol k.
+
+        The levels are int64. A model with no vectors has a (0, 0) level
+        matrix and a one-bit quantizer, since no sample constrains its shape.
+        """
         vectors = [y for per_symbol in counts for y in per_symbol]
-        levels, cfg = level_matrix(vectors)
+        shapes = {(y.bits, y.step) for y in vectors} or {(1, 1.0)}
+        if len(shapes) != 1:
+            raise ValueError("vectors come from different quantizers")
+        (bits, step), = shapes
+        levels = np.array(
+            [y.levels for y in vectors] or np.zeros((0, 0)), dtype=np.int64)
         multiplicity = [c for per_symbol in counts for c in per_symbol.values()]
         symbols = np.repeat(np.arange(len(counts)), [len(d) for d in counts])
         return cls(
@@ -103,7 +110,7 @@ class EmpiricalModel:
             symbols=np.repeat(symbols, multiplicity),
             size=len(counts),
             samples_per_symbol=samples_per_symbol,
-            cfg=cfg,
+            cfg=QuantizerConfig(bits, step),
         )
 
     @cached_property
@@ -113,13 +120,12 @@ class EmpiricalModel:
         return distinct_rows(self.levels)
 
     @cached_property
-    def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(levels, values, count matrix) views over the distinct trained set.
+    def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(levels, count matrix) over the distinct trained set.
 
-        ``levels`` is S x d integer, in first-seen order over the trained
-        rows; ``values`` is the matching float view, and ``count_matrix`` is
-        S x K with the per-symbol multiplicities; column k divided by
-        ``samples_per_symbol`` is the PMF of symbol k.
+        ``levels`` is S x d int64, in first-seen order over the trained rows,
+        and ``count_matrix`` is S x K with the per-symbol multiplicities;
+        column k divided by ``samples_per_symbol`` is the PMF of symbol k.
         """
         first, ids = self._row_ids
         if first.size == 0:
@@ -127,7 +133,7 @@ class EmpiricalModel:
         levels = np.asarray(self.levels[first], dtype=np.int64)
         count_matrix = np.zeros((first.size, self.size), dtype=np.int64)
         np.add.at(count_matrix, (ids, self.symbols), 1)
-        return levels, level_values(levels, self.cfg), count_matrix
+        return levels, count_matrix
 
     @cached_property
     def trained_vectors(self) -> tuple[QuantizedVector, ...]:
@@ -158,31 +164,29 @@ class EmpiricalModel:
 
 
 def learn_implicit(
-    observations: np.ndarray | Sequence[QuantizedVector],
+    levels: np.ndarray,
     book: SymbolBook,
     repetitions: int,
-    cfg: QuantizerConfig | None = None,
+    cfg: QuantizerConfig,
 ) -> EmpiricalModel:
-    """Empirical PMFs from pilot observations in schedule order.
+    """Empirical PMFs from the pilot level matrix in schedule order.
 
-    ``observations`` is the pilot level matrix (one row per slot, quantized
-    with ``cfg``) or a sequence of QuantizedVectors, which carry their own
-    quantizer shape (``cfg`` is then not read). Block k of L observations
-    feeds symbol k for k < K/2; the PMF of the mirrored symbol K-1-k is the
-    same block with every vector negated (``top - levels``), which is valid
-    because noise is sign-symmetric and the quantizer is odd.
+    ``levels`` has one row per pilot slot, quantized with ``cfg``, and its
+    dtype is kept. Block k of L rows feeds symbol k for k < K/2; the PMF of
+    the mirrored symbol K-1-k is the same block with every vector negated
+    (``top - levels``), which is valid because noise is sign-symmetric and
+    the quantizer is odd.
     """
     schedule = build_implicit_pilots(book, repetitions)
-    if len(observations) != schedule.length:
+    if len(levels) != schedule.length:
         raise ValueError(
-            f"expected {schedule.length} observations, got {len(observations)}")
-    block, cfg = level_matrix(observations, cfg)
+            f"expected {schedule.length} observations, got {len(levels)}")
     half = book.size // 2
-    d = block.shape[1]
+    d = levels.shape[1]
     top = cfg.n_levels - 1
-    mirrored = top - block.reshape(half, repetitions, d)[::-1]
+    mirrored = top - levels.reshape(half, repetitions, d)[::-1]
     return EmpiricalModel(
-        levels=np.concatenate([block, mirrored.reshape(-1, d)]),
+        levels=np.concatenate([levels, mirrored.reshape(-1, d)]),
         symbols=np.repeat(np.arange(book.size), repetitions),
         size=book.size,
         samples_per_symbol=repetitions,

@@ -41,12 +41,11 @@ def test_motivating_example_golden():
         cfg = QuantizerConfig(bits=1, step=2.0, real_mode=True)
         book = core.enumerate_symbols(core.bpsk(), 2)
         codebook = analysis.build_codebook(h, book, cfg)
-        values = {tuple(w.values) for w in codebook.codewords}
+        values = {tuple(row) for row in core.level_values(codebook, cfg)}
         assert values == {(1, 1), (-1, 1), (1, -1), (-1, -1)}
         schedule = training.build_implicit_pilots(book, 1)
         levels = core.transmit_batch(h, schedule.rows(), 0.0, cfg)
-        model = training.learn_implicit(
-            core.vectors_from_levels(levels, cfg), book, 1)
+        model = training.learn_implicit(levels, book, 1, cfg)
         y = core.QuantizedVector((1, 0), bits=1, step=2.0)  # values (1, -1)
         results = (
             detection.detect_emld(y, model),
@@ -266,8 +265,7 @@ def test_property_suites(tmp_path):
         h = core.sample_channel(3, 2, rng)
         schedule = training.build_implicit_pilots(book, 50)
         levels = core.transmit_batch(h, schedule.rows(), 0.4, qcfg, rng)
-        model = training.learn_implicit(
-            core.vectors_from_levels(levels, qcfg), book, 50)
+        model = training.learn_implicit(levels, book, 50, qcfg)
         for k in range(book.size):
             assert sum(model.counts[k].values()) == 50
             assert abs(sum(model.pmf(k).values()) - 1.0) <= 1e-12

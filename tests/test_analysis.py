@@ -4,16 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
 from quantmimo import analysis, core
 from quantmimo.core import QuantizedVector, QuantizerConfig
-
-
-def _one_bit_word(levels):
-    return QuantizedVector(tuple(levels), bits=1, step=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +18,8 @@ def _one_bit_word(levels):
 
 def test_codebook_worked_example(demo_channel, demo_cfg, demo_book):
     cb = analysis.build_codebook(demo_channel, demo_book, demo_cfg)
-    values = {tuple(w.values) for w in cb.codewords}
+    assert cb.shape == (demo_book.size, 2) and cb.dtype == demo_cfg.level_dtype
+    values = {tuple(row) for row in core.level_values(cb, demo_cfg)}
     assert values == {(1, 1), (-1, 1), (1, -1), (-1, -1)}
 
 
@@ -31,13 +28,13 @@ def test_codebook_antipodal_symbols_give_antipodal_words(demo_cfg, demo_book):
     h = rng.normal(size=(2, 2)).astype(complex)
     cb = analysis.build_codebook(h, demo_book, demo_cfg)
     for k in range(demo_book.size):
-        assert cb.codewords[demo_book.size - 1 - k] == -cb.codewords[k]
+        assert np.array_equal(cb[demo_book.size - 1 - k], 1 - cb[k])
 
 
 def test_codebook_allows_duplicates_under_ambiguity(demo_book, demo_cfg):
     h = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
     cb = analysis.build_codebook(h, demo_book, demo_cfg)
-    assert cb.codewords[0] == cb.codewords[1]
+    assert np.array_equal(cb[0], cb[1])
     assert analysis.compute_dmin(cb) == 0
 
 
@@ -48,6 +45,23 @@ def test_codebook_rejects_multibit():
         analysis.build_codebook(np.eye(1, dtype=complex), book, cfg)
 
 
+@settings(max_examples=80, deadline=None)
+@given(n_t=st.integers(1, 4), n_r=st.integers(1, 4), real_mode=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_codebook_equals_per_vector_quantization(n_t, n_r, real_mode, seed):
+    # oracle: quantize each noiseless receive point on its own and stack
+    cfg = QuantizerConfig(bits=1, step=0.5, real_mode=real_mode)
+    book = core.enumerate_symbols(core.bpsk(), n_t)
+    h = core.sample_channel(n_r, n_t, np.random.default_rng(seed))
+    want = np.array(
+        [core.quantize_vector(h @ x, cfg).levels for x in book.vectors],
+        dtype=cfg.level_dtype)
+    got = analysis.build_codebook(h, book, cfg)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert analysis.compute_dmin(got) == analysis.compute_dmin(want)
+
+
 # ---------------------------------------------------------------------------
 # d_min and g_min
 
@@ -56,20 +70,19 @@ def test_dmin_worked_example(demo_channel, demo_cfg, demo_book):
     cb = analysis.build_codebook(demo_channel, demo_book, demo_cfg)
     # frozen oracle: exhaustive pairwise count over the six pairs
     oracle = min(
-        sum(a != b for a, b in zip(w1.levels, w2.levels))
-        for w1, w2 in itertools.combinations(cb.codewords, 2))
+        sum(a != b for a, b in zip(w1, w2))
+        for w1, w2 in itertools.combinations(cb.tolist(), 2))
     assert oracle == 1
     assert analysis.compute_dmin(cb) == 1
 
 
 def test_dmin_antipodal_pair_is_full_length():
-    cb = analysis.Codebook(codewords=(
-        _one_bit_word((1, 1, 0, 1)), _one_bit_word((0, 0, 1, 0))))
+    cb = np.array([(1, 1, 0, 1), (0, 0, 1, 0)], dtype=np.uint8)
     assert analysis.compute_dmin(cb) == 4
 
 
 def test_dmin_requires_two_codewords():
-    cb = analysis.Codebook(codewords=(_one_bit_word((1, 1)),))
+    cb = np.array([(1, 1)], dtype=np.uint8)
     with pytest.raises(ValueError, match="two codewords"):
         analysis.compute_dmin(cb)
 
@@ -106,8 +119,6 @@ def test_geometry_summary(demo_channel, demo_cfg, demo_book):
     geom = analysis.geometry(demo_channel, demo_book, demo_cfg)
     assert geom.d_min == 1 and geom.half_flips == 1
     assert geom.g_min == pytest.approx(0.5)
-    assert geom.pair_distances.shape == (4, 4)
-    assert np.array_equal(geom.pair_distances, geom.pair_distances.T)
 
 
 # ---------------------------------------------------------------------------
@@ -132,23 +143,20 @@ def test_flip_probability_values():
 
 
 def test_svep_bound_constant_under_ambiguity():
-    geom = analysis.GeometrySummary(
-        d_min=0, g_min=0.3, pair_distances=np.zeros((2, 2), dtype=int))
+    geom = analysis.GeometrySummary(d_min=0, g_min=0.3)
     for snr in (1.0, 10.0, 100.0):
         assert analysis.svep_upper_bound(geom, snr, 2, 2) == 2.0**4
 
 
 def test_svep_bound_plugin_value():
-    geom = analysis.GeometrySummary(
-        d_min=1, g_min=0.5, pair_distances=np.zeros((2, 2), dtype=int))
+    geom = analysis.GeometrySummary(d_min=1, g_min=0.5)
     bound = analysis.svep_upper_bound(geom, 100.0, 2, 2)
     assert bound == pytest.approx(7.5 * math.exp(-12.5), rel=1e-12)
     assert bound == pytest.approx(2.795e-5, rel=1e-3)
 
 
 def test_svep_bound_exponent_squares_when_snr_doubles():
-    geom = analysis.GeometrySummary(
-        d_min=3, g_min=0.4, pair_distances=np.zeros((2, 2), dtype=int))
+    geom = analysis.GeometrySummary(d_min=3, g_min=0.4)
     n_t, n_r = 2, 3
     d = geom.half_flips
     scale = sum(math.comb(2 * n_r, j) for j in range(d, 2 * n_r + 1)) / 2**d
@@ -273,8 +281,9 @@ def test_svep_bound_dominates_exact_error_for_fixed_channels():
     rng = np.random.default_rng(123)
 
     def exact_svep(h, sigma2):
-        cb = analysis.build_codebook(h, book, qcfg)
-        centers = detection.CentroidBook(centers=cb.value_matrix)
+        codewords = analysis.build_codebook(h, book, qcfg)
+        centers = detection.CentroidBook(
+            centers=core.level_values(codewords, qcfg))
         scale = np.sqrt(sigma2 / 2.0)
         p_err = 0.0
         for k in range(book.size):

@@ -11,8 +11,7 @@ from quantmimo.core import QuantizerConfig
 
 
 def _observe(h, pilots, sigma2, cfg, rng=None):
-    levels = core.transmit_batch(h, pilots.T, sigma2, cfg, rng)
-    return core.vectors_from_levels(levels, cfg)
+    return core.transmit_batch(h, pilots.T, sigma2, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +24,7 @@ def test_ls_recovers_channel_at_high_resolution():
     h = core.sample_channel(3, 2, rng)
     pilots = baselines.random_pilots(core.qpsk(), 2, 16, rng)
     estimate = baselines.estimate_channel_ls(
-        pilots, _observe(h, pilots, 0.0, cfg))
+        pilots, _observe(h, pilots, 0.0, cfg), cfg)
     assert estimate.method == "ls" and estimate.pilot_count == 16
     assert np.abs(estimate.h_hat - h).max() < 1e-6
 
@@ -39,7 +38,7 @@ def test_ls_one_bit_is_direction_informative():
         h = core.sample_channel(6, 4, rng)
         pilots = baselines.random_pilots(core.qpsk(), 4, 100, rng)
         h_hat = baselines.estimate_channel_ls(
-            pilots, _observe(h, pilots, sigma2, cfg, rng)).h_hat
+            pilots, _observe(h, pilots, sigma2, cfg, rng), cfg).h_hat
         for j in range(4):
             num = abs(h_hat[:, j].conj() @ h[:, j])
             corr.append(
@@ -54,8 +53,8 @@ def test_ls_orthogonal_pilots_reduce_to_row_averaging():
     pilots = np.array(
         [[1, 1, 1, 1], [1, -1, 1, -1]], dtype=complex)
     obs = _observe(h, pilots, 0.05, cfg, rng)
-    estimate = baselines.estimate_channel_ls(pilots, obs)
-    y = baselines.reassemble_complex(np.array([o.values for o in obs])).T
+    estimate = baselines.estimate_channel_ls(pilots, obs, cfg)
+    y = baselines.reassemble_complex(core.level_values(obs, cfg)).T
     averaged = (y @ pilots.conj().T) / 4.0
     assert np.allclose(estimate.h_hat, averaged, atol=1e-12)
 
@@ -67,9 +66,10 @@ def test_ls_rejects_bad_pilots():
     degenerate = np.ones((2, 8), dtype=complex)
     obs = _observe(h, degenerate, 0.1, cfg, rng)
     with pytest.raises(ValueError, match="rank deficient"):
-        baselines.estimate_channel_ls(degenerate, obs)
+        baselines.estimate_channel_ls(degenerate, obs, cfg)
     with pytest.raises(ValueError, match="pilot slots"):
-        baselines.estimate_channel_ls(np.ones((3, 2), dtype=complex), obs[:2])
+        baselines.estimate_channel_ls(
+            np.ones((3, 2), dtype=complex), obs[:2], cfg)
 
 
 # ---------------------------------------------------------------------------

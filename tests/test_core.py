@@ -348,13 +348,9 @@ def test_channel_moments():
     assert abs(np.var(h.imag) - 0.5) < 0.02
 
 
-def test_noise_spec_and_snr_conversion():
-    spec = core.NoiseSpec(0.5)
-    assert spec.per_component_variance == 0.25
+def test_snr_conversion():
     assert core.snr_to_sigma2(4.0, 2) == 0.5
     assert core.snr_db_to_sigma2(10.0, 2) == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        core.NoiseSpec(-1.0)
     with pytest.raises(ValueError):
         core.snr_to_sigma2(0.0, 2)
 

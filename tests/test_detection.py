@@ -24,8 +24,7 @@ def _model(count_dicts, samples):
 def demo_model(demo_channel, demo_cfg, demo_book):
     schedule = training.build_implicit_pilots(demo_book, 1)
     levels = core.transmit_batch(demo_channel, schedule.rows(), 0.0, demo_cfg)
-    obs = core.vectors_from_levels(levels, demo_cfg)
-    return training.learn_implicit(obs, demo_book, 1)
+    return training.learn_implicit(levels, demo_book, 1, demo_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +196,7 @@ def test_centroid_antipodality_is_exact():
     h = core.sample_channel(3, 1, rng)
     schedule = training.build_implicit_pilots(book, 11)
     levels = core.transmit_batch(h, schedule.rows(), 0.7, cfg, rng)
-    model = training.learn_implicit(
-        core.vectors_from_levels(levels, cfg), book, 11)
+    model = training.learn_implicit(levels, book, 11, cfg)
     centers = detection.centroids(model).centers
     for k in range(book.size):
         assert np.array_equal(centers[book.size - 1 - k], -centers[k])

@@ -372,7 +372,7 @@ def test_noise_free_one_sample_centroids_are_the_codewords(
     h = core.sample_channel(n_r, n_t, np.random.default_rng(seed))
     centers = detection.centroids(
         training.learn_explicit(h, 0.0, 1, book, qcfg)).centers
-    codewords = analysis.build_codebook(h, book, qcfg).value_matrix
+    codewords = core.level_values(analysis.build_codebook(h, book, qcfg), qcfg)
     assert centers.dtype == codewords.dtype
     assert centers.shape == codewords.shape
     assert centers.tobytes() == codewords.tobytes()
@@ -390,6 +390,38 @@ def test_bound_exact_trains_once_per_kept_channel(monkeypatch):
     for call in spy.call_args_list:
         _, sigma2, artificial_count, *_ = call.args
         assert sigma2 == 0.0 and artificial_count == 1
+
+
+@pytest.mark.filterwarnings("ignore:more candidate symbol vectors")
+@pytest.mark.parametrize("n_t, n_r", [(10, 2), (10, 8), (11, 4)])
+def test_bound_budget_covers_traced_geometry_peak(monkeypatch, n_t, n_r):
+    # the estimate that run_bound_validation checks before its search
+    # against the tracemalloc peak of one analysis.geometry call
+    class Searched(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Searched
+
+    estimates = []
+    monkeypatch.setattr(harness, "_require_budget",
+                        lambda cfg, peak, scope: estimates.append(peak))
+    monkeypatch.setattr(harness, "sample_channel", stop)
+    cfg = ExperimentConfig(
+        n_t=n_t, n_r=n_r, bits=1, modulation="bpsk", snr_grid_db=(10.0,),
+        channel_count=1, vectors_per_channel=10, seed=0, detectors=("mcd",))
+    with pytest.raises(Searched):
+        harness.run_bound_validation(cfg)
+    qcfg = core.QuantizerConfig(bits=1, step=cfg.step)
+    book = core.enumerate_symbols(core.bpsk(), n_t)
+    h = core.sample_channel(n_r, n_t, np.random.default_rng(n_r))
+    tracemalloc.start()
+    try:
+        analysis.geometry(h, book, qcfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimates[-1] <= 1.25 * peak
 
 
 def test_bound_validation_vanishing_noise():
@@ -754,14 +786,29 @@ def test_trained_detection_never_builds_quantized_vectors(monkeypatch):
              training="explicit", artificial_count=8, t_t=12),
     )
     child = np.random.SeedSequence(5).spawn(1)[0]
+    one_bit = dict(n_r=2, bits=1, modulation="bpsk", detectors=("mcd",))
+    bound_cfg = ExperimentConfig(
+        **one_bit, n_t=2, snr_grid_db=(0.0, 10.0), channel_count=3,
+        vectors_per_channel=200, seed=3, repetitions=5)
+    ccdf_cfg = ExperimentConfig(
+        **one_bit, n_t=3, snr_grid_db=(0.0,), channel_count=500,
+        vectors_per_channel=1, seed=21)
+
+    def analysis_csvs():
+        # bound searches channels by their codebook; ccdf samples d_min
+        return [harness.render_csv(records) for records in (
+            harness.run_bound_validation(bound_cfg),
+            harness.run_bound_validation(
+                bound_cfg, use_trained_centroids=True),
+            harness.run_ccdf_experiment(ccdf_cfg))]
+
     expected = [harness._ser_channel_counts(cfg, child) for cfg in configs]
+    expected_csvs = analysis_csvs()
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("vectors_from_levels called on a hot path")
+    def forbidden(self):
+        raise AssertionError("a QuantizedVector was built on a hot path")
 
-    for module in (core, harness, training, baselines):
-        monkeypatch.setattr(
-            module, "vectors_from_levels", forbidden, raising=False)
+    monkeypatch.setattr(core.QuantizedVector, "__post_init__", forbidden)
     qcfg = core.QuantizerConfig(bits=2, step=0.5)
     book = core.enumerate_symbols(core.qpsk(), 2)
     h = core.sample_channel(4, 2, np.random.default_rng(3))
@@ -774,6 +821,7 @@ def test_trained_detection_never_builds_quantized_vectors(monkeypatch):
     assert detected.shape == (book.size,)
     for cfg, counts in zip(configs, expected):
         assert np.array_equal(harness._ser_channel_counts(cfg, child), counts)
+    assert analysis_csvs() == expected_csvs
 
 
 def _sic_split_cfg(**overrides):

@@ -32,7 +32,7 @@ def _detectors(rng, bits, real_mode, n_t, n_r, modulation, sigma2):
     if real_mode:
         h = h.real.astype(complex)
     model = training.learn_explicit(h, sigma2, 3, book, qcfg, rng)
-    trained, _, count_matrix = model.support_arrays
+    trained, count_matrix = model.support_arrays
     cb = detection.centroids(model)
     n_t1 = int(rng.integers(1, n_t + 1))
     book1 = core.enumerate_symbols(c, n_t1)

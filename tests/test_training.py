@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from quantmimo import core, detection, training
-from quantmimo.core import QuantizedVector, QuantizerConfig
+from quantmimo.core import QuantizerConfig
 
 
 def _complex_noise(shape, sigma2, rng):
@@ -22,8 +22,7 @@ def _complex_noise(shape, sigma2, rng):
 
 
 def _observe_schedule(h, schedule, sigma2, cfg, rng=None):
-    levels = core.transmit_batch(h, schedule.rows(), sigma2, cfg, rng)
-    return core.vectors_from_levels(levels, cfg)
+    return core.transmit_batch(h, schedule.rows(), sigma2, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +66,7 @@ def test_schedule_rejects_bad_inputs(demo_book):
 def test_implicit_noiseless_worked_example(demo_channel, demo_cfg, demo_book):
     schedule = training.build_implicit_pilots(demo_book, 1)
     obs = _observe_schedule(demo_channel, schedule, 0.0, demo_cfg)
-    model = training.learn_implicit(obs, demo_book, 1)
+    model = training.learn_implicit(obs, demo_book, 1, demo_cfg)
     y11 = core.quantize_vector(np.array([1.0, 1.0], dtype=complex), demo_cfg)
     ym11 = core.quantize_vector(np.array([-1.0, 1.0], dtype=complex), demo_cfg)
     y1m1 = core.quantize_vector(np.array([1.0, -1.0], dtype=complex), demo_cfg)
@@ -81,13 +80,9 @@ def test_implicit_noiseless_worked_example(demo_channel, demo_cfg, demo_book):
 def test_implicit_counting():
     book = core.enumerate_symbols(core.bpsk(), 1)
     cfg = QuantizerConfig(bits=1, step=2.0)
-    block = [
-        QuantizedVector((1, 1), 1, 2.0),
-        QuantizedVector((1, 1), 1, 2.0),
-        QuantizedVector((1, 1), 1, 2.0),
-        QuantizedVector((1, 0), 1, 2.0),
-    ]
-    model = training.learn_implicit(block, book, 4)
+    levels = np.array([(1, 1), (1, 1), (1, 1), (1, 0)], dtype=np.uint8)
+    block = core.vectors_from_levels(levels, cfg)
+    model = training.learn_implicit(levels, book, 4, cfg)
     assert model.probability(0, block[0]) == 0.75
     assert model.probability(0, block[3]) == 0.25
     assert model.probability(1, -block[0]) == 0.75
@@ -101,16 +96,17 @@ def test_implicit_negation_symmetry_with_noise():
     h = core.sample_channel(3, 2, rng)
     schedule = training.build_implicit_pilots(book, 7)
     obs = _observe_schedule(h, schedule, 0.8, cfg, rng)
-    model = training.learn_implicit(obs, book, 7)
+    model = training.learn_implicit(obs, book, 7, cfg)
     for k in range(book.size):
         mirror = book.size - 1 - k
         for y, c in model.counts[k].items():
             assert model.counts[mirror][-y] == c
 
 
-def test_implicit_length_mismatch(demo_book):
+def test_implicit_length_mismatch(demo_book, demo_cfg):
     with pytest.raises(ValueError, match="observations"):
-        training.learn_implicit([], demo_book, 1)
+        training.learn_implicit(
+            np.zeros((0, 2), dtype=np.uint8), demo_book, 1, demo_cfg)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40))
@@ -119,8 +115,9 @@ def test_pmf_normalization_and_mirroring_for_arbitrary_blocks(block_levels):
     # to L exactly and the mirrored symbol sees the negated support
     book = core.enumerate_symbols(core.bpsk(), 1)
     reps = len(block_levels)
-    obs = [QuantizedVector((lvl,), bits=2, step=0.5) for lvl in block_levels]
-    model = training.learn_implicit(obs, book, reps)
+    cfg = QuantizerConfig(bits=2, step=0.5)
+    obs = np.array(block_levels, dtype=np.uint8)[:, None]
+    model = training.learn_implicit(obs, book, reps, cfg)
     for k in range(2):
         assert sum(model.counts[k].values()) == reps
         assert abs(sum(model.pmf(k).values()) - 1.0) <= 1e-12
@@ -135,7 +132,7 @@ def test_pmf_normalization_exact():
     schedule = training.build_implicit_pilots(book, 25)
     h = core.sample_channel(2, 2, rng)
     obs = _observe_schedule(h, schedule, 1.0, cfg, rng)
-    model = training.learn_implicit(obs, book, 25)
+    model = training.learn_implicit(obs, book, 25, cfg)
     for k in range(book.size):
         assert sum(model.counts[k].values()) == 25
         assert abs(sum(model.pmf(k).values()) - 1.0) <= 1e-12
@@ -206,7 +203,7 @@ def test_implicit_explicit_total_variation():
     samples = 10_000
     schedule = training.build_implicit_pilots(book, samples)
     obs = _observe_schedule(h, schedule, sigma2, cfg, rng)
-    implicit = training.learn_implicit(obs, book, samples)
+    implicit = training.learn_implicit(obs, book, samples, cfg)
     explicit = training.learn_explicit(h, sigma2, samples, book, cfg, rng)
     for k in range(book.size):
         assert training.total_variation(implicit, explicit, k) <= 0.05
@@ -225,8 +222,7 @@ def _oracle_support_arrays(counts):
         for y, c in per_symbol.items():
             count_matrix[position[y], k] = c
     levels = np.array([y.levels for y in trained], dtype=np.int64)
-    values = np.array([y.values for y in trained], dtype=float)
-    return levels, values, count_matrix
+    return levels, count_matrix
 
 
 def _oracle_centroids(counts, samples):
@@ -341,36 +337,10 @@ def test_implicit_training_keeps_the_level_dtype():
     levels = core.transmit_batch(
         h, schedule.rows(), 0.4, cfg, np.random.default_rng(3))
     assert levels.dtype == np.uint8
-    assert core.level_matrix(levels, cfg)[0] is levels
     model = training.learn_implicit(levels, book, 4, cfg)
     assert model.levels.dtype == np.uint8
+    assert np.array_equal(model.levels[:len(levels)], levels)
     wide = training.learn_implicit(levels.astype(np.int64), book, 4, cfg)
     assert np.array_equal(model.levels, wide.levels)
     assert np.array_equal(
         detection.centroids(model).centers, detection.centroids(wide).centers)
-
-
-def test_implicit_vector_and_level_inputs_give_equal_models():
-    rng = np.random.default_rng(12)
-    cfg = QuantizerConfig(bits=2, step=0.5)
-    book = core.enumerate_symbols(core.qpsk(), 2)
-    h = core.sample_channel(3, 2, rng)
-    schedule = training.build_implicit_pilots(book, 6)
-    levels = core.transmit_batch(h, schedule.rows(), 0.3, cfg, rng)
-    from_levels = training.learn_implicit(levels, book, 6, cfg)
-    from_vectors = training.learn_implicit(
-        core.vectors_from_levels(levels, cfg), book, 6)
-    for a, b in ((from_levels, from_vectors), (from_vectors, from_levels)):
-        assert np.array_equal(a.levels, b.levels)
-        assert np.array_equal(a.symbols, b.symbols)
-        assert (a.size, a.samples_per_symbol) == (b.size, b.samples_per_symbol)
-        assert (a.cfg.bits, a.cfg.step) == (b.cfg.bits, b.cfg.step)
-    assert from_levels.counts == from_vectors.counts
-    assert np.array_equal(
-        detection.centroids(from_levels).centers,
-        detection.centroids(from_vectors).centers)
-
-
-def test_implicit_level_matrix_needs_quantizer(demo_book):
-    with pytest.raises(ValueError, match="quantizer config"):
-        training.learn_implicit(np.zeros((2, 2), dtype=np.int64), demo_book, 1)
