@@ -10,13 +10,10 @@ in the infinite-resolution limit and direction-informative at one bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
     Constellation,
-    QuantizedVector,
     QuantizerConfig,
     SymbolBook,
     cell_edges,
@@ -25,13 +22,6 @@ from .core import (
 )
 
 _LOG_FLOOR = 1e-300
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelEstimate:
-    h_hat: np.ndarray
-    method: str
-    pilot_count: int
 
 
 def random_pilots(
@@ -52,7 +42,7 @@ def reassemble_complex(values: np.ndarray) -> np.ndarray:
 
 def estimate_channel_ls(
     pilots, levels: np.ndarray, cfg: QuantizerConfig
-) -> ChannelEstimate:
+) -> np.ndarray:
     """Least-squares channel fit of quantized observations against pilots.
 
     Solves h_hat = Y X^H (X X^H)^-1 with Y the complex-reassembled quantized
@@ -70,8 +60,7 @@ def estimate_channel_ls(
     gram = x @ x.conj().T
     if np.linalg.matrix_rank(gram) < n_t:
         raise ValueError("pilot matrix is rank deficient")
-    h_hat = np.linalg.solve(gram.T, (y @ x.conj().T).T).T
-    return ChannelEstimate(h_hat=h_hat, method="ls", pilot_count=t_t)
+    return np.linalg.solve(gram.T, (y @ x.conj().T).T).T
 
 
 def mld_log_likelihoods(
@@ -122,18 +111,6 @@ def detect_mld_batch(
     return np.argmax(mld_log_likelihoods(levels, h, sigma2, book, cfg), axis=1)
 
 
-def detect_mld_quantized(
-    y: QuantizedVector,
-    h: np.ndarray,
-    sigma2: float,
-    book: SymbolBook,
-    cfg: QuantizerConfig,
-) -> int:
-    """Maximum-likelihood detection of a single quantized observation."""
-    row = np.asarray(y.levels, dtype=np.int64)[None, :]
-    return int(detect_mld_batch(row, h, sigma2, book, cfg)[0])
-
-
 def nearest_constellation_point(x: np.ndarray, c: Constellation) -> np.ndarray:
     """Per-component hard decision onto the constellation."""
     points = c.as_array()
@@ -151,8 +128,3 @@ def detect_zf_batch(
     y = reassemble_complex(values)
     x_soft = y @ np.linalg.pinv(h_hat).T
     return nearest_constellation_point(x_soft, c)
-
-
-def detect_zf(y: QuantizedVector, h_hat: np.ndarray, c: Constellation) -> np.ndarray:
-    """Zero-forcing detection: pseudo-inverse then per-component decision."""
-    return detect_zf_batch(y.values[None, :], h_hat, c)[0]

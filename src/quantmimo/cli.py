@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import detection, harness, training
-from .core import QuantizerConfig, enumerate_symbols, bpsk, transmit_batch, vectors_from_levels
+from .core import (
+    QuantizerConfig, bpsk, enumerate_symbols, level_values, transmit_batch)
 
 
 def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
@@ -55,17 +56,19 @@ def _demo() -> None:
     print("channel:")
     print(np.array2string(h.real))
     print("trained pairs (symbol vector -> one-bit observation):")
+    # one noise-free sample per symbol, so model row k is symbol k's only one
+    trained = level_values(model.levels, cfg)
     for k in range(book.size):
-        y = model.support(k)[0]
-        print(f"  x{k + 1} = {np.real(book.vectors[k])} -> y = {np.asarray(y.values)}")
-    target = vectors_from_levels(np.array([[1, 0]]), cfg)[0]
-    cb = detection.centroids(model)
+        print(f"  x{k + 1} = {np.real(book.vectors[k])} -> y = {trained[k]}")
+    target = np.array([[1, 0]])
+    values = level_values(target, cfg)
     results = {
-        "emld": detection.detect_emld(target, model),
-        "mmd": detection.detect_mmd(target, model),
-        "mcd": detection.detect_mcd(target, cb),
+        "emld": detection.detect_emld_batch(target, model)[0],
+        "mmd": detection.detect_mmd_batch(target, model)[0],
+        "mcd": detection.detect_mcd_batch(
+            values, detection.centroids(model))[0],
     }
-    print(f"detecting y = {np.asarray(target.values)}:")
+    print(f"detecting y = {values[0]}:")
     for name, k in results.items():
         print(f"  {name}: index {k + 1} (symbol vector "
               f"{np.real(book.vectors[k])})")
@@ -89,7 +92,7 @@ def main(argv=None) -> int:
             "ccdf": harness.run_ccdf_experiment,
         }[args.command]
         records = runner(cfg)
-    except (harness.ConfigError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     csv_text = harness.render_csv(records)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -159,16 +158,6 @@ def quantize_levels(x, cfg: QuantizerConfig) -> np.ndarray:
     return cells.astype(cfg.level_dtype)
 
 
-def quantize_level(x: float, cfg: QuantizerConfig) -> int:
-    """Scalar quantizer returning the level index."""
-    return int(quantize_levels(np.asarray([x]), cfg)[0])
-
-
-def quantize_scalar(x: float, cfg: QuantizerConfig) -> float:
-    """Scalar quantizer returning the reconstructed output value."""
-    return float(level_values(quantize_level(x, cfg), cfg))
-
-
 def level_values(levels, cfg: QuantizerConfig) -> np.ndarray:
     """Map level indices to output values ``(level + 0.5 - 2**(B-1)) * step``.
 
@@ -189,10 +178,9 @@ def cell_edges(cfg: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuantizedVector:
-    """One ADC output snapshot, stored as exact integer levels.
+    """One ADC output snapshot as a hashable tuple of integer levels.
 
-    Equality and hashing use the integer levels (plus the quantizer shape),
-    never the float values, so these objects are safe as PMF keys.
+    Only the benchmark's tracer (``perfbench/tracer.py``) reads these.
     """
 
     levels: tuple[int, ...]
@@ -204,18 +192,6 @@ class QuantizedVector:
         top = 1 << self.bits
         if any(v < 0 or v >= top for v in self.levels):
             raise ValueError(f"levels out of range for {self.bits}-bit quantizer")
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        cfg = QuantizerConfig(self.bits, self.step)
-        out = level_values(np.asarray(self.levels), cfg)
-        out.setflags(write=False)
-        return out
-
-    def __neg__(self) -> "QuantizedVector":
-        top = (1 << self.bits) - 1
-        return QuantizedVector(
-            tuple(top - v for v in self.levels), self.bits, self.step)
 
 
 def real_components(r, real_mode: bool = False) -> np.ndarray:
@@ -230,17 +206,11 @@ def real_components(r, real_mode: bool = False) -> np.ndarray:
     return np.concatenate([r.real, r.imag], axis=-1)
 
 
-def quantize_vector(r, cfg: QuantizerConfig) -> QuantizedVector:
-    """Quantize a complex receive vector component-wise into a QuantizedVector."""
-    r = np.asarray(r, dtype=complex)
-    if r.ndim != 1:
-        raise ValueError("expected a 1-D receive vector")
-    levels = quantize_levels(real_components(r, cfg.real_mode), cfg)
-    return QuantizedVector(tuple(int(v) for v in levels), cfg.bits, cfg.step)
-
-
 def vectors_from_levels(levels, cfg: QuantizerConfig) -> list[QuantizedVector]:
-    """Wrap rows of an integer level matrix as QuantizedVector objects."""
+    """Wrap rows of an integer level matrix as QuantizedVector objects.
+
+    Only the benchmark's tracer reads these, through ``EmpiricalModel.counts``.
+    """
     levels = np.asarray(levels)
     return [
         QuantizedVector(tuple(int(v) for v in row), cfg.bits, cfg.step)
@@ -355,8 +325,8 @@ def noisy_levels(
     Each block is drawn in chunks of :func:`noise_chunk` leading-axis rows
     into one scratch buffer, where the clean part is added and the chunk is
     quantized; consecutive fills of a generator give the stream of one fill,
-    so the levels do not depend on the chunk size. sigma2 == 0 draws nothing
-    and needs no generator.
+    so the levels do not depend on the chunk size. sigma2 == 0 draws nothing,
+    needs no generator and allocates no buffer.
     """
     clean = np.asarray(clean, dtype=complex)
     shape = tuple(shape)
@@ -370,7 +340,8 @@ def noisy_levels(
     levels = np.empty(
         shape[:-1] + (cfg.observed_dim(n_r),), dtype=cfg.level_dtype)
     chunk = noise_chunk(math.prod(shape[1:]))
-    buffer = np.empty((min(chunk, rows),) + shape[1:])
+    if sigma2:
+        buffer = np.empty((min(chunk, rows),) + shape[1:])
     scale = math.sqrt(sigma2 / 2.0)
     for block, part in enumerate((clean.real, clean.imag)):
         kept = not (block and cfg.real_mode)
@@ -390,24 +361,6 @@ def noisy_levels(
             levels[start:stop, ..., block * n_r:(block + 1) * n_r] = (
                 quantize_levels(signal, cfg))
     return levels
-
-
-def transmit(
-    h: np.ndarray,
-    x: np.ndarray,
-    sigma2: float,
-    cfg: QuantizerConfig,
-    rng: np.random.Generator | None = None,
-) -> QuantizedVector:
-    """One channel use: quantize ``h @ x`` plus complex Gaussian noise.
-
-    The single-row case of :func:`transmit_batch`, drawing the same noise.
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 1:
-        raise ValueError(f"dimension mismatch: symbol vector {x.shape}")
-    levels = transmit_batch(h, x[None, :], sigma2, cfg, rng)
-    return QuantizedVector(tuple(levels[0]), cfg.bits, cfg.step)
 
 
 def transmit_batch(

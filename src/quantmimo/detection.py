@@ -7,9 +7,9 @@ distance to the observation; MCD keeps only one representative centroid per
 symbol. Ties always resolve to the smallest index, and distances are computed
 on quantizer output values (step-scaled), not raw level indices.
 
-Batch variants operate on integer level matrices (one observation per row)
-and are exact re-implementations of the per-vector rules; the per-vector
-functions delegate to them, so the two surfaces cannot drift apart.
+Each detector has one batch implementation: eMLD and MMD take an integer
+level matrix and MCD its output values, one observation per row, and each
+returns one symbol index per row.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuantizedVector
 from .training import EmpiricalModel
 
 # Largest int64 copy of trained level rows that centroids sums at once.
@@ -42,25 +41,6 @@ def _level_sqdist(levels: np.ndarray, trained_levels: np.ndarray) -> np.ndarray:
     return np.einsum("nsd,nsd->ns", diff, diff)
 
 
-def _as_level_rows(y: QuantizedVector) -> np.ndarray:
-    return np.asarray(y.levels, dtype=np.int64)[None, :]
-
-
-def neighbor_set(
-    y: QuantizedVector, model: EmpiricalModel
-) -> tuple[list[QuantizedVector], float]:
-    """All trained vectors at the minimum distance from y, plus that distance.
-
-    Membership is decided on exact integer level arithmetic, so equidistant
-    vectors are found reliably; the returned radius is in value units.
-    """
-    levels, _ = model.support_arrays
-    d2 = _level_sqdist(_as_level_rows(y), levels)[0]
-    d2_min = int(d2.min())
-    members = [model.trained_vectors[i] for i in np.flatnonzero(d2 == d2_min)]
-    return members, y.step * float(np.sqrt(d2_min))
-
-
 def detect_emld_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     """Empirical-ML detection of each level-matrix row.
 
@@ -76,11 +56,6 @@ def detect_emld_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     return np.argmax(scores, axis=1)
 
 
-def detect_emld(y: QuantizedVector, model: EmpiricalModel) -> int:
-    """Index of the symbol with the largest neighbor-summed empirical PMF."""
-    return int(detect_emld_batch(_as_level_rows(y), model)[0])
-
-
 def detect_mmd_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     """Minimum-mean-distance detection of each level-matrix row."""
     trained_levels, count_matrix = model.support_arrays
@@ -93,11 +68,6 @@ def detect_mmd_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     # every symbol and cannot change the argmin
     scores = dist @ count_matrix
     return np.argmin(scores, axis=1)
-
-
-def detect_mmd(y: QuantizedVector, model: EmpiricalModel) -> int:
-    """Index of the symbol with the smallest PMF-weighted mean distance to y."""
-    return int(detect_mmd_batch(_as_level_rows(y), model)[0])
 
 
 def centroids(model: EmpiricalModel) -> CentroidBook:
@@ -157,8 +127,3 @@ def detect_mcd_batch(values: np.ndarray, book: CentroidBook) -> np.ndarray:
     """Nearest-centroid detection of each value-matrix row."""
     return nearest_center(
         np.atleast_2d(np.asarray(values, dtype=float)), book.centers)
-
-
-def detect_mcd(y: QuantizedVector, book: CentroidBook) -> int:
-    """Index of the centroid closest to y in Euclidean distance."""
-    return int(detect_mcd_batch(y.values[None, :], book)[0])

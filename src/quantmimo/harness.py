@@ -427,7 +427,7 @@ def _receivers(cfg, qcfg, book, h, sigma2, rng, books=None):
         if pilots is None:
             x = baselines.random_pilots(book.constellation, cfg.n_t, cfg.t_t, rng)
             pilots = x, transmit_batch(h, x.T, sigma2, qcfg, rng)
-        h_hat = baselines.estimate_channel_ls(*pilots, qcfg).h_hat
+        h_hat = baselines.estimate_channel_ls(*pilots, qcfg)
     if cfg.framework == "sic":
         plan = sic.build_plan(h_hat, cfg.n_t1)
         first_stage = sic.learn_first_stage(

@@ -9,19 +9,19 @@ quantized output with the stage-one decision substituted. First-stage
 training quantizes those outputs once per channel, for every (first,
 second) hypothesis pair, into the K1 x K2 x d candidate table that stage
 two reads. Total search effort per vector is M**n_t1 + M**n_t2 candidate
-evaluations instead of M**n_t.
+evaluations instead of M**n_t: stage one scores every row in one
+``nearest_center`` call and stage two in ``_candidate_sqdist`` calls, so
+those two functions see every candidate evaluation.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import (
-    QuantizedVector,
     QuantizerConfig,
     SymbolBook,
     level_values,
@@ -150,12 +150,9 @@ class FirstStageModel:
 
     ``projected[k]`` holds, one per row, the K2 * samples_per_pair projected
     signals synthesized for first-subvector candidate k; they are the samples
-    of its marginal PMF. ``atoms[k]`` is the boundary view of that PMF: each
-    distinct projected vector (as a float tuple) with its multiplicity,
-    built only when read. ``table[k]`` holds the K2 noiseless quantized
-    outputs (``second_stage_candidates``) with candidate k substituted, the
-    stage-two candidates; a model built by hand for stage one alone may
-    leave it out.
+    of its marginal PMF. ``table[k]`` holds the K2 noiseless quantized output
+    values with candidate k substituted, the stage-two candidates; a model
+    built by hand for stage one alone may leave it out.
     """
 
     projected: np.ndarray
@@ -172,14 +169,6 @@ class FirstStageModel:
     @cached_property
     def centroids(self) -> np.ndarray:
         return self.projected.mean(axis=1)
-
-    @cached_property
-    def atoms(self) -> tuple[dict[tuple[float, ...], int], ...]:
-        return tuple(
-            dict(Counter(map(tuple, rows.tolist()))) for rows in self.projected)
-
-    def pmf(self, k: int) -> dict[tuple[float, ...], float]:
-        return {a: c / self.samples_per_symbol for a, c in self.atoms[k].items()}
 
 
 def learn_first_stage(
@@ -208,7 +197,8 @@ def learn_first_stage(
         raise ValueError("plan and quantizer disagree about real mode")
     k1, k2 = book1.size, book2.size
     n_r = plan.h1.shape[0]
-    clean = _noiseless(plan, book1.vectors, book2)
+    clean = ((book1.vectors @ plan.h1.T)[..., None, :]
+             + book2.vectors @ plan.h2.T)
     table = _output_values(real_components(clean, cfg.real_mode), cfg)
     if samples_per_pair == 1:
         values = table[:, :, None, :]
@@ -222,100 +212,25 @@ def learn_first_stage(
         table=table)
 
 
-def _candidate_sqdist(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Squared distance from the target to every candidate row.
-
-    Every SIC candidate evaluation funnels through here, which keeps the
-    per-vector search effort observable: one call scores exactly
-    ``candidates.shape[0]`` hypotheses.
-    """
-    diff = candidates - target
-    return np.einsum("kd,kd->k", diff, diff)
-
-
-def detect_first(y: QuantizedVector, plan: SicPlan, model: FirstStageModel) -> int:
-    """Nearest first-stage centroid of the projected observation."""
-    y_tilde = plan.w1 @ y.values
-    return int(np.argmin(_candidate_sqdist(model.centroids, y_tilde)))
-
-
-def _noiseless(plan: SicPlan, x1: np.ndarray, book2: SymbolBook) -> np.ndarray:
-    """Receive signals of first-subvector hypotheses x1 (..., n_t1) with
-    every second-subvector hypothesis substituted: (..., K2, n_r)."""
-    return (x1 @ plan.h1.T)[..., None, :] + book2.vectors @ plan.h2.T
-
-
 def _output_values(received: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    """Quantized output values of receive signals in stacked real coordinates."""
+    """Quantized output values of receive signals in stacked real coordinates.
+
+    ``received`` stays alive until the values are allocated. Releasing it
+    first, as the inlined expression does, made ``learn_first_stage`` about
+    2 of 10 ms slower at K = 4096, d = 64 (one BLAS thread, 2-core host):
+    the allocator returned the freed pages and faulted them in again.
+    """
     return level_values(quantize_levels(received, cfg), cfg)
 
 
-def second_stage_candidates(
-    plan: SicPlan, x1: np.ndarray, book2: SymbolBook, cfg: QuantizerConfig
-) -> np.ndarray:
-    """Noise-free quantized outputs for every second-subvector hypothesis.
+def _candidate_sqdist(candidates: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Squared distance from each target row to each of its candidate rows.
 
-    ``x1`` is one first-subvector hypothesis (n_t1,) or a stack of them
-    (S, n_t1); the result is (K2, d) or (S, K2, d). The whole first book
-    gives ``learn_first_stage``'s table bit for bit. A shorter stack sums
-    ``x1 @ h1.T`` with another BLAS kernel, so its values can differ from
-    the table only where a noiseless sum lies within rounding of a
-    quantizer threshold.
+    ``candidates`` is (n, K, d) and is overwritten with the differences;
+    ``targets`` is (n, d). One call scores exactly n * K hypotheses.
     """
-    clean = _noiseless(plan, np.asarray(x1, dtype=complex), book2)
-    return _output_values(real_components(clean, cfg.real_mode), cfg)
-
-
-def detect_second(
-    y: QuantizedVector,
-    plan: SicPlan,
-    x1_hat: np.ndarray,
-    book2: SymbolBook,
-    cfg: QuantizerConfig,
-) -> int:
-    """Closest re-synthesized output with the stage-one decision substituted."""
-    candidates = second_stage_candidates(plan, x1_hat, book2, cfg)
-    return int(np.argmin(_candidate_sqdist(candidates, y.values)))
-
-
-def reconstruct(
-    x1_hat: np.ndarray,
-    x2_hat: np.ndarray,
-    first_indices: tuple[int, ...],
-    second_indices: tuple[int, ...],
-) -> np.ndarray:
-    """Reassemble the full symbol vector from the two subvector decisions."""
-    n_t = len(first_indices) + len(second_indices)
-    if sorted(first_indices + second_indices) != list(range(n_t)):
-        raise ValueError("index groups must partition the antenna set")
-    x1_hat = np.asarray(x1_hat, dtype=complex)
-    x2_hat = np.asarray(x2_hat, dtype=complex)
-    if x1_hat.shape != (len(first_indices),) or x2_hat.shape != (len(second_indices),):
-        raise ValueError("subvector lengths do not match the index groups")
-    out = np.empty(n_t, dtype=complex)
-    out[list(first_indices)] = x1_hat
-    out[list(second_indices)] = x2_hat
-    return out
-
-
-def detect_sic(
-    y: QuantizedVector,
-    plan: SicPlan,
-    model: FirstStageModel,
-    book1: SymbolBook,
-    book2: SymbolBook,
-    cfg: QuantizerConfig,
-) -> np.ndarray:
-    """Full two-stage detection returning the reconstructed symbol vector.
-
-    Stage two reads the model's candidate table, as ``detect_sic_batch``
-    does.
-    """
-    k1 = detect_first(y, plan, model)
-    k2 = int(np.argmin(_candidate_sqdist(model.table[k1], y.values)))
-    return reconstruct(
-        book1.vectors[k1], book2.vectors[k2],
-        plan.first_indices, plan.second_indices)
+    np.subtract(targets[:, None, :], candidates, out=candidates)
+    return np.einsum("nkd,nkd->nk", candidates, candidates)
 
 
 def detect_sic_batch(
@@ -340,9 +255,8 @@ def detect_sic_batch(
     chunk = stage_two_chunk(table[0].nbytes)
     for start in range(0, values.shape[0], chunk):
         rows = slice(start, start + chunk)
-        diff = table[first[rows]]
-        np.subtract(values[rows, None, :], diff, out=diff)
-        second[rows] = np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
+        second[rows] = np.argmin(
+            _candidate_sqdist(table[first[rows]], values[rows]), axis=1)
     out = np.empty((values.shape[0], plan.n_t), dtype=complex)
     out[:, list(plan.first_indices)] = book1.vectors[first]
     out[:, list(plan.second_indices)] = book2.vectors[second]

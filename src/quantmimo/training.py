@@ -6,13 +6,16 @@ transmissions of the first half of the symbol book and mirrors the second
 half through the odd symmetry of the quantizer (a pilot frame of K*L/2 slots
 covers all K symbols). Explicit training synthesizes artificial received
 signals from a channel estimate instead of transmitting anything.
+
+Either route returns an :class:`EmpiricalModel` holding every trained sample
+as one row of an integer level matrix; the detectors read its distinct rows
+and their per-symbol counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -67,8 +70,8 @@ class EmpiricalModel:
     model has exactly ``samples_per_symbol`` rows per symbol, so probabilities
     are the exact rationals count / samples_per_symbol.
 
-    The distinct support, the per-symbol count dictionaries and the
-    QuantizedVector views are derived lazily, only when a caller reads them.
+    The distinct support and its count matrix are derived lazily, only when
+    a detector reads them.
     """
 
     levels: np.ndarray
@@ -84,34 +87,6 @@ class EmpiricalModel:
             self.symbols[0] >= 0 and self.symbols[-1] < self.size)
         if not in_range or np.any(np.diff(self.symbols) < 0):
             raise ValueError("level rows must be symbol-major within [0, size)")
-
-    @classmethod
-    def from_counts(
-        cls,
-        counts: Sequence[dict[QuantizedVector, int]],
-        samples_per_symbol: int,
-    ) -> "EmpiricalModel":
-        """Model holding ``counts[k][y]`` copies of y for every symbol k.
-
-        The levels are int64. A model with no vectors has a (0, 0) level
-        matrix and a one-bit quantizer, since no sample constrains its shape.
-        """
-        vectors = [y for per_symbol in counts for y in per_symbol]
-        shapes = {(y.bits, y.step) for y in vectors} or {(1, 1.0)}
-        if len(shapes) != 1:
-            raise ValueError("vectors come from different quantizers")
-        (bits, step), = shapes
-        levels = np.array(
-            [y.levels for y in vectors] or np.zeros((0, 0)), dtype=np.int64)
-        multiplicity = [c for per_symbol in counts for c in per_symbol.values()]
-        symbols = np.repeat(np.arange(len(counts)), [len(d) for d in counts])
-        return cls(
-            levels=np.repeat(levels, multiplicity, axis=0),
-            symbols=np.repeat(symbols, multiplicity),
-            size=len(counts),
-            samples_per_symbol=samples_per_symbol,
-            cfg=QuantizerConfig(bits, step),
-        )
 
     @cached_property
     def _row_ids(self) -> tuple[np.ndarray, np.ndarray]:
@@ -136,31 +111,18 @@ class EmpiricalModel:
         return levels, count_matrix
 
     @cached_property
-    def trained_vectors(self) -> tuple[QuantizedVector, ...]:
-        """Distinct trained vectors over all symbols, first-seen order."""
-        first, _ = self._row_ids
-        return tuple(vectors_from_levels(self.levels[first], self.cfg))
-
-    @cached_property
     def counts(self) -> tuple[dict[QuantizedVector, int], ...]:
-        """Per symbol, each trained vector (first-seen order) and its count."""
-        trained = self.trained_vectors
-        _, ids = self._row_ids
+        """Per symbol, each trained vector (first-seen order) and its count.
+
+        Only the benchmark's tracer (``perfbench/tracer.py``) reads this.
+        """
+        first, ids = self._row_ids
+        trained = vectors_from_levels(self.levels[first], self.cfg)
         out: list[dict[QuantizedVector, int]] = [{} for _ in range(self.size)]
         for k, i in zip(self.symbols.tolist(), ids.tolist()):
             y = trained[i]
             out[k][y] = out[k].get(y, 0) + 1
         return tuple(out)
-
-    def support(self, k: int) -> list[QuantizedVector]:
-        return list(self.counts[k].keys())
-
-    def probability(self, k: int, y: QuantizedVector) -> float:
-        return self.counts[k].get(y, 0) / self.samples_per_symbol
-
-    def pmf(self, k: int) -> dict[QuantizedVector, float]:
-        return {
-            y: c / self.samples_per_symbol for y, c in self.counts[k].items()}
 
 
 def learn_implicit(
@@ -227,13 +189,4 @@ def learn_explicit(
         size=book.size,
         samples_per_symbol=artificial_count,
         cfg=cfg,
-    )
-
-
-def total_variation(model_a: EmpiricalModel, model_b: EmpiricalModel, k: int) -> float:
-    """Total variation distance between the two PMFs of symbol k."""
-    support = set(model_a.counts[k]) | set(model_b.counts[k])
-    return 0.5 * sum(
-        abs(model_a.probability(k, y) - model_b.probability(k, y))
-        for y in support
     )

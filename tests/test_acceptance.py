@@ -3,6 +3,7 @@ PASS/FAIL line (run with ``pytest -s`` to see them). Tolerances and runtime
 budgets are fixed here, not tuned elsewhere."""
 
 import time
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -46,11 +47,12 @@ def test_motivating_example_golden():
         schedule = training.build_implicit_pilots(book, 1)
         levels = core.transmit_batch(h, schedule.rows(), 0.0, cfg)
         model = training.learn_implicit(levels, book, 1, cfg)
-        y = core.QuantizedVector((1, 0), bits=1, step=2.0)  # values (1, -1)
+        y = np.array([[1, 0]])  # values (1, -1)
         results = (
-            detection.detect_emld(y, model),
-            detection.detect_mmd(y, model),
-            detection.detect_mcd(y, detection.centroids(model)),
+            detection.detect_emld_batch(y, model)[0],
+            detection.detect_mmd_batch(y, model)[0],
+            detection.detect_mcd_batch(
+                core.level_values(y, cfg), detection.centroids(model))[0],
         )
         assert results == (2, 2, 2)  # 0-based index of the third symbol
         assert np.array_equal(book.vectors[2], [-1, 1])
@@ -219,7 +221,9 @@ def test_sic_tradeoff():
             channel_count=50, vectors_per_channel=200, seed=42,
             training="explicit", csir="perfect", artificial_count=16,
             detectors=("mcd",))
-        # candidate-evaluation accounting on a single detection
+        # candidate-evaluation accounting per detected vector: stage one
+        # scores centroids in nearest_center, stage two its candidates in
+        # _candidate_sqdist
         rng = np.random.default_rng(0)
         qcfg = QuantizerConfig(2, 0.5)
         c = core.qpsk()
@@ -230,14 +234,21 @@ def test_sic_tradeoff():
             book2 = core.enumerate_symbols(c, 6 - n_t1)
             model = sic.learn_first_stage(
                 plan, 0.6, 1, book1, book2, qcfg)
-            y = core.transmit(
-                h, core.enumerate_symbols(c, 6).vectors[123], 0.6, qcfg, rng)
+            x = core.enumerate_symbols(c, 6).vectors[[123, 7, 4000]]
+            values = core.level_values(
+                core.transmit_batch(h, x, 0.6, qcfg, rng), qcfg)
             with mock.patch.object(
+                sic, "nearest_center", wraps=sic.nearest_center
+            ) as first, mock.patch.object(
                 sic, "_candidate_sqdist", wraps=sic._candidate_sqdist
-            ) as spy:
-                sic.detect_sic(y, plan, model, book1, book2, qcfg)
-            evaluated = sum(call.args[0].shape[0] for call in spy.call_args_list)
-            assert evaluated == 4**n_t1 + 4 ** (6 - n_t1)
+            ) as second:
+                sic.detect_sic_batch(values, plan, model, book1, book2, qcfg)
+            evaluated = sum(
+                call.args[0].shape[0] * call.args[1].shape[0]
+                for call in first.call_args_list) + sum(
+                call.args[0].shape[0] * call.args[0].shape[1]
+                for call in second.call_args_list)
+            assert evaluated == 3 * (4**n_t1 + 4 ** (6 - n_t1))
         # error-rate ordering at 10 dB
         full = harness.run_ser_experiment(ExperimentConfig(**base))[0]
         sic5 = harness.run_ser_experiment(ExperimentConfig(
@@ -266,12 +277,17 @@ def test_property_suites(tmp_path):
         schedule = training.build_implicit_pilots(book, 50)
         levels = core.transmit_batch(h, schedule.rows(), 0.4, qcfg, rng)
         model = training.learn_implicit(levels, book, 50, qcfg)
+        counts = [Counter() for _ in range(book.size)]
+        for k, row in zip(model.symbols.tolist(), model.levels.tolist()):
+            counts[k][tuple(row)] += 1
         for k in range(book.size):
-            assert sum(model.counts[k].values()) == 50
-            assert abs(sum(model.pmf(k).values()) - 1.0) <= 1e-12
+            assert sum(counts[k].values()) == 50
+            pmf = [c / model.samples_per_symbol for c in counts[k].values()]
+            assert abs(sum(pmf) - 1.0) <= 1e-12
             mirror = book.size - 1 - k
-            for y, count in model.counts[k].items():
-                assert model.counts[mirror][-y] == count
+            for y, count in counts[k].items():
+                # the negated observation, level by level
+                assert counts[mirror][tuple(1 - v for v in y)] == count
         # one-bit Hamming/Euclidean argmin equivalence, 10^4 random cases
         centers = rng.choice([-1.0, 1.0], size=(8, 8))
         cb = detection.CentroidBook(centers=centers)

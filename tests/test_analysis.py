@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from quantmimo import analysis, core
-from quantmimo.core import QuantizedVector, QuantizerConfig
+from quantmimo.core import QuantizerConfig
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +54,8 @@ def test_codebook_equals_per_vector_quantization(n_t, n_r, real_mode, seed):
     book = core.enumerate_symbols(core.bpsk(), n_t)
     h = core.sample_channel(n_r, n_t, np.random.default_rng(seed))
     want = np.array(
-        [core.quantize_vector(h @ x, cfg).levels for x in book.vectors],
-        dtype=cfg.level_dtype)
+        [core.quantize_levels(core.real_components(h @ x, real_mode), cfg)
+         for x in book.vectors], dtype=cfg.level_dtype)
     got = analysis.build_codebook(h, book, cfg)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -290,11 +290,13 @@ def test_svep_bound_dominates_exact_error_for_fixed_channels():
             g = np.concatenate([(h @ book.vectors[k]).real,
                                 (h @ book.vectors[k]).imag])
             p_plus = norm.cdf(g / scale)
-            for pattern in itertools.product((0, 1), repeat=4):
-                y = QuantizedVector(pattern, 1, qcfg.step)
+            patterns = np.array(list(itertools.product((0, 1), repeat=4)))
+            detected = detection.detect_mcd_batch(
+                core.level_values(patterns, qcfg), centers)
+            for pattern, k_hat in zip(patterns, detected):
                 prob = float(np.prod(np.where(
-                    np.asarray(pattern) == 1, p_plus, 1.0 - p_plus)))
-                if detection.detect_mcd(y, centers) != k:
+                    pattern == 1, p_plus, 1.0 - p_plus)))
+                if k_hat != k:
                     p_err += prob
         return p_err / book.size
 

@@ -8,16 +8,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantmimo import core, detection, training
-from quantmimo.core import QuantizedVector, QuantizerConfig
+from quantmimo.core import QuantizerConfig
+
+_ONE_BIT = QuantizerConfig(bits=1, step=2.0)
 
 
-def _qv(levels, bits=1, step=2.0):
-    return QuantizedVector(tuple(levels), bits, step)
+def _row(levels):
+    """One observation as a one-row level matrix."""
+    return np.array([levels], dtype=np.int64)
 
 
-def _model(count_dicts, samples):
-    return training.EmpiricalModel.from_counts(
-        tuple(dict(d) for d in count_dicts), samples_per_symbol=samples)
+def _model(count_dicts, samples, cfg=_ONE_BIT):
+    """Model holding ``counts[k][y]`` copies of the level tuple y for every
+    symbol k, as int64 level rows in symbol-major order."""
+    counts = [dict(d) for d in count_dicts]
+    rows = [y for per_symbol in counts for y in per_symbol]
+    multiplicity = [c for per_symbol in counts for c in per_symbol.values()]
+    levels = np.array(rows or np.zeros((0, 0)), dtype=np.int64)
+    symbols = np.repeat(np.arange(len(counts)), [len(d) for d in counts])
+    return training.EmpiricalModel(
+        levels=np.repeat(levels, multiplicity, axis=0),
+        symbols=np.repeat(symbols, multiplicity),
+        size=len(counts), samples_per_symbol=samples, cfg=cfg)
+
+
+def _emld(levels, model):
+    return int(detection.detect_emld_batch(_row(levels), model)[0])
+
+
+def _mmd(levels, model):
+    return int(detection.detect_mmd_batch(_row(levels), model)[0])
+
+
+def _mcd(levels, book, cfg=_ONE_BIT):
+    values = core.level_values(_row(levels), cfg)
+    return int(detection.detect_mcd_batch(values, book)[0])
 
 
 @pytest.fixture
@@ -28,68 +53,42 @@ def demo_model(demo_channel, demo_cfg, demo_book):
 
 
 # ---------------------------------------------------------------------------
-# independent brute-force oracles (pure python loops over the model dicts)
+# independent brute-force oracles (pure python loops over level tuples)
 
 
-def _oracle_neighbors(y, model):
-    d2 = {
-        t: sum((a - b) ** 2 for a, b in zip(y.levels, t.levels))
-        for t in model.trained_vectors
-    }
+def _oracle_counts(model):
+    """Per symbol, each trained level tuple (first-seen order) and its count."""
+    out = [{} for _ in range(model.size)]
+    for k, row in zip(model.symbols.tolist(), model.levels.tolist()):
+        out[k][tuple(row)] = out[k].get(tuple(row), 0) + 1
+    return out
+
+
+def _oracle_neighbors(y, counts):
+    trained = list(dict.fromkeys(t for per_symbol in counts for t in per_symbol))
+    d2 = {t: sum((a - b) ** 2 for a, b in zip(y, t)) for t in trained}
     d2_min = min(d2.values())
-    members = [t for t in model.trained_vectors if d2[t] == d2_min]
-    return members, y.step * d2_min**0.5
+    return [t for t in trained if d2[t] == d2_min], d2_min
 
 
-def _oracle_emld(y, model):
-    members, _ = _oracle_neighbors(y, model)
+def _oracle_emld(y, counts):
+    members, _ = _oracle_neighbors(y, counts)
+    scores = [sum(per_symbol.get(t, 0) for t in members) for per_symbol in counts]
+    return max(range(len(counts)), key=lambda k: (scores[k], -k))
+
+
+def _oracle_mmd(y, counts, cfg):
+    values = core.level_values(np.array(y), cfg)
     scores = [
-        sum(model.counts[k].get(t, 0) for t in members)
-        for k in range(model.size)
-    ]
-    return max(range(model.size), key=lambda k: (scores[k], -k))
+        sum(float(np.linalg.norm(values - core.level_values(np.array(t), cfg)))
+            * c for t, c in per_symbol.items())
+        for per_symbol in counts]
+    return min(range(len(counts)), key=lambda k: (scores[k], k))
 
 
-def _oracle_mmd(y, model):
-    scores = []
-    for k in range(model.size):
-        scores.append(sum(
-            float(np.linalg.norm(y.values - t.values)) * c
-            for t, c in model.counts[k].items()))
-    return min(range(model.size), key=lambda k: (scores[k], k))
-
-
-def _oracle_mcd(y, book):
-    d = [float(np.linalg.norm(y.values - c)) for c in book.centers]
+def _oracle_mcd(values, book):
+    d = [float(np.linalg.norm(values - c)) for c in book.centers]
     return min(range(len(d)), key=lambda k: (d[k], k))
-
-
-# ---------------------------------------------------------------------------
-# neighbor sets
-
-
-def test_neighbor_of_trained_vector_is_itself(demo_model):
-    y = _qv((1, 0))
-    members, r_min = detection.neighbor_set(y, demo_model)
-    assert y in members and r_min == 0.0
-
-
-def test_neighbor_set_worked_example(demo_model):
-    members, r_min = detection.neighbor_set(_qv((1, 0)), demo_model)
-    assert members == [_qv((1, 0))] and r_min == 0.0
-
-
-def test_neighbor_set_equidistant_pair():
-    model = _model([{_qv((1, 1)): 1}, {_qv((0, 0)): 1}], samples=1)
-    members, r_min = detection.neighbor_set(_qv((1, 0)), model)
-    assert set(members) == {_qv((1, 1)), _qv((0, 0))}
-    assert r_min == pytest.approx(2.0)
-
-
-def test_neighbor_set_rejects_empty_model():
-    empty = _model([{}], samples=1)
-    with pytest.raises(ValueError, match="no trained vectors"):
-        detection.neighbor_set(_qv((0,)), empty)
 
 
 # ---------------------------------------------------------------------------
@@ -97,22 +96,21 @@ def test_neighbor_set_rejects_empty_model():
 
 
 def test_emld_worked_example(demo_model, demo_book):
-    k = detection.detect_emld(_qv((1, 0)), demo_model)
+    k = _emld((1, 0), demo_model)
     assert k == 2
     assert np.array_equal(demo_book.vectors[k], [-1, 1])
 
 
 def test_emld_unique_support():
-    model = _model([{_qv((1, 1)): 3}, {_qv((0, 0)): 3}], samples=3)
-    assert detection.detect_emld(_qv((1, 1)), model) == 0
-    assert detection.detect_emld(_qv((0, 0)), model) == 1
+    model = _model([{(1, 1): 3}, {(0, 0): 3}], samples=3)
+    assert _emld((1, 1), model) == 0
+    assert _emld((0, 0), model) == 1
 
 
 def test_emld_hand_scores():
-    model = _model(
-        [{_qv((1, 1)): 2}, {_qv((1, 1)): 1, _qv((0, 0)): 1}], samples=2)
+    model = _model([{(1, 1): 2}, {(1, 1): 1, (0, 0): 1}], samples=2)
     # scores for y = (1, 1): symbol 0 -> 1.0, symbol 1 -> 0.5
-    assert detection.detect_emld(_qv((1, 1)), model) == 0
+    assert _emld((1, 1), model) == 0
 
 
 def test_emld_singleton_neighbor_equals_empirical_argmax():
@@ -121,19 +119,25 @@ def test_emld_singleton_neighbor_equals_empirical_argmax():
     book = core.enumerate_symbols(core.bpsk(), 2)
     h = core.sample_channel(3, 2, rng)
     model = training.learn_explicit(h, 0.6, 40, book, cfg, rng)
-    for y in model.trained_vectors:
-        members, r_min = detection.neighbor_set(y, model)
-        if r_min == 0.0 and members == [y]:
+    counts = _oracle_counts(model)
+    for y in dict.fromkeys(map(tuple, model.levels.tolist())):
+        members, d2_min = _oracle_neighbors(y, counts)
+        if d2_min == 0 and members == [y]:
             direct = max(
-                range(book.size),
-                key=lambda k: (model.counts[k].get(y, 0), -k))
-            assert detection.detect_emld(y, model) == direct
+                range(book.size), key=lambda k: (counts[k].get(y, 0), -k))
+            assert _emld(y, model) == direct
 
 
 def test_emld_tie_breaks_to_smallest_index():
-    shared = {_qv((1, 1)): 1}
+    shared = {(1, 1): 1}
     model = _model([shared, shared, shared], samples=1)
-    assert detection.detect_emld(_qv((1, 1)), model) == 0
+    assert _emld((1, 1), model) == 0
+
+
+def test_emld_rejects_empty_model():
+    empty = _model([{}], samples=1)
+    with pytest.raises(ValueError, match="no trained vectors"):
+        detection.detect_emld_batch(_row((0,)), empty)
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +145,13 @@ def test_emld_tie_breaks_to_smallest_index():
 
 
 def test_mmd_worked_example(demo_model):
-    assert detection.detect_mmd(_qv((1, 0)), demo_model) == 2
+    assert _mmd((1, 0), demo_model) == 2
 
 
 def test_mmd_hand_scores():
-    model = _model(
-        [{_qv((1, 1)): 2}, {_qv((1, 1)): 1, _qv((0, 0)): 1}], samples=2)
+    model = _model([{(1, 1): 2}, {(1, 1): 1, (0, 0): 1}], samples=2)
     # symbol 0 mean distance 0; symbol 1 mean distance 0.5 * 2 sqrt(2)
-    assert detection.detect_mmd(_qv((1, 1)), model) == 0
+    assert _mmd((1, 1), model) == 0
 
 
 def test_mmd_single_sample_collapses_to_nearest_trained():
@@ -157,20 +160,22 @@ def test_mmd_single_sample_collapses_to_nearest_trained():
     book = core.enumerate_symbols(core.bpsk(), 2)
     h = core.sample_channel(2, 2, rng)
     model = training.learn_explicit(h, 0.0, 1, book, cfg, rng)
+    # one sample per symbol: row k is symbol k's only trained vector
+    only = core.level_values(model.levels, cfg)
     for _ in range(20):
-        y = _qv(rng.integers(0, 2, size=4))
-        got = detection.detect_mmd(y, model)
-        only = [model.support(k)[0] for k in range(book.size)]
+        y = rng.integers(0, 2, size=4)
+        got = _mmd(y, model)
+        values = core.level_values(y, cfg)
         nearest = min(
             range(book.size),
-            key=lambda k: (np.linalg.norm(y.values - only[k].values), k))
+            key=lambda k: (np.linalg.norm(values - only[k]), k))
         assert got == nearest
 
 
 def test_mmd_rejects_empty_support():
-    model = _model([{_qv((1, 1)): 1}, {}], samples=1)
+    model = _model([{(1, 1): 1}, {}], samples=1)
     with pytest.raises(ValueError, match="empty trained support"):
-        detection.detect_mmd(_qv((1, 1)), model)
+        _mmd((1, 1), model)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +183,13 @@ def test_mmd_rejects_empty_support():
 
 
 def test_centroid_single_vector():
-    model = _model([{_qv((1, 0)): 4}], samples=4)
+    model = _model([{(1, 0): 4}], samples=4)
     book = detection.centroids(model)
     assert np.array_equal(book.centers[0], [1.0, -1.0])
 
 
 def test_centroid_weighted_mean():
-    model = _model([{_qv((1, 1)): 3, _qv((1, 0)): 1}], samples=4)
+    model = _model([{(1, 1): 3, (1, 0): 1}], samples=4)
     book = detection.centroids(model)
     assert np.array_equal(book.centers[0], [1.0, 0.5])
 
@@ -204,15 +209,13 @@ def test_centroid_antipodality_is_exact():
 
 @st.composite
 def _count_models(draw, steps):
-    """from_counts models with a drawn step and rows per symbol that are
-    uneven, or all equal to ``samples_per_symbol`` as in a trained model."""
+    """Models with a drawn step and rows per symbol that are uneven, or all
+    equal to ``samples_per_symbol`` as in a trained model."""
     bits, dim = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    step = draw(steps)
+    cfg = QuantizerConfig(bits, draw(steps))
     row = st.tuples(*[st.integers(0, (1 << bits) - 1)] * dim)
     counts = [
-        {QuantizedVector(levels, bits, step): c for levels, c in draw(
-            st.dictionaries(row, st.integers(1, 5), min_size=1, max_size=4)
-        ).items()}
+        draw(st.dictionaries(row, st.integers(1, 5), min_size=1, max_size=4))
         for _ in range(draw(st.integers(1, 4)))]
     samples = draw(st.integers(1, 20))
     if draw(st.booleans()):
@@ -220,7 +223,7 @@ def _count_models(draw, steps):
         for d in counts:
             first = next(iter(d))
             d[first] += samples - sum(d.values())
-    return _model(counts, samples=samples), counts
+    return _model(counts, samples=samples, cfg=cfg), counts
 
 
 @settings(max_examples=80, deadline=None)
@@ -236,7 +239,7 @@ def test_centroids_are_integer_level_sums_at_any_step(case, dtype):
     for per_symbol in counts:
         # exact python-int level sums over the symbol's rows
         rows = sum(per_symbol.values())
-        sums = [sum(c * y.levels[j] for y, c in per_symbol.items())
+        sums = [sum(c * y[j] for y, c in per_symbol.items())
                 for j in range(dim)]
         want.append((np.array(sums, dtype=float) - rows * off) * cfg.step
                     / model.samples_per_symbol)
@@ -247,8 +250,9 @@ def test_centroids_are_integer_level_sums_at_any_step(case, dtype):
 @pytest.mark.parametrize("dtype", [np.uint8, np.int8])
 def test_centroids_of_narrow_levels_do_not_wrap(dtype):
     # 300 rows of level 7 sum to 2100, beyond either 8-bit range
-    top, low = _qv((7, 7), bits=3, step=0.5), _qv((0, 1), bits=3, step=0.5)
-    model = _model([{top: 300}, {low: 2, top: 1}], samples=300)
+    top, low = (7, 7), (0, 1)
+    model = _model([{top: 300}, {low: 2, top: 1}], samples=300,
+                   cfg=QuantizerConfig(bits=3, step=0.5))
     narrow = dataclasses.replace(model, levels=model.levels.astype(dtype))
     want = detection.centroids(model).centers
     assert model.levels.dtype == np.int64
@@ -293,23 +297,23 @@ def test_centroids_equal_value_sums_at_dyadic_steps(case):
 
 def test_mcd_worked_example(demo_model):
     book = detection.centroids(demo_model)
-    assert detection.detect_mcd(_qv((1, 0)), book) == 2
+    assert _mcd((1, 0), book) == 2
 
 
 def test_mcd_exact_centroid_hit():
     book = detection.CentroidBook(
         centers=np.array([[1.0, 1.0], [0.25, -0.5], [-1.0, 0.0]]))
-    y = _qv((1, 0))  # values (1, -1)
-    nearest = _oracle_mcd(y, book)
-    assert detection.detect_mcd(y, book) == nearest
+    y = (1, 0)  # values (1, -1)
+    nearest = _oracle_mcd(core.level_values(np.array(y), _ONE_BIT), book)
+    assert _mcd(y, book) == nearest
     exact = detection.CentroidBook(centers=np.array([[0.5, 0.5], [1.0, -1.0]]))
-    assert detection.detect_mcd(y, exact) == 1
+    assert _mcd(y, exact) == 1
 
 
 def test_mcd_tie_breaks_to_smallest_index():
     book = detection.CentroidBook(centers=np.array([[2.0, 0.0], [-2.0, 0.0]]))
-    y = _qv((1, 1), bits=1, step=2.0)  # values (1, 1): equidistant columns
-    assert detection.detect_mcd(y, book) == 0
+    # levels (1, 1) are values (1, 1): equidistant columns
+    assert _mcd((1, 1), book) == 0
 
 
 def test_one_bit_mcd_equals_hamming_rule_exhaustively():
@@ -319,11 +323,11 @@ def test_one_bit_mcd_equals_hamming_rule_exhaustively():
         centers = rng.choice([-1.0, 1.0], size=(4, 4))
         book = detection.CentroidBook(centers=centers)
         for bits in itertools.product((0, 1), repeat=4):
-            y = _qv(bits, bits=1, step=2.0)
+            values = core.level_values(np.array(bits), _ONE_BIT)
             hamming = [
-                int(np.sum(np.sign(y.values) != np.sign(c))) for c in centers]
+                int(np.sum(np.sign(values) != np.sign(c))) for c in centers]
             ham_best = min(range(4), key=lambda k: (hamming[k], k))
-            assert detection.detect_mcd(y, book) == ham_best
+            assert _mcd(bits, book) == ham_best
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +340,18 @@ def test_all_detectors_agree_on_unambiguous_noiseless_input():
     book = core.enumerate_symbols(core.qpsk(), 1)
     for _ in range(20):
         h = core.sample_channel(4, 1, rng)
+        # each noiseless receive point quantized on its own
         codewords = [
-            core.quantize_vector(h @ x, cfg) for x in book.vectors]
+            tuple(core.quantize_levels(core.real_components(h @ x), cfg))
+            for x in book.vectors]
         if len(set(codewords)) < book.size:
             continue  # skip ambiguous channels
         model = training.learn_explicit(h, 0.0, 1, book, cfg, rng)
         cb = detection.centroids(model)
         for k, y in enumerate(codewords):
-            assert detection.detect_emld(y, model) == k
-            assert detection.detect_mmd(y, model) == k
-            assert detection.detect_mcd(y, cb) == k
+            assert _emld(y, model) == k
+            assert _mmd(y, model) == k
+            assert _mcd(y, cb, cfg) == k
 
 
 def test_relabeling_equivariance():
@@ -355,30 +361,25 @@ def test_relabeling_equivariance():
     h = core.sample_channel(3, 2, rng)
     model = training.learn_explicit(h, 0.4, 16, book, cfg, rng)
     perm = np.array([2, 0, 3, 1])
-    permuted = training.EmpiricalModel.from_counts(
-        tuple(model.counts[k] for k in perm),
-        samples_per_symbol=model.samples_per_symbol)
+    counts = _oracle_counts(model)
+    permuted = _model([counts[k] for k in perm],
+                      samples=model.samples_per_symbol, cfg=cfg)
     cb, cb_p = detection.centroids(model), detection.centroids(permuted)
     inverse = np.argsort(perm)
     for _ in range(50):
-        y = _qv(rng.integers(0, 2, size=6), bits=1, step=0.5)
-        for detect, m, m_p in (
-            (detection.detect_emld, model, permuted),
-            (detection.detect_mmd, model, permuted),
-        ):
+        y = tuple(rng.integers(0, 2, size=6).tolist())
+        for detect, m, m_p in ((_emld, model, permuted),
+                               (_mmd, model, permuted)):
             base = detect(y, m)
             scores_unique = True  # only check tie-free observations
-            if detect is detection.detect_emld:
-                members, _ = detection.neighbor_set(y, m)
-                scores = [
-                    sum(m.counts[k].get(t, 0) for t in members)
-                    for k in range(4)
-                ]
+            if detect is _emld:
+                members, _ = _oracle_neighbors(y, counts)
+                scores = [sum(counts[k].get(t, 0) for t in members)
+                          for k in range(4)]
                 scores_unique = scores.count(max(scores)) == 1
             if scores_unique:
                 assert detect(y, m_p) == inverse[base]
-        assert detection.detect_mcd(y, cb_p) == inverse[
-            detection.detect_mcd(y, cb)]
+        assert _mcd(y, cb_p, cfg) == inverse[_mcd(y, cb, cfg)]
 
 
 def test_batch_detectors_match_oracles():
@@ -389,15 +390,12 @@ def test_batch_detectors_match_oracles():
     model = training.learn_explicit(h, 0.7, 9, book, cfg, rng)
     cb = detection.centroids(model)
     levels = rng.integers(0, 4, size=(40, 4))
-    ys = core.vectors_from_levels(levels, cfg)
+    values = core.level_values(levels, cfg)
     emld = detection.detect_emld_batch(levels, model)
     mmd = detection.detect_mmd_batch(levels, model)
-    mcd = detection.detect_mcd_batch(
-        core.level_values(levels, cfg), cb)
-    for i, y in enumerate(ys):
-        assert emld[i] == _oracle_emld(y, model)
-        assert mmd[i] == _oracle_mmd(y, model)
-        assert mcd[i] == _oracle_mcd(y, cb)
-        members, r_min = detection.neighbor_set(y, model)
-        o_members, o_rmin = _oracle_neighbors(y, model)
-        assert members == o_members and r_min == pytest.approx(o_rmin)
+    mcd = detection.detect_mcd_batch(values, cb)
+    counts = _oracle_counts(model)
+    for i, y in enumerate(map(tuple, levels.tolist())):
+        assert emld[i] == _oracle_emld(y, counts)
+        assert mmd[i] == _oracle_mmd(y, counts, cfg)
+        assert mcd[i] == _oracle_mcd(values[i], cb)

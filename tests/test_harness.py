@@ -596,6 +596,41 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, key, value):
     assert err.startswith("error: ") and "finite" in err
 
 
+_LS_TEXT = """\
+n_t = 2
+n_r = {n_r}
+b = 1
+modulation = bpsk
+snr_grid_db = 0, 10, 20
+t_t = {t_t}
+l_a = 4
+detectors = {detector}
+training = explicit
+csir = ls
+channel_count = 20
+vectors_per_channel = 10
+seed = 0
+"""
+
+
+@pytest.mark.parametrize("n_r, t_t, detector, seed, message", [
+    # two random BPSK pilot slots for two antennas: singular for some channel
+    (4, 2, "mcd", "1", "pilot matrix is rank deficient"),
+    # one-bit LS estimates from two receive antennas can be rank deficient
+    (2, 8, "zf", "2", "channel estimate is rank deficient"),
+], ids=["pilots", "estimate"])
+def test_cli_reports_rank_deficient_ls_estimates(
+        tmp_path, capsys, n_r, t_t, detector, seed, message):
+    # valid configs whose draws make the LS estimate unusable exit with an
+    # error line and status 2, not a traceback
+    cfg_path = tmp_path / "ls.cfg"
+    cfg_path.write_text(_LS_TEXT.format(n_r=n_r, t_t=t_t, detector=detector))
+    harness.load_config(cfg_path).validate()
+    assert main(["ser", "--config", str(cfg_path), "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command, modulation", [
     ("ser", "qpsk"), ("bound", "bpsk"), ("ccdf", "bpsk")])
 def test_cli_rejects_huge_symbol_book_without_building_it(

@@ -4,8 +4,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from quantmimo import core, detection, sic, training
 from quantmimo.core import QuantizerConfig
@@ -142,6 +140,12 @@ def _real_mode_plan(h, n_t1):
     return sic.build_plan(h, n_t1, real_mode=True)
 
 
+def _marginal_pmf(model, k):
+    """Each distinct projected signal of candidate k with its probability."""
+    atoms = Counter(map(tuple, model.projected[k].tolist()))
+    return {a: c / model.samples_per_symbol for a, c in atoms.items()}
+
+
 def test_first_stage_distinct_projections_split_mass():
     # interference column not aligned with any axis: the two second-stage
     # hypotheses survive the projection as distinct atoms
@@ -154,7 +158,7 @@ def test_first_stage_distinct_projections_split_mass():
     model = sic.learn_first_stage(plan, 0.0, 1, book1, book2, cfg)
     assert model.samples_per_symbol == 2
     for k in range(model.size):
-        assert sorted(model.pmf(k).values()) == [0.5, 0.5]
+        assert sorted(_marginal_pmf(model, k).values()) == [0.5, 0.5]
 
 
 def test_first_stage_coinciding_projections_merge():
@@ -167,7 +171,7 @@ def test_first_stage_coinciding_projections_merge():
     book = core.enumerate_symbols(core.bpsk(), 1)
     model = sic.learn_first_stage(plan, 0.0, 1, book, book, cfg)
     for k in range(model.size):
-        assert list(model.pmf(k).values()) == [1.0]
+        assert list(_marginal_pmf(model, k).values()) == [1.0]
 
 
 def test_first_stage_residual_interference_bounded_at_high_resolution():
@@ -182,13 +186,13 @@ def test_first_stage_residual_interference_bounded_at_high_resolution():
     model = sic.learn_first_stage(plan, 0.0, 1, book1, book2, cfg)
     budget = cfg.step * np.sqrt(2 * 4)  # two quantization errors of norm <= step*sqrt(2 n_r)/2
     for k in range(model.size):
-        atoms = np.array(list(model.atoms[k].keys()))
+        atoms = np.unique(model.projected[k], axis=0)
         spread = np.linalg.norm(atoms - atoms[0], axis=1).max()
         assert spread <= budget
 
 
-def test_first_stage_lazy_atoms_match_dict_construction():
-    # the per-candidate float-tuple dicts built eagerly from the same draws
+def test_first_stage_projections_match_complex_path():
+    # the projected signals of the same draws through the complex signal path
     cfg = QuantizerConfig(bits=2, step=0.5)
     h = core.sample_channel(4, 3, np.random.default_rng(31))
     plan = sic.build_plan(h, 2)
@@ -204,13 +208,8 @@ def test_first_stage_lazy_atoms_match_dict_construction():
         core.real_components(clean[:, :, None, :] + noise), cfg)
     flat = (core.level_values(levels, cfg) @ plan.w1.T).reshape(
         book1.size, book2.size * 3, -1)
-    atoms = tuple(
-        dict(Counter(tuple(float(v) for v in row) for row in flat[k]))
-        for k in range(book1.size))
     assert model.samples_per_symbol == book2.size * 3
-    assert model.atoms == atoms
-    assert [list(d.items()) for d in model.atoms] == [
-        list(d.items()) for d in atoms]
+    assert model.projected.tobytes() == flat.tobytes()
     assert model.centroids.tobytes() == flat.mean(axis=1).tobytes()
 
 
@@ -231,6 +230,41 @@ def test_first_stage_rejects_bad_inputs():
 # stage detections
 
 
+def _detect(levels, plan, model, book1, book2, cfg):
+    """Both stages' decisions for a level matrix, as subvector indices."""
+    out = sic.detect_sic_batch(
+        core.level_values(levels, cfg), plan, model, book1, book2, cfg)
+    return (_indices(out[:, list(plan.first_indices)], book1),
+            _indices(out[:, list(plan.second_indices)], book2))
+
+
+def _indices(rows, book):
+    return [next(k for k, v in enumerate(book.vectors) if np.array_equal(v, row))
+            for row in rows]
+
+
+def _single_path_sic(values, plan, model):
+    """Both stages one observation at a time, as direct-difference argmins
+    over the model's centroids and its stage-two table."""
+    decisions = []
+    for y in values:
+        proj = plan.w1 @ y
+        d1 = [float(np.sum((proj - c) ** 2)) for c in model.centroids]
+        k1 = min(range(len(d1)), key=lambda k: (d1[k], k))
+        d2 = [float(np.sum((y - t) ** 2)) for t in model.table[k1]]
+        decisions.append((k1, min(range(len(d2)), key=lambda k: (d2[k], k))))
+    return decisions
+
+
+def _all_pairs(plan, book):
+    """Every (first, second) pair of one-antenna symbols, first varying
+    slowest, placed in their antennas' columns."""
+    x = np.empty((book.size**2, 2), dtype=complex)
+    x[:, list(plan.first_indices)] = np.repeat(book.vectors, book.size, axis=0)
+    x[:, list(plan.second_indices)] = np.tile(book.vectors, (book.size, 1))
+    return x
+
+
 @pytest.fixture
 def toy_stage(demo_cfg):
     # real 2x2 channel whose second column is axis-aligned
@@ -243,54 +277,66 @@ def toy_stage(demo_cfg):
 
 def test_detect_first_noiseless(toy_stage, demo_cfg):
     h, plan, book, model = toy_stage
-    for k1, x1 in enumerate(book.vectors):
-        for x2 in book.vectors:
-            x = sic.reconstruct(x1, x2, plan.first_indices, plan.second_indices)
-            y = core.transmit(h, x, 0.0, demo_cfg)
-            assert sic.detect_first(y, plan, model) == k1
+    x = _all_pairs(plan, book)
+    levels = core.transmit_batch(h, x, 0.0, demo_cfg)
+    first, _ = _detect(levels, plan, model, book, book, demo_cfg)
+    assert first == [0, 0, 1, 1]
 
 
-def test_detect_first_exact_centroid_hit(toy_stage):
-    _, plan, _, model = toy_stage
+def test_detect_first_exact_centroid_hit(toy_stage, demo_cfg):
+    _, plan, book, model = toy_stage
     for k, center in enumerate(model.centroids):
         # synthesize an observation projecting exactly onto the centroid
-        y = core.QuantizedVector(
-            (1, 1) if center[0] > 0 else (0, 0), bits=1, step=2.0)
-        if np.allclose(plan.w1 @ y.values, center):
-            assert sic.detect_first(y, plan, model) == k
+        levels = np.array([(1, 1) if center[0] > 0 else (0, 0)])
+        if np.allclose(plan.w1 @ core.level_values(levels[0], demo_cfg), center):
+            first, _ = _detect(levels, plan, model, book, book, demo_cfg)
+            assert first == [k]
 
 
-def test_detect_first_tie_breaks_to_smallest_index():
+def test_detect_first_tie_breaks_to_smallest_index(demo_cfg):
     plan = sic.SicPlan(
         first_indices=(0,), second_indices=(1,),
         h1=np.zeros((2, 1)), h2=np.zeros((2, 1)),
         w1=np.eye(2), real_mode=True)
+    book = core.enumerate_symbols(core.bpsk(), 1)
     model = sic.FirstStageModel(
-        projected=np.array([[[1.0, 0.0]], [[1.0, 2.0]]]))
-    y = core.QuantizedVector((1, 1), bits=1, step=2.0)
-    proj = y.values  # (1, 1): equidistant from both centroids
+        projected=np.array([[[1.0, 0.0]], [[1.0, 2.0]]]),
+        table=np.zeros((2, 2, 2)))
+    levels = np.array([(1, 1)])
+    proj = core.level_values(levels[0], demo_cfg)  # (1, 1): equidistant
     assert np.linalg.norm(proj - model.centroids[0]) == np.linalg.norm(
         proj - model.centroids[1])
-    assert sic.detect_first(y, plan, model) == 0
+    first, _ = _detect(levels, plan, model, book, book, demo_cfg)
+    assert first == [0]
 
 
 def test_detect_second_recovers_truth(toy_stage, demo_cfg):
-    h, plan, book, _ = toy_stage
-    for x1 in book.vectors:
-        for k2, x2 in enumerate(book.vectors):
-            x = sic.reconstruct(x1, x2, plan.first_indices, plan.second_indices)
-            y = core.transmit(h, x, 0.0, demo_cfg)
-            assert sic.detect_second(y, plan, x1, book, demo_cfg) == k2
+    h, plan, book, model = toy_stage
+    x = _all_pairs(plan, book)
+    levels = core.transmit_batch(h, x, 0.0, demo_cfg)
+    _, second = _detect(levels, plan, model, book, book, demo_cfg)
+    assert second == [0, 1, 0, 1]
+    # both decisions land in their antennas' columns
+    got = sic.detect_sic_batch(
+        core.level_values(levels, demo_cfg), plan, model, book, book, demo_cfg)
+    assert np.array_equal(got, x)
 
 
 def test_detect_second_single_candidate():
     cfg = QuantizerConfig(bits=1, step=2.0)
     h = core.sample_channel(2, 2, np.random.default_rng(4))
     plan = sic.build_plan(h, 2)
+    book1 = core.enumerate_symbols(core.bpsk(), 2)
     book2 = core.enumerate_symbols(core.bpsk(), 0)
-    y = core.transmit(h, np.array([1.0, -1.0], dtype=complex), 0.0, cfg)
-    assert sic.detect_second(
-        y, plan, np.array([1.0, -1.0], dtype=complex), book2, cfg) == 0
+    model = sic.learn_first_stage(plan, 0.0, 1, book1, book2, cfg)
+    assert model.table.shape == (4, 1, 4)
+    levels = core.transmit_batch(
+        h, np.array([[1.0, -1.0]], dtype=complex), 0.0, cfg)
+    values = core.level_values(levels, cfg)
+    got = sic.detect_sic_batch(values, plan, model, book1, book2, cfg)
+    (k1, k2), = _single_path_sic(values, plan, model)
+    assert k2 == 0 and got.shape == (1, 2)
+    assert np.array_equal(got[0, list(plan.first_indices)], book1.vectors[k1])
 
 
 def test_detect_second_matches_bruteforce_oracle():
@@ -300,58 +346,19 @@ def test_detect_second_matches_bruteforce_oracle():
     plan = sic.build_plan(h, 2)
     book1 = core.enumerate_symbols(core.bpsk(), 2)
     book2 = core.enumerate_symbols(core.bpsk(), 1)
-    for _ in range(25):
-        x1 = book1.vectors[rng.integers(book1.size)]
-        y = core.vectors_from_levels(rng.integers(0, 2, size=(1, 8)), cfg)[0]
+    model = sic.learn_first_stage(plan, 0.0, 1, book1, book2, cfg)
+    levels = rng.integers(0, 2, size=(25, 8))
+    first, second = _detect(levels, plan, model, book1, book2, cfg)
+    values = core.level_values(levels, cfg)
+    for y, k1, k2 in zip(values, first, second):
+        # the closest noiseless output with stage one's decision substituted
         scores = []
         for x2 in book2.vectors:
-            clean = plan.h1 @ x1 + plan.h2 @ x2
-            rep = core.quantize_vector(clean, cfg)
-            scores.append(float(np.linalg.norm(y.values - rep.values)))
-        oracle = min(range(book2.size), key=lambda k: (scores[k], k))
-        assert sic.detect_second(y, plan, x1, book2, cfg) == oracle
-
-
-# ---------------------------------------------------------------------------
-# reconstruction
-
-
-def test_reconstruct_interleaves():
-    out = sic.reconstruct(
-        np.array([1 + 0j, 3 + 0j]), np.array([2 + 0j]), (0, 2), (1,))
-    assert np.array_equal(out, [1, 2, 3])
-
-
-def test_reconstruct_identity_when_second_empty():
-    x1 = np.array([1 + 1j, -1 - 1j])
-    assert np.array_equal(
-        sic.reconstruct(x1, np.zeros(0, dtype=complex), (0, 1), ()), x1)
-
-
-def test_reconstruct_roundtrip():
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=5).astype(complex)
-    first, second = (3, 0, 4), (1, 2)
-    x1 = x[list(first)]
-    x2 = x[list(second)]
-    assert np.array_equal(sic.reconstruct(x1, x2, first, second), x)
-
-
-def test_reconstruct_rejects_bad_partition():
-    with pytest.raises(ValueError, match="partition"):
-        sic.reconstruct(np.ones(2), np.ones(1), (0, 1), (1,))
-    with pytest.raises(ValueError, match="partition"):
-        sic.reconstruct(np.ones(1), np.ones(1), (0,), (2,))
-    with pytest.raises(ValueError, match="lengths"):
-        sic.reconstruct(np.ones(2), np.ones(1), (0,), (1,))
-
-
-@given(st.permutations(range(6)), st.integers(min_value=0, max_value=6))
-def test_reconstruct_roundtrip_any_partition(order, split):
-    first, second = tuple(order[:split]), tuple(sorted(order[split:]))
-    x = np.arange(6, dtype=float) + 1j
-    out = sic.reconstruct(x[list(first)], x[list(second)], first, second)
-    assert np.array_equal(out, x)
+            clean = plan.h1 @ book1.vectors[k1] + plan.h2 @ x2
+            rep = core.level_values(
+                core.quantize_levels(core.real_components(clean), cfg), cfg)
+            scores.append(float(np.linalg.norm(y - rep)))
+        assert k2 == min(range(book2.size), key=lambda k: (scores[k], k))
 
 
 def test_partition_property():
@@ -370,6 +377,21 @@ def test_partition_property():
 # framework properties
 
 
+def _candidate_evaluations(values, plan, model, book1, book2, cfg):
+    """Hypotheses scored by one detect_sic_batch call: stage one's
+    nearest_center rows times centroids, plus stage two's candidate rows."""
+    with mock.patch.object(
+        sic, "nearest_center", wraps=sic.nearest_center
+    ) as first, mock.patch.object(
+        sic, "_candidate_sqdist", wraps=sic._candidate_sqdist
+    ) as second:
+        sic.detect_sic_batch(values, plan, model, book1, book2, cfg)
+    return (sum(c.args[0].shape[0] * c.args[1].shape[0]
+                for c in first.call_args_list)
+            + sum(c.args[0].shape[0] * c.args[0].shape[1]
+                  for c in second.call_args_list))
+
+
 def test_candidate_evaluation_count_is_sum_of_subspaces():
     rng = np.random.default_rng(3)
     cfg = QuantizerConfig(bits=2, step=0.5)
@@ -380,13 +402,11 @@ def test_candidate_evaluation_count_is_sum_of_subspaces():
     book1 = core.enumerate_symbols(c, n_t1)
     book2 = core.enumerate_symbols(c, 4 - n_t1)
     model = sic.learn_first_stage(plan, 0.1, 2, book1, book2, cfg, rng)
-    y = core.transmit(h, core.enumerate_symbols(c, 4).vectors[7], 0.1, cfg, rng)
-    with mock.patch.object(
-        sic, "_candidate_sqdist", wraps=sic._candidate_sqdist
-    ) as spy:
-        sic.detect_sic(y, plan, model, book1, book2, cfg)
-    evaluated = sum(call.args[0].shape[0] for call in spy.call_args_list)
-    assert evaluated == c.size**n_t1 + c.size ** (4 - n_t1)
+    x = core.enumerate_symbols(c, 4).vectors[[7, 80, 201]]
+    levels = core.transmit_batch(h, x, 0.1, cfg, rng)
+    evaluated = _candidate_evaluations(
+        core.level_values(levels, cfg), plan, model, book1, book2, cfg)
+    assert evaluated == 3 * (c.size**n_t1 + c.size ** (4 - n_t1))
 
 
 def test_whole_vector_split_reduces_to_plain_explicit_mcd():
@@ -443,12 +463,10 @@ def test_projection_basis_rotation_invariance():
     m_rot = sic.learn_first_stage(
         rotated, 0.3, 3, book1, book2, cfg, np.random.default_rng(1000))
     xs = core.enumerate_symbols(c, 3).vectors
-    noise_rng = np.random.default_rng(77)
-    for x in xs:
-        y = core.transmit(h, x, 0.3, cfg, noise_rng)
-        k_base = sic.detect_first(y, plan, m_base)
-        k_rot = sic.detect_first(y, rotated, m_rot)
-        assert k_base == k_rot
+    levels = core.transmit_batch(h, xs, 0.3, cfg, np.random.default_rng(77))
+    k_base, _ = _detect(levels, plan, m_base, book1, book2, cfg)
+    k_rot, _ = _detect(levels, rotated, m_rot, book1, book2, cfg)
+    assert k_base == k_rot
 
 
 def test_batch_sic_matches_single_path():
@@ -463,11 +481,9 @@ def test_batch_sic_matches_single_path():
     full_book = core.enumerate_symbols(c, 3)
     data = full_book.vectors[rng.integers(0, full_book.size, size=50)]
     levels = core.transmit_batch(h, data, 0.5, cfg, rng)
-    batch = sic.detect_sic_batch(
-        core.level_values(levels, cfg), plan, model, book1, book2, cfg)
-    for i, y in enumerate(core.vectors_from_levels(levels, cfg)):
-        single = sic.detect_sic(y, plan, model, book1, book2, cfg)
-        assert np.array_equal(batch[i], single)
+    first, second = _detect(levels, plan, model, book1, book2, cfg)
+    want = _single_path_sic(core.level_values(levels, cfg), plan, model)
+    assert list(zip(first, second)) == want
 
 
 @pytest.mark.parametrize("samples_per_pair", [1, 2])
@@ -483,21 +499,21 @@ def test_chunked_stage_two_matches_per_vector_path(monkeypatch, samples_per_pair
     model = sic.learn_first_stage(
         plan, 0.3, samples_per_pair, book1, book2, cfg, rng)
     assert model.table.shape == (4, 64, 12)
-    assert sic.second_stage_candidates(
-        plan, book1.vectors, book2, cfg).tobytes() == model.table.tobytes()
+    # the table: every pair's noiseless receive point quantized on its own
     for k1, x1 in enumerate(book1.vectors):
-        assert sic.second_stage_candidates(
-            plan, x1, book2, cfg).tobytes() == model.table[k1].tobytes()
+        for k2, x2 in enumerate(book2.vectors):
+            clean = plan.h1 @ x1 + plan.h2 @ x2
+            want = core.level_values(
+                core.quantize_levels(core.real_components(clean), cfg), cfg)
+            assert np.array_equal(model.table[k1, k2], want)
 
-    row_bytes = model.table[0].nbytes
-    monkeypatch.setattr(sic, "_GATHER_BYTES", 7 * row_bytes + 5)
-    assert sic.stage_two_chunk(row_bytes) == 7
     full_book = core.enumerate_symbols(c, 4)
     data = full_book.vectors[rng.integers(0, full_book.size, size=50)]
     levels = core.transmit_batch(h, data, 0.3, cfg, rng)
-    batch = sic.detect_sic_batch(
-        core.level_values(levels, cfg), plan, model, book1, book2, cfg)
-    assert batch.shape == (50, 4)
-    for i, y in enumerate(core.vectors_from_levels(levels, cfg)):
-        single = sic.detect_sic(y, plan, model, book1, book2, cfg)
-        assert np.array_equal(batch[i], single)
+    row_bytes = model.table[0].nbytes
+    monkeypatch.setattr(sic, "_GATHER_BYTES", 7 * row_bytes + 5)
+    assert sic.stage_two_chunk(row_bytes) == 7
+    first, second = _detect(levels, plan, model, book1, book2, cfg)
+    assert len(first) == 50
+    want = _single_path_sic(core.level_values(levels, cfg), plan, model)
+    assert list(zip(first, second)) == want

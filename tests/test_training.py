@@ -25,6 +25,29 @@ def _observe_schedule(h, schedule, sigma2, cfg, rng=None):
     return core.transmit_batch(h, schedule.rows(), sigma2, cfg, rng)
 
 
+def _counts(model):
+    """Per symbol, a Counter of the model's level rows as integer tuples."""
+    out = [Counter() for _ in range(model.size)]
+    for k, row in zip(model.symbols.tolist(), model.levels.tolist()):
+        out[k][tuple(row)] += 1
+    return out
+
+
+def _pmf(model, k):
+    return {y: c / model.samples_per_symbol
+            for y, c in _counts(model)[k].items()}
+
+
+def _negated(y, cfg):
+    return tuple(cfg.n_levels - 1 - v for v in y)
+
+
+def _quantized(r, cfg):
+    """Level tuple of one complex receive vector quantized on its own."""
+    return tuple(core.quantize_levels(
+        core.real_components(r, cfg.real_mode), cfg).tolist())
+
+
 # ---------------------------------------------------------------------------
 # pilot schedules
 
@@ -67,26 +90,23 @@ def test_implicit_noiseless_worked_example(demo_channel, demo_cfg, demo_book):
     schedule = training.build_implicit_pilots(demo_book, 1)
     obs = _observe_schedule(demo_channel, schedule, 0.0, demo_cfg)
     model = training.learn_implicit(obs, demo_book, 1, demo_cfg)
-    y11 = core.quantize_vector(np.array([1.0, 1.0], dtype=complex), demo_cfg)
-    ym11 = core.quantize_vector(np.array([-1.0, 1.0], dtype=complex), demo_cfg)
-    y1m1 = core.quantize_vector(np.array([1.0, -1.0], dtype=complex), demo_cfg)
-    assert model.probability(0, y11) == 1.0
-    assert model.probability(1, ym11) == 1.0
+    y11 = _quantized(np.array([1.0, 1.0]), demo_cfg)
+    ym11 = _quantized(np.array([-1.0, 1.0]), demo_cfg)
+    y1m1 = _quantized(np.array([1.0, -1.0]), demo_cfg)
+    assert _pmf(model, 0) == {y11: 1.0}
+    assert _pmf(model, 1) == {ym11: 1.0}
     # symbol 2 is the mirror of symbol 1: the 0-based book has x2 = -x1
-    assert model.probability(2, y1m1) == 1.0
-    assert model.probability(3, -y11) == 1.0
+    assert _pmf(model, 2) == {y1m1: 1.0}
+    assert _pmf(model, 3) == {_negated(y11, demo_cfg): 1.0}
 
 
 def test_implicit_counting():
     book = core.enumerate_symbols(core.bpsk(), 1)
     cfg = QuantizerConfig(bits=1, step=2.0)
     levels = np.array([(1, 1), (1, 1), (1, 1), (1, 0)], dtype=np.uint8)
-    block = core.vectors_from_levels(levels, cfg)
     model = training.learn_implicit(levels, book, 4, cfg)
-    assert model.probability(0, block[0]) == 0.75
-    assert model.probability(0, block[3]) == 0.25
-    assert model.probability(1, -block[0]) == 0.75
-    assert model.probability(1, -block[3]) == 0.25
+    assert _pmf(model, 0) == {(1, 1): 0.75, (1, 0): 0.25}
+    assert _pmf(model, 1) == {(0, 0): 0.75, (0, 1): 0.25}
 
 
 def test_implicit_negation_symmetry_with_noise():
@@ -97,10 +117,11 @@ def test_implicit_negation_symmetry_with_noise():
     schedule = training.build_implicit_pilots(book, 7)
     obs = _observe_schedule(h, schedule, 0.8, cfg, rng)
     model = training.learn_implicit(obs, book, 7, cfg)
+    counts = _counts(model)
     for k in range(book.size):
         mirror = book.size - 1 - k
-        for y, c in model.counts[k].items():
-            assert model.counts[mirror][-y] == c
+        for y, c in counts[k].items():
+            assert counts[mirror][_negated(y, cfg)] == c
 
 
 def test_implicit_length_mismatch(demo_book, demo_cfg):
@@ -118,11 +139,12 @@ def test_pmf_normalization_and_mirroring_for_arbitrary_blocks(block_levels):
     cfg = QuantizerConfig(bits=2, step=0.5)
     obs = np.array(block_levels, dtype=np.uint8)[:, None]
     model = training.learn_implicit(obs, book, reps, cfg)
+    counts = _counts(model)
     for k in range(2):
-        assert sum(model.counts[k].values()) == reps
-        assert abs(sum(model.pmf(k).values()) - 1.0) <= 1e-12
-    for y, c in model.counts[0].items():
-        assert model.counts[1][-y] == c
+        assert sum(counts[k].values()) == reps
+        assert abs(sum(_pmf(model, k).values()) - 1.0) <= 1e-12
+    for y, c in counts[0].items():
+        assert counts[1][_negated(y, cfg)] == c
 
 
 def test_pmf_normalization_exact():
@@ -133,10 +155,15 @@ def test_pmf_normalization_exact():
     h = core.sample_channel(2, 2, rng)
     obs = _observe_schedule(h, schedule, 1.0, cfg, rng)
     model = training.learn_implicit(obs, book, 25, cfg)
+    counts = _counts(model)
+    levels, count_matrix = model.support_arrays
     for k in range(book.size):
-        assert sum(model.counts[k].values()) == 25
-        assert abs(sum(model.pmf(k).values()) - 1.0) <= 1e-12
-        assert set(model.support(k)) == set(model.counts[k])
+        assert sum(counts[k].values()) == 25
+        assert abs(sum(_pmf(model, k).values()) - 1.0) <= 1e-12
+        # the support arrays hold the same per-symbol counts
+        support = count_matrix[:, k] > 0
+        assert dict(zip(map(tuple, levels[support].tolist()),
+                        count_matrix[support, k].tolist())) == counts[k]
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +174,8 @@ def test_explicit_noiseless_degenerate(demo_channel, demo_cfg, demo_book):
     model = training.learn_explicit(
         demo_channel, 0.0, 1, demo_book, demo_cfg)
     for k in range(demo_book.size):
-        expected = core.quantize_vector(
-            demo_channel @ demo_book.vectors[k], demo_cfg)
-        assert model.probability(k, expected) == 1.0
+        expected = _quantized(demo_channel @ demo_book.vectors[k], demo_cfg)
+        assert _pmf(model, k) == {expected: 1.0}
 
 
 def test_explicit_deterministic_given_seed(demo_book):
@@ -159,7 +185,8 @@ def test_explicit_deterministic_given_seed(demo_book):
         h, 0.5, 50, demo_book, cfg, np.random.default_rng(77))
     m2 = training.learn_explicit(
         h, 0.5, 50, demo_book, cfg, np.random.default_rng(77))
-    assert m1.counts == m2.counts
+    assert np.array_equal(m1.levels, m2.levels)
+    assert np.array_equal(m1.symbols, m2.symbols)
 
 
 def test_explicit_matches_one_bit_flip_model():
@@ -175,9 +202,8 @@ def test_explicit_matches_one_bit_flip_model():
     for k in (0, 1):
         g = core.real_components(h @ book.vectors[k])
         p_plus = norm.cdf(scale * g)
-        for y, prob in model.pmf(k).items():
-            signs = np.sign(y.values)
-            expected = np.prod(np.where(signs > 0, p_plus, 1.0 - p_plus))
+        for y, prob in _pmf(model, k).items():
+            expected = np.prod(np.where(np.array(y) == 1, p_plus, 1.0 - p_plus))
             assert abs(prob - expected) < 0.02
 
 
@@ -206,7 +232,10 @@ def test_implicit_explicit_total_variation():
     implicit = training.learn_implicit(obs, book, samples, cfg)
     explicit = training.learn_explicit(h, sigma2, samples, book, cfg, rng)
     for k in range(book.size):
-        assert training.total_variation(implicit, explicit, k) <= 0.05
+        pmf_a, pmf_b = _pmf(implicit, k), _pmf(explicit, k)
+        distance = 0.5 * sum(abs(pmf_a.get(y, 0.0) - pmf_b.get(y, 0.0))
+                             for y in set(pmf_a) | set(pmf_b))
+        assert distance <= 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -214,37 +243,36 @@ def test_implicit_explicit_total_variation():
 
 
 def _oracle_support_arrays(counts):
-    """Distinct vectors in first-seen order over the per-symbol dicts."""
+    """Distinct level tuples in first-seen order over the per-symbol dicts."""
     trained = list(dict.fromkeys(y for per_symbol in counts for y in per_symbol))
     position = {y: i for i, y in enumerate(trained)}
     count_matrix = np.zeros((len(trained), len(counts)), dtype=np.int64)
     for k, per_symbol in enumerate(counts):
         for y, c in per_symbol.items():
             count_matrix[position[y], k] = c
-    levels = np.array([y.levels for y in trained], dtype=np.int64)
+    levels = np.array(trained, dtype=np.int64)
     return levels, count_matrix
 
 
-def _oracle_centroids(counts, samples):
+def _oracle_centroids(counts, samples, cfg):
     rows = []
     for per_symbol in counts:
         acc = None
         for y, c in per_symbol.items():
-            term = c * y.values
+            term = c * core.level_values(np.array(y), cfg)
             acc = term if acc is None else acc + term
         rows.append(acc / samples)
     return np.array(rows)
 
 
 def _assert_matches_oracle(model, counts, samples):
-    assert model.counts == tuple(counts)
-    # dict order too: each symbol lists its vectors in first-seen order
-    assert [list(d) for d in model.counts] == [list(d) for d in counts]
+    assert _counts(model) == counts
     for got, want in zip(model.support_arrays, _oracle_support_arrays(counts)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
     centers = detection.centroids(model).centers
-    assert centers.tobytes() == _oracle_centroids(counts, samples).tobytes()
+    want = _oracle_centroids(counts, samples, model.cfg)
+    assert centers.tobytes() == want.tobytes()
 
 
 _DYADIC_STEPS = st.sampled_from([0.25, 0.5, 1.0, 2.0])
@@ -263,9 +291,10 @@ def test_implicit_array_model_matches_dict_oracle(bits, step, n_t, dim, reps, se
     low = rng.integers(0, cfg.n_levels)
     block = rng.integers(low, min(low + 2, cfg.n_levels), size=(half * reps, dim))
     model = training.learn_implicit(block, book, reps, cfg)
-    vectors = core.vectors_from_levels(block, cfg)
-    counts = [dict(Counter(vectors[k * reps:(k + 1) * reps])) for k in range(half)]
-    counts += [{-y: c for y, c in counts[half - 1 - k].items()} for k in range(half)]
+    rows = list(map(tuple, block.tolist()))
+    counts = [dict(Counter(rows[k * reps:(k + 1) * reps])) for k in range(half)]
+    counts += [{_negated(y, cfg): c for y, c in counts[half - 1 - k].items()}
+               for k in range(half)]
     _assert_matches_oracle(model, counts, reps)
 
 
@@ -286,9 +315,8 @@ def test_explicit_array_model_matches_dict_oracle(
         (book.size, samples, n_r), sigma2, np.random.default_rng(seed + 1))
     r = (book.vectors @ h.T)[:, None, :] + noise
     levels = core.quantize_levels(core.real_components(r, real_mode), cfg)
-    counts = [
-        dict(Counter(core.vectors_from_levels(levels[k], cfg)))
-        for k in range(book.size)]
+    counts = [dict(Counter(map(tuple, levels[k].tolist())))
+              for k in range(book.size)]
     _assert_matches_oracle(model, counts, samples)
 
 
