@@ -50,14 +50,14 @@ def _demo() -> None:
     h = np.array([[0.5, 1.0], [1.0, 0.0]], dtype=complex)
     cfg = QuantizerConfig(bits=1, step=2.0, real_mode=True)
     book = enumerate_symbols(bpsk(), 2)
-    schedule = training.build_implicit_pilots(book, 1)
-    levels = transmit_batch(h, schedule.rows(), 0.0, cfg)
+    levels = transmit_batch(
+        h, training.build_implicit_pilots(book, 1), 0.0, cfg)
     model = training.learn_implicit(levels, book, 1, cfg)
     print("channel:")
     print(np.array2string(h.real))
     print("trained pairs (symbol vector -> one-bit observation):")
-    # one noise-free sample per symbol, so model row k is symbol k's only one
-    trained = level_values(model.levels, cfg)
+    # one noise-free sample per symbol: row k is symbol k's only one
+    trained = level_values(model.levels[:, 0], cfg)
     for k in range(book.size):
         print(f"  x{k + 1} = {np.real(book.vectors[k])} -> y = {trained[k]}")
     target = np.array([[1, 0]])

@@ -20,9 +20,6 @@ import numpy as np
 
 from .training import EmpiricalModel
 
-# Largest int64 copy of trained level rows that centroids sums at once.
-_SUM_BYTES = 1 << 20
-
 
 @dataclass(frozen=True, eq=False)
 class CentroidBook:
@@ -59,9 +56,6 @@ def detect_emld_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
 def detect_mmd_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     """Minimum-mean-distance detection of each level-matrix row."""
     trained_levels, count_matrix = model.support_arrays
-    for k in range(model.size):
-        if not count_matrix[:, k].any():
-            raise ValueError(f"symbol {k} has an empty trained support")
     levels = np.atleast_2d(np.asarray(levels, dtype=np.int64))
     dist = model.cfg.step * np.sqrt(_level_sqdist(levels, trained_levels))
     # multiplicities instead of probabilities: the 1/L factor is common to
@@ -73,39 +67,20 @@ def detect_mmd_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
 def centroids(model: EmpiricalModel) -> CentroidBook:
     """Probability-weighted mean output vector per symbol.
 
-    With S_k the integer level sum over the n_k trained rows of symbol k,
-    L = ``samples_per_symbol``, Δ the quantizer step and
+    With S_k the integer level sum over the L = ``samples_per_symbol``
+    trained rows of symbol k, Δ the quantizer step and
     off = 2**(bits-1) - 0.5, the center of symbol k is
-    ``((S_k - n_k * off) * Δ) / L``, evaluated in that order. This is the
+    ``((S_k - L * off) * Δ) / L``, evaluated in that order. This is the
     definition at every step. At a dyadic step (a power of two) each output
     value and each partial sum of values is exact, so it equals the sum of
     the symbol's output values over L bit for bit.
 
-    The sums are taken over blocks of whole symbols, each at most
-    ``_SUM_BYTES`` of int64 levels (or one symbol), so narrow levels are
-    never widened all at once.
+    The sums accumulate in int64, so narrow level dtypes cannot wrap; numpy
+    casts the levels in buffered blocks and never widens them all at once.
     """
-    per_symbol = np.bincount(model.symbols, minlength=model.size)
-    empty = np.flatnonzero(per_symbol == 0)
-    if empty.size:
-        raise ValueError(f"symbol {empty[0]} has an empty trained support")
-    ends = np.cumsum(per_symbol)
-    starts = ends - per_symbol
-    levels = model.levels
-    block_rows = max(1, _SUM_BYTES // (8 * max(1, levels.shape[1])))
-    sums = np.empty((model.size, levels.shape[1]), dtype=np.int64)
-    k = 0
-    while k < model.size:
-        # the symbols whose rows end within one block, and at least one
-        stop = max(k + 1, int(np.searchsorted(
-            ends, starts[k] + block_rows, side="right")))
-        # an int64 accumulator, so narrow level dtypes cannot wrap
-        np.add.reduceat(
-            levels[starts[k]:ends[stop - 1]], starts[k:stop] - starts[k],
-            axis=0, dtype=np.int64, out=sums[k:stop])
-        k = stop
+    sums = model.levels.sum(axis=1, dtype=np.int64)
     off = (1 << (model.cfg.bits - 1)) - 0.5
-    centers = (sums - per_symbol[:, None] * off) * model.cfg.step
+    centers = (sums - model.samples_per_symbol * off) * model.cfg.step
     return CentroidBook(centers=centers / model.samples_per_symbol)
 
 

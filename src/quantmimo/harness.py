@@ -40,9 +40,9 @@ CSV_COLUMNS = (
 
 # Largest accepted array estimate of one channel (ExperimentConfig.peak_bytes),
 # of bound's code geometry or of one sample_dmin block. The K = 4**6 full
-# search with l_a = 16, n_r = 32 and 200 data vectors estimates 15.3 MiB
-# with MCD, and 8.3 GiB with eMLD and MMD, whose count matrix and distance
-# tensor span all 65 536 distinct trained rows.
+# search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32) and 200 data
+# vectors, estimates 15.3 MiB with MCD, and 8.3 GiB with eMLD and MMD, whose
+# count matrix and distance tensor span all 65 536 distinct trained rows.
 _PEAK_BYTES_BUDGET = 1 << 30
 # Allowance in that estimate for the channel, the small arrays and the Python
 # objects of one channel realization.
@@ -83,7 +83,7 @@ class ExperimentConfig:
     csir: str = "perfect"
     repetitions: int | None = None
     artificial_count: int | None = None
-    first_stage_count: int | None = None
+    first_stage_count: int = 1
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -108,19 +108,18 @@ class ExperimentConfig:
 
         Training: one noise chunk of ``core.noisy_levels`` holds its float
         buffer, the quantizer's float temporary and their levels. Explicit
-        training holds the K x n_r complex noiseless sums and the K*L x d
-        levels while it draws, and the int64 symbol index of every row once
-        it has drawn. Implicit training holds the K*L/2 x n_t complex pilot
-        symbols, their int64 indices and their levels with, while it
+        training holds the K x n_r complex noiseless sums and the model, a
+        K x L x d level array, while it draws. Implicit training holds the
+        K*L/2 x n_t complex pilot symbols and their levels with, while it
         transmits, their complex noiseless sums, and afterwards the mirrored
-        levels and the model (K*L x d levels and their symbol indices). MCD
-        sums its centroids next to the model into K x d int64 sums and two
-        float temporaries. SIC, with K1 = M**n_t1 and d1 = d - 2 (n_t - n_t1)
-        projected dimensions, holds its two subvector books, the K x n_r
-        complex noiseless sums and the K x d float64 candidate table with
-        either the table's float input, its quantizer temporary and levels,
-        or the K*l x d1 float64 projections of its l = l_a1 samples per
-        pair, which for l > 1 also hold their levels and float values.
+        levels and the model. MCD sums its centroids next to the model into
+        K x d int64 sums and two float temporaries. SIC, with K1 = M**n_t1
+        and d1 = d - 2 (n_t - n_t1) projected dimensions, holds its two
+        subvector books, the K x n_r complex noiseless sums and the K x d
+        float64 candidate table with either the table's float input, its
+        quantizer temporary and levels, or the K*l x d1 float64 projections
+        of its l = l_a1 samples per pair, which for l > 1 also hold their
+        levels and float values.
 
         Data phase: what training leaves (MCD's K x d centroids; for eMLD
         and MMD the model and the S x K int64 count matrix of its
@@ -146,7 +145,7 @@ class ExperimentConfig:
             # validate_for_ser rejects an n_t1 outside [1, n_t]
             n_t1 = min(max(self.n_t1 or 1, 1), self.n_t)
             k1 = constellation(self.modulation).size ** n_t1
-            samples = self.first_stage_count or 1
+            samples = self.first_stage_count
             d1 = d - 2 * (self.n_t - n_t1)
             projected = 8 * k * samples * d1
             drawn = (level + 8) * k * samples * d if samples > 1 else 0
@@ -160,17 +159,17 @@ class ExperimentConfig:
             implicit = self.training == "implicit"
             samples = (self.repetitions if implicit
                        else self.artificial_count) or 0
-            model = level * k * samples * d + 8 * k * samples
+            model = level * k * samples * d
             build = model + 24 * k * d if "mcd" in detectors else 0
             if implicit:
                 slots = k * samples // 2
-                pilots = (16 * self.n_t + 8 + level * d) * slots
+                pilots = (16 * self.n_t + level * d) * slots
                 training = pilots + max(
                     16 * slots * self.n_r + noise(slots, self.n_r),
                     model + level * slots * d, build)
             else:
-                drawing = 16 * k * self.n_r + level * k * samples * d + max(
-                    noise(k, samples * self.n_r), 8 * k * samples)
+                drawing = (16 * k * self.n_r + level * k * samples * d
+                           + noise(k, samples * self.n_r))
                 training = max(drawing, build)
             held = 0
             if "mcd" in detectors:
@@ -243,7 +242,7 @@ class ExperimentConfig:
                 raise ConfigError("framework sic needs n_t1 in [1, n_t]")
             if set(self.detectors) != {"mcd"}:
                 raise ConfigError("framework sic supports only the mcd detector")
-            if (self.first_stage_count or 1) < 1:
+            if self.first_stage_count < 1:
                 raise ConfigError("l_a1 must be at least 1")
         elif self.training == "implicit":
             if _MODEL_DETECTORS & set(self.detectors):
@@ -416,9 +415,9 @@ def _receivers(cfg, qcfg, book, h, sigma2, rng, books=None):
             and (trained or cfg.csir == "ls")):
         # the repetition schedule is the pilot frame; the least-squares
         # estimate (when requested) reuses the same observations
-        schedule = training.build_implicit_pilots(book, cfg.repetitions)
-        pilot_levels = transmit_batch(h, schedule.rows(), sigma2, qcfg, rng)
-        pilots = schedule.matrix(), pilot_levels
+        frame = training.build_implicit_pilots(book, cfg.repetitions)
+        pilot_levels = transmit_batch(h, frame, sigma2, qcfg, rng)
+        pilots = frame.T, pilot_levels
         if trained:
             model = training.learn_implicit(
                 pilot_levels, book, cfg.repetitions, qcfg)
@@ -431,9 +430,9 @@ def _receivers(cfg, qcfg, book, h, sigma2, rng, books=None):
     if cfg.framework == "sic":
         plan = sic.build_plan(h_hat, cfg.n_t1)
         first_stage = sic.learn_first_stage(
-            plan, sigma2, cfg.first_stage_count or 1, *books, qcfg, rng)
+            plan, sigma2, cfg.first_stage_count, *books, qcfg, rng)
         return [lambda _, values: sic.detect_sic_batch(
-            values, plan, first_stage, *books, qcfg)]
+            values, plan, first_stage, *books)]
     if trained and cfg.training == "explicit":
         model = training.learn_explicit(
             h_hat, sigma2, cfg.artificial_count, book, qcfg, rng)
@@ -507,7 +506,7 @@ def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
     h = sample_channel(cfg.n_r, cfg.n_t, rng)
     # first-stage training with l_a1 = 1 on the true channel draws nothing
     noise_free = (cfg.framework == "sic" and cfg.csir == "perfect"
-                  and (cfg.first_stage_count or 1) == 1)
+                  and cfg.first_stage_count == 1)
     return _channel_counts(
         cfg, qcfg, book, h, rng,
         partial(_receivers, cfg, qcfg, book, h, rng=rng, books=books),

@@ -239,7 +239,6 @@ def detect_sic_batch(
     model: FirstStageModel,
     book1: SymbolBook,
     book2: SymbolBook,
-    cfg: QuantizerConfig,
 ) -> np.ndarray:
     """Two-stage detection of many observations (one value row each).
 

@@ -7,9 +7,9 @@ half through the odd symmetry of the quantizer (a pilot frame of K*L/2 slots
 covers all K symbols). Explicit training synthesizes artificial received
 signals from a channel estimate instead of transmitting anything.
 
-Either route returns an :class:`EmpiricalModel` holding every trained sample
-as one row of an integer level matrix; the detectors read its distinct rows
-and their per-symbol counts.
+Either route returns an :class:`EmpiricalModel` holding the L trained level
+rows of each of the K symbols as one K x L x d integer array; the detectors
+read its distinct rows and their per-symbol counts.
 """
 
 from __future__ import annotations
@@ -29,70 +29,62 @@ from .core import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PilotSchedule:
-    """Pilot frame: L consecutive repetitions of each first-half symbol vector."""
-
-    symbol_indices: np.ndarray
-    book: SymbolBook
-    repetitions: int
-
-    @property
-    def length(self) -> int:
-        return int(self.symbol_indices.size)
-
-    def matrix(self) -> np.ndarray:
-        """Pilot symbols as an n_t x T_t matrix (one column per slot)."""
-        return self.book.vectors[self.symbol_indices].T
-
-    def rows(self) -> np.ndarray:
-        """Pilot symbols as a T_t x n_t matrix (one row per slot)."""
-        return self.book.vectors[self.symbol_indices]
-
-
-def build_implicit_pilots(book: SymbolBook, repetitions: int) -> PilotSchedule:
-    """Schedule of K*L/2 slots covering the first half of the symbol book."""
+def _piloted_symbols(book: SymbolBook, repetitions: int) -> int:
+    """K/2, the number of symbols implicit training transmits."""
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     if book.size % 2 != 0:
         # unreachable for origin-symmetric constellations, guarded anyway
         raise ValueError("symbol book size must be even for implicit training")
-    idx = np.repeat(np.arange(book.size // 2), repetitions)
-    return PilotSchedule(symbol_indices=idx, book=book, repetitions=repetitions)
+    return book.size // 2
+
+
+def build_implicit_pilots(book: SymbolBook, repetitions: int) -> np.ndarray:
+    """Pilot frame as a T_t x n_t matrix, one row per slot: L consecutive
+    repetitions of each first-half symbol vector (T_t = K*L/2 slots)."""
+    half = _piloted_symbols(book, repetitions)
+    return np.repeat(book.vectors[:half], repetitions, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalModel:
     """Per-symbol empirical PMFs over quantized receive vectors.
 
-    ``levels`` holds every trained sample as one integer level row, in
-    symbol-major order: row i is a sample of symbol ``symbols[i]``. A trained
-    model has exactly ``samples_per_symbol`` rows per symbol, so probabilities
-    are the exact rationals count / samples_per_symbol.
+    ``levels`` is a K x L x d integer array: ``levels[k]`` holds the L
+    trained level rows of symbol k, so probabilities are the exact rationals
+    count / L.
 
     The distinct support and its count matrix are derived lazily, only when
     a detector reads them.
     """
 
     levels: np.ndarray
-    symbols: np.ndarray
-    size: int
-    samples_per_symbol: int
     cfg: QuantizerConfig
 
     def __post_init__(self) -> None:
-        if self.levels.ndim != 2 or self.symbols.shape != self.levels.shape[:1]:
-            raise ValueError("need one symbol index per level row")
-        in_range = self.symbols.size == 0 or (
-            self.symbols[0] >= 0 and self.symbols[-1] < self.size)
-        if not in_range or np.any(np.diff(self.symbols) < 0):
-            raise ValueError("level rows must be symbol-major within [0, size)")
+        if self.levels.ndim != 3 or 0 in self.levels.shape[:2]:
+            raise ValueError(
+                "levels must be a K x L x d array with K, L >= 1, got shape "
+                f"{self.levels.shape}")
+
+    @property
+    def size(self) -> int:
+        return self.levels.shape[0]
+
+    @property
+    def samples_per_symbol(self) -> int:
+        return self.levels.shape[1]
+
+    @property
+    def _rows(self) -> np.ndarray:
+        """The K*L x d level rows, symbol-major (a view of ``levels``)."""
+        return self.levels.reshape(-1, self.levels.shape[2])
 
     @cached_property
     def _row_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """First row of each distinct level row, in first-seen order, and the
-        distinct-row id of every row."""
-        return distinct_rows(self.levels)
+        """First row of each distinct level row, in first-seen order over
+        the symbol-major rows, and the distinct-row id of every row."""
+        return distinct_rows(self._rows)
 
     @cached_property
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -103,12 +95,10 @@ class EmpiricalModel:
         column k divided by ``samples_per_symbol`` is the PMF of symbol k.
         """
         first, ids = self._row_ids
-        if first.size == 0:
-            raise ValueError("model has no trained vectors")
-        levels = np.asarray(self.levels[first], dtype=np.int64)
         count_matrix = np.zeros((first.size, self.size), dtype=np.int64)
-        np.add.at(count_matrix, (ids, self.symbols), 1)
-        return levels, count_matrix
+        np.add.at(count_matrix, (ids.reshape(self.size, -1),
+                                 np.arange(self.size)[:, None]), 1)
+        return np.asarray(self._rows[first], dtype=np.int64), count_matrix
 
     @cached_property
     def counts(self) -> tuple[dict[QuantizedVector, int], ...]:
@@ -117,11 +107,12 @@ class EmpiricalModel:
         Only the benchmark's tracer (``perfbench/tracer.py``) reads this.
         """
         first, ids = self._row_ids
-        trained = vectors_from_levels(self.levels[first], self.cfg)
+        trained = vectors_from_levels(self._rows[first], self.cfg)
         out: list[dict[QuantizedVector, int]] = [{} for _ in range(self.size)]
-        for k, i in zip(self.symbols.tolist(), ids.tolist()):
-            y = trained[i]
-            out[k][y] = out[k].get(y, 0) + 1
+        for k, per_symbol in enumerate(ids.reshape(self.size, -1).tolist()):
+            for i in per_symbol:
+                y = trained[i]
+                out[k][y] = out[k].get(y, 0) + 1
         return tuple(out)
 
 
@@ -136,24 +127,17 @@ def learn_implicit(
     ``levels`` has one row per pilot slot, quantized with ``cfg``, and its
     dtype is kept. Block k of L rows feeds symbol k for k < K/2; the PMF of
     the mirrored symbol K-1-k is the same block with every vector negated
-    (``top - levels``), which is valid because noise is sign-symmetric and
+    (``top - block``), which is valid because noise is sign-symmetric and
     the quantizer is odd.
     """
-    schedule = build_implicit_pilots(book, repetitions)
-    if len(levels) != schedule.length:
+    half = _piloted_symbols(book, repetitions)
+    if len(levels) != half * repetitions:
         raise ValueError(
-            f"expected {schedule.length} observations, got {len(levels)}")
-    half = book.size // 2
-    d = levels.shape[1]
+            f"expected {half * repetitions} observations, got {len(levels)}")
+    block = levels.reshape(half, repetitions, levels.shape[1])
     top = cfg.n_levels - 1
-    mirrored = top - levels.reshape(half, repetitions, d)[::-1]
     return EmpiricalModel(
-        levels=np.concatenate([levels, mirrored.reshape(-1, d)]),
-        symbols=np.repeat(np.arange(book.size), repetitions),
-        size=book.size,
-        samples_per_symbol=repetitions,
-        cfg=cfg,
-    )
+        levels=np.concatenate([block, top - block[::-1]]), cfg=cfg)
 
 
 def learn_explicit(
@@ -183,10 +167,4 @@ def learn_explicit(
     levels = noisy_levels(
         clean[:, None, :], (book.size, artificial_count, h_hat.shape[0]),
         sigma2, rng, cfg)
-    return EmpiricalModel(
-        levels=levels.reshape(book.size * artificial_count, -1),
-        symbols=np.repeat(np.arange(book.size), artificial_count),
-        size=book.size,
-        samples_per_symbol=artificial_count,
-        cfg=cfg,
-    )
+    return EmpiricalModel(levels=levels, cfg=cfg)

@@ -44,8 +44,8 @@ def test_motivating_example_golden():
         codebook = analysis.build_codebook(h, book, cfg)
         values = {tuple(row) for row in core.level_values(codebook, cfg)}
         assert values == {(1, 1), (-1, 1), (1, -1), (-1, -1)}
-        schedule = training.build_implicit_pilots(book, 1)
-        levels = core.transmit_batch(h, schedule.rows(), 0.0, cfg)
+        pilots = training.build_implicit_pilots(book, 1)
+        levels = core.transmit_batch(h, pilots, 0.0, cfg)
         model = training.learn_implicit(levels, book, 1, cfg)
         y = np.array([[1, 0]])  # values (1, -1)
         results = (
@@ -242,7 +242,7 @@ def test_sic_tradeoff():
             ) as first, mock.patch.object(
                 sic, "_candidate_sqdist", wraps=sic._candidate_sqdist
             ) as second:
-                sic.detect_sic_batch(values, plan, model, book1, book2, qcfg)
+                sic.detect_sic_batch(values, plan, model, book1, book2)
             evaluated = sum(
                 call.args[0].shape[0] * call.args[1].shape[0]
                 for call in first.call_args_list) + sum(
@@ -274,12 +274,10 @@ def test_property_suites(tmp_path):
         qcfg = QuantizerConfig(bits=1, step=0.5)
         book = core.enumerate_symbols(core.qpsk(), 2)
         h = core.sample_channel(3, 2, rng)
-        schedule = training.build_implicit_pilots(book, 50)
-        levels = core.transmit_batch(h, schedule.rows(), 0.4, qcfg, rng)
+        pilots = training.build_implicit_pilots(book, 50)
+        levels = core.transmit_batch(h, pilots, 0.4, qcfg, rng)
         model = training.learn_implicit(levels, book, 50, qcfg)
-        counts = [Counter() for _ in range(book.size)]
-        for k, row in zip(model.symbols.tolist(), model.levels.tolist()):
-            counts[k][tuple(row)] += 1
+        counts = [Counter(map(tuple, rows)) for rows in model.levels.tolist()]
         for k in range(book.size):
             assert sum(counts[k].values()) == 50
             pmf = [c / model.samples_per_symbol for c in counts[k].values()]

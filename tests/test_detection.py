@@ -1,6 +1,6 @@
 import dataclasses
 import itertools
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,18 +18,12 @@ def _row(levels):
     return np.array([levels], dtype=np.int64)
 
 
-def _model(count_dicts, samples, cfg=_ONE_BIT):
+def _model(count_dicts, cfg=_ONE_BIT):
     """Model holding ``counts[k][y]`` copies of the level tuple y for every
-    symbol k, as int64 level rows in symbol-major order."""
-    counts = [dict(d) for d in count_dicts]
-    rows = [y for per_symbol in counts for y in per_symbol]
-    multiplicity = [c for per_symbol in counts for c in per_symbol.values()]
-    levels = np.array(rows or np.zeros((0, 0)), dtype=np.int64)
-    symbols = np.repeat(np.arange(len(counts)), [len(d) for d in counts])
+    symbol k, as int64 level rows; every symbol's counts sum to the same L."""
+    levels = [[y for y, c in d.items() for _ in range(c)] for d in count_dicts]
     return training.EmpiricalModel(
-        levels=np.repeat(levels, multiplicity, axis=0),
-        symbols=np.repeat(symbols, multiplicity),
-        size=len(counts), samples_per_symbol=samples, cfg=cfg)
+        levels=np.array(levels, dtype=np.int64), cfg=cfg)
 
 
 def _emld(levels, model):
@@ -47,8 +41,8 @@ def _mcd(levels, book, cfg=_ONE_BIT):
 
 @pytest.fixture
 def demo_model(demo_channel, demo_cfg, demo_book):
-    schedule = training.build_implicit_pilots(demo_book, 1)
-    levels = core.transmit_batch(demo_channel, schedule.rows(), 0.0, demo_cfg)
+    pilots = training.build_implicit_pilots(demo_book, 1)
+    levels = core.transmit_batch(demo_channel, pilots, 0.0, demo_cfg)
     return training.learn_implicit(levels, demo_book, 1, demo_cfg)
 
 
@@ -59,8 +53,9 @@ def demo_model(demo_channel, demo_cfg, demo_book):
 def _oracle_counts(model):
     """Per symbol, each trained level tuple (first-seen order) and its count."""
     out = [{} for _ in range(model.size)]
-    for k, row in zip(model.symbols.tolist(), model.levels.tolist()):
-        out[k][tuple(row)] = out[k].get(tuple(row), 0) + 1
+    for k, rows in enumerate(model.levels.tolist()):
+        for row in rows:
+            out[k][tuple(row)] = out[k].get(tuple(row), 0) + 1
     return out
 
 
@@ -102,13 +97,13 @@ def test_emld_worked_example(demo_model, demo_book):
 
 
 def test_emld_unique_support():
-    model = _model([{(1, 1): 3}, {(0, 0): 3}], samples=3)
+    model = _model([{(1, 1): 3}, {(0, 0): 3}])
     assert _emld((1, 1), model) == 0
     assert _emld((0, 0), model) == 1
 
 
 def test_emld_hand_scores():
-    model = _model([{(1, 1): 2}, {(1, 1): 1, (0, 0): 1}], samples=2)
+    model = _model([{(1, 1): 2}, {(1, 1): 1, (0, 0): 1}])
     # scores for y = (1, 1): symbol 0 -> 1.0, symbol 1 -> 0.5
     assert _emld((1, 1), model) == 0
 
@@ -120,7 +115,7 @@ def test_emld_singleton_neighbor_equals_empirical_argmax():
     h = core.sample_channel(3, 2, rng)
     model = training.learn_explicit(h, 0.6, 40, book, cfg, rng)
     counts = _oracle_counts(model)
-    for y in dict.fromkeys(map(tuple, model.levels.tolist())):
+    for y in dict.fromkeys(map(tuple, model.levels.reshape(-1, 6).tolist())):
         members, d2_min = _oracle_neighbors(y, counts)
         if d2_min == 0 and members == [y]:
             direct = max(
@@ -130,14 +125,8 @@ def test_emld_singleton_neighbor_equals_empirical_argmax():
 
 def test_emld_tie_breaks_to_smallest_index():
     shared = {(1, 1): 1}
-    model = _model([shared, shared, shared], samples=1)
+    model = _model([shared, shared, shared])
     assert _emld((1, 1), model) == 0
-
-
-def test_emld_rejects_empty_model():
-    empty = _model([{}], samples=1)
-    with pytest.raises(ValueError, match="no trained vectors"):
-        detection.detect_emld_batch(_row((0,)), empty)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +138,7 @@ def test_mmd_worked_example(demo_model):
 
 
 def test_mmd_hand_scores():
-    model = _model([{(1, 1): 2}, {(1, 1): 1, (0, 0): 1}], samples=2)
+    model = _model([{(1, 1): 2}, {(1, 1): 1, (0, 0): 1}])
     # symbol 0 mean distance 0; symbol 1 mean distance 0.5 * 2 sqrt(2)
     assert _mmd((1, 1), model) == 0
 
@@ -161,7 +150,7 @@ def test_mmd_single_sample_collapses_to_nearest_trained():
     h = core.sample_channel(2, 2, rng)
     model = training.learn_explicit(h, 0.0, 1, book, cfg, rng)
     # one sample per symbol: row k is symbol k's only trained vector
-    only = core.level_values(model.levels, cfg)
+    only = core.level_values(model.levels[:, 0], cfg)
     for _ in range(20):
         y = rng.integers(0, 2, size=4)
         got = _mmd(y, model)
@@ -172,24 +161,18 @@ def test_mmd_single_sample_collapses_to_nearest_trained():
         assert got == nearest
 
 
-def test_mmd_rejects_empty_support():
-    model = _model([{(1, 1): 1}, {}], samples=1)
-    with pytest.raises(ValueError, match="empty trained support"):
-        _mmd((1, 1), model)
-
-
 # ---------------------------------------------------------------------------
 # centroids and MCD
 
 
 def test_centroid_single_vector():
-    model = _model([{(1, 0): 4}], samples=4)
+    model = _model([{(1, 0): 4}])
     book = detection.centroids(model)
     assert np.array_equal(book.centers[0], [1.0, -1.0])
 
 
 def test_centroid_weighted_mean():
-    model = _model([{(1, 1): 3, (1, 0): 1}], samples=4)
+    model = _model([{(1, 1): 3, (1, 0): 1}])
     book = detection.centroids(model)
     assert np.array_equal(book.centers[0], [1.0, 0.5])
 
@@ -199,8 +182,8 @@ def test_centroid_antipodality_is_exact():
     cfg = QuantizerConfig(bits=2, step=0.5)
     book = core.enumerate_symbols(core.qpsk(), 1)
     h = core.sample_channel(3, 1, rng)
-    schedule = training.build_implicit_pilots(book, 11)
-    levels = core.transmit_batch(h, schedule.rows(), 0.7, cfg, rng)
+    pilots = training.build_implicit_pilots(book, 11)
+    levels = core.transmit_batch(h, pilots, 0.7, cfg, rng)
     model = training.learn_implicit(levels, book, 11, cfg)
     centers = detection.centroids(model).centers
     for k in range(book.size):
@@ -209,21 +192,19 @@ def test_centroid_antipodality_is_exact():
 
 @st.composite
 def _count_models(draw, steps):
-    """Models with a drawn step and rows per symbol that are uneven, or all
-    equal to ``samples_per_symbol`` as in a trained model."""
+    """Models with a drawn step and ``samples_per_symbol`` rows per symbol,
+    as in a trained model."""
     bits, dim = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     cfg = QuantizerConfig(bits, draw(steps))
     row = st.tuples(*[st.integers(0, (1 << bits) - 1)] * dim)
     counts = [
         draw(st.dictionaries(row, st.integers(1, 5), min_size=1, max_size=4))
         for _ in range(draw(st.integers(1, 4)))]
-    samples = draw(st.integers(1, 20))
-    if draw(st.booleans()):
-        samples = max(sum(d.values()) for d in counts)
-        for d in counts:
-            first = next(iter(d))
-            d[first] += samples - sum(d.values())
-    return _model(counts, samples=samples, cfg=cfg), counts
+    samples = max(sum(d.values()) for d in counts)
+    for d in counts:
+        first = next(iter(d))
+        d[first] += samples - sum(d.values())
+    return _model(counts, cfg=cfg), counts
 
 
 @settings(max_examples=80, deadline=None)
@@ -233,7 +214,7 @@ def test_centroids_are_integer_level_sums_at_any_step(case, dtype):
     model, counts = case
     # a model may hold narrow integer levels; the sums must not wrap
     model = dataclasses.replace(model, levels=model.levels.astype(dtype))
-    cfg, dim = model.cfg, model.levels.shape[1]
+    cfg, dim = model.cfg, model.levels.shape[2]
     off = (1 << (cfg.bits - 1)) - 0.5
     want = []
     for per_symbol in counts:
@@ -251,7 +232,7 @@ def test_centroids_are_integer_level_sums_at_any_step(case, dtype):
 def test_centroids_of_narrow_levels_do_not_wrap(dtype):
     # 300 rows of level 7 sum to 2100, beyond either 8-bit range
     top, low = (7, 7), (0, 1)
-    model = _model([{top: 300}, {low: 2, top: 1}], samples=300,
+    model = _model([{top: 300}, {low: 299, top: 1}],
                    cfg=QuantizerConfig(bits=3, step=0.5))
     narrow = dataclasses.replace(model, levels=model.levels.astype(dtype))
     want = detection.centroids(model).centers
@@ -260,37 +241,30 @@ def test_centroids_of_narrow_levels_do_not_wrap(dtype):
     assert detection.centroids(narrow).centers.tobytes() == want.tobytes()
 
 
-@settings(max_examples=80, deadline=None)
-@given(case=_count_models(st.floats(1e-6, 1e6)),
-       block_rows=st.integers(1, 7),
-       dtype=st.sampled_from([np.int64, np.uint8]))
-def test_centroids_summed_in_blocks_equal_one_sum(case, block_rows, dtype):
-    model, _ = case
-    model = dataclasses.replace(model, levels=model.levels.astype(dtype))
-    per_symbol = np.bincount(model.symbols, minlength=model.size)
-    starts = np.cumsum(per_symbol) - per_symbol
-    # the one-pass form: every level row widened to int64 at once
-    sums = np.add.reduceat(
-        model.levels.astype(np.int64), starts, axis=0)
-    off = (1 << (model.cfg.bits - 1)) - 0.5
-    want = ((sums - per_symbol[:, None] * off) * model.cfg.step
-            / model.samples_per_symbol)
-    # blocks of whole symbols, some symbols longer than a block
-    block_bytes = 8 * model.levels.shape[1] * block_rows
-    with mock.patch.object(detection, "_SUM_BYTES", block_bytes):
-        got = detection.centroids(model).centers
-    assert got.tobytes() == want.tobytes()
+def test_centroids_never_widen_every_level_at_once():
+    # the K = 4096, L = 16, d = 64 full search: the int64 sums, one float
+    # temporary and the centers fit; widening all 4 Mi levels to int64 at
+    # once would take 32 MiB
+    k, d = 4096, 64
+    levels = np.random.default_rng(6).integers(
+        0, 4, size=(k, 16, d), dtype=np.uint8)
+    model = training.EmpiricalModel(
+        levels=levels, cfg=QuantizerConfig(bits=2, step=0.5))
+    tracemalloc.start()
+    try:
+        detection.centroids(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * k * d + 64 * 1024
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=_count_models(st.integers(-8, 8).map(lambda e: 2.0 ** e)))
 def test_centroids_equal_value_sums_at_dyadic_steps(case):
     model, _ = case
-    per_symbol = np.bincount(model.symbols, minlength=model.size)
-    starts = np.cumsum(per_symbol) - per_symbol
     # the value-sum form the integer sums replaced
-    sums = np.add.reduceat(
-        core.level_values(model.levels, model.cfg), starts, axis=0)
+    sums = core.level_values(model.levels, model.cfg).sum(axis=1)
     want = sums / model.samples_per_symbol
     assert detection.centroids(model).centers.tobytes() == want.tobytes()
 
@@ -362,8 +336,7 @@ def test_relabeling_equivariance():
     model = training.learn_explicit(h, 0.4, 16, book, cfg, rng)
     perm = np.array([2, 0, 3, 1])
     counts = _oracle_counts(model)
-    permuted = _model([counts[k] for k in perm],
-                      samples=model.samples_per_symbol, cfg=cfg)
+    permuted = _model([counts[k] for k in perm], cfg=cfg)
     cb, cb_p = detection.centroids(model), detection.centroids(permuted)
     inverse = np.argsort(perm)
     for _ in range(50):

@@ -136,12 +136,11 @@ def test_peak_bytes_estimate_and_budget():
         16 * 4096 * 6 + harness._SMALL_BYTES
         + 8 * 4096 * 64 + batch + 16 * 200 * 4096)
     # with one data vector the training peak is the larger one: the
-    # centroids are summed next to the 4096*16 x 64 uint8 levels and their
-    # int64 symbol indices into 4096 x 64 int64 sums and two float
-    # temporaries
+    # centroids are summed next to the 4096 x 16 x 64 uint8 levels into
+    # 4096 x 64 int64 sums and two float temporaries
     assert _full_search(vectors_per_channel=1).peak_bytes() == (
         16 * 4096 * 6 + harness._SMALL_BYTES
-        + 4096 * 16 * 64 + 8 * 4096 * 16 + 24 * 4096 * 64)
+        + 4096 * 16 * 64 + 24 * 4096 * 64)
     assert full_search.peak_bytes() < 100 * 2**20
     full_search.validate()
     # 20 000 data vectors: MCD's product and distances alone take 1.2 GiB
@@ -149,13 +148,13 @@ def test_peak_bytes_estimate_and_budget():
         _full_search(vectors_per_channel=20_000).validate()
     mld = _cfg(vectors_per_channel=500)
     # implicit: training (a 16*5/2-slot pilot frame) holds less than the
-    # data phase: the 16 x 8 float64 MCD centroids, the model (80 x 8 uint8
-    # levels and 80 int64 symbol indices) with its 80 x 16 int64 count
-    # matrix, the 500-row batch, eMLD/MMD's 500 x 80 x 8 int64 distances,
-    # MCD's 500 x 16 product and distances and MLD's 500 x 16 x 8 gather
+    # data phase: the 16 x 8 float64 MCD centroids, the model (16 x 5 x 8
+    # uint8 levels) with its 80 x 16 int64 count matrix, the 500-row batch,
+    # eMLD/MMD's 500 x 80 x 8 int64 distances, MCD's 500 x 16 product and
+    # distances and MLD's 500 x 16 x 8 gather
     assert mld.peak_bytes() == (
         16 * 16 * 2 + harness._SMALL_BYTES
-        + 8 * 16 * 8 + 80 * 8 + 8 * 80 + 8 * 80 * 16
+        + 8 * 16 * 8 + 80 * 8 + 8 * 80 * 16
         + 500 * (16 * 2 + 16 * 4 + 2 * 8 + 16 * 8)
         + 8 * 500 * 80 * 8 + 16 * 500 * 16 + 8 * 500 * 16 * 8)
     for n_t in (12, 40):
@@ -594,6 +593,15 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, key, value):
     assert main(["ser", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_cli_rejects_first_stage_count_below_one(tmp_path, capsys, value):
+    config = Path(__file__).parents[1] / "configs/sic_tradeoff_nt1_5.cfg"
+    bad = tmp_path / "sic.cfg"
+    bad.write_text(config.read_text().replace("l_a1 = 1", f"l_a1 = {value}"))
+    assert main(["ser", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: l_a1 must be at least 1\n"
 
 
 _LS_TEXT = """\

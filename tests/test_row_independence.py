@@ -60,7 +60,7 @@ def _detectors(rng, bits, real_mode, n_t, n_r, modulation, sigma2):
         "mld": (lambda lv: baselines.detect_mld_batch(
             lv, h, sigma2, book, qcfg), None),
         "sic": (lambda lv: sic.detect_sic_batch(
-            values(lv), plan, fs_model, book1, book2, qcfg), None),
+            values(lv), plan, fs_model, book1, book2), None),
     }
     if not real_mode:
         # ZF folds the stacked [Re, Im] rows back into complex samples, so

@@ -233,7 +233,7 @@ def test_first_stage_rejects_bad_inputs():
 def _detect(levels, plan, model, book1, book2, cfg):
     """Both stages' decisions for a level matrix, as subvector indices."""
     out = sic.detect_sic_batch(
-        core.level_values(levels, cfg), plan, model, book1, book2, cfg)
+        core.level_values(levels, cfg), plan, model, book1, book2)
     return (_indices(out[:, list(plan.first_indices)], book1),
             _indices(out[:, list(plan.second_indices)], book2))
 
@@ -318,7 +318,7 @@ def test_detect_second_recovers_truth(toy_stage, demo_cfg):
     assert second == [0, 1, 0, 1]
     # both decisions land in their antennas' columns
     got = sic.detect_sic_batch(
-        core.level_values(levels, demo_cfg), plan, model, book, book, demo_cfg)
+        core.level_values(levels, demo_cfg), plan, model, book, book)
     assert np.array_equal(got, x)
 
 
@@ -333,7 +333,7 @@ def test_detect_second_single_candidate():
     levels = core.transmit_batch(
         h, np.array([[1.0, -1.0]], dtype=complex), 0.0, cfg)
     values = core.level_values(levels, cfg)
-    got = sic.detect_sic_batch(values, plan, model, book1, book2, cfg)
+    got = sic.detect_sic_batch(values, plan, model, book1, book2)
     (k1, k2), = _single_path_sic(values, plan, model)
     assert k2 == 0 and got.shape == (1, 2)
     assert np.array_equal(got[0, list(plan.first_indices)], book1.vectors[k1])
@@ -377,7 +377,7 @@ def test_partition_property():
 # framework properties
 
 
-def _candidate_evaluations(values, plan, model, book1, book2, cfg):
+def _candidate_evaluations(values, plan, model, book1, book2):
     """Hypotheses scored by one detect_sic_batch call: stage one's
     nearest_center rows times centroids, plus stage two's candidate rows."""
     with mock.patch.object(
@@ -385,7 +385,7 @@ def _candidate_evaluations(values, plan, model, book1, book2, cfg):
     ) as first, mock.patch.object(
         sic, "_candidate_sqdist", wraps=sic._candidate_sqdist
     ) as second:
-        sic.detect_sic_batch(values, plan, model, book1, book2, cfg)
+        sic.detect_sic_batch(values, plan, model, book1, book2)
     return (sum(c.args[0].shape[0] * c.args[1].shape[0]
                 for c in first.call_args_list)
             + sum(c.args[0].shape[0] * c.args[0].shape[1]
@@ -405,7 +405,7 @@ def test_candidate_evaluation_count_is_sum_of_subspaces():
     x = core.enumerate_symbols(c, 4).vectors[[7, 80, 201]]
     levels = core.transmit_batch(h, x, 0.1, cfg, rng)
     evaluated = _candidate_evaluations(
-        core.level_values(levels, cfg), plan, model, book1, book2, cfg)
+        core.level_values(levels, cfg), plan, model, book1, book2)
     assert evaluated == 3 * (c.size**n_t1 + c.size ** (4 - n_t1))
 
 
@@ -439,7 +439,7 @@ def test_whole_vector_split_reduces_to_plain_explicit_mcd():
     rng = np.random.default_rng(9)
     levels = rng.integers(0, 2, size=(200, 10))
     got = sic.detect_sic_batch(
-        core.level_values(levels, cfg), plan, fs, book1, book2, cfg)
+        core.level_values(levels, cfg), plan, fs, book1, book2)
     direct = detection.detect_mcd_batch(core.level_values(levels, cfg), cb)
     assert np.array_equal(got[:, order], book1.vectors[direct])
 

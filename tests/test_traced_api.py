@@ -91,7 +91,7 @@ def _probe_arguments():
     half = core.enumerate_symbols(core.bpsk(), 1)
     rng = np.random.default_rng(0)
     h = core.sample_channel(3, 2, rng)
-    pilots = training.build_implicit_pilots(book, 2).rows()
+    pilots = training.build_implicit_pilots(book, 2)
     pilot_levels = core.transmit_batch(h, pilots, 0.5, cfg, rng)
     model = training.learn_explicit(h, 0.5, 3, book, cfg, rng)
     levels = core.transmit_batch(h, book.vectors, 0.5, cfg, rng)
@@ -105,7 +105,7 @@ def _probe_arguments():
         "detection.detect_mmd_batch": (levels, model),
         "detection.detect_mcd_batch": (values, detection.centroids(model)),
         "baselines.detect_mld_batch": (levels, h, 0.5, book, cfg),
-        "sic.detect_sic_batch": (values, plan, first_stage, half, half, cfg),
+        "sic.detect_sic_batch": (values, plan, first_stage, half, half),
         "analysis.geometry": (h, book, cfg),
     }
 

@@ -21,16 +21,9 @@ def _complex_noise(shape, sigma2, rng):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _observe_schedule(h, schedule, sigma2, cfg, rng=None):
-    return core.transmit_batch(h, schedule.rows(), sigma2, cfg, rng)
-
-
 def _counts(model):
     """Per symbol, a Counter of the model's level rows as integer tuples."""
-    out = [Counter() for _ in range(model.size)]
-    for k, row in zip(model.symbols.tolist(), model.levels.tolist()):
-        out[k][tuple(row)] += 1
-    return out
+    return [Counter(map(tuple, rows)) for rows in model.levels.tolist()]
 
 
 def _pmf(model, k):
@@ -53,23 +46,22 @@ def _quantized(r, cfg):
 
 
 def test_schedule_bpsk_two_antennas_single_repetition(demo_book):
-    schedule = training.build_implicit_pilots(demo_book, 1)
-    assert schedule.length == 2
-    assert np.array_equal(schedule.rows(), demo_book.vectors[:2])
+    pilots = training.build_implicit_pilots(demo_book, 1)
+    assert np.array_equal(pilots, demo_book.vectors[:2])
 
 
 def test_schedule_length_grows_with_repetitions(demo_book):
-    assert training.build_implicit_pilots(demo_book, 5).length == 10
+    assert training.build_implicit_pilots(demo_book, 5).shape == (10, 2)
 
 
 def test_schedule_qpsk_two_antennas():
     book = core.enumerate_symbols(core.qpsk(), 2)
-    schedule = training.build_implicit_pilots(book, 5)
-    assert schedule.length == 40
+    pilots = training.build_implicit_pilots(book, 5)
+    assert pilots.shape == (40, 2)
     # block i holds only vector i
     for i in range(8):
-        block = schedule.symbol_indices[i * 5:(i + 1) * 5]
-        assert np.all(block == i)
+        block = pilots[i * 5:(i + 1) * 5]
+        assert np.all(block == book.vectors[i])
 
 
 def test_schedule_rejects_bad_inputs(demo_book):
@@ -87,8 +79,8 @@ def test_schedule_rejects_bad_inputs(demo_book):
 
 
 def test_implicit_noiseless_worked_example(demo_channel, demo_cfg, demo_book):
-    schedule = training.build_implicit_pilots(demo_book, 1)
-    obs = _observe_schedule(demo_channel, schedule, 0.0, demo_cfg)
+    pilots = training.build_implicit_pilots(demo_book, 1)
+    obs = core.transmit_batch(demo_channel, pilots, 0.0, demo_cfg)
     model = training.learn_implicit(obs, demo_book, 1, demo_cfg)
     y11 = _quantized(np.array([1.0, 1.0]), demo_cfg)
     ym11 = _quantized(np.array([-1.0, 1.0]), demo_cfg)
@@ -114,14 +106,21 @@ def test_implicit_negation_symmetry_with_noise():
     cfg = QuantizerConfig(bits=1, step=0.5)
     book = core.enumerate_symbols(core.qpsk(), 2)
     h = core.sample_channel(3, 2, rng)
-    schedule = training.build_implicit_pilots(book, 7)
-    obs = _observe_schedule(h, schedule, 0.8, cfg, rng)
+    pilots = training.build_implicit_pilots(book, 7)
+    obs = core.transmit_batch(h, pilots, 0.8, cfg, rng)
     model = training.learn_implicit(obs, book, 7, cfg)
     counts = _counts(model)
     for k in range(book.size):
         mirror = book.size - 1 - k
         for y, c in counts[k].items():
             assert counts[mirror][_negated(y, cfg)] == c
+
+
+@pytest.mark.parametrize("shape", [(8, 2), (2, 1, 1, 2), (0, 3, 2), (4, 0, 2)])
+def test_model_rejects_levels_that_are_not_k_by_l_by_d(shape, demo_cfg):
+    with pytest.raises(ValueError, match="K x L x d"):
+        training.EmpiricalModel(
+            levels=np.zeros(shape, dtype=np.uint8), cfg=demo_cfg)
 
 
 def test_implicit_length_mismatch(demo_book, demo_cfg):
@@ -151,9 +150,9 @@ def test_pmf_normalization_exact():
     rng = np.random.default_rng(9)
     cfg = QuantizerConfig(bits=2, step=0.5)
     book = core.enumerate_symbols(core.bpsk(), 2)
-    schedule = training.build_implicit_pilots(book, 25)
+    pilots = training.build_implicit_pilots(book, 25)
     h = core.sample_channel(2, 2, rng)
-    obs = _observe_schedule(h, schedule, 1.0, cfg, rng)
+    obs = core.transmit_batch(h, pilots, 1.0, cfg, rng)
     model = training.learn_implicit(obs, book, 25, cfg)
     counts = _counts(model)
     levels, count_matrix = model.support_arrays
@@ -186,7 +185,6 @@ def test_explicit_deterministic_given_seed(demo_book):
     m2 = training.learn_explicit(
         h, 0.5, 50, demo_book, cfg, np.random.default_rng(77))
     assert np.array_equal(m1.levels, m2.levels)
-    assert np.array_equal(m1.symbols, m2.symbols)
 
 
 def test_explicit_matches_one_bit_flip_model():
@@ -227,8 +225,8 @@ def test_implicit_explicit_total_variation():
     h = core.sample_channel(2, 2, rng)
     sigma2 = core.snr_db_to_sigma2(10.0, 2)
     samples = 10_000
-    schedule = training.build_implicit_pilots(book, samples)
-    obs = _observe_schedule(h, schedule, sigma2, cfg, rng)
+    pilots = training.build_implicit_pilots(book, samples)
+    obs = core.transmit_batch(h, pilots, sigma2, cfg, rng)
     implicit = training.learn_implicit(obs, book, samples, cfg)
     explicit = training.learn_explicit(h, sigma2, samples, book, cfg, rng)
     for k in range(book.size):
@@ -353,7 +351,7 @@ def test_explicit_training_keeps_only_narrow_levels():
     finally:
         tracemalloc.stop()
     assert model.levels.dtype == np.uint8
-    assert model.levels.shape == (4096 * 16, 64)
+    assert model.levels.shape == (4096, 16, 64)
     assert peak <= 16 * 2**20
 
 
@@ -361,13 +359,12 @@ def test_implicit_training_keeps_the_level_dtype():
     cfg = QuantizerConfig(bits=3, step=0.5)
     book = core.enumerate_symbols(core.qpsk(), 2)
     h = core.sample_channel(3, 2, np.random.default_rng(2))
-    schedule = training.build_implicit_pilots(book, 4)
-    levels = core.transmit_batch(
-        h, schedule.rows(), 0.4, cfg, np.random.default_rng(3))
+    pilots = training.build_implicit_pilots(book, 4)
+    levels = core.transmit_batch(h, pilots, 0.4, cfg, np.random.default_rng(3))
     assert levels.dtype == np.uint8
     model = training.learn_implicit(levels, book, 4, cfg)
     assert model.levels.dtype == np.uint8
-    assert np.array_equal(model.levels[:len(levels)], levels)
+    assert np.array_equal(model.levels[:8].reshape(levels.shape), levels)
     wide = training.learn_implicit(levels.astype(np.int64), book, 4, cfg)
     assert np.array_equal(model.levels, wide.levels)
     assert np.array_equal(
