@@ -95,9 +95,11 @@ def mld_log_likelihoods(
     cell_prob = (ndtr((upper - g[..., None]) / scale)
                  - ndtr((lower - g[..., None]) / scale))
     table = np.log(np.maximum(cell_prob, _LOG_FLOOR))
+    # one flat index into the table: entry (k, j, level) sits at
+    # (k * d + j) * 2**bits + level
     k, d = g.shape
-    gathered = table[np.arange(k)[:, None], np.arange(d), levels[:, None, :]]
-    return gathered.sum(axis=2)
+    cells = (np.arange(k * d) * cfg.n_levels).reshape(k, d)
+    return table.reshape(-1)[cells + levels[:, None, :]].sum(axis=2)
 
 
 def detect_mld_batch(

@@ -226,10 +226,44 @@ def distinct_rows(levels) -> tuple[np.ndarray, np.ndarray]:
     gives every row's position in ``first``, so ``levels[first][inverse]``
     rebuilds ``levels``. A matrix whose rows are all distinct gets
     ``first == arange(len(levels))``.
+
+    With r = max - min + 1 values per entry and d columns there are r**d
+    possible rows. When that is at most the row count (a one-bit data batch
+    has r = 2 and d = 2 n_r) the rows are found in a code-indexed table
+    (:func:`_distinct_by_code`), else by sorting their bytes
+    (:func:`_distinct_by_sort`). Both give the same output.
     """
     rows = np.ascontiguousarray(levels)
-    if rows.shape[0] == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    n, d = rows.shape
+    lo, hi = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
+    radix = hi - lo + 1
+    # each product and partial sum of the code dot product is an integer of
+    # magnitude below max|v| * d * r**d, which float64 holds exactly
+    if radix ** d <= n and max(-lo, hi) * d * n < 2 ** 53:
+        return _distinct_by_code(rows, lo, radix)
+    return _distinct_by_sort(rows)
+
+
+def _distinct_by_code(
+    rows: np.ndarray, lo: int, radix: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`distinct_rows` of a matrix whose entries lie in
+    [lo, lo + radix): each row is one base-``radix`` integer, and the first
+    row of each code is its minimum row index in a table of radix**d slots.
+    O(rows + radix**d), with no sort."""
+    n, d = rows.shape
+    weights = float(radix) ** np.arange(d - 1, -1, -1)
+    codes = (rows @ weights - lo * weights.sum()).astype(np.intp)
+    table = np.full(radix ** d, n, dtype=np.intp)
+    np.minimum.at(table, codes, np.arange(n))
+    first = np.sort(table[table < n])
+    table[codes[first]] = np.arange(first.size)
+    return first, table[codes]
+
+
+def _distinct_by_sort(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`distinct_rows` of a C-contiguous matrix by ``np.unique`` on a
+    void view of its rows."""
     packed = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
     _, first, inverse = np.unique(
         packed.ravel(), return_index=True, return_inverse=True)

@@ -33,9 +33,22 @@ class CentroidBook:
 
 
 def _level_sqdist(levels: np.ndarray, trained_levels: np.ndarray) -> np.ndarray:
-    """Exact integer squared level distances, one row per observation."""
-    diff = levels[:, None, :] - trained_levels[None, :, :]
-    return np.einsum("nsd,nsd->ns", diff, diff)
+    """Exact integer squared level distances, one row per observation.
+
+    The distances are expanded as |a|^2 - 2 a.t + |t|^2 in float64, so the
+    cross term is one BLAS product. With b <= 8 bits and d <= 64 each
+    product is an integer below 2**16 and each term and partial sum one
+    below 2**24 in magnitude, so every float operation is exact in any
+    summation order and the cast back to int64 is too; no N x S x d
+    difference array is built.
+    """
+    a = np.asarray(levels, dtype=float)
+    t = np.asarray(trained_levels, dtype=float)
+    d2 = a @ t.T
+    d2 *= -2.0
+    d2 += np.einsum("nd,nd->n", a, a)[:, None]
+    d2 += np.einsum("sd,sd->s", t, t)
+    return d2.astype(np.int64)
 
 
 def detect_emld_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
@@ -46,8 +59,7 @@ def detect_emld_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     of those neighbors (an exact integer score).
     """
     trained_levels, count_matrix = model.support_arrays
-    levels = np.atleast_2d(np.asarray(levels, dtype=np.int64))
-    d2 = _level_sqdist(levels, trained_levels)
+    d2 = _level_sqdist(np.atleast_2d(levels), trained_levels)
     neighbor_mask = d2 == d2.min(axis=1, keepdims=True)
     scores = neighbor_mask.astype(np.int64) @ count_matrix
     return np.argmax(scores, axis=1)
@@ -56,8 +68,8 @@ def detect_emld_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
 def detect_mmd_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     """Minimum-mean-distance detection of each level-matrix row."""
     trained_levels, count_matrix = model.support_arrays
-    levels = np.atleast_2d(np.asarray(levels, dtype=np.int64))
-    dist = model.cfg.step * np.sqrt(_level_sqdist(levels, trained_levels))
+    dist = model.cfg.step * np.sqrt(
+        _level_sqdist(np.atleast_2d(levels), trained_levels))
     # multiplicities instead of probabilities: the 1/L factor is common to
     # every symbol and cannot change the argmin
     scores = dist @ count_matrix

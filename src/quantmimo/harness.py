@@ -22,6 +22,7 @@ import numpy as np
 from . import analysis, baselines, detection, sic, training
 from .core import (
     QuantizerConfig,
+    SymbolBook,
     constellation,
     distinct_rows,
     enumerate_symbols,
@@ -41,8 +42,8 @@ CSV_COLUMNS = (
 # Largest accepted array estimate of one channel (ExperimentConfig.peak_bytes),
 # of bound's code geometry or of one sample_dmin block. The K = 4**6 full
 # search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32) and 200 data
-# vectors, estimates 15.3 MiB with MCD, and 8.3 GiB with eMLD and MMD, whose
-# count matrix and distance tensor span all 65 536 distinct trained rows.
+# vectors, estimates 15.3 MiB with MCD, and 2.2 GiB with eMLD and MMD, whose
+# count matrix and distances span all 65 536 distinct trained rows.
 _PEAK_BYTES_BUDGET = 1 << 30
 # Allowance in that estimate for the channel, the small arrays and the Python
 # objects of one channel realization.
@@ -127,10 +128,14 @@ class ExperimentConfig:
         projections and K1 x d1 centroids) and the batch: N x n_t complex
         symbols, N x n_r complex sums, two N x d level copies, and N x d
         float64 values with their scaled copy. Each detector adds its own
-        terms: MCD an N x K float64 product and distances, eMLD and MMD an
-        N x S x d int64 distance tensor, MLD an N x K x d float64 likelihood
-        gather, SIC an N x K1 stage-one product and distances and one chunk
-        of its N x K2 x d stage-two gather (``sic.stage_two_chunk``).
+        terms: MCD an N x K float64 product and distances; eMLD and MMD the
+        larger of the level-distance kernel (N x d and S x d float64
+        operands, N x S float64 distances and their int64 cast) and eMLD's
+        N x S bool and int64 neighbor masks next to the distances, with its
+        N x K scores; MLD an N x K x d int64 flat table index and the
+        float64 likelihoods it gathers; SIC an N x K1 stage-one product and
+        distances and one chunk of its N x K2 x d stage-two gather
+        (``sic.stage_two_chunk``).
         """
         k, d, n = self.symbol_count, 2 * self.n_r, self.vectors_per_channel
         level = QuantizerConfig(self.bits, self.step).level_dtype.itemsize
@@ -178,9 +183,10 @@ class ExperimentConfig:
             if {"emld", "mmd"} & detectors:
                 s = min(k * samples, 2 ** (self.bits * d))
                 held += model + 8 * s * k
-                data += 8 * n * s * d
+                data += max(8 * (n + s) * d + 16 * n * s,
+                            17 * n * s + 8 * n * k)
             if "mld" in detectors:
-                data += 8 * n * k * d
+                data += 16 * n * k * d
         return 16 * k * self.n_t + _SMALL_BYTES + max(training, held + data)
 
     def pilot_slots(self) -> int:
@@ -399,14 +405,15 @@ def write_csv(records, path) -> None:
 
 def _receivers(cfg, qcfg, book, h, sigma2, rng, books=None):
     """Train one SNR point in frame order; one decision function
-    ``(distinct levels, their values) -> symbol vectors`` per detector.
+    ``(distinct levels, their values) -> symbol indices`` per detector.
 
     The pilot frame comes first: the implicit schedule when a trained
     detector or the least-squares estimate reads it, else random pilots for
     the estimate alone. Explicit training, or first-stage training for a
     SIC split (``books`` holds its two subvector books, and its detector is
     the one entry), then runs on the estimate. Detectors are looked up in
-    their modules when they run.
+    their modules when they run. ZF and SIC decide symbol vectors of exact
+    constellation points, which map back to their book indices.
     """
     trained = cfg.framework == "full" and bool(
         _MODEL_DETECTORS & set(cfg.detectors))
@@ -431,47 +438,57 @@ def _receivers(cfg, qcfg, book, h, sigma2, rng, books=None):
         plan = sic.build_plan(h_hat, cfg.n_t1)
         first_stage = sic.learn_first_stage(
             plan, sigma2, cfg.first_stage_count, *books, qcfg, rng)
-        return [lambda _, values: sic.detect_sic_batch(
-            values, plan, first_stage, *books)]
+        return [lambda _, values: _symbol_indices(sic.detect_sic_batch(
+            values, plan, first_stage, *books), book)]
     if trained and cfg.training == "explicit":
         model = training.learn_explicit(
             h_hat, sigma2, cfg.artificial_count, book, qcfg, rng)
     centers = (detection.centroids(model)
                if trained and "mcd" in cfg.detectors else None)
     decide = {
-        "emld": lambda levels, _: book.vectors[
-            detection.detect_emld_batch(levels, model)],
-        "mmd": lambda levels, _: book.vectors[
-            detection.detect_mmd_batch(levels, model)],
-        "mcd": lambda _, values: book.vectors[
-            detection.detect_mcd_batch(values, centers)],
-        "mld": lambda levels, _: book.vectors[
-            baselines.detect_mld_batch(levels, h_hat, sigma2, book, qcfg)],
-        "zf": lambda _, values: baselines.detect_zf_batch(
-            values, h_hat, book.constellation),
+        "emld": lambda levels, _: detection.detect_emld_batch(levels, model),
+        "mmd": lambda levels, _: detection.detect_mmd_batch(levels, model),
+        "mcd": lambda _, values: detection.detect_mcd_batch(values, centers),
+        "mld": lambda levels, _: baselines.detect_mld_batch(
+            levels, h_hat, sigma2, book, qcfg),
+        "zf": lambda _, values: _symbol_indices(baselines.detect_zf_batch(
+            values, h_hat, book.constellation), book),
     }
     return [decide[det] for det in cfg.detectors]
 
 
-def _error_counts(x_det: np.ndarray, x_true: np.ndarray) -> tuple[int, ...]:
-    """Symbol errors, symbol trials, vector errors and vector trials."""
-    mismatched = x_det != x_true
-    return (int(mismatched.sum()), x_true.size,
-            int(mismatched.any(axis=1).sum()), x_true.shape[0])
+def _symbol_indices(vectors: np.ndarray, book: SymbolBook) -> np.ndarray:
+    """Book index of each row of exact constellation points: the row's
+    per-antenna point indices, first antenna most significant."""
+    points = book.constellation.as_array()
+    digits = np.argmax(vectors[..., None] == points, axis=-1)
+    return np.ravel_multi_index(digits.T, (points.size,) * book.n_t)
 
 
-def _channel_counts(cfg, qcfg, book, h, rng, train, *, noise_free=False,
-                    dedupe=True) -> np.ndarray:
+def _error_counts(decided: np.ndarray, sent: np.ndarray,
+                  vectors: np.ndarray) -> tuple[int, ...]:
+    """Symbol errors, symbol trials, vector errors and vector trials of the
+    decided symbol indices against the sent ones; the antennas of the book
+    ``vectors`` are compared on the wrongly decided rows only."""
+    wrong = np.flatnonzero(decided != sent)
+    mismatched = vectors[decided[wrong]] != vectors[sent[wrong]]
+    return (int(np.count_nonzero(mismatched)), sent.size * vectors.shape[1],
+            wrong.size, sent.size)
+
+
+def _channel_counts(cfg, qcfg, book, h, rng, train, *,
+                    noise_free=False) -> np.ndarray:
     """Error counts of one channel: (snr points, detectors, 4) symbol
     errors, symbol trials, vector errors and vector trials.
 
     Each SNR point trains (``train(sigma2)``, run once in all when
     ``noise_free`` training draws nothing), then draws, transmits and
     decides a data batch. A b-bit batch repeats observations often (a
-    one-bit, n_r = 4 batch of 500 holds 26 to 184 distinct rows), and every
-    detector decides a row from that row alone. So with ``dedupe`` the
-    detectors see the distinct rows, in first-seen order, and each decision
-    is copied back to every repeat before errors are counted.
+    one-bit, n_r = 4 batch of 500 holds 26 to 184 distinct rows, and a
+    one-bit, n_r = 2 batch of 10 000 at most 16), and every detector decides
+    a row from that row alone. So the detectors see the distinct rows, in
+    first-seen order, and each decided index is copied back to every repeat
+    before errors are counted.
     """
     fixed = train(0.0) if noise_free else None
     out = []
@@ -479,13 +496,13 @@ def _channel_counts(cfg, qcfg, book, h, rng, train, *, noise_free=False,
         sigma2 = snr_db_to_sigma2(snr_db, cfg.n_t)
         decide = fixed or train(sigma2)
         data_idx = rng.integers(0, book.size, size=cfg.vectors_per_channel)
-        x_true = book.vectors[data_idx]
-        levels = transmit_batch(h, x_true, sigma2, qcfg, rng)
-        first, inverse = (
-            distinct_rows(levels) if dedupe else (slice(None), slice(None)))
+        levels = transmit_batch(
+            h, np.take(book.vectors, data_idx, axis=0), sigma2, qcfg, rng)
+        first, inverse = distinct_rows(levels)
         rows = levels[first]
         values = level_values(rows, qcfg)
-        out.append([_error_counts(d(rows, values)[inverse], x_true)
+        out.append([_error_counts(d(rows, values)[inverse], data_idx,
+                                  book.vectors)
                     for d in decide])
         # the next point trains afresh; this one's training is let go first
         del decide
@@ -570,7 +587,8 @@ def run_bound_validation(
     regime the bound is derived for: noise-free explicit training with one
     sample per symbol, built once per channel. ``use_trained_centroids``
     switches to implicit training with ``repetitions`` pilot repetitions.
-    Every data batch is detected whole.
+    Each data batch is decided on its distinct rows, as in a SER sweep
+    (:func:`_channel_counts`).
 
     Over 0-20 dB the averaged bound of these channels stays above 1
     (7.4 -> 4.2 for the 2x2 acceptance run at seed 42), so the
@@ -619,7 +637,7 @@ def run_bound_validation(
         _channel_counts(
             mcd_cfg, qcfg, book, h, rng,
             partial(_receivers, mcd_cfg, qcfg, book, h, rng=rng),
-            noise_free=not use_trained_centroids, dedupe=False)
+            noise_free=not use_trained_centroids)
         for (h, _), rng in zip(kept, rngs))
     bounds = [
         sum(analysis.svep_upper_bound(
@@ -645,27 +663,40 @@ def sample_dmin(
 
     Works directly on the signs of the stacked noiseless outputs, so it is
     an independent route from the codebook construction in :mod:`analysis`.
+    Each block of channels is built in one set of preallocated buffers, so
+    only one block's arrays are held at a time.
     """
     book = enumerate_symbols(constellation("bpsk"), n_t)
     x = book.vectors.real.T
     k = book.size
     out = np.empty(count, dtype=np.int64)
+    m = min(chunk, count)
+    draw = np.empty((m, n_r, n_t))
+    h = np.empty((m, n_r, n_t), dtype=complex)
+    clean = np.empty((m, n_r, k), dtype=complex)
+    positive = np.empty((m, 2 * n_r, k), dtype=bool)
+    signs = np.empty((m, 2 * n_r, k), dtype=np.float32)
+    gram = np.empty((m, k, k), dtype=np.float32)
     done = 0
     while done < count:
         m = min(chunk, count - done)
-        h = (
-            rng.standard_normal((m, n_r, n_t))
-            + 1j * rng.standard_normal((m, n_r, n_t))
-        ) / math.sqrt(2.0)
-        clean = h @ x
-        g = np.concatenate([clean.real, clean.imag], axis=1)
-        signs = np.where(g >= 0.0, 1.0, -1.0).astype(np.float32)
-        gram = signs.transpose(0, 2, 1) @ signs
+        # h = (re + 1j * im) / sqrt(2), with the same complex division
+        for part in (h.real, h.imag):
+            rng.standard_normal(out=draw[:m])
+            part[:m] = draw[:m]
+        np.divide(h[:m], math.sqrt(2.0), out=h[:m])
+        np.matmul(h[:m], x, out=clean[:m])
+        np.greater_equal(clean.real[:m], 0.0, out=positive[:m, :n_r])
+        np.greater_equal(clean.imag[:m], 0.0, out=positive[:m, n_r:])
+        # +1 where the output is non-negative, -1 elsewhere
+        np.multiply(positive[:m], np.float32(2.0), out=signs[:m])
+        signs[:m] -= 1.0
+        np.matmul(signs[:m].transpose(0, 2, 1), signs[:m], out=gram[:m])
         # Hamming distance = (2 n_r - gram) / 2 is non-increasing in the
         # small-integer Gram entries, so the closest pair is the largest
         # off-diagonal entry; the diagonal is pushed below every entry
-        gram[:, np.arange(k), np.arange(k)] = -2 * n_r - 1
-        g_max = gram.reshape(m, -1).max(axis=1)
+        gram[:m, np.arange(k), np.arange(k)] = -2 * n_r - 1
+        g_max = gram[:m].reshape(m, -1).max(axis=1)
         out[done:done + m] = np.rint((2 * n_r - g_max) / 2.0)
         done += m
     return out
@@ -682,14 +713,13 @@ def run_ccdf_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     if cfg.bits != 1 or cfg.modulation != "bpsk":
         raise ConfigError(
             "the minimum-distance distribution requires one-bit ADCs and BPSK")
-    # sample_dmin: the int64 results and, for a block of m channels, their
-    # m x n_r x n_t complex channels, m x n_r x K complex sums, the float64
-    # real form of those, its float64 and float32 signs and the m x K x K
-    # float32 Gram matrix, twice: a block's arrays are let go only as the
-    # next block's replace them
+    # sample_dmin: the int64 results and one block of m channels: their
+    # m x n_r x n_t float64 draws and complex channels, the m x n_r x K
+    # complex sums, the m x 2 n_r x K bool and float32 signs, the m x K x K
+    # float32 Gram matrix and its row maxima with two float32 temporaries
     m, k = min(_DMIN_CHUNK, cfg.channel_count), cfg.symbol_count
-    block = 16 * cfg.n_r * cfg.n_t + k * (56 * cfg.n_r + 4 * k)
-    _require_budget(cfg, 8 * cfg.channel_count + 2 * m * block,
+    block = 24 * cfg.n_r * cfg.n_t + k * (26 * cfg.n_r + 4 * k) + 12
+    _require_budget(cfg, 8 * cfg.channel_count + m * block + _SMALL_BYTES,
                     f"for {cfg.channel_count} channels")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     samples = sample_dmin(cfg.n_t, cfg.n_r, cfg.channel_count, rng)

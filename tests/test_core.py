@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, assume
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quantmimo import core, training
@@ -479,3 +479,34 @@ def test_distinct_rows_of_no_rows():
     first, inverse = core.distinct_rows(np.zeros((0, 4), dtype=np.int64))
     assert first.shape == inverse.shape == (0,)
     assert first.dtype == inverse.dtype == np.intp
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dtype=st.sampled_from([np.uint8, np.int8, np.int16, np.int64]),
+    radix=st.integers(1, 4),
+    d=st.integers(1, 5),
+    low=st.integers(-100, 100),
+    rows_per_code=st.floats(0.0, 2.0),
+    strided=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distinct_rows_code_table_equals_byte_sort(
+        dtype, radix, d, low, rows_per_code, strided, seed):
+    # entries in [low, low + radix), with fewer or more rows than the
+    # radix**d possible ones, so both sides of distinct_rows' switch and
+    # zero rows occur
+    info = np.iinfo(dtype)
+    low = min(max(low, info.min), info.max - radix + 1)
+    n = int(rows_per_code * radix ** d)
+    rng = np.random.default_rng(seed)
+    wide = rng.integers(low, low + radix, size=(n, 2 * d)).astype(dtype)
+    levels = wide[:, ::2] if strided else wide[:, :d].copy()
+    rows = np.ascontiguousarray(levels)
+    by_sort = core._distinct_by_sort(rows)
+    by_code = core._distinct_by_code(rows, low, radix)
+    for got in (by_code, core.distinct_rows(levels)):
+        for a, b in zip(got, by_sort):
+            assert a.dtype == b.dtype == np.intp
+            assert np.array_equal(a, b)
+    assert np.array_equal(levels[by_sort[0]][by_sort[1]], levels)

@@ -372,3 +372,21 @@ def test_batch_detectors_match_oracles():
         assert emld[i] == _oracle_emld(y, counts)
         assert mmd[i] == _oracle_mmd(y, counts, cfg)
         assert mcd[i] == _oracle_mcd(values[i], cb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.integers(1, 8), d=st.integers(1, 64), n=st.integers(1, 12),
+       s=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_level_sqdist_equals_difference_tensor(bits, d, n, s, seed):
+    # the BLAS expansion against the N x S x d integer differences it
+    # replaced; the first rows hold the largest possible distance
+    top = (1 << bits) - 1
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(0, top + 1, size=(n, d)).astype(np.uint8)
+    trained = rng.integers(0, top + 1, size=(s, d))
+    levels[0], trained[0] = 0, top
+    diff = levels.astype(np.int64)[:, None, :] - trained[None, :, :]
+    got = detection._level_sqdist(levels, trained)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.einsum("nsd,nsd->ns", diff, diff))
+    assert got[0, 0] == d * top * top

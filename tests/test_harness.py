@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -150,13 +151,16 @@ def test_peak_bytes_estimate_and_budget():
     # implicit: training (a 16*5/2-slot pilot frame) holds less than the
     # data phase: the 16 x 8 float64 MCD centroids, the model (16 x 5 x 8
     # uint8 levels) with its 80 x 16 int64 count matrix, the 500-row batch,
-    # eMLD/MMD's 500 x 80 x 8 int64 distances, MCD's 500 x 16 product and
-    # distances and MLD's 500 x 16 x 8 gather
+    # eMLD's 500 x 80 int64 distances with their bool and int64 neighbor
+    # masks and its 500 x 16 scores (more than the level-distance kernel's
+    # float64 operands, distances and int64 cast), MCD's 500 x 16 product
+    # and distances and MLD's 500 x 16 x 8 int64 index and float64 gather
     assert mld.peak_bytes() == (
         16 * 16 * 2 + harness._SMALL_BYTES
         + 8 * 16 * 8 + 80 * 8 + 8 * 80 * 16
         + 500 * (16 * 2 + 16 * 4 + 2 * 8 + 16 * 8)
-        + 8 * 500 * 80 * 8 + 16 * 500 * 16 + 8 * 500 * 16 * 8)
+        + 17 * 500 * 80 + 8 * 500 * 16 + 16 * 500 * 16
+        + 16 * 500 * 16 * 8)
     for n_t in (12, 40):
         with pytest.raises(ConfigError, match=f"n_t={n_t}"):
             _cfg(n_t=n_t).validate()
@@ -503,6 +507,33 @@ def test_sample_dmin_matches_full_distance_matrix(n_t, n_r):
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n_t, n_r, count", [(4, 4, 20_000), (6, 4, 5000),
+                                             (3, 16, 2000)])
+def test_ccdf_budget_covers_traced_sample_dmin_peak(
+        monkeypatch, n_t, n_r, count):
+    # the estimate that run_ccdf_experiment checks before sampling against
+    # the tracemalloc peak of the sample_dmin call it guards; 20 000
+    # channels of dmin_ccdf.cfg's shape take one full block and a partial one
+    estimates = []
+    monkeypatch.setattr(harness, "_require_budget",
+                        lambda cfg, peak, scope: estimates.append(peak))
+    monkeypatch.setattr(harness, "sample_dmin",
+                        lambda *args: np.zeros(count, dtype=np.int64))
+    cfg = ExperimentConfig(
+        n_t=n_t, n_r=n_r, bits=1, modulation="bpsk", snr_grid_db=(0.0,),
+        channel_count=count, vectors_per_channel=1, seed=0,
+        detectors=("mcd",))
+    harness.run_ccdf_experiment(cfg)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        harness.sample_dmin(n_t, n_r, count, np.random.default_rng(n_r))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimates[-1] <= 1.25 * peak
+
+
 def test_ccdf_records_structure():
     cfg = ExperimentConfig(
         n_t=2, n_r=3, bits=1, modulation="bpsk",
@@ -665,7 +696,7 @@ def test_cli_rejects_huge_symbol_book_without_building_it(
 def test_cli_rejects_huge_trained_support_before_drawing_a_channel(
         tmp_path, capsys, monkeypatch):
     # K = 4096 with l_a = 16: eMLD and MMD would hold a 65 536 x 4096 count
-    # matrix and 200 x 65 536 x 64 distances, about 8 GB
+    # matrix and 200 x 65 536 distances, about 2.2 GiB
     def forbidden(*args, **kwargs):
         raise AssertionError("a channel was drawn past validation")
 
@@ -928,18 +959,77 @@ _DEDUPE_CONFIGS = (
 )
 
 
-@pytest.mark.parametrize("cfg", _DEDUPE_CONFIGS)
-def test_channel_counts_equal_detecting_every_row(monkeypatch, cfg):
+def _ser_counts(cfg):
     children = np.random.SeedSequence(cfg.seed).spawn(2)
-    deduped = [harness._ser_channel_counts(cfg, c) for c in children]
+    return [harness._ser_channel_counts(cfg, c).tolist() for c in children]
+
+
+_BOUND_CFG = ExperimentConfig(
+    n_t=2, n_r=2, bits=1, modulation="bpsk", snr_grid_db=(0.0, 10.0, 20.0),
+    channel_count=3, vectors_per_channel=400, seed=8, detectors=("mcd",),
+    repetitions=5)
+
+
+def _bound_csv(use_trained_centroids):
+    return harness.render_csv(harness.run_bound_validation(
+        _BOUND_CFG, use_trained_centroids=use_trained_centroids))
+
+
+@pytest.mark.parametrize("run", [
+    *(pytest.param(partial(_ser_counts, cfg), id=f"cfg{i}")
+      for i, cfg in enumerate(_DEDUPE_CONFIGS)),
+    pytest.param(partial(_bound_csv, False), id="bound-exact"),
+    pytest.param(partial(_bound_csv, True), id="bound-trained"),
+])
+def test_channel_counts_equal_detecting_every_row(monkeypatch, run):
+    deduped = run()
 
     def every_row(levels):
         rows = np.arange(len(levels))
         return rows, rows
 
     monkeypatch.setattr(harness, "distinct_rows", every_row)
-    for child, counts in zip(children, deduped):
-        assert np.array_equal(harness._ser_channel_counts(cfg, child), counts)
+    assert run() == deduped
+
+
+def _vector_error_counts(x_det, x_true):
+    """The count on decided and sent symbol vectors that the index-based
+    one replaced."""
+    mismatched = x_det != x_true
+    return (int(mismatched.sum()), x_true.size,
+            int(mismatched.any(axis=1).sum()), x_true.shape[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(modulation=st.sampled_from(["bpsk", "qpsk"]), n_t=st.integers(1, 3),
+       bits=st.integers(1, 3), snr_db=st.floats(-5.0, 30.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_index_error_counts_equal_vector_comparison(
+        modulation, n_t, bits, snr_db, seed):
+    # random, ZF and SIC decisions; the latter two are symbol vectors that
+    # map back to book indices
+    rng = np.random.default_rng(seed)
+    c = core.constellation(modulation)
+    book = core.enumerate_symbols(c, n_t)
+    qcfg = core.QuantizerConfig(bits, 0.5)
+    h = core.sample_channel(n_t + 1, n_t, rng)
+    sigma2 = core.snr_db_to_sigma2(snr_db, n_t)
+    sent = rng.integers(0, book.size, size=60)
+    values = core.level_values(core.transmit_batch(
+        h, book.vectors[sent], sigma2, qcfg, rng), qcfg)
+    n_t1 = int(rng.integers(1, n_t + 1))
+    books = core.enumerate_symbols(c, n_t1), core.enumerate_symbols(c, n_t - n_t1)
+    plan = sic.build_plan(h, n_t1)
+    first_stage = sic.learn_first_stage(plan, sigma2, 1, *books, qcfg)
+    guessed = np.where(rng.random(60) < 0.5, sent,
+                       rng.integers(0, book.size, size=60))
+    for x_det in (book.vectors[guessed],
+                  baselines.detect_zf_batch(values, h, c),
+                  sic.detect_sic_batch(values, plan, first_stage, *books)):
+        decided = harness._symbol_indices(x_det, book)
+        assert np.array_equal(book.vectors[decided], x_det)
+        assert harness._error_counts(decided, sent, book.vectors) == (
+            _vector_error_counts(x_det, book.vectors[sent]))
 
 
 _BATCH_DETECTORS = (
@@ -970,48 +1060,40 @@ def test_detectors_receive_pairwise_distinct_rows(monkeypatch, cfg):
     assert min(batches) < cfg.vectors_per_channel
 
 
-# sha256 of each shipped config's CSV at reduced size, recorded at commit
-# f39c63a, before the harness detected each distinct observation once
+# sha256 of each shipped config's CSV at reduced size: (config, runner,
+# channels, digest). The shipped configs were recorded at commit f39c63a,
+# before the harness detected each distinct observation once; bound
+# validation with trained centroids at commit 123c14e, before it ran through
+# the SER sweeps' receiver pipeline, and it still matched before bound
+# batches were deduplicated.
 _REDUCED_CSV_SHA256 = {
     "detector_comparison.cfg": (
-        harness.run_ser_experiment, 5,
+        "detector_comparison.cfg", harness.run_ser_experiment, 5,
         "ff5d504adf997b67dba69ece86d4775a51d4a9550d37f085112202a31c5f1e1d"),
     "bound_validation.cfg": (
-        harness.run_bound_validation, 5,
+        "bound_validation.cfg", harness.run_bound_validation, 5,
         "cca32344cb86d3997db0ff286b0c0d2c883599028acf96f208242a7ad25ecc12"),
+    "bound-trained": (
+        "bound_validation.cfg",
+        partial(harness.run_bound_validation, use_trained_centroids=True), 5,
+        "67fe6d6761b5afa7b614c8cacc8933a9a8e4029ee8c660b46033d034f10e0fd5"),
     "dmin_ccdf.cfg": (
-        harness.run_ccdf_experiment, 2000,
+        "dmin_ccdf.cfg", harness.run_ccdf_experiment, 2000,
         "973117b125e7bb3a20c1610573e648c305d1aa3b54db235ce3d1b2ac4331719e"),
     "multibit_downlink_b2.cfg": (
-        harness.run_ser_experiment, 5,
+        "multibit_downlink_b2.cfg", harness.run_ser_experiment, 5,
         "cc0117cb76ea09e6ac046dc28e235abd8d1a0370a2b0254e00843a17705e7592"),
     "sic_tradeoff_nt1_5.cfg": (
-        harness.run_ser_experiment, 5,
+        "sic_tradeoff_nt1_5.cfg", harness.run_ser_experiment, 5,
         "a8fa889f1df77efc2b087b206b43b3ababa35aca47ef232bd16c051234fed02e"),
 }
 
-# sha256 of bound_validation.cfg's CSV with trained centroids at the same
-# reduced size, recorded at commit 123c14e, before bound validation ran
-# through the SER sweeps' receiver pipeline
-_REDUCED_TRAINED_BOUND_SHA256 = (
-    "67fe6d6761b5afa7b614c8cacc8933a9a8e4029ee8c660b46033d034f10e0fd5")
 
 @pytest.mark.parametrize("name", sorted(_REDUCED_CSV_SHA256))
 def test_shipped_config_csv_is_byte_identical_at_reduced_size(name):
-    runner, channels, digest = _REDUCED_CSV_SHA256[name]
+    config, runner, channels, digest = _REDUCED_CSV_SHA256[name]
     cfg = dataclasses.replace(
-        harness.load_config(Path(__file__).parents[1] / "configs" / name),
+        harness.load_config(Path(__file__).parents[1] / "configs" / config),
         channel_count=channels)
     csv_text = harness.render_csv(runner(cfg))
     assert hashlib.sha256(csv_text.encode()).hexdigest() == digest
-
-
-def test_trained_bound_csv_is_byte_identical_at_reduced_size():
-    cfg = dataclasses.replace(
-        harness.load_config(
-            Path(__file__).parents[1] / "configs" / "bound_validation.cfg"),
-        channel_count=5)
-    csv_text = harness.render_csv(
-        harness.run_bound_validation(cfg, use_trained_centroids=True))
-    digest = hashlib.sha256(csv_text.encode()).hexdigest()
-    assert digest == _REDUCED_TRAINED_BOUND_SHA256
