@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import QuantizerConfig, SymbolBook, real_components, transmit_batch
+from .core import (
+    QuantizerConfig, SymbolBook, level_sqdist, real_components, transmit_batch)
 
 # beyond this many ADC samples the binomial tail terms are evaluated in
 # log space to dodge float underflow
@@ -46,22 +47,17 @@ def build_codebook(
     return transmit_batch(h, book.vectors, 0.0, cfg)
 
 
-def pairwise_hamming(levels: np.ndarray) -> np.ndarray:
-    """Hamming distance between every pair of level rows."""
-    levels = np.asarray(levels)
-    diff = levels[:, None, :] != levels[None, :, :]
-    return diff.sum(axis=2)
-
-
 def compute_dmin(codebook: np.ndarray) -> int:
-    """Minimum Hamming distance between two rows of a codebook level
-    matrix; 0 means channel ambiguity."""
+    """Minimum Hamming distance between two rows of a one-bit codebook
+    level matrix, the smallest off-diagonal ``level_sqdist``; 0 means
+    channel ambiguity."""
     size = len(codebook)
     if size < 2:
         raise ValueError("d_min needs at least two codewords")
-    d = pairwise_hamming(codebook)
-    mask = ~np.eye(size, dtype=bool)
-    return int(d[mask].min())
+    d = level_sqdist(codebook, codebook)
+    # the diagonal is pushed above every distance, in place
+    np.fill_diagonal(d, np.iinfo(d.dtype).max)
+    return int(d.min())
 
 
 def compute_gmin(h: np.ndarray, book: SymbolBook, real_mode: bool = False) -> float:

@@ -87,18 +87,21 @@ def mld_log_likelihoods(
     # imported here: a run without MLD never loads scipy.special
     from scipy.special import ndtr
 
-    levels = np.atleast_2d(np.asarray(levels, dtype=np.int64))
+    levels = np.atleast_2d(np.asarray(levels))
     clean = book.vectors @ np.asarray(h, dtype=complex).T
     g = real_components(clean, cfg.real_mode)
     lower, upper = cell_edges(cfg)
     scale = np.sqrt(sigma2 / 2.0)
-    cell_prob = (ndtr((upper - g[..., None]) / scale)
-                 - ndtr((lower - g[..., None]) / scale))
-    table = np.log(np.maximum(cell_prob, _LOG_FLOOR))
+    table = np.log(np.maximum(
+        ndtr((upper - g[..., None]) / scale)
+        - ndtr((lower - g[..., None]) / scale), _LOG_FLOOR))
     # one flat index into the table: entry (k, j, level) sits at
-    # (k * d + j) * 2**bits + level
+    # (k * d + j) * 2**bits + level. The index is int32 and the levels keep
+    # their narrow dtype, so neither is widened to int64: a table of 2**31
+    # entries takes 16 GiB, far past the budget that
+    # ExperimentConfig.validate enforces, so no index can overflow.
     k, d = g.shape
-    cells = (np.arange(k * d) * cfg.n_levels).reshape(k, d)
+    cells = (np.arange(k * d, dtype=np.int32) * cfg.n_levels).reshape(k, d)
     return table.reshape(-1)[cells + levels[:, None, :]].sum(axis=2)
 
 
@@ -113,20 +116,16 @@ def detect_mld_batch(
     return np.argmax(mld_log_likelihoods(levels, h, sigma2, book, cfg), axis=1)
 
 
-def nearest_constellation_point(x: np.ndarray, c: Constellation) -> np.ndarray:
-    """Per-component hard decision onto the constellation."""
-    points = c.as_array()
-    idx = np.argmin(np.abs(np.asarray(x)[..., None] - points), axis=-1)
-    return points[idx]
-
-
 def detect_zf_batch(
     values: np.ndarray, h_hat: np.ndarray, c: Constellation
 ) -> np.ndarray:
-    """Zero-forcing detection of many value rows; returns symbol vectors."""
+    """Zero-forcing detection of many value rows; one symbol index per row,
+    each antenna's estimate taking its nearest constellation point (first
+    antenna most significant, as in ``enumerate_symbols``)."""
     h_hat = np.asarray(h_hat, dtype=complex)
     if np.linalg.matrix_rank(h_hat) < h_hat.shape[1]:
         raise ValueError("channel estimate is rank deficient")
     y = reassemble_complex(values)
     x_soft = y @ np.linalg.pinv(h_hat).T
-    return nearest_constellation_point(x_soft, c)
+    digits = np.argmin(np.abs(x_soft[..., None] - c.as_array()), axis=-1)
+    return np.ravel_multi_index(digits.T, (c.size,) * h_hat.shape[1])

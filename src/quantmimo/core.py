@@ -274,6 +274,27 @@ def _distinct_by_sort(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse]
 
 
+def level_sqdist(levels: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Exact integer squared distance between every row of ``levels`` and
+    every row of ``other``, two level matrices; one row per row of
+    ``levels``. On one-bit levels this is the Hamming distance.
+
+    The distances are expanded as |a|^2 - 2 a.t + |t|^2 in float64, so the
+    cross term is one BLAS product. With b <= 8 bits and d <= 64 each
+    product is an integer below 2**16 and each term and partial sum one
+    below 2**24 in magnitude, so every float operation is exact in any
+    summation order and the cast back to int64 is too; no difference array
+    is built.
+    """
+    a = np.asarray(levels, dtype=float)
+    t = np.asarray(other, dtype=float)
+    d2 = a @ t.T
+    d2 *= -2.0
+    d2 += np.einsum("nd,nd->n", a, a)[:, None]
+    d2 += np.einsum("sd,sd->s", t, t)
+    return d2.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class SymbolBook:
     """All K = M**n_t candidate symbol vectors with antipodal index pairing.

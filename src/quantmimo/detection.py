@@ -4,8 +4,11 @@ symbol-vector index.
 eMLD scores each symbol by the total empirical probability of the trained
 vectors nearest to the observation; MMD scores by the PMF-weighted mean
 distance to the observation; MCD keeps only one representative centroid per
-symbol. Ties always resolve to the smallest index, and distances are computed
-on quantizer output values (step-scaled), not raw level indices.
+symbol. Distances are computed on quantizer output values (step-scaled), not
+raw level indices. Ties resolve to the smallest index exactly for eMLD,
+whose scores are integers. MCD and MMD rank symbols by float sums of BLAS
+products, whose rounding can misorder a near tie and whose kernel, chosen by
+batch shape, can pick either symbol of an exact one.
 
 Each detector has one batch implementation: eMLD and MMD take an integer
 level matrix and MCD its output values, one observation per row, and each
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import level_sqdist
 from .training import EmpiricalModel
 
 
@@ -32,25 +36,6 @@ class CentroidBook:
         return self.centers.shape[0]
 
 
-def _level_sqdist(levels: np.ndarray, trained_levels: np.ndarray) -> np.ndarray:
-    """Exact integer squared level distances, one row per observation.
-
-    The distances are expanded as |a|^2 - 2 a.t + |t|^2 in float64, so the
-    cross term is one BLAS product. With b <= 8 bits and d <= 64 each
-    product is an integer below 2**16 and each term and partial sum one
-    below 2**24 in magnitude, so every float operation is exact in any
-    summation order and the cast back to int64 is too; no N x S x d
-    difference array is built.
-    """
-    a = np.asarray(levels, dtype=float)
-    t = np.asarray(trained_levels, dtype=float)
-    d2 = a @ t.T
-    d2 *= -2.0
-    d2 += np.einsum("nd,nd->n", a, a)[:, None]
-    d2 += np.einsum("sd,sd->s", t, t)
-    return d2.astype(np.int64)
-
-
 def detect_emld_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     """Empirical-ML detection of each level-matrix row.
 
@@ -59,7 +44,7 @@ def detect_emld_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     of those neighbors (an exact integer score).
     """
     trained_levels, count_matrix = model.support_arrays
-    d2 = _level_sqdist(np.atleast_2d(levels), trained_levels)
+    d2 = level_sqdist(np.atleast_2d(levels), trained_levels)
     neighbor_mask = d2 == d2.min(axis=1, keepdims=True)
     scores = neighbor_mask.astype(np.int64) @ count_matrix
     return np.argmax(scores, axis=1)
@@ -69,7 +54,7 @@ def detect_mmd_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     """Minimum-mean-distance detection of each level-matrix row."""
     trained_levels, count_matrix = model.support_arrays
     dist = model.cfg.step * np.sqrt(
-        _level_sqdist(np.atleast_2d(levels), trained_levels))
+        level_sqdist(np.atleast_2d(levels), trained_levels))
     # multiplicities instead of probabilities: the 1/L factor is common to
     # every symbol and cannot change the argmin
     scores = dist @ count_matrix

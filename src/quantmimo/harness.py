@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -22,7 +22,6 @@ import numpy as np
 from . import analysis, baselines, detection, sic, training
 from .core import (
     QuantizerConfig,
-    SymbolBook,
     constellation,
     distinct_rows,
     enumerate_symbols,
@@ -58,42 +57,45 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Flat description of one Monte Carlo experiment.
 
-    Config-file keys map onto the fields as: ``n_t``, ``n_r``, ``b`` (bits),
-    ``delta`` (step), ``modulation``, ``snr_grid_db``, ``t`` (total slots,
-    optional cross-check), ``t_t``, ``l`` (implicit repetitions), ``l_a``
-    (explicit artificial signals), ``l_a1`` (first-stage signals per pair),
-    ``detectors``, ``framework``, ``n_t1``, ``channel_count``,
-    ``vectors_per_channel``, ``seed``, ``training``, ``csir``, ``threads``.
+    The fields are the config-file schema, each key declared once. A key is
+    its field's name unless ``key`` metadata gives the paper's notation:
+    ``b`` (bits), ``delta`` (step Δ), ``t`` (total slots T), ``l``
+    (repetitions L), ``l_a`` (artificial signals L_a) and ``l_a1``
+    (first-stage signals per pair). A key is required exactly when its
+    field has no default, ``_PARSERS`` parses its value by the field's
+    annotation, and ``choices`` metadata lists the values a field accepts,
+    in any case.
     """
 
     n_t: int
     n_r: int
-    bits: int
-    modulation: str
+    bits: int = field(metadata={"key": "b"})
+    modulation: str = field(metadata={"choices": ("bpsk", "qpsk")})
     snr_grid_db: tuple[float, ...]
     channel_count: int
     vectors_per_channel: int
     seed: int
-    step: float = 0.5
+    step: float = field(default=0.5, metadata={"key": "delta"})
     t_t: int | None = None
-    total_slots: int | None = None
+    total_slots: int | None = field(default=None, metadata={"key": "t"})
     detectors: tuple[str, ...] = ("mcd",)
-    framework: str = "full"
+    framework: str = field(default="full", metadata={"choices": ("full", "sic")})
     n_t1: int | None = None
-    training: str = "implicit"
-    csir: str = "perfect"
-    repetitions: int | None = None
-    artificial_count: int | None = None
-    first_stage_count: int = 1
+    training: str = field(
+        default="implicit", metadata={"choices": ("implicit", "explicit")})
+    csir: str = field(default="perfect", metadata={"choices": ("perfect", "ls")})
+    repetitions: int | None = field(default=None, metadata={"key": "l"})
+    artificial_count: int | None = field(
+        default=None, metadata={"key": "l_a"})
+    first_stage_count: int = field(default=1, metadata={"key": "l_a1"})
     threads: int = 1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if "choices" in f.metadata:
+                object.__setattr__(self, f.name, getattr(self, f.name).lower())
         object.__setattr__(
             self, "detectors", tuple(d.lower() for d in self.detectors))
-        object.__setattr__(self, "modulation", self.modulation.lower())
-        object.__setattr__(self, "framework", self.framework.lower())
-        object.__setattr__(self, "training", self.training.lower())
-        object.__setattr__(self, "csir", self.csir.lower())
 
     @property
     def symbol_count(self) -> int:
@@ -132,9 +134,12 @@ class ExperimentConfig:
         larger of the level-distance kernel (N x d and S x d float64
         operands, N x S float64 distances and their int64 cast) and eMLD's
         N x S bool and int64 neighbor masks next to the distances, with its
-        N x K scores; MLD an N x K x d int64 flat table index and the
-        float64 likelihoods it gathers; SIC an N x K1 stage-one product and
-        distances and one chunk of its N x K2 x d stage-two gather
+        N x K scores; MLD its K x n_r complex noiseless sums and their real
+        form with the larger of its K x d x 2**b float64 likelihood table's
+        build (the table and two ``ndtr`` temporaries) and its gather (the
+        table, K x d int32 cell offsets, the N x K x d int32 flat index and
+        float64 likelihoods, and their N x K sums); SIC an N x K1 stage-one
+        product and distances and one chunk of its N x K2 x d stage-two gather
         (``sic.stage_two_chunk``).
         """
         k, d, n = self.symbol_count, 2 * self.n_r, self.vectors_per_channel
@@ -186,7 +191,9 @@ class ExperimentConfig:
                 data += max(8 * (n + s) * d + 16 * n * s,
                             17 * n * s + 8 * n * k)
             if "mld" in detectors:
-                data += 16 * n * k * d
+                table = 8 * k * d * 2 ** self.bits
+                data += 16 * k * d + max(
+                    3 * table, table + 4 * k * d + 12 * n * k * d + 8 * n * k)
         return 16 * k * self.n_t + _SMALL_BYTES + max(training, held + data)
 
     def pilot_slots(self) -> int:
@@ -211,9 +218,13 @@ class ExperimentConfig:
             raise ConfigError("snr_grid_db must list at least one SNR point")
         if not all(math.isfinite(v) for v in self.snr_grid_db):
             raise ConfigError("snr_grid_db values must be finite")
-        if self.modulation not in ("bpsk", "qpsk"):
-            raise ConfigError(
-                f"unknown modulation {self.modulation!r} (expected bpsk or qpsk)")
+        for f in fields(self):
+            choices = f.metadata.get("choices", ())
+            value = getattr(self, f.name)
+            if choices and value not in choices:
+                raise ConfigError(
+                    f"unknown {f.name} {value!r} "
+                    f"(expected {' or '.join(choices)})")
         unknown = [d for d in self.detectors if d not in KNOWN_DETECTORS]
         if unknown:
             raise ConfigError(
@@ -223,15 +234,6 @@ class ExperimentConfig:
         if len(set(self.detectors)) < len(self.detectors):
             raise ConfigError(
                 f"detectors lists one twice: {', '.join(self.detectors)}")
-        if self.framework not in ("full", "sic"):
-            raise ConfigError(
-                f"unknown framework {self.framework!r} (expected full or sic)")
-        if self.training not in ("implicit", "explicit"):
-            raise ConfigError(
-                f"unknown training {self.training!r} (expected implicit or explicit)")
-        if self.csir not in ("perfect", "ls"):
-            raise ConfigError(
-                f"unknown csir {self.csir!r} (expected perfect or ls)")
         _require_budget(self, self.peak_bytes(), "per channel")
         if self.symbol_count > 2 ** (2 * self.bits * self.n_r):
             warnings.warn(
@@ -282,38 +284,22 @@ def _require_budget(cfg: ExperimentConfig, peak: int, scope: str) -> None:
             f"{peak >> 20} MiB {scope} (limit {_PEAK_BYTES_BUDGET >> 20} MiB)")
 
 
-_KEY_TO_FIELD = {
-    "n_t": "n_t",
-    "n_r": "n_r",
-    "b": "bits",
-    "delta": "step",
-    "modulation": "modulation",
-    "snr_grid_db": "snr_grid_db",
-    "t": "total_slots",
-    "t_t": "t_t",
-    "l": "repetitions",
-    "l_a": "artificial_count",
-    "l_a1": "first_stage_count",
-    "detectors": "detectors",
-    "framework": "framework",
-    "n_t1": "n_t1",
-    "channel_count": "channel_count",
-    "vectors_per_channel": "vectors_per_channel",
-    "seed": "seed",
-    "training": "training",
-    "csir": "csir",
-    "threads": "threads",
+def _words(value: str) -> tuple[str, ...]:
+    return tuple(value.replace(",", " ").split())
+
+
+# Config-file value parser of each field annotation.
+_PARSERS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str": str,
+    "tuple[float, ...]": lambda value: tuple(map(float, _words(value))),
+    "tuple[str, ...]": _words,
 }
 
-_INT_FIELDS = {
-    "n_t", "n_r", "bits", "total_slots", "t_t", "repetitions",
-    "artificial_count", "first_stage_count", "n_t1", "channel_count",
-    "vectors_per_channel", "seed", "threads",
-}
-
-_REQUIRED_KEYS = (
-    "n_t", "n_r", "b", "modulation", "snr_grid_db", "channel_count",
-    "vectors_per_channel", "seed")
+# The config-file schema: each key's field, in field order.
+_SCHEMA = {f.metadata.get("key", f.name): f for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -327,32 +313,22 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
         key = key.lower()
-        if key not in _KEY_TO_FIELD:
+        if key not in _SCHEMA:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r}; known keys: "
-                f"{', '.join(sorted(_KEY_TO_FIELD))}")
+                f"{', '.join(sorted(_SCHEMA))}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
-    missing = [k for k in _REQUIRED_KEYS if k not in raw]
+    missing = [key for key, f in _SCHEMA.items()
+               if f.default is MISSING and key not in raw]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     kwargs: dict[str, object] = {}
     for key, value in raw.items():
-        name = _KEY_TO_FIELD[key]
+        f = _SCHEMA[key]
         try:
-            if name == "snr_grid_db":
-                kwargs[name] = tuple(
-                    float(v) for v in value.replace(",", " ").split())
-            elif name == "detectors":
-                kwargs[name] = tuple(
-                    v for v in value.replace(",", " ").lower().split())
-            elif name in _INT_FIELDS:
-                kwargs[name] = int(value)
-            elif name == "step":
-                kwargs[name] = float(value)
-            else:
-                kwargs[name] = value
+            kwargs[f.name] = _PARSERS[f.type](value)
         except ValueError:
             raise ConfigError(
                 f"key {key!r}: cannot parse value {value!r}") from None
@@ -369,7 +345,6 @@ def load_config(path) -> ExperimentConfig:
 class ResultRecord:
     """One aggregated measurement; ``ser = errors / trials`` always holds."""
 
-    config: ExperimentConfig
     snr_db: float | None
     detector: str
     framework: str
@@ -412,8 +387,7 @@ def _receivers(cfg, qcfg, book, h, sigma2, rng, books=None):
     the estimate alone. Explicit training, or first-stage training for a
     SIC split (``books`` holds its two subvector books, and its detector is
     the one entry), then runs on the estimate. Detectors are looked up in
-    their modules when they run. ZF and SIC decide symbol vectors of exact
-    constellation points, which map back to their book indices.
+    their modules when they run.
     """
     trained = cfg.framework == "full" and bool(
         _MODEL_DETECTORS & set(cfg.detectors))
@@ -438,8 +412,8 @@ def _receivers(cfg, qcfg, book, h, sigma2, rng, books=None):
         plan = sic.build_plan(h_hat, cfg.n_t1)
         first_stage = sic.learn_first_stage(
             plan, sigma2, cfg.first_stage_count, *books, qcfg, rng)
-        return [lambda _, values: _symbol_indices(sic.detect_sic_batch(
-            values, plan, first_stage, *books), book)]
+        return [lambda _, values: sic.detect_sic_batch(
+            values, plan, first_stage, *books)]
     if trained and cfg.training == "explicit":
         model = training.learn_explicit(
             h_hat, sigma2, cfg.artificial_count, book, qcfg, rng)
@@ -451,18 +425,10 @@ def _receivers(cfg, qcfg, book, h, sigma2, rng, books=None):
         "mcd": lambda _, values: detection.detect_mcd_batch(values, centers),
         "mld": lambda levels, _: baselines.detect_mld_batch(
             levels, h_hat, sigma2, book, qcfg),
-        "zf": lambda _, values: _symbol_indices(baselines.detect_zf_batch(
-            values, h_hat, book.constellation), book),
+        "zf": lambda _, values: baselines.detect_zf_batch(
+            values, h_hat, book.constellation),
     }
     return [decide[det] for det in cfg.detectors]
-
-
-def _symbol_indices(vectors: np.ndarray, book: SymbolBook) -> np.ndarray:
-    """Book index of each row of exact constellation points: the row's
-    per-antenna point indices, first antenna most significant."""
-    points = book.constellation.as_array()
-    digits = np.argmax(vectors[..., None] == points, axis=-1)
-    return np.ravel_multi_index(digits.T, (points.size,) * book.n_t)
 
 
 def _error_counts(decided: np.ndarray, sent: np.ndarray,
@@ -545,7 +511,7 @@ def _records(cfg, totals, framework, detectors, bounds=None):
     """Result rows of summed (snr points, detectors, 4) counts, in canonical
     (snr, detector) order; ``bounds`` holds one value per SNR point."""
     records = [
-        ResultRecord(cfg, float(snr_db), det, framework, int(sym_err),
+        ResultRecord(float(snr_db), det, framework, int(sym_err),
                      int(sym_trials), sym_err / sym_trials,
                      vec_err / vec_trials, bound)
         for snr_db, bound, per_detector in zip(
@@ -601,14 +567,13 @@ def run_bound_validation(
         raise ConfigError("bound validation requires one-bit ADCs and BPSK")
     if use_trained_centroids and (cfg.repetitions or 0) < 1:
         raise ConfigError("trained-centroid validation needs l >= 1")
-    # analysis.geometry: K x K int64 distances with the K x K x d bool
-    # differences they sum, or with the bool mask and masked copy of them,
-    # besides the K x d uint8 codebook; before and after those, at most
-    # three arrays of 16 K n_r bytes (the noiseless sums, their real form
-    # and its magnitudes)
+    # analysis.geometry: the K x d uint8 codebook with the two K x d float64
+    # operands of core.level_sqdist, its K x K float64 distances and their
+    # int64 cast; before and after those, at most three arrays of 16 K n_r
+    # bytes (the noiseless sums, their real form and its magnitudes)
     k, d = cfg.symbol_count, 2 * cfg.n_r
     _require_budget(
-        cfg, k * k * (8 + max(d, 9)) + k * d + 48 * k * cfg.n_r + _SMALL_BYTES,
+        cfg, 16 * k * k + 17 * k * d + 48 * k * cfg.n_r + _SMALL_BYTES,
         "per channel")
     qcfg = QuantizerConfig(cfg.bits, cfg.step)
     book = enumerate_symbols(constellation(cfg.modulation), cfg.n_t)
@@ -732,7 +697,6 @@ def run_ccdf_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
             analytic = analysis.dmin_ccdf_approx(cfg.n_t, cfg.n_r, n, book)
         hits = int((samples >= n).sum())
         records.append(ResultRecord(
-            config=cfg,
             snr_db=None,
             detector=f"dmin>={n}",
             framework="ccdf",

@@ -240,12 +240,15 @@ def detect_sic_batch(
     book1: SymbolBook,
     book2: SymbolBook,
 ) -> np.ndarray:
-    """Two-stage detection of many observations (one value row each).
+    """Two-stage detection of many observations (one value row each); one
+    symbol index per row, of the ``enumerate_symbols`` book of all n_t
+    antennas.
 
     Stage one scores every row against the K1 first-stage centroids. Stage
     two gathers each row's K2 candidates from the model's table by its
     stage-one decision and takes one argmin over them, in row chunks of at
-    most ``_GATHER_BYTES``.
+    most ``_GATHER_BYTES``. ``book1`` and ``book2`` are the
+    ``enumerate_symbols`` books of the plan's two antenna groups.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     first = nearest_center(values @ plan.w1.T, model.centroids)
@@ -256,7 +259,12 @@ def detect_sic_batch(
         rows = slice(start, start + chunk)
         second[rows] = np.argmin(
             _candidate_sqdist(table[first[rows]], values[rows]), axis=1)
-    out = np.empty((values.shape[0], plan.n_t), dtype=complex)
-    out[:, list(plan.first_indices)] = book1.vectors[first]
-    out[:, list(plan.second_indices)] = book2.vectors[second]
-    return out
+    # the two subvector indices' digits, placed at their antennas, make the
+    # symbol index of the whole vector (first antenna most significant)
+    m = book1.constellation.size
+    digits = np.empty((plan.n_t, len(first)), dtype=np.intp)
+    digits[list(plan.first_indices)] = np.unravel_index(first, (m,) * book1.n_t)
+    if plan.second_indices:  # an n_t1 = n_t split has no second digits
+        digits[list(plan.second_indices)] = np.unravel_index(
+            second, (m,) * book2.n_t)
+    return np.ravel_multi_index(digits, (m,) * plan.n_t)

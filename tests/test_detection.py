@@ -386,7 +386,7 @@ def test_level_sqdist_equals_difference_tensor(bits, d, n, s, seed):
     trained = rng.integers(0, top + 1, size=(s, d))
     levels[0], trained[0] = 0, top
     diff = levels.astype(np.int64)[:, None, :] - trained[None, :, :]
-    got = detection._level_sqdist(levels, trained)
+    got = core.level_sqdist(levels, trained)
     assert got.dtype == np.int64
     assert np.array_equal(got, np.einsum("nsd,nsd->ns", diff, diff))
     assert got[0, 0] == d * top * top

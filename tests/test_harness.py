@@ -85,6 +85,44 @@ def test_parse_config_duplicate_key():
         harness.parse_config(CONFIG_TEXT + "\nn_t = 2")
 
 
+_KNOWN_KEYS = (
+    "b", "channel_count", "csir", "delta", "detectors", "framework", "l",
+    "l_a", "l_a1", "modulation", "n_r", "n_t", "n_t1", "seed", "snr_grid_db",
+    "t", "t_t", "threads", "training", "vectors_per_channel")
+
+
+def test_config_schema_is_the_dataclass():
+    fields = dataclasses.fields(ExperimentConfig)
+    # every field has a value parser and its own key
+    assert all(f.type in harness._PARSERS for f in fields)
+    assert len(harness._SCHEMA) == len(fields)
+    assert tuple(sorted(harness._SCHEMA)) == _KNOWN_KEYS
+    with pytest.raises(ConfigError) as unknown:
+        harness.parse_config("bogus = 1")
+    assert str(unknown.value) == (
+        f"line 1: unknown key 'bogus'; known keys: {', '.join(_KNOWN_KEYS)}")
+    with pytest.raises(ConfigError) as missing:
+        harness.parse_config("delta = 0.5")
+    assert str(missing.value) == (
+        "missing required keys: n_t, n_r, b, modulation, snr_grid_db, "
+        "channel_count, vectors_per_channel, seed")
+
+
+@pytest.mark.parametrize("key, good, bad, expected", [
+    ("modulation", "qpsk", "8psk", "bpsk or qpsk"),
+    ("framework", "full", "x", "full or sic"),
+    ("training", "implicit", "batch", "implicit or explicit"),
+    ("csir", "perfect", "blind", "perfect or ls"),
+])
+def test_config_choice_errors(key, good, bad, expected):
+    line = f"{key} = {good}"
+    assert getattr(harness.parse_config(CONFIG_TEXT.replace(
+        line, line.upper())), key) == good
+    with pytest.raises(ConfigError) as error:
+        harness.parse_config(CONFIG_TEXT.replace(line, f"{key} = {bad}"))
+    assert str(error.value) == f"unknown {key} {bad!r} (expected {expected})"
+
+
 def test_validate_catches_inconsistencies():
     with pytest.raises(ConfigError, match="modulation"):
         _cfg(modulation="8psk").validate()
@@ -154,13 +192,17 @@ def test_peak_bytes_estimate_and_budget():
     # eMLD's 500 x 80 int64 distances with their bool and int64 neighbor
     # masks and its 500 x 16 scores (more than the level-distance kernel's
     # float64 operands, distances and int64 cast), MCD's 500 x 16 product
-    # and distances and MLD's 500 x 16 x 8 int64 index and float64 gather
+    # and distances, and MLD's 16 x 4 complex sums and 16 x 8 real form
+    # with, more than the three 16 x 8 x 2 float64 arrays that build its
+    # likelihood table, the table, its 16 x 8 int32 cell offsets, the
+    # 500 x 16 x 8 int32 index and float64 gather and their 500 x 16 sums
     assert mld.peak_bytes() == (
         16 * 16 * 2 + harness._SMALL_BYTES
         + 8 * 16 * 8 + 80 * 8 + 8 * 80 * 16
         + 500 * (16 * 2 + 16 * 4 + 2 * 8 + 16 * 8)
         + 17 * 500 * 80 + 8 * 500 * 16 + 16 * 500 * 16
-        + 16 * 500 * 16 * 8)
+        + 16 * 16 * 8 + 8 * 16 * 8 * 2 + 4 * 16 * 8
+        + 12 * 500 * 16 * 8 + 8 * 500 * 16)
     for n_t in (12, 40):
         with pytest.raises(ConfigError, match=f"n_t={n_t}"):
             _cfg(n_t=n_t).validate()
@@ -208,6 +250,19 @@ def test_peak_bytes_bounds_traced_sic_peak(first_stage_count):
     # the 5/1 split of the full search; l_a1 > 1 trains on noisy samples
     cfg = _full_search(channel_count=1, framework="sic", n_t1=5,
                        first_stage_count=first_stage_count)
+    peak = _traced_channel_peak(cfg)
+    assert peak <= cfg.peak_bytes() <= 1.25 * peak
+
+
+@pytest.mark.parametrize("bits", [2, 8])
+def test_peak_bytes_bounds_traced_mld_peak(bits):
+    # MLD alone on 64 QPSK candidates and n_r = 32: at b = 8 the three
+    # 64 x 64 x 256 float64 arrays that build its likelihood table are the
+    # peak, at b = 2 the gather of 200 observations from the table
+    import scipy.special  # noqa: F401  (its import is not traced)
+
+    cfg = _full_search(n_t=3, bits=bits, detectors=("mld",),
+                       training="implicit", channel_count=1)
     peak = _traced_channel_peak(cfg)
     assert peak <= cfg.peak_bytes() <= 1.25 * peak
 
@@ -1006,8 +1061,7 @@ def _vector_error_counts(x_det, x_true):
        seed=st.integers(0, 2**32 - 1))
 def test_index_error_counts_equal_vector_comparison(
         modulation, n_t, bits, snr_db, seed):
-    # random, ZF and SIC decisions; the latter two are symbol vectors that
-    # map back to book indices
+    # random, ZF and SIC decisions
     rng = np.random.default_rng(seed)
     c = core.constellation(modulation)
     book = core.enumerate_symbols(c, n_t)
@@ -1023,13 +1077,10 @@ def test_index_error_counts_equal_vector_comparison(
     first_stage = sic.learn_first_stage(plan, sigma2, 1, *books, qcfg)
     guessed = np.where(rng.random(60) < 0.5, sent,
                        rng.integers(0, book.size, size=60))
-    for x_det in (book.vectors[guessed],
-                  baselines.detect_zf_batch(values, h, c),
-                  sic.detect_sic_batch(values, plan, first_stage, *books)):
-        decided = harness._symbol_indices(x_det, book)
-        assert np.array_equal(book.vectors[decided], x_det)
+    for decided in (guessed, baselines.detect_zf_batch(values, h, c),
+                    sic.detect_sic_batch(values, plan, first_stage, *books)):
         assert harness._error_counts(decided, sent, book.vectors) == (
-            _vector_error_counts(x_det, book.vectors[sent]))
+            _vector_error_counts(book.vectors[decided], book.vectors[sent]))
 
 
 _BATCH_DETECTORS = (

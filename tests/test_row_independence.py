@@ -49,7 +49,7 @@ def _detectors(rng, bits, real_mode, n_t, n_r, modulation, sigma2):
         return (diff * diff).sum(axis=2)
 
     def mmd_scores(levels):
-        dist = qcfg.step * np.sqrt(detection._level_sqdist(levels, trained))
+        dist = qcfg.step * np.sqrt(core.level_sqdist(levels, trained))
         return (dist[:, :, None] * count_matrix).sum(axis=1)
 
     receivers = {

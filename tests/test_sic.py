@@ -232,10 +232,16 @@ def test_first_stage_rejects_bad_inputs():
 
 def _detect(levels, plan, model, book1, book2, cfg):
     """Both stages' decisions for a level matrix, as subvector indices."""
-    out = sic.detect_sic_batch(
-        core.level_values(levels, cfg), plan, model, book1, book2)
+    out = _vectors(sic.detect_sic_batch(
+        core.level_values(levels, cfg), plan, model, book1, book2), plan, book1)
     return (_indices(out[:, list(plan.first_indices)], book1),
             _indices(out[:, list(plan.second_indices)], book2))
+
+
+def _vectors(decided, plan, book1):
+    """The symbol vectors of SIC's decided indices of all n_t antennas."""
+    full = core.enumerate_symbols(book1.constellation, plan.n_t)
+    return full.vectors[decided]
 
 
 def _indices(rows, book):
@@ -319,7 +325,7 @@ def test_detect_second_recovers_truth(toy_stage, demo_cfg):
     # both decisions land in their antennas' columns
     got = sic.detect_sic_batch(
         core.level_values(levels, demo_cfg), plan, model, book, book)
-    assert np.array_equal(got, x)
+    assert np.array_equal(_vectors(got, plan, book), x)
 
 
 def test_detect_second_single_candidate():
@@ -333,7 +339,8 @@ def test_detect_second_single_candidate():
     levels = core.transmit_batch(
         h, np.array([[1.0, -1.0]], dtype=complex), 0.0, cfg)
     values = core.level_values(levels, cfg)
-    got = sic.detect_sic_batch(values, plan, model, book1, book2)
+    got = _vectors(sic.detect_sic_batch(values, plan, model, book1, book2),
+                   plan, book1)
     (k1, k2), = _single_path_sic(values, plan, model)
     assert k2 == 0 and got.shape == (1, 2)
     assert np.array_equal(got[0, list(plan.first_indices)], book1.vectors[k1])
@@ -421,8 +428,8 @@ def test_whole_vector_split_reduces_to_plain_explicit_mcd():
 
     plan = sic.build_plan(h, n_t)
     order = list(plan.first_indices)
-    book1 = core.SymbolBook(
-        constellation=c, n_t=n_t, vectors=book.vectors[:, order])
+    # the first group's candidates in plan order, as SIC's indices read them
+    book1 = book
     book2 = core.enumerate_symbols(c, 0)
     assert np.array_equal(plan.w1, np.eye(10))
 
@@ -441,7 +448,8 @@ def test_whole_vector_split_reduces_to_plain_explicit_mcd():
     got = sic.detect_sic_batch(
         core.level_values(levels, cfg), plan, fs, book1, book2)
     direct = detection.detect_mcd_batch(core.level_values(levels, cfg), cb)
-    assert np.array_equal(got[:, order], book1.vectors[direct])
+    assert np.array_equal(
+        _vectors(got, plan, book1)[:, order], book1.vectors[direct])
 
 
 def test_projection_basis_rotation_invariance():
