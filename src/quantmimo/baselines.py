@@ -92,9 +92,17 @@ def mld_log_likelihoods(
     g = real_components(clean, cfg.real_mode)
     lower, upper = cell_edges(cfg)
     scale = np.sqrt(sigma2 / 2.0)
-    table = np.log(np.maximum(
-        ndtr((upper - g[..., None]) / scale)
-        - ndtr((lower - g[..., None]) / scale), _LOG_FLOOR))
+    # log(max(ndtr((upper - g) / scale) - ndtr((lower - g) / scale), floor)),
+    # each step written in place, so two K x d x 2**bits arrays are live
+    table = np.subtract(upper, g[..., None])
+    table /= scale
+    ndtr(table, out=table)
+    below = np.subtract(lower, g[..., None])
+    below /= scale
+    table -= ndtr(below, out=below)
+    del below
+    np.maximum(table, _LOG_FLOOR, out=table)
+    np.log(table, out=table)
     # one flat index into the table: entry (k, j, level) sits at
     # (k * d + j) * 2**bits + level. The index is int32 and the levels keep
     # their narrow dtype, so neither is widened to int64: a table of 2**31

@@ -39,10 +39,11 @@ CSV_COLUMNS = (
     "snr_db", "detector", "framework", "errors", "trials", "ser", "svep", "bound")
 
 # Largest accepted array estimate of one channel (ExperimentConfig.peak_bytes),
-# of bound's code geometry or of one sample_dmin block. The K = 4**6 full
-# search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32) and 200 data
-# vectors, estimates 15.3 MiB with MCD, and 2.2 GiB with eMLD and MMD, whose
-# count matrix and distances span all 65 536 distinct trained rows.
+# of bound's code geometry or of sample_dmin's block draws and tile. The
+# K = 4**6 full search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32)
+# and 200 data vectors, estimates 15.3 MiB with MCD, and 2.2 GiB with eMLD
+# and MMD, whose count matrix and distances span all 65 536 distinct trained
+# rows.
 _PEAK_BYTES_BUDGET = 1 << 30
 # Allowance in that estimate for the channel, the small arrays and the Python
 # objects of one channel realization.
@@ -122,7 +123,8 @@ class ExperimentConfig:
         float64 candidate table with either the table's float input, its
         quantizer temporary and levels, or the K*l x d1 float64 projections
         of its l = l_a1 samples per pair, which for l > 1 also hold their
-        levels and float values.
+        levels and the float values of one block of first-stage candidates
+        (as many values as a noise chunk) with their scaled copy.
 
         Data phase: what training leaves (MCD's K x d centroids; for eMLD
         and MMD the model and the S x K int64 count matrix of its
@@ -136,7 +138,7 @@ class ExperimentConfig:
         N x S bool and int64 neighbor masks next to the distances, with its
         N x K scores; MLD its K x n_r complex noiseless sums and their real
         form with the larger of its K x d x 2**b float64 likelihood table's
-        build (the table and two ``ndtr`` temporaries) and its gather (the
+        build (the table and one ``ndtr`` term) and its gather (the
         table, K x d int32 cell offsets, the N x K x d int32 flat index and
         float64 likelihoods, and their N x K sums); SIC an N x K1 stage-one
         product and distances and one chunk of its N x K2 x d stage-two gather
@@ -158,7 +160,12 @@ class ExperimentConfig:
             samples = self.first_stage_count
             d1 = d - 2 * (self.n_t - n_t1)
             projected = 8 * k * samples * d1
-            drawn = (level + 8) * k * samples * d if samples > 1 else 0
+            # l > 1: the levels, and one block of first-stage candidates'
+            # float values with their scaled copy (sic.learn_first_stage)
+            candidate = samples * d * (k // k1)
+            drawn = (level * k * samples * d
+                     + 16 * candidate * min(k1, noise_chunk(candidate))
+                     if samples > 1 else 0)
             books = 16 * (k1 * n_t1 + k // k1 * (self.n_t - n_t1))
             training = books + 16 * k * self.n_r + 8 * k * d + max(
                 (8 + level) * k * d, drawn + projected)
@@ -193,7 +200,7 @@ class ExperimentConfig:
             if "mld" in detectors:
                 table = 8 * k * d * 2 ** self.bits
                 data += 16 * k * d + max(
-                    3 * table, table + 4 * k * d + 12 * n * k * d + 8 * n * k)
+                    2 * table, table + 4 * k * d + 12 * n * k * d + 8 * n * k)
         return 16 * k * self.n_t + _SMALL_BYTES + max(training, held + data)
 
     def pilot_slots(self) -> int:
@@ -616,8 +623,12 @@ def run_bound_validation(
 # ---------------------------------------------------------------------------
 # minimum-distance distribution
 
-# Channels per sample_dmin block.
+# Channels per sample_dmin draw block: all of a block's real parts are drawn
+# before its imaginary parts, and the real parts are held for the block.
 _DMIN_CHUNK = 1 << 14
+# Channels per sample_dmin tile: a block's channels, sums, signs and Gram
+# matrices are computed one tile at a time in buffers of this many channels.
+_DMIN_TILE = 1 << 9
 
 
 def sample_dmin(
@@ -628,42 +639,50 @@ def sample_dmin(
 
     Works directly on the signs of the stacked noiseless outputs, so it is
     an independent route from the codebook construction in :mod:`analysis`.
-    Each block of channels is built in one set of preallocated buffers, so
-    only one block's arrays are held at a time.
+    Each block of ``chunk`` channels draws all its real parts, then its
+    imaginary parts one tile of ``_DMIN_TILE`` channels at a time;
+    consecutive fills of a generator give the stream of one fill, so the
+    distances do not depend on the tile. Every tile is computed in one set
+    of preallocated buffers, so only the block's real parts and one tile's
+    arrays are held at a time.
     """
     book = enumerate_symbols(constellation("bpsk"), n_t)
     x = book.vectors.real.T
     k = book.size
     out = np.empty(count, dtype=np.int64)
-    m = min(chunk, count)
-    draw = np.empty((m, n_r, n_t))
-    h = np.empty((m, n_r, n_t), dtype=complex)
-    clean = np.empty((m, n_r, k), dtype=complex)
-    positive = np.empty((m, 2 * n_r, k), dtype=bool)
-    signs = np.empty((m, 2 * n_r, k), dtype=np.float32)
-    gram = np.empty((m, k, k), dtype=np.float32)
-    done = 0
-    while done < count:
-        m = min(chunk, count - done)
-        # h = (re + 1j * im) / sqrt(2), with the same complex division
-        for part in (h.real, h.imag):
-            rng.standard_normal(out=draw[:m])
-            part[:m] = draw[:m]
-        np.divide(h[:m], math.sqrt(2.0), out=h[:m])
-        np.matmul(h[:m], x, out=clean[:m])
-        np.greater_equal(clean.real[:m], 0.0, out=positive[:m, :n_r])
-        np.greater_equal(clean.imag[:m], 0.0, out=positive[:m, n_r:])
-        # +1 where the output is non-negative, -1 elsewhere
-        np.multiply(positive[:m], np.float32(2.0), out=signs[:m])
-        signs[:m] -= 1.0
-        np.matmul(signs[:m].transpose(0, 2, 1), signs[:m], out=gram[:m])
-        # Hamming distance = (2 n_r - gram) / 2 is non-increasing in the
-        # small-integer Gram entries, so the closest pair is the largest
-        # off-diagonal entry; the diagonal is pushed below every entry
-        gram[:m, np.arange(k), np.arange(k)] = -2 * n_r - 1
-        g_max = gram[:m].reshape(m, -1).max(axis=1)
-        out[done:done + m] = np.rint((2 * n_r - g_max) / 2.0)
-        done += m
+    m, tile = min(chunk, count), min(_DMIN_TILE, chunk, count)
+    real = np.empty((m, n_r, n_t))
+    imag = np.empty((tile, n_r, n_t))
+    h = np.empty((tile, n_r, n_t), dtype=complex)
+    clean = np.empty((tile, n_r, k), dtype=complex)
+    positive = np.empty((tile, 2 * n_r, k), dtype=bool)
+    signs = np.empty((tile, 2 * n_r, k), dtype=np.float32)
+    gram = np.empty((tile, k, k), dtype=np.float32)
+    diagonal = gram.reshape(tile, k * k)[:, ::k + 1]
+    for block in range(0, count, chunk):
+        m = min(chunk, count - block)
+        rng.standard_normal(out=real[:m])
+        for start in range(0, m, tile):
+            t = min(tile, m - start)
+            rng.standard_normal(out=imag[:t])
+            # h = (re + 1j * im) / sqrt(2), with the same complex division
+            h.real[:t] = real[start:start + t]
+            h.imag[:t] = imag[:t]
+            np.divide(h[:t], math.sqrt(2.0), out=h[:t])
+            np.matmul(h[:t], x, out=clean[:t])
+            np.greater_equal(clean.real[:t], 0.0, out=positive[:t, :n_r])
+            np.greater_equal(clean.imag[:t], 0.0, out=positive[:t, n_r:])
+            # +1 where the output is non-negative, -1 elsewhere
+            np.multiply(positive[:t], np.float32(2.0), out=signs[:t])
+            signs[:t] -= 1.0
+            np.matmul(signs[:t].transpose(0, 2, 1), signs[:t], out=gram[:t])
+            # Hamming distance = (2 n_r - gram) / 2 is non-increasing in the
+            # small-integer Gram entries, so the closest pair is the largest
+            # off-diagonal entry; the diagonal is pushed below every entry
+            diagonal[:t] = -2 * n_r - 1
+            g_max = gram[:t].reshape(t, -1).max(axis=1)
+            done = block + start
+            out[done:done + t] = np.rint((2 * n_r - g_max) / 2.0)
     return out
 
 
@@ -678,14 +697,18 @@ def run_ccdf_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     if cfg.bits != 1 or cfg.modulation != "bpsk":
         raise ConfigError(
             "the minimum-distance distribution requires one-bit ADCs and BPSK")
-    # sample_dmin: the int64 results and one block of m channels: their
-    # m x n_r x n_t float64 draws and complex channels, the m x n_r x K
-    # complex sums, the m x 2 n_r x K bool and float32 signs, the m x K x K
-    # float32 Gram matrix and its row maxima with two float32 temporaries
-    m, k = min(_DMIN_CHUNK, cfg.channel_count), cfg.symbol_count
-    block = 24 * cfg.n_r * cfg.n_t + k * (26 * cfg.n_r + 4 * k) + 12
-    _require_budget(cfg, 8 * cfg.channel_count + m * block + _SMALL_BYTES,
-                    f"for {cfg.channel_count} channels")
+    # sample_dmin: the int64 results, the m x n_r x n_t float64 real draws
+    # of one block of m channels, and one tile of t channels: their
+    # t x n_r x n_t float64 imaginary draws and complex channels, the
+    # t x n_r x K complex sums, the t x 2 n_r x K bool and float32 signs,
+    # the t x K x K float32 Gram matrix and its row maxima with two float32
+    # temporaries
+    n, k = cfg.channel_count, cfg.symbol_count
+    m, t = min(_DMIN_CHUNK, n), min(_DMIN_TILE, n)
+    tile = 24 * cfg.n_r * cfg.n_t + k * (26 * cfg.n_r + 4 * k) + 12
+    _require_budget(
+        cfg, 8 * n + 8 * m * cfg.n_r * cfg.n_t + t * tile + _SMALL_BYTES,
+        f"for {n} channels")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     samples = sample_dmin(cfg.n_t, cfg.n_r, cfg.channel_count, rng)
     book = enumerate_symbols(constellation("bpsk"), cfg.n_t)

@@ -25,6 +25,7 @@ from .core import (
     QuantizerConfig,
     SymbolBook,
     level_values,
+    noise_chunk,
     noisy_levels,
     quantize_levels,
     real_components,
@@ -201,12 +202,20 @@ def learn_first_stage(
              + book2.vectors @ plan.h2.T)
     table = _output_values(real_components(clean, cfg.real_mode), cfg)
     if samples_per_pair == 1:
-        values = table[:, :, None, :]
+        projected = table[:, :, None, :] @ plan.w1.T
     else:
-        values = level_values(noisy_levels(
+        levels = noisy_levels(
             clean[:, :, None, :], (k1, k2, samples_per_pair, n_r),
-            sigma2, rng, cfg), cfg)
-    projected = values @ plan.w1.T
+            sigma2, rng, cfg)
+        projected = np.empty(levels.shape[:-1] + (plan.w1.shape[0],))
+        # the float values of as many first-stage candidates as one noise
+        # chunk holds at a time; each pair's (l x d) @ (d x d1) product is
+        # the one the whole stack runs, so the bits do not depend on it
+        block = noise_chunk(levels[0].size)
+        for start in range(0, k1, block):
+            rows = slice(start, start + block)
+            np.matmul(level_values(levels[rows], cfg), plan.w1.T,
+                      out=projected[rows])
     return FirstStageModel(
         projected=projected.reshape(k1, k2 * samples_per_pair, -1),
         table=table)

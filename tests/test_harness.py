@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quantmimo import analysis, baselines, core, detection, harness, sic, training
@@ -256,7 +256,7 @@ def test_peak_bytes_bounds_traced_sic_peak(first_stage_count):
 
 @pytest.mark.parametrize("bits", [2, 8])
 def test_peak_bytes_bounds_traced_mld_peak(bits):
-    # MLD alone on 64 QPSK candidates and n_r = 32: at b = 8 the three
+    # MLD alone on 64 QPSK candidates and n_r = 32: at b = 8 the two
     # 64 x 64 x 256 float64 arrays that build its likelihood table are the
     # peak, at b = 2 the gather of 200 observations from the table
     import scipy.special  # noqa: F401  (its import is not traced)
@@ -560,6 +560,38 @@ def test_sample_dmin_matches_full_distance_matrix(n_t, n_r):
     assert got.dtype == np.int64
     assert np.array_equal(got, ref)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("tile", [1, 3, 1 << 20])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_t=st.integers(1, 4), n_r=st.integers(1, 5),
+       count=st.integers(1, 40), chunk=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1))
+# three blocks of 8 channels, the last cut mid-tile
+@example(n_t=3, n_r=2, count=17, chunk=8, seed=0)
+def test_sample_dmin_tiles_match_full_distance_matrix(
+        monkeypatch, tile, n_t, n_r, count, chunk, seed):
+    # tiles of 1 and 3 channels, and one tile larger than any block
+    monkeypatch.setattr(harness, "_DMIN_TILE", tile)
+    got_rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    got = harness.sample_dmin(n_t, n_r, count, got_rng, chunk=chunk)
+    ref = _sample_dmin_full_distances(n_t, n_r, count, ref_rng, chunk)
+    assert np.array_equal(got, ref)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sample_dmin_peak_is_one_tile_not_one_block():
+    # dmin_ccdf.cfg's shape: a whole 16 384-channel block of sums, signs
+    # and Gram matrices takes about 50 MB
+    tracemalloc.start()
+    try:
+        harness.sample_dmin(4, 4, 100_000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("n_t, n_r, count", [(4, 4, 20_000), (6, 4, 5000),
@@ -1116,7 +1148,9 @@ def test_detectors_receive_pairwise_distinct_rows(monkeypatch, cfg):
 # before the harness detected each distinct observation once; bound
 # validation with trained centroids at commit 123c14e, before it ran through
 # the SER sweeps' receiver pipeline, and it still matched before bound
-# batches were deduplicated.
+# batches were deduplicated. The 20 000-channel ccdf run, which crosses a
+# sample_dmin draw block, was recorded at commit a732127, before the blocks
+# were computed in tiles.
 _REDUCED_CSV_SHA256 = {
     "detector_comparison.cfg": (
         "detector_comparison.cfg", harness.run_ser_experiment, 5,
@@ -1131,6 +1165,9 @@ _REDUCED_CSV_SHA256 = {
     "dmin_ccdf.cfg": (
         "dmin_ccdf.cfg", harness.run_ccdf_experiment, 2000,
         "973117b125e7bb3a20c1610573e648c305d1aa3b54db235ce3d1b2ac4331719e"),
+    "dmin_ccdf.cfg-blocks": (
+        "dmin_ccdf.cfg", harness.run_ccdf_experiment, 20_000,
+        "1097f34f709ca2bc4312753fdf0d23e6f65f27af2c50bbd98e370ca95642785e"),
     "multibit_downlink_b2.cfg": (
         "multibit_downlink_b2.cfg", harness.run_ser_experiment, 5,
         "cc0117cb76ea09e6ac046dc28e235abd8d1a0370a2b0254e00843a17705e7592"),

@@ -213,6 +213,28 @@ def test_first_stage_projections_match_complex_path():
     assert model.centroids.tobytes() == flat.mean(axis=1).tobytes()
 
 
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_first_stage_blocks_match_whole_stack_projection(monkeypatch, block):
+    # K1 = 64 first-stage candidates converted and projected in blocks of
+    # 1, 7 (the last one partial) or 100 (one block) give the bits of the
+    # whole (K1, K2, l, d) stack's product
+    cfg = QuantizerConfig(bits=2, step=0.5)
+    h = core.sample_channel(4, 4, np.random.default_rng(41))
+    plan = sic.build_plan(h, 3)
+    book1 = core.enumerate_symbols(core.qpsk(), 3)
+    book2 = core.enumerate_symbols(core.qpsk(), 1)
+    monkeypatch.setattr(sic, "noise_chunk", lambda values: block)
+    model = sic.learn_first_stage(
+        plan, 0.4, 3, book1, book2, cfg, np.random.default_rng(6))
+    clean = (book1.vectors @ plan.h1.T)[:, None, :] + (
+        book2.vectors @ plan.h2.T)[None, :, :]
+    levels = core.noisy_levels(
+        clean[:, :, None, :], (64, 4, 3, 4), 0.4, np.random.default_rng(6),
+        cfg)
+    whole = core.level_values(levels, cfg) @ plan.w1.T
+    assert model.projected.tobytes() == whole.reshape(64, 12, -1).tobytes()
+
+
 def test_first_stage_rejects_bad_inputs():
     cfg = QuantizerConfig(bits=1, step=2.0)
     h = core.sample_channel(3, 2, np.random.default_rng(2))
