@@ -20,6 +20,10 @@ _POWER_TOL = 1e-12
 # K = 4096, l_a = 16, n_r = 32 explicit training draws 128 symbols per chunk.
 _NOISE_BYTES = 1 << 19
 
+# Largest float64 scratch (values) that quantize_levels copies its input into
+# at once: a quarter of a noise chunk.
+_QUANTIZE_VALUES = 1 << 14
+
 
 @dataclass(frozen=True)
 class Constellation:
@@ -145,17 +149,36 @@ def quantize_levels(x, cfg: QuantizerConfig) -> np.ndarray:
     at/above the highest decision threshold; inputs exactly on a threshold
     land in the upper cell (so 0 maps to the smallest positive output). The
     input is never modified.
+
+    The input is copied into one float64 scratch of :func:`quantize_chunk`
+    leading-axis rows at a time and quantized there, so that scratch is the
+    only float temporary, whatever the input's size. Every step is
+    elementwise, so the levels do not depend on the block size.
     """
     x = np.asarray(x, dtype=float)
-    cells = np.subtract(x, cfg.r_low, out=np.empty(x.shape))
-    cells /= cfg.step
-    np.floor(cells, out=cells)
-    # NaN propagates through floor and min, so one reduction finds it
-    if cells.size and np.isnan(cells.min()):
+    # NaN propagates through min, so one reduction finds it
+    if x.size and np.isnan(x.min()):
         raise ValueError("cannot quantize NaN samples")
-    cells += 1.0
-    np.clip(cells, 0, cfg.n_levels - 1, out=cells)
-    return cells.astype(cfg.level_dtype)
+    levels = np.empty(x.shape, dtype=cfg.level_dtype)
+    rows, out = np.atleast_1d(x, levels)
+    step = quantize_chunk(math.prod(rows.shape[1:]))
+    scratch = np.empty((min(step, len(rows)),) + rows.shape[1:])
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        cells = np.subtract(block, cfg.r_low, out=scratch[:len(block)])
+        cells /= cfg.step
+        np.floor(cells, out=cells)
+        cells += 1.0
+        np.clip(cells, 0, cfg.n_levels - 1, out=cells)
+        out[start:start + step] = cells
+    return levels
+
+
+def quantize_chunk(row_values: int) -> int:
+    """Leading-axis rows per :func:`quantize_levels` scratch block: as many
+    rows of ``row_values`` values as ``_QUANTIZE_VALUES`` holds, and at least
+    one."""
+    return max(1, _QUANTIZE_VALUES // max(1, row_values))
 
 
 def level_values(levels, cfg: QuantizerConfig) -> np.ndarray:
@@ -380,8 +403,11 @@ def noisy_levels(
     Each block is drawn in chunks of :func:`noise_chunk` leading-axis rows
     into one scratch buffer, where the clean part is added and the chunk is
     quantized; consecutive fills of a generator give the stream of one fill,
-    so the levels do not depend on the chunk size. sigma2 == 0 draws nothing,
-    needs no generator and allocates no buffer.
+    so the levels do not depend on the chunk size. :func:`quantize_levels`
+    reads the buffer through its own bounded float scratch, so a chunk adds
+    no float copy of the buffer, only the chunk's narrow levels. sigma2 == 0
+    draws nothing, needs no generator and allocates no buffer: it quantizes
+    views of ``clean`` the same way.
     """
     clean = np.asarray(clean, dtype=complex)
     shape = tuple(shape)

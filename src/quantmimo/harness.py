@@ -27,6 +27,7 @@ from .core import (
     enumerate_symbols,
     level_values,
     noise_chunk,
+    quantize_chunk,
     sample_channel,
     snr_db_to_sigma2,
     transmit_batch,
@@ -41,9 +42,9 @@ CSV_COLUMNS = (
 # Largest accepted array estimate of one channel (ExperimentConfig.peak_bytes),
 # of bound's code geometry or of sample_dmin's block draws and tile. The
 # K = 4**6 full search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32)
-# and 200 data vectors, estimates 15.3 MiB with MCD, and 2.2 GiB with eMLD
-# and MMD, whose count matrix and distances span all 65 536 distinct trained
-# rows.
+# and 200 data vectors, estimates 10.5 MiB with MCD (0.65 GiB at 20 000 data
+# vectors), and 2.2 GiB with eMLD and MMD, whose count matrix and distances
+# span all 65 536 distinct trained rows.
 _PEAK_BYTES_BUDGET = 1 << 30
 # Allowance in that estimate for the channel, the small arrays and the Python
 # objects of one channel realization.
@@ -111,20 +112,23 @@ class ExperimentConfig:
         peaks. Builds none of the arrays.
 
         Training: one noise chunk of ``core.noisy_levels`` holds its float
-        buffer, the quantizer's float temporary and their levels. Explicit
-        training holds the K x n_r complex noiseless sums and the model, a
-        K x L x d level array, while it draws. Implicit training holds the
-        K*L/2 x n_t complex pilot symbols and their levels with, while it
-        transmits, their complex noiseless sums, and afterwards the mirrored
-        levels and the model. MCD sums its centroids next to the model into
-        K x d int64 sums and two float temporaries. SIC, with K1 = M**n_t1
-        and d1 = d - 2 (n_t - n_t1) projected dimensions, holds its two
-        subvector books, the K x n_r complex noiseless sums and the K x d
-        float64 candidate table with either the table's float input, its
-        quantizer temporary and levels, or the K*l x d1 float64 projections
-        of its l = l_a1 samples per pair, which for l > 1 also hold their
-        levels and the float values of one block of first-stage candidates
-        (as many values as a noise chunk) with their scaled copy.
+        buffer, their levels and the quantizer's float scratch of
+        ``core.quantize_chunk`` rows. Explicit training holds the K x n_r
+        complex noiseless sums and the model, a K x L x d level array, while
+        it draws. Implicit training holds the K*L/2 x n_t complex pilot
+        symbols and their levels with, while it transmits, their complex
+        noiseless sums, and afterwards the mirrored levels and the model.
+        MCD sums its centroids next to the model into K x d int64 sums and
+        two float temporaries. SIC, with K1 = M**n_t1 and
+        d1 = d - 2 (n_t - n_t1) projected dimensions, holds its two
+        subvector books and the K x d float64 candidate table with the
+        largest of: the K x n_r complex noiseless sums with the table's
+        float input and levels; for l = l_a1 > 1 the sums with the K*l x d
+        noisy levels and one noise chunk; and, once the sums are freed, the
+        K*l x d1 float64 projections of its l samples per pair, which for
+        l > 1 also hold their levels and the float values of one block of
+        first-stage candidates (as many values as a noise chunk) with their
+        scaled copy.
 
         Data phase: what training leaves (MCD's K x d centroids; for eMLD
         and MMD the model and the S x K int64 count matrix of its
@@ -132,7 +136,8 @@ class ExperimentConfig:
         projections and K1 x d1 centroids) and the batch: N x n_t complex
         symbols, N x n_r complex sums, two N x d level copies, and N x d
         float64 values with their scaled copy. Each detector adds its own
-        terms: MCD an N x K float64 product and distances; eMLD and MMD the
+        terms: MCD an N x K float64 product, which becomes the distances in
+        place (``detection.nearest_center``); eMLD and MMD the
         larger of the level-distance kernel (N x d and S x d float64
         operands, N x S float64 distances and their int64 cast) and eMLD's
         N x S bool and int64 neighbor masks next to the distances, with its
@@ -141,16 +146,17 @@ class ExperimentConfig:
         build (the table and one ``ndtr`` term) and its gather (the
         table, K x d int32 cell offsets, the N x K x d int32 flat index and
         float64 likelihoods, and their N x K sums); SIC an N x K1 stage-one
-        product and distances and one chunk of its N x K2 x d stage-two gather
-        (``sic.stage_two_chunk``).
+        product turned distances and one chunk of its N x K2 x d stage-two
+        gather (``sic.stage_two_chunk``).
         """
         k, d, n = self.symbol_count, 2 * self.n_r, self.vectors_per_channel
         level = QuantizerConfig(self.bits, self.step).level_dtype.itemsize
         detectors = set(self.detectors)
 
         def noise(rows: int, row_values: int) -> int:
-            values = min(rows, noise_chunk(row_values)) * row_values
-            return (16 + level) * values
+            chunk = min(rows, noise_chunk(row_values))
+            scratch = min(chunk, quantize_chunk(row_values))
+            return ((8 + level) * chunk + 8 * scratch) * row_values
 
         data = n * (16 * self.n_t + 16 * self.n_r + 2 * level * d + 16 * d)
         if self.framework == "sic":
@@ -160,18 +166,26 @@ class ExperimentConfig:
             samples = self.first_stage_count
             d1 = d - 2 * (self.n_t - n_t1)
             projected = 8 * k * samples * d1
-            # l > 1: the levels, and one block of first-stage candidates'
-            # float values with their scaled copy (sic.learn_first_stage)
-            candidate = samples * d * (k // k1)
-            drawn = (level * k * samples * d
-                     + 16 * candidate * min(k1, noise_chunk(candidate))
-                     if samples > 1 else 0)
             books = 16 * (k1 * n_t1 + k // k1 * (self.n_t - n_t1))
-            training = books + 16 * k * self.n_r + 8 * k * d + max(
-                (8 + level) * k * d, drawn + projected)
+            clean = 16 * k * self.n_r
+            # sic.learn_first_stage: next to the table, the noiseless sums
+            # with the table's float input and levels, then for l > 1 the
+            # sums with the noisy levels and one noise chunk, and after the
+            # sums are freed the projections with, for l > 1, the levels and
+            # one block of first-stage candidates' float values and their
+            # scaled copy
+            stages = [clean + (8 + level) * k * d, projected]
+            if samples > 1:
+                candidate = samples * d * (k // k1)
+                drawn = level * k * samples * d
+                stages += [
+                    clean + drawn + noise(k1, k // k1 * samples * self.n_r),
+                    drawn + 16 * candidate * min(k1, noise_chunk(candidate))
+                    + projected]
+            training = books + 8 * k * d + max(stages)
             held = books + 8 * k * d + projected + 8 * k1 * d1
             row = 8 * d * (k // k1)
-            data += 16 * n * k1 + row * min(n, sic.stage_two_chunk(row))
+            data += 8 * n * k1 + row * min(n, sic.stage_two_chunk(row))
         else:
             implicit = self.training == "implicit"
             samples = (self.repetitions if implicit
@@ -191,7 +205,7 @@ class ExperimentConfig:
             held = 0
             if "mcd" in detectors:
                 held += 8 * k * d
-                data += 16 * n * k
+                data += 8 * n * k
             if {"emld", "mmd"} & detectors:
                 s = min(k * samples, 2 ** (self.bits * d))
                 held += model + 8 * s * k

@@ -201,12 +201,15 @@ def learn_first_stage(
     clean = ((book1.vectors @ plan.h1.T)[..., None, :]
              + book2.vectors @ plan.h2.T)
     table = _output_values(real_components(clean, cfg.real_mode), cfg)
+    # the noiseless sums are freed once their last reader has run
     if samples_per_pair == 1:
+        del clean
         projected = table[:, :, None, :] @ plan.w1.T
     else:
         levels = noisy_levels(
             clean[:, :, None, :], (k1, k2, samples_per_pair, n_r),
             sigma2, rng, cfg)
+        del clean
         projected = np.empty(levels.shape[:-1] + (plan.w1.shape[0],))
         # the float values of as many first-stage candidates as one noise
         # chunk holds at a time; each pair's (l x d) @ (d x d1) product is

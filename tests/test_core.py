@@ -84,6 +84,27 @@ def test_quantize_levels_leaves_input_unchanged():
     assert x.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("bits", [1, 2, 3, 9])
+def test_quantize_levels_blocks_match_whole_copy(monkeypatch, bits):
+    # scratches of 1, 7 and 24 values and of everything: blocks of single
+    # values, of whole rows when a row is longer, and partial last blocks,
+    # on thresholds, infinities, a flat input, strided, transposed and
+    # broadcast views, a scalar and an empty matrix
+    cfg = QuantizerConfig(bits=bits, step=0.25)
+    rng = np.random.default_rng(bits)
+    x = rng.normal(scale=cfg.n_levels * cfg.step / 2, size=(5, 3, 4))
+    x.flat[::7] = cfg.r_low + cfg.step * rng.integers(-2, cfg.n_levels, 9)
+    x[0, 0, :2] = np.inf, -np.inf
+    inputs = (x, x.ravel(), x[:, ::2], x.transpose(2, 0, 1),
+              np.broadcast_to(x[:, :1], x.shape), x[0, 0, 3], x[:0])
+    for values in (1, 7, 24, x.size):
+        monkeypatch.setattr(core, "_QUANTIZE_VALUES", values)
+        for view in inputs:
+            got = core.quantize_levels(view, cfg)
+            assert got.dtype == cfg.level_dtype and got.shape == np.shape(view)
+            assert np.array_equal(got, _int64_quantize_levels(view, cfg))
+
+
 @pytest.mark.parametrize("bits, dtype", [
     (1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16),
     (24, np.uint32)])
@@ -418,10 +439,34 @@ def test_vector_negation_closure_off_boundary():
     assert np.array_equal(negative, cfg.n_levels - 1 - positive)
 
 
+def test_noisy_chunk_holds_no_float_quantizer_temporary():
+    # one noise chunk of the K = 4096, l_a = 16, n_r = 32 explicit training:
+    # 128 symbols' 512 KiB float buffer with the levels, and for each of
+    # the real and imaginary halves the quantizer's float scratch (a quarter
+    # of the buffer) and the half's narrow levels, but no float copy of the
+    # whole buffer (another 512 KiB)
+    cfg = QuantizerConfig(bits=2, step=0.5)
+    rng = np.random.default_rng(3)
+    shape = (128, 16, 32)
+    clean = rng.normal(size=(128, 1, 32)) + 1j * rng.normal(size=(128, 1, 32))
+    assert core.noise_chunk(16 * 32) == 128
+    tracemalloc.start()
+    try:
+        levels = core.noisy_levels(clean, shape, 0.7, rng, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = 8 * math.prod(shape)
+    scratch = 8 * core._QUANTIZE_VALUES
+    assert scratch == buffer // 4
+    assert peak <= buffer + levels.nbytes + levels.nbytes // 2 + scratch + 16384
+
+
 def test_noise_free_levels_allocate_no_noise_buffer():
     # the K = 1 024, n_r = 8 codebook of a bound search: the levels, the
-    # quantizer's float temporary of one block, its narrow copy and some
-    # bookkeeping, but no float noise buffer (another 64 KiB) beside them
+    # quantizer's float scratch (here one block of all 1 024 rows), its
+    # narrow levels and some bookkeeping, but no float noise buffer
+    # (another 64 KiB) beside them
     cfg = QuantizerConfig(bits=1, step=0.5)
     book = core.enumerate_symbols(core.bpsk(), 10)
     h = core.sample_channel(8, 10, np.random.default_rng(1))

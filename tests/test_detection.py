@@ -375,6 +375,46 @@ def test_batch_detectors_match_oracles():
 
 
 @settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 74, 75, 76, 300]), k=st.integers(1, 40),
+       d=st.integers(1, 64), samples=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_nearest_center_equals_out_of_place_expansion(n, k, d, samples, seed):
+    # one-bit value rows against centers that are level means over
+    # ``samples`` rows, with every center duplicated (exact ties) and some
+    # observations on a center; BLAS picks its kernel by batch shape, and
+    # m <= 75 and m = 300 rows take different ones
+    rng = np.random.default_rng(seed)
+    sums = rng.integers(0, samples + 1, size=(k, d))
+    centers = core.level_values(sums, _ONE_BIT) if samples == 1 else (
+        (sums - samples * 0.5) * _ONE_BIT.step / samples)
+    centers = np.repeat(centers, 2, axis=0)
+    values = core.level_values(rng.integers(0, 2, size=(n, d)), _ONE_BIT)
+    values[::3] = centers[rng.integers(0, 2 * k, size=len(values[::3]))]
+    # the three-term expression the in-place kernel replaced
+    d2 = (np.einsum("nd,nd->n", values, values)[:, None]
+          - 2.0 * values @ centers.T
+          + np.einsum("kd,kd->k", centers, centers)[None, :])
+    got = detection.nearest_center(values, centers)
+    assert np.array_equal(got, np.argmin(d2, axis=1))
+
+
+def test_nearest_center_holds_one_distance_matrix():
+    # MCD at K = 4096, d = 64 on a 200-row batch: the 200 x 4096 float64
+    # product becomes the distances in place; the norms and the scaled
+    # values fit in the remaining tenth
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(200, 64))
+    centers = rng.normal(size=(4096, 64))
+    tracemalloc.start()
+    try:
+        detection.nearest_center(values, centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * 200 * 4096
+
+
+@settings(max_examples=60, deadline=None)
 @given(bits=st.integers(1, 8), d=st.integers(1, 64), n=st.integers(1, 12),
        s=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_level_sqdist_equals_difference_tensor(bits, d, n, s, seed):

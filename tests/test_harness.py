@@ -168,23 +168,28 @@ def test_peak_bytes_estimate_and_budget():
     # sums, two 200 x 64 uint8 level copies, 200 x 64 float64 values and
     # their scaled copy
     batch = 200 * (16 * 6 + 16 * 32 + 2 * 64 + 16 * 64)
-    # besides the 4096 x 6 complex symbol book and the small-object
-    # allowance, the data phase holds the 4096 x 64 float64 centroids, the
-    # batch and MCD's 200 x 4096 float64 product and distances
-    assert full_search.peak_bytes() == (
-        16 * 4096 * 6 + harness._SMALL_BYTES
-        + 8 * 4096 * 64 + batch + 16 * 200 * 4096)
-    # with one data vector the training peak is the larger one: the
+    # the training peak is the larger one at 200 data vectors: besides the
+    # 4096 x 6 complex symbol book and the small-object allowance, the
     # centroids are summed next to the 4096 x 16 x 64 uint8 levels into
     # 4096 x 64 int64 sums and two float temporaries
-    assert _full_search(vectors_per_channel=1).peak_bytes() == (
+    training = 16 * 4096 * 6 + harness._SMALL_BYTES + (
+        4096 * 16 * 64 + 24 * 4096 * 64)
+    assert full_search.peak_bytes() == training
+    assert _full_search(vectors_per_channel=1).peak_bytes() == training
+    # at 2 000 the data phase holds more: the 4096 x 64 float64 centroids,
+    # the batch and MCD's 2 000 x 4096 float64 product, which becomes the
+    # distances in place
+    assert _full_search(vectors_per_channel=2_000).peak_bytes() == (
         16 * 4096 * 6 + harness._SMALL_BYTES
-        + 4096 * 16 * 64 + 24 * 4096 * 64)
+        + 8 * 4096 * 64 + 10 * batch + 8 * 2_000 * 4096)
     assert full_search.peak_bytes() < 100 * 2**20
     full_search.validate()
-    # 20 000 data vectors: MCD's product and distances alone take 1.2 GiB
+    # 20 000 data vectors fit (about 0.65 GiB, most of it MCD's distances);
+    # 40 000 take 1.3 GiB
+    assert _full_search(vectors_per_channel=20_000).peak_bytes() < 0.7 * 2**30
+    _full_search(vectors_per_channel=20_000).validate()
     with pytest.raises(ConfigError, match="MiB per channel"):
-        _full_search(vectors_per_channel=20_000).validate()
+        _full_search(vectors_per_channel=40_000).validate()
     mld = _cfg(vectors_per_channel=500)
     # implicit: training (a 16*5/2-slot pilot frame) holds less than the
     # data phase: the 16 x 8 float64 MCD centroids, the model (16 x 5 x 8
@@ -192,7 +197,7 @@ def test_peak_bytes_estimate_and_budget():
     # eMLD's 500 x 80 int64 distances with their bool and int64 neighbor
     # masks and its 500 x 16 scores (more than the level-distance kernel's
     # float64 operands, distances and int64 cast), MCD's 500 x 16 product
-    # and distances, and MLD's 16 x 4 complex sums and 16 x 8 real form
+    # turned distances, and MLD's 16 x 4 complex sums and 16 x 8 real form
     # with, more than the three 16 x 8 x 2 float64 arrays that build its
     # likelihood table, the table, its 16 x 8 int32 cell offsets, the
     # 500 x 16 x 8 int32 index and float64 gather and their 500 x 16 sums
@@ -200,7 +205,7 @@ def test_peak_bytes_estimate_and_budget():
         16 * 16 * 2 + harness._SMALL_BYTES
         + 8 * 16 * 8 + 80 * 8 + 8 * 80 * 16
         + 500 * (16 * 2 + 16 * 4 + 2 * 8 + 16 * 8)
-        + 17 * 500 * 80 + 8 * 500 * 16 + 16 * 500 * 16
+        + 17 * 500 * 80 + 8 * 500 * 16 + 8 * 500 * 16
         + 16 * 16 * 8 + 8 * 16 * 8 * 2 + 4 * 16 * 8
         + 12 * 500 * 16 * 8 + 8 * 500 * 16)
     for n_t in (12, 40):
@@ -210,17 +215,17 @@ def test_peak_bytes_estimate_and_budget():
         full_search, framework="sic", n_t1=5, first_stage_count=1)
     # the data phase: the 1024 x 5 and 4 x 1 subvector books, the 4096 x 64
     # float64 table, the 4096 x 62 projections and 1024 x 62 centroids, the
-    # batch, the 200 x 1024 stage-one product and distances, and the
+    # batch, the 200 x 1024 stage-one product turned distances, and the
     # stage-two gather of all 200 observations against K2 = 4 candidates
     assert sic_split.peak_bytes() == (
         16 * 4096 * 6 + harness._SMALL_BYTES + 16 * (1024 * 5 + 4 * 1)
         + 8 * 4096 * 64 + 8 * 4096 * 62 + 8 * 1024 * 62 + batch
-        + 16 * 200 * 1024 + 200 * 8 * 4 * 64)
+        + 8 * 200 * 1024 + 200 * 8 * 4 * 64)
     # K2 = 1024: the gather is cut to 32 observations of 512 KiB each
     assert dataclasses.replace(sic_split, n_t1=1).peak_bytes() == (
         16 * 4096 * 6 + harness._SMALL_BYTES + 16 * (4 * 1 + 1024 * 5)
         + 8 * 4096 * 64 + 8 * 4096 * 54 + 8 * 4 * 54 + batch
-        + 16 * 200 * 4 + 32 * 8 * 1024 * 64)
+        + 8 * 200 * 4 + 32 * 8 * 1024 * 64)
 
 
 def _traced_channel_peak(cfg):
@@ -235,21 +240,29 @@ def _traced_channel_peak(cfg):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("training_kind", ["explicit", "implicit"])
-def test_peak_bytes_bounds_traced_training_peak(training_kind):
+@pytest.mark.parametrize("training_kind, vectors", [
+    ("explicit", 200), ("implicit", 200), ("explicit", 2_000),
+], ids=["explicit", "implicit", "explicit-2000"])
+def test_peak_bytes_bounds_traced_training_peak(training_kind, vectors):
     # one SNR point of the full search, trained explicitly with l_a = 16 as
-    # in the benchmark, or implicitly from a 4096*16/2-slot pilot frame
+    # in the benchmark, or implicitly from a 4096*16/2-slot pilot frame; at
+    # 2 000 data vectors MCD's distances make the data phase the peak
     cfg = _full_search(
-        channel_count=1, training=training_kind, repetitions=16)
+        channel_count=1, training=training_kind, repetitions=16,
+        vectors_per_channel=vectors)
     peak = _traced_channel_peak(cfg)
     assert peak <= cfg.peak_bytes() <= 1.25 * peak
 
 
-@pytest.mark.parametrize("first_stage_count", [1, 4, 8])
-def test_peak_bytes_bounds_traced_sic_peak(first_stage_count):
-    # the 5/1 split of the full search; l_a1 > 1 trains on noisy samples
+@pytest.mark.parametrize("first_stage_count, vectors", [
+    (1, 200), (4, 200), (8, 200), (1, 2_000),
+], ids=["1", "4", "8", "1-2000"])
+def test_peak_bytes_bounds_traced_sic_peak(first_stage_count, vectors):
+    # the 5/1 split of the full search; l_a1 > 1 trains on noisy samples,
+    # and at 2 000 data vectors the data phase is the peak
     cfg = _full_search(channel_count=1, framework="sic", n_t1=5,
-                       first_stage_count=first_stage_count)
+                       first_stage_count=first_stage_count,
+                       vectors_per_channel=vectors)
     peak = _traced_channel_peak(cfg)
     assert peak <= cfg.peak_bytes() <= 1.25 * peak
 
@@ -805,8 +818,8 @@ def test_cli_rejects_huge_trained_support_before_drawing_a_channel(
 
 def test_cli_rejects_huge_data_batch_before_drawing_a_channel(
         tmp_path, capsys, monkeypatch):
-    # 20 000 data vectors against K = 4096 centroids: MCD's product and
-    # distances need about 1.2 GiB, though training fits in a few MiB
+    # 40 000 data vectors against K = 4096 centroids: MCD's distances need
+    # about 1.2 GiB, though training fits in a few MiB
     def forbidden(*args, **kwargs):
         raise AssertionError("a channel was drawn past validation")
 
@@ -815,7 +828,7 @@ def test_cli_rejects_huge_data_batch_before_drawing_a_channel(
     config = Path(__file__).parents[1] / "perfbench/configs/full_search_k4096.cfg"
     bad = tmp_path / "batch.cfg"
     bad.write_text(config.read_text().replace(
-        "vectors_per_channel = 200", "vectors_per_channel = 20000"))
+        "vectors_per_channel = 200", "vectors_per_channel = 40000"))
     assert main(["ser", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "MiB per channel" in err

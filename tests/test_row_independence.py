@@ -8,10 +8,10 @@ other rows share its batch, or where in the batch it sits.
 MCD and MMD rank symbols by float sums whose matrix products BLAS evaluates
 with a kernel chosen by the batch shape (a one-row batch takes the
 matrix-vector kernel), so where two symbols tie exactly the rounding, and
-with it the chosen index, can follow the batch. That is the tie defect of
-ROADMAP item 3. The test allows exactly that and nothing more: a decision
-may differ only between two symbols whose scores, evaluated row by row,
-agree to rounding.
+with it the chosen index, can follow the batch: the batch-dependent tie
+defect, which exact integer distances would remove. The test allows exactly
+that and nothing more: a decision may differ only between two symbols whose
+scores, evaluated row by row, agree to rounding.
 """
 
 import numpy as np
