@@ -85,7 +85,6 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seed=args.seed)
         if args.threads is not None:
             cfg = replace(cfg, threads=args.threads)
-        cfg.validate()
         runner = {
             "ser": harness.run_ser_experiment,
             "bound": harness.run_bound_validation,

@@ -2,13 +2,13 @@
 symbol-vector index.
 
 eMLD scores each symbol by the total empirical probability of the trained
-vectors nearest to the observation; MMD scores by the PMF-weighted mean
-distance to the observation; MCD keeps only one representative centroid per
-symbol. Distances are computed on quantizer output values (step-scaled), not
-raw level indices. Ties resolve to the smallest index exactly for eMLD,
-whose scores are integers. MCD and MMD rank symbols by float sums of BLAS
-products, whose rounding can misorder a near tie and whose kernel, chosen by
-batch shape, can pick either symbol of an exact one.
+vectors nearest to the observation, in exact integer squared distances of
+level indices (``core.level_sqdist``); MMD by the PMF-weighted mean of their
+roots times the step Δ; MCD by the distance of the output values (scaled
+levels) to one centroid per symbol. Only eMLD, whose scores are integers,
+resolves ties to the smallest index exactly. MCD and MMD rank symbols by
+float sums of BLAS products, whose rounding can misorder a near tie and
+whose kernel, chosen by batch shape, can pick either symbol of an exact one.
 
 Each detector has one batch implementation: eMLD and MMD take an integer
 level matrix and MCD its output values, one observation per row, and each

@@ -52,7 +52,7 @@ _SMALL_BYTES = 1 << 17
 
 
 class ConfigError(ValueError):
-    """Raised for malformed experiment configurations."""
+    """Raised for malformed or infeasible experiment configurations."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,7 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, getattr(self, f.name).lower())
         object.__setattr__(
             self, "detectors", tuple(d.lower() for d in self.detectors))
+        self.validate()
 
     @property
     def symbol_count(self) -> int:
@@ -224,7 +225,7 @@ class ExperimentConfig:
         return self.t_t or 0
 
     def validate(self) -> None:
-        """Field-level sanity checks shared by every experiment type."""
+        """Field checks and the per-channel budget, run by every construction."""
         for name in ("n_t", "n_r", "bits", "channel_count",
                      "vectors_per_channel"):
             if getattr(self, name) < 1:
@@ -256,16 +257,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"detectors lists one twice: {', '.join(self.detectors)}")
         _require_budget(self, self.peak_bytes(), "per channel")
-        if self.symbol_count > 2 ** (2 * self.bits * self.n_r):
-            warnings.warn(
-                "more candidate symbol vectors than distinguishable receiver "
-                f"outputs ({self.symbol_count} > 2**{2 * self.bits * self.n_r}); "
-                "an irreducible detection error is unavoidable",
-                stacklevel=2)
 
     def validate_for_ser(self) -> None:
-        """Additional requirements for SNR-sweep detection experiments."""
-        self.validate()
+        """Further checks of an SNR sweep, which warns of unavoidable errors."""
         if self.framework == "sic":
             if self.n_t1 is None or not 1 <= self.n_t1 <= self.n_t:
                 raise ConfigError("framework sic needs n_t1 in [1, n_t]")
@@ -294,6 +288,12 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"t={self.total_slots} must equal t_t + vectors_per_channel"
                     f"={expected}")
+        if self.symbol_count > 2 ** (2 * self.bits * self.n_r):
+            warnings.warn(
+                "more candidate symbol vectors than distinguishable receiver "
+                f"outputs ({self.symbol_count} > 2**{2 * self.bits * self.n_r}); "
+                "an irreducible detection error is unavoidable",
+                stacklevel=2)
 
 
 def _require_budget(cfg: ExperimentConfig, peak: int, scope: str) -> None:
@@ -353,9 +353,7 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(
                 f"key {key!r}: cannot parse value {value!r}") from None
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -583,11 +581,15 @@ def run_bound_validation(
     SNR while the bound's decay rate approaches the simulated rate from
     below (see ``analysis.svep_upper_bound``).
     """
-    cfg.validate()
     if cfg.bits != 1 or cfg.modulation != "bpsk":
         raise ConfigError("bound validation requires one-bit ADCs and BPSK")
     if use_trained_centroids and (cfg.repetitions or 0) < 1:
         raise ConfigError("trained-centroid validation needs l >= 1")
+    # constructing the config of the MCD run admits it to the budget
+    mcd_cfg = replace(
+        cfg, framework="full", csir="perfect", detectors=("mcd",),
+        training="implicit" if use_trained_centroids else "explicit",
+        artificial_count=1)
     # analysis.geometry: the K x d uint8 codebook with the two K x d float64
     # operands of core.level_sqdist, its K x K float64 distances and their
     # int64 cast; before and after those, at most three arrays of 16 K n_r
@@ -596,6 +598,10 @@ def run_bound_validation(
     _require_budget(
         cfg, 16 * k * k + 17 * k * d + 48 * k * cfg.n_r + _SMALL_BYTES,
         "per channel")
+    if k > 2 ** d:
+        raise ConfigError(
+            f"n_t={cfg.n_t} > 2 n_r with n_r={cfg.n_r}: more codewords than "
+            "one-bit outputs, so every channel has d_min = 0 and none is kept")
     qcfg = QuantizerConfig(cfg.bits, cfg.step)
     book = enumerate_symbols(constellation(cfg.modulation), cfg.n_t)
     root = np.random.SeedSequence(cfg.seed)
@@ -614,10 +620,6 @@ def run_bound_validation(
         raise RuntimeError(
             f"no {cfg.channel_count} channels with a unit flip budget found "
             f"within {budget} draws")
-    mcd_cfg = replace(
-        cfg, framework="full", csir="perfect", detectors=("mcd",),
-        training="implicit" if use_trained_centroids else "explicit",
-        artificial_count=1)
     rngs = map(np.random.default_rng, channel_children)
     totals = sum(
         _channel_counts(
@@ -707,7 +709,6 @@ def run_ccdf_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     sampled channels with d_min >= n (so ``ser`` is the Monte Carlo CCDF) and
     ``bound`` carries the analytic CCDF value.
     """
-    cfg.validate()
     if cfg.bits != 1 or cfg.modulation != "bpsk":
         raise ConfigError(
             "the minimum-distance distribution requires one-bit ADCs and BPSK")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -283,7 +284,38 @@ def test_peak_bytes_bounds_traced_mld_peak(bits):
 def test_downlink_guard_warns():
     cfg = _cfg(n_t=3, n_r=1, modulation="qpsk", detectors=("mcd",))
     with pytest.warns(UserWarning, match="irreducible detection error"):
-        cfg.validate()
+        cfg.validate_for_ser()
+
+
+_DOWNLINK_TEXT = """\
+n_t = 3
+n_r = 1
+b = 1
+modulation = {modulation}
+snr_grid_db = 0, 10
+l = 2
+detectors = mcd
+channel_count = 2
+vectors_per_channel = 10
+seed = 0
+"""
+
+
+@pytest.mark.parametrize("command, modulation, expected", [
+    # 4**3 QPSK candidates against 2**2 one-bit outputs
+    ("ser", "qpsk", 1),
+    # 2**3 BPSK candidates: the d_min distribution runs no detection
+    ("ccdf", "bpsk", 0),
+])
+def test_downlink_warning_only_in_ser_runs(
+        tmp_path, command, modulation, expected):
+    cfg_path = tmp_path / "downlink.cfg"
+    cfg_path.write_text(_DOWNLINK_TEXT.format(modulation=modulation))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg_path)]) == 0
+    assert sum("irreducible detection error" in str(w.message)
+               for w in caught) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +495,7 @@ def test_bound_exact_trains_once_per_kept_channel(monkeypatch):
         assert sigma2 == 0.0 and artificial_count == 1
 
 
-@pytest.mark.filterwarnings("ignore:more candidate symbol vectors")
-@pytest.mark.parametrize("n_t, n_r", [(10, 2), (10, 8), (11, 4)])
+@pytest.mark.parametrize("n_t, n_r", [(10, 5), (10, 8), (11, 6)])
 def test_bound_budget_covers_traced_geometry_peak(monkeypatch, n_t, n_r):
     # the estimate that run_bound_validation checks before its search
     # against the tracemalloc peak of one analysis.geometry call
@@ -493,6 +524,23 @@ def test_bound_budget_covers_traced_geometry_peak(monkeypatch, n_t, n_r):
     finally:
         tracemalloc.stop()
     assert peak <= estimates[-1] <= 1.25 * peak
+
+
+@pytest.mark.parametrize("n_t, n_r", [(10, 2), (11, 4)])
+def test_bound_rejects_more_codewords_than_outputs_before_drawing(
+        monkeypatch, n_t, n_r):
+    # 2**n_t BPSK codewords against 2**(2 n_r) one-bit outputs: every
+    # channel has d_min = 0, so the search could never keep one
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a channel was drawn for an infeasible search")
+
+    monkeypatch.setattr(harness, "sample_channel", forbidden)
+    monkeypatch.setattr(analysis, "geometry", forbidden)
+    cfg = ExperimentConfig(
+        n_t=n_t, n_r=n_r, bits=1, modulation="bpsk", snr_grid_db=(10.0,),
+        channel_count=1, vectors_per_channel=10, seed=0, detectors=("mcd",))
+    with pytest.raises(ConfigError, match=f"n_t={n_t} > 2 n_r with n_r={n_r}"):
+        harness.run_bound_validation(cfg)
 
 
 def test_bound_validation_vanishing_noise():
@@ -859,12 +907,48 @@ def test_cli_rejects_huge_analysis_arrays_before_drawing(
         for line in shipped.read_text().splitlines()]
     bad = tmp_path / "big.cfg"
     bad.write_text("\n".join(lines))
+    # the per-channel estimate of a SER sweep accepts the config, and a SER
+    # sweep of it (which needs l) would warn of unavoidable errors
+    cfg = harness.load_config(bad)
     with pytest.warns(UserWarning, match="irreducible"):
-        # the per-channel estimate of a SER sweep accepts the config
-        harness.load_config(bad).validate()
-        assert main([command, "--config", str(bad)]) == 2
+        dataclasses.replace(cfg, repetitions=5).validate_for_ser()
+    assert main([command, "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"n_t={n_t}" in err
+
+
+_BOUND_ZF_TEXT = """\
+n_t = 12
+n_r = 16
+b = 1
+modulation = bpsk
+snr_grid_db = 10
+detectors = {detector}
+channel_count = 1
+vectors_per_channel = 40000
+seed = 0
+"""
+
+
+def test_cli_bound_budgets_its_mcd_run_not_the_listed_detectors(
+        tmp_path, capsys, monkeypatch):
+    # bound runs MCD whatever the file lists: ZF alone estimates 39 MiB per
+    # channel, but MCD's 40 000 x 4096 distances take 1.2 GiB
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a channel was drawn past the budget")
+
+    for module in (core, harness):
+        monkeypatch.setattr(module, "sample_channel", forbidden)
+    monkeypatch.setattr(analysis, "geometry", forbidden)
+    errors = []
+    for detector in ("zf", "mcd"):
+        cfg_path = tmp_path / f"{detector}.cfg"
+        cfg_path.write_text(_BOUND_ZF_TEXT.format(detector=detector))
+        assert main(["bound", "--config", str(cfg_path)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: n_t=12 ")
+    assert errors[0].endswith(" MiB per channel (limit 1024 MiB)\n")
 
 
 _NO_POOL = """

@@ -1,9 +1,10 @@
 """Every batch detector decides each row from that row alone.
 
-``harness._ser_channel_counts`` detects each distinct observation of a data
-batch once and copies the decision to the repeats. That gives the same
-counts only if a detector's decision for a row does not depend on which
-other rows share its batch, or where in the batch it sits.
+``harness._channel_counts``, which both ``ser`` and ``bound`` runs use,
+detects each distinct observation of a data batch once and copies the
+decision to the repeats. That gives the same counts only if a detector's
+decision for a row does not depend on which other rows share its batch, or
+where in the batch it sits.
 
 MCD and MMD rank symbols by float sums whose matrix products BLAS evaluates
 with a kernel chosen by the batch shape (a one-row batch takes the
@@ -22,9 +23,9 @@ from quantmimo import baselines, core, detection, sic, training
 
 
 def _detectors(rng, bits, real_mode, n_t, n_r, modulation, sigma2):
-    """Per detector, a function from a level batch to its decisions (symbol
-    indices, or symbol vectors for ZF and SIC) and, for MCD and MMD, one
-    from a level batch to every row's symbol scores (lower wins)."""
+    """Per detector, a function from a level batch to its decisions (one
+    symbol index per row) and, for MCD and MMD, one from a level batch to
+    every row's symbol scores (lower wins)."""
     qcfg = core.QuantizerConfig(bits, 0.5, real_mode=real_mode)
     c = core.constellation(modulation)
     book = core.enumerate_symbols(c, n_t)
