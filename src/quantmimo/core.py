@@ -420,6 +420,9 @@ def noisy_levels(
     n_r, rows = shape[-1], shape[0]
     levels = np.empty(
         shape[:-1] + (cfg.observed_dim(n_r),), dtype=cfg.level_dtype)
+    # each [Re | Im] half of a level row as one n_r-level item, so a chunk's
+    # levels are placed by whole halves, not level by level
+    halves = levels.view(np.dtype((np.void, n_r * levels.itemsize)))
     chunk = noise_chunk(math.prod(shape[1:]))
     if sigma2:
         buffer = np.empty((min(chunk, rows),) + shape[1:])
@@ -439,8 +442,8 @@ def noisy_levels(
                     continue
                 signal *= scale
                 signal += part[start:stop]
-            levels[start:stop, ..., block * n_r:(block + 1) * n_r] = (
-                quantize_levels(signal, cfg))
+            halves[start:stop, ..., block] = (
+                quantize_levels(signal, cfg).view(halves.dtype)[..., 0])
     return levels
 
 

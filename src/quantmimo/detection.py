@@ -42,11 +42,16 @@ def detect_emld_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     Each observation is scored against the trained vectors tied at its
     minimum distance: the winning symbol maximizes the summed multiplicities
     of those neighbors (an exact integer score).
+
+    The score product runs in float64 BLAS: every score is an integer no
+    larger than L, the symbol's trained rows, so each partial sum is exact
+    in any order and the argmax and its ties are those of the integer
+    product.
     """
     trained_levels, count_matrix = model.support_arrays
     d2 = level_sqdist(np.atleast_2d(levels), trained_levels)
     neighbor_mask = d2 == d2.min(axis=1, keepdims=True)
-    scores = neighbor_mask.astype(np.int64) @ count_matrix
+    scores = neighbor_mask.astype(float) @ count_matrix
     return np.argmax(scores, axis=1)
 
 

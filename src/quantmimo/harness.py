@@ -43,8 +43,8 @@ CSV_COLUMNS = (
 # of bound's code geometry or of sample_dmin's block draws and tile. The
 # K = 4**6 full search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32)
 # and 200 data vectors, estimates 10.5 MiB with MCD (0.65 GiB at 20 000 data
-# vectors), and 2.2 GiB with eMLD and MMD, whose count matrix and distances
-# span all 65 536 distinct trained rows.
+# vectors), and 4.2 GiB with eMLD and MMD, whose count matrix, its float64
+# cast and distances span all 65 536 distinct trained rows.
 _PEAK_BYTES_BUDGET = 1 << 30
 # Allowance in that estimate for the channel, the small arrays and the Python
 # objects of one channel realization.
@@ -141,11 +141,14 @@ class ExperimentConfig:
         place (``detection.nearest_center``); eMLD and MMD the
         larger of the level-distance kernel (N x d and S x d float64
         operands, N x S float64 distances and their int64 cast) and eMLD's
-        N x S bool and int64 neighbor masks next to the distances, with its
-        N x K scores; MLD its K x n_r complex noiseless sums and their real
-        form with the larger of its K x d x 2**b float64 likelihood table's
-        build (the table and one ``ndtr`` term) and its gather (the
-        table, K x d int32 cell offsets, the N x K x d int32 flat index and
+        N x S bool and float64 neighbor masks next to the distances, with
+        the float64 cast of the count matrix that its product (and MMD's)
+        reads and its N x K scores; MLD its K x n_r complex noiseless sums
+        and their real form and its K x d x 2**b float64 likelihood table
+        with the larger of the table's build (one block of
+        ``baselines.cdf_chunk`` rows of CDF arguments as a float64 copy, a
+        list of Python floats and the float64 results) and its gather
+        (K x d int32 cell offsets, the N x K x d int32 flat index and
         float64 likelihoods, and their N x K sums); SIC an N x K1 stage-one
         product turned distances and one chunk of its N x K2 x d stage-two
         gather (``sic.stage_two_chunk``).
@@ -211,11 +214,12 @@ class ExperimentConfig:
                 s = min(k * samples, 2 ** (self.bits * d))
                 held += model + 8 * s * k
                 data += max(8 * (n + s) * d + 16 * n * s,
-                            17 * n * s + 8 * n * k)
+                            17 * n * s + 8 * s * k + 8 * n * k)
             if "mld" in detectors:
-                table = 8 * k * d * 2 ** self.bits
-                data += 16 * k * d + max(
-                    2 * table, table + 4 * k * d + 12 * n * k * d + 8 * n * k)
+                edges = 2 ** self.bits - 1
+                block = edges * min(k * d, baselines.cdf_chunk(edges))
+                data += 16 * k * d + 8 * k * d * (edges + 1) + max(
+                    40 * block, 4 * k * d + 12 * n * k * d + 8 * n * k)
         return 16 * k * self.n_t + _SMALL_BYTES + max(training, held + data)
 
     def pilot_slots(self) -> int:

@@ -95,9 +95,12 @@ class EmpiricalModel:
         column k divided by ``samples_per_symbol`` is the PMF of symbol k.
         """
         first, ids = self._row_ids
-        count_matrix = np.zeros((first.size, self.size), dtype=np.int64)
-        np.add.at(count_matrix, (ids.reshape(self.size, -1),
-                                 np.arange(self.size)[:, None]), 1)
+        # row i of symbol k counts at flat position i * K + k
+        cells = ids.reshape(self.size, -1) * self.size
+        cells += np.arange(self.size)[:, None]
+        count_matrix = np.bincount(
+            cells.ravel(), minlength=first.size * self.size
+        ).reshape(first.size, self.size)
         return np.asarray(self._rows[first], dtype=np.int64), count_matrix
 
     @cached_property

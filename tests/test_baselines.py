@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from quantmimo import analysis, baselines, core
@@ -75,6 +77,30 @@ def test_ls_rejects_bad_pilots():
 # quantized maximum-likelihood detection
 
 
+def test_normal_cdf_matches_scipy_ndtr():
+    x = np.concatenate([
+        np.linspace(-37.0, 9.0, 200_001),
+        np.random.default_rng(11).uniform(-37.0, 9.0, 50_000)])
+    got = np.array([baselines._normal_cdf(v) for v in x.tolist()])
+    want = ndtr(x)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    cdf = baselines._normal_cdf
+    assert cdf(0.0) == 0.5
+    assert cdf(math.inf) == 1.0
+    assert cdf(-math.inf) == 0.0
+    # two ulps below and the first x at the switch from erf to erfc,
+    # |t| = |x * M_SQRT1_2| = 1, on both sides of 0; at -below and -at the
+    # other branch would give other bits
+    below, at = 1.4142135623730945, 1.414213562373095
+    t_below, t_at = below * baselines._SQRT1_2, at * baselines._SQRT1_2
+    assert t_below < 1.0 == t_at
+    assert cdf(below) == 0.5 + 0.5 * math.erf(t_below)
+    assert cdf(-below) == 0.5 + 0.5 * math.erf(-t_below) != (
+        0.5 * math.erfc(t_below))
+    assert cdf(at) == 1.0 - 0.5 * math.erfc(t_at)
+    assert cdf(-at) == 0.5 * math.erfc(t_at) != 0.5 + 0.5 * math.erf(-t_at)
+
+
 def test_mld_one_bit_cells_match_flip_probability():
     cfg = QuantizerConfig(bits=1, step=2.0, real_mode=True)
     book = core.enumerate_symbols(core.bpsk(), 1)
@@ -133,7 +159,9 @@ def _mld_direct(levels, h, sigma2, book, cfg):
     scale = np.sqrt(sigma2 / 2.0)
     a = lower[levels][:, None, :]
     b = upper[levels][:, None, :]
-    cell_prob = norm.cdf((b - g[None]) / scale) - norm.cdf((a - g[None]) / scale)
+    # the package's CDF, so the bitwise comparison checks the table's gather
+    cdf = np.vectorize(baselines._normal_cdf, otypes=[float])
+    cell_prob = cdf((b - g[None]) / scale) - cdf((a - g[None]) / scale)
     return np.log(np.maximum(cell_prob, baselines._LOG_FLOOR)).sum(axis=2)
 
 
@@ -164,6 +192,40 @@ def test_mld_table_matches_direct_evaluation(
                         np.full_like(levels[:1], top)])
     got = baselines.mld_log_likelihoods(levels, h, sigma2, book, cfg)
     assert got.tobytes() == _mld_direct(levels, h, sigma2, book, cfg).tobytes()
+
+
+@pytest.mark.parametrize("values", [1, 7, 100])
+def test_mld_table_blocks_match_direct_evaluation(monkeypatch, values):
+    # with the CDF block cut to 1, 7 and 100 arguments the 16 x 6 table rows
+    # take many blocks, the last one short, or one block at b = 1 and 100
+    monkeypatch.setattr(baselines, "_CDF_VALUES", values)
+    rng = np.random.default_rng(values)
+    book = core.enumerate_symbols(core.qpsk(), 2)
+    for bits in (1, 2, 3):
+        cfg = QuantizerConfig(bits=bits, step=0.5)
+        h = core.sample_channel(3, 2, rng)
+        levels = rng.integers(0, cfg.n_levels, size=(30, 6))
+        got = baselines.mld_log_likelihoods(levels, h, 0.2, book, cfg)
+        assert got.tobytes() == _mld_direct(levels, h, 0.2, book, cfg).tobytes()
+
+
+def test_mld_table_build_holds_one_cdf_block():
+    # 8 BPSK candidates, n_r = 32, b = 8: the 8 x 64 x 256 float64 table is
+    # 1 MiB; its build adds one block of 4 096 CDF arguments (a float64
+    # copy, a list of Python floats and the results, 160 KiB), not a second
+    # table or a list of all 130 560 edge terms
+    cfg = QuantizerConfig(bits=8, step=0.5)
+    book = core.enumerate_symbols(core.bpsk(), 3)
+    h = core.sample_channel(32, 3, np.random.default_rng(4))
+    levels = np.zeros((1, 64), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        baselines.mld_log_likelihoods(levels, h, 0.3, book, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table, sums = 8 * 8 * 64 * 256, 16 * 8 * 64
+    assert peak <= table + sums + 2 * 40 * 4096
 
 
 def test_mld_table_reaches_the_log_floor():

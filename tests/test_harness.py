@@ -195,18 +195,19 @@ def test_peak_bytes_estimate_and_budget():
     # implicit: training (a 16*5/2-slot pilot frame) holds less than the
     # data phase: the 16 x 8 float64 MCD centroids, the model (16 x 5 x 8
     # uint8 levels) with its 80 x 16 int64 count matrix, the 500-row batch,
-    # eMLD's 500 x 80 int64 distances with their bool and int64 neighbor
-    # masks and its 500 x 16 scores (more than the level-distance kernel's
-    # float64 operands, distances and int64 cast), MCD's 500 x 16 product
-    # turned distances, and MLD's 16 x 4 complex sums and 16 x 8 real form
-    # with, more than the three 16 x 8 x 2 float64 arrays that build its
-    # likelihood table, the table, its 16 x 8 int32 cell offsets, the
-    # 500 x 16 x 8 int32 index and float64 gather and their 500 x 16 sums
+    # eMLD's 500 x 80 int64 distances with their bool and float64 neighbor
+    # masks, the float64 cast of the count matrix and its 500 x 16 scores
+    # (more than the level-distance kernel's float64 operands, distances and
+    # int64 cast), MCD's 500 x 16 product turned distances, and MLD's 16 x 4
+    # complex sums and 16 x 8 real form with its 16 x 8 x 2 float64
+    # likelihood table and, more than the CDF block that builds the table,
+    # its 16 x 8 int32 cell offsets, the 500 x 16 x 8 int32 index and
+    # float64 gather and their 500 x 16 sums
     assert mld.peak_bytes() == (
         16 * 16 * 2 + harness._SMALL_BYTES
         + 8 * 16 * 8 + 80 * 8 + 8 * 80 * 16
         + 500 * (16 * 2 + 16 * 4 + 2 * 8 + 16 * 8)
-        + 17 * 500 * 80 + 8 * 500 * 16 + 8 * 500 * 16
+        + 17 * 500 * 80 + 8 * 80 * 16 + 8 * 500 * 16 + 8 * 500 * 16
         + 16 * 16 * 8 + 8 * 16 * 8 * 2 + 4 * 16 * 8
         + 12 * 500 * 16 * 8 + 8 * 500 * 16)
     for n_t in (12, 40):
@@ -270,13 +271,21 @@ def test_peak_bytes_bounds_traced_sic_peak(first_stage_count, vectors):
 
 @pytest.mark.parametrize("bits", [2, 8])
 def test_peak_bytes_bounds_traced_mld_peak(bits):
-    # MLD alone on 64 QPSK candidates and n_r = 32: at b = 8 the two
-    # 64 x 64 x 256 float64 arrays that build its likelihood table are the
-    # peak, at b = 2 the gather of 200 observations from the table
-    import scipy.special  # noqa: F401  (its import is not traced)
-
+    # MLD alone on 64 QPSK candidates and n_r = 32: the 64 x 64 x 2**b
+    # float64 likelihood table, 8 MiB at b = 8, is built in place, so at
+    # both sizes the gather of 200 observations from the table is the peak
     cfg = _full_search(n_t=3, bits=bits, detectors=("mld",),
                        training="implicit", channel_count=1)
+    peak = _traced_channel_peak(cfg)
+    assert peak <= cfg.peak_bytes() <= 1.25 * peak
+
+
+def test_peak_bytes_bounds_traced_emld_mmd_peak():
+    # eMLD and MMD on 256 QPSK candidates, n_r = 8 and l_a = 16: the data
+    # phase holds 4 096 distinct trained rows, and both score products read
+    # a float64 cast of the 4 096 x 256 int64 count matrix
+    cfg = _full_search(n_t=4, n_r=8, detectors=("emld", "mmd"),
+                       channel_count=1)
     peak = _traced_channel_peak(cfg)
     assert peak <= cfg.peak_bytes() <= 1.25 * peak
 
@@ -986,8 +995,8 @@ for path in sys.argv[1:]:
 
 
 def test_cli_import_skips_scipy_stats(tmp_path):
-    # neither the import nor a ser run without mld loads any of scipy:
-    # scipy.special is imported only by the MLD table and the analysis
+    # neither the import nor a ser run loads any of scipy, with or without
+    # mld: only the analysis imports scipy.special
     src = str(Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -995,6 +1004,8 @@ def test_cli_import_skips_scipy_stats(tmp_path):
     full = tmp_path / "full.cfg"
     full.write_text(CONFIG_TEXT.replace(
         "detectors = emld, mmd, mcd, mld", "detectors = emld, mmd, mcd, zf"))
+    mld = tmp_path / "mld.cfg"
+    mld.write_text(CONFIG_TEXT)
     split = tmp_path / "split.cfg"
     split.write_text("\n".join((
         "n_t = 3", "n_r = 4", "b = 2", "modulation = qpsk",
@@ -1002,7 +1013,7 @@ def test_cli_import_skips_scipy_stats(tmp_path):
         "csir = ls", "t_t = 8", "channel_count = 1",
         "vectors_per_channel = 10", "seed = 1")))
     subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY, str(full), str(split)],
+        [sys.executable, "-c", _NO_SCIPY, str(full), str(mld), str(split)],
         env=env, check=True, timeout=120)
 
 
