@@ -150,45 +150,59 @@ def quantize_levels(x, cfg: QuantizerConfig) -> np.ndarray:
     land in the upper cell (so 0 maps to the smallest positive output). The
     input is never modified.
 
-    The input is copied into one float64 scratch of :func:`quantize_chunk`
-    leading-axis rows at a time and quantized there, so that scratch is the
-    only float temporary, whatever the input's size. Every step is
-    elementwise, so the levels do not depend on the block size.
+    The input is copied into one float64 scratch of :func:`quantize_scratch`
+    values, a block of leading-axis rows at a time, and quantized there, so
+    that scratch is the only float temporary, whatever the input's size. A
+    row longer than the scratch is split along its own leading axis the same
+    way. Every step is elementwise, so the levels do not depend on the block
+    size.
     """
     x = np.asarray(x, dtype=float)
     # NaN propagates through min, so one reduction finds it
     if x.size and np.isnan(x.min()):
         raise ValueError("cannot quantize NaN samples")
     levels = np.empty(x.shape, dtype=cfg.level_dtype)
-    rows, out = np.atleast_1d(x, levels)
-    step = quantize_chunk(math.prod(rows.shape[1:]))
-    scratch = np.empty((min(step, len(rows)),) + rows.shape[1:])
+    scratch = np.empty(quantize_scratch(x.size))
+    _quantize_rows(*np.atleast_1d(x, levels), scratch, cfg)
+    return levels
+
+
+def quantize_scratch(values: int) -> int:
+    """Float64 values of the :func:`quantize_levels` scratch for an input of
+    ``values`` values: all of them, up to ``_QUANTIZE_VALUES``."""
+    return min(values, _QUANTIZE_VALUES)
+
+
+def _quantize_rows(rows, out, scratch, cfg: QuantizerConfig) -> None:
+    """Quantize ``rows`` into ``out`` through ``scratch``, as many
+    leading-axis rows at a time as it holds, each longer row on its own."""
+    row_values = math.prod(rows.shape[1:])
+    if row_values > len(scratch):
+        for row, dest in zip(rows, out):
+            _quantize_rows(row, dest, scratch, cfg)
+        return
+    step = max(1, len(scratch) // max(1, row_values))
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
-        cells = np.subtract(block, cfg.r_low, out=scratch[:len(block)])
+        cells = scratch[:block.size].reshape(block.shape)
+        np.subtract(block, cfg.r_low, out=cells)
         cells /= cfg.step
         np.floor(cells, out=cells)
         cells += 1.0
         np.clip(cells, 0, cfg.n_levels - 1, out=cells)
         out[start:start + step] = cells
-    return levels
-
-
-def quantize_chunk(row_values: int) -> int:
-    """Leading-axis rows per :func:`quantize_levels` scratch block: as many
-    rows of ``row_values`` values as ``_QUANTIZE_VALUES`` holds, and at least
-    one."""
-    return max(1, _QUANTIZE_VALUES // max(1, row_values))
 
 
 def level_values(levels, cfg: QuantizerConfig) -> np.ndarray:
     """Map level indices to output values ``(level + 0.5 - 2**(B-1)) * step``.
 
     The offset is one float, so unsigned levels never wrap; every value is
-    exact before the final multiplication.
+    exact before the final multiplication, which scales them in place, so
+    they are the only float array.
     """
-    levels = np.asarray(levels)
-    return (levels + (0.5 - (1 << (cfg.bits - 1)))) * cfg.step
+    values = np.asarray(levels) + (0.5 - (1 << (cfg.bits - 1)))
+    values *= cfg.step
+    return values
 
 
 def cell_edges(cfg: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:

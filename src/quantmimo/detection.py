@@ -77,13 +77,17 @@ def centroids(model: EmpiricalModel) -> CentroidBook:
     value and each partial sum of values is exact, so it equals the sum of
     the symbol's output values over L bit for bit.
 
-    The sums accumulate in int64, so narrow level dtypes cannot wrap; numpy
-    casts the levels in buffered blocks and never widens them all at once.
+    The sums accumulate in float64, which holds every integer level sum
+    exactly, so narrow level dtypes cannot wrap; numpy casts the levels in
+    buffered blocks and never widens them all at once. The sums then become
+    the centers in place, so they are the only K x d array.
     """
-    sums = model.levels.sum(axis=1, dtype=np.int64)
+    centers = model.levels.sum(axis=1, dtype=np.float64)
     off = (1 << (model.cfg.bits - 1)) - 0.5
-    centers = (sums - model.samples_per_symbol * off) * model.cfg.step
-    return CentroidBook(centers=centers / model.samples_per_symbol)
+    centers -= model.samples_per_symbol * off
+    centers *= model.cfg.step
+    centers /= model.samples_per_symbol
+    return CentroidBook(centers=centers)
 
 
 def nearest_center(values: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from .core import (
     enumerate_symbols,
     level_values,
     noise_chunk,
-    quantize_chunk,
+    quantize_scratch,
     sample_channel,
     snr_db_to_sigma2,
     transmit_batch,
@@ -42,7 +42,7 @@ CSV_COLUMNS = (
 # Largest accepted array estimate of one channel (ExperimentConfig.peak_bytes),
 # of bound's code geometry or of sample_dmin's block draws and tile. The
 # K = 4**6 full search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32)
-# and 200 data vectors, estimates 10.5 MiB with MCD (0.65 GiB at 20 000 data
+# and 200 data vectors, estimates 9.0 MiB with MCD (0.63 GiB at 20 000 data
 # vectors), and 4.2 GiB with eMLD and MMD, whose count matrix, its float64
 # cast and distances span all 65 536 distinct trained rows.
 _PEAK_BYTES_BUDGET = 1 << 30
@@ -114,88 +114,89 @@ class ExperimentConfig:
 
         Training: one noise chunk of ``core.noisy_levels`` holds its float
         buffer, their levels and the quantizer's float scratch of
-        ``core.quantize_chunk`` rows. Explicit training holds the K x n_r
+        ``core.quantize_scratch`` values. Explicit training holds the K x n_r
         complex noiseless sums and the model, a K x L x d level array, while
         it draws. Implicit training holds the K*L/2 x n_t complex pilot
         symbols and their levels with, while it transmits, their complex
         noiseless sums, and afterwards the mirrored levels and the model.
-        MCD sums its centroids next to the model into K x d int64 sums and
-        two float temporaries. SIC, with K1 = M**n_t1 and
+        MCD sums its centroids next to the model into one K x d float64
+        array. SIC, with K1 = M**n_t1, K2 = K / K1, l = l_a1 and
         d1 = d - 2 (n_t - n_t1) projected dimensions, holds its two
-        subvector books and the K x d float64 candidate table with the
-        largest of: the K x n_r complex noiseless sums with the table's
-        float input and levels; for l = l_a1 > 1 the sums with the K*l x d
-        noisy levels and one noise chunk; and, once the sums are freed, the
-        K*l x d1 float64 projections of its l samples per pair, which for
-        l > 1 also hold their levels and the float values of one block of
-        first-stage candidates (as many values as a noise chunk) with their
-        scaled copy.
+        subvector books, the K x d level table and the K1 x d1 float64
+        centroids, the K1 x n_r and K2 x n_r complex products of the books
+        with their channels and, for l > 1, the K*l x d noisy levels, drawn
+        next to the K x n_r complex noiseless sums and one noise chunk. One
+        block of first-stage candidates at a time, as many as one noise
+        chunk holds, adds the larger of its complex sums with the
+        quantizer's scratch and half-levels, and its float64 values with
+        their d1-dimensional projections.
 
         Data phase: what training leaves (MCD's K x d centroids; for eMLD
         and MMD the model and the S x K int64 count matrix of its
-        S = min(K*L, 2**(b*d)) distinct trained rows; SIC's table,
-        projections and K1 x d1 centroids) and the batch: N x n_t complex
-        symbols, N x n_r complex sums, two N x d level copies, and N x d
-        float64 values with their scaled copy. Each detector adds its own
-        terms: MCD an N x K float64 product, which becomes the distances in
-        place (``detection.nearest_center``); eMLD and MMD the
-        larger of the level-distance kernel (N x d and S x d float64
-        operands, N x S float64 distances and their int64 cast) and eMLD's
-        N x S bool and float64 neighbor masks next to the distances, with
-        the float64 cast of the count matrix that its product (and MMD's)
-        reads and its N x K scores; MLD its K x n_r complex noiseless sums
-        and their real form and its K x d x 2**b float64 likelihood table
-        with the larger of the table's build (one block of
-        ``baselines.cdf_chunk`` rows of CDF arguments as a float64 copy, a
-        list of Python floats and the float64 results) and its gather
-        (K x d int32 cell offsets, the N x K x d int32 flat index and
-        float64 likelihoods, and their N x K sums); SIC an N x K1 stage-one
-        product turned distances and one chunk of its N x K2 x d stage-two
-        gather (``sic.stage_two_chunk``).
+        S = min(K*L, 2**(b*d)) distinct trained rows; SIC's books, table
+        and centroids) and the batch: N x d levels and three intp arrays of
+        N ids (the distinct-row codes, each row's distinct id and its
+        decided copy), with the larger of the transmission (N x n_t complex
+        symbols, N x n_r complex sums and one noise chunk) and the
+        detectors. These see only the U = min(N, 2**(b*d)) distinct rows
+        (``_channel_counts``): their U x d levels and float64 values, and
+        each detector's own terms. MCD a U x K float64 product, which
+        becomes the distances in place (``detection.nearest_center``), and
+        the values' doubled copy; eMLD and MMD the larger of the
+        level-distance kernel (U x d and S x d float64 operands, U x S
+        float64 distances and their int64 cast) and eMLD's U x S bool and
+        float64 neighbor masks next to the distances, with the float64 cast
+        of the count matrix that its product (and MMD's) reads and its
+        U x K scores; MLD its K x n_r complex noiseless sums and their real
+        form and its K x d x 2**b float64 likelihood table with the larger
+        of the table's build (one block of ``baselines.cdf_chunk`` rows of
+        CDF arguments as a float64 copy, a list of Python floats and the
+        float64 results) and its gather (K x d int32 cell offsets, the
+        U x K x d int32 flat index and float64 likelihoods, and their U x K
+        sums); SIC the larger of stage one (the U x d1 projections, their
+        doubled copy and the U x K1 product turned distances) and one chunk
+        of its U x K2 x d stage-two gather (``sic.stage_two_chunk``) as
+        levels and float64 values with their squared distances.
         """
         k, d, n = self.symbol_count, 2 * self.n_r, self.vectors_per_channel
         level = QuantizerConfig(self.bits, self.step).level_dtype.itemsize
         detectors = set(self.detectors)
+        u = min(n, 2 ** (self.bits * d))
 
         def noise(rows: int, row_values: int) -> int:
-            chunk = min(rows, noise_chunk(row_values))
-            scratch = min(chunk, quantize_chunk(row_values))
-            return ((8 + level) * chunk + 8 * scratch) * row_values
+            chunk = min(rows, noise_chunk(row_values)) * row_values
+            return (8 + level) * chunk + 8 * quantize_scratch(chunk)
 
-        data = n * (16 * self.n_t + 16 * self.n_r + 2 * level * d + 16 * d)
+        # the symbols, their sums and the noise chunk are freed before the
+        # batch is deduplicated and decided
+        transmit = 16 * n * (self.n_t + self.n_r) + noise(n, self.n_r)
+        batch, detect = n * (level * d + 24) + u * (level + 8) * d, 0
         if self.framework == "sic":
             # validate_for_ser rejects an n_t1 outside [1, n_t]
             n_t1 = min(max(self.n_t1 or 1, 1), self.n_t)
             k1 = constellation(self.modulation).size ** n_t1
-            samples = self.first_stage_count
+            k2, samples = k // k1, self.first_stage_count
             d1 = d - 2 * (self.n_t - n_t1)
-            projected = 8 * k * samples * d1
-            books = 16 * (k1 * n_t1 + k // k1 * (self.n_t - n_t1))
-            clean = 16 * k * self.n_r
-            # sic.learn_first_stage: next to the table, the noiseless sums
-            # with the table's float input and levels, then for l > 1 the
-            # sums with the noisy levels and one noise chunk, and after the
-            # sums are freed the projections with, for l > 1, the levels and
-            # one block of first-stage candidates' float values and their
-            # scaled copy
-            stages = [clean + (8 + level) * k * d, projected]
+            held = (16 * (k1 * n_t1 + k2 * (self.n_t - n_t1))
+                    + level * k * d + 8 * k1 * d1)
+            block = min(k1, noise_chunk(k2 * samples * d)) * k2
+            stage = max(
+                (16 + level) * block * self.n_r
+                + 8 * quantize_scratch(block * self.n_r),
+                8 * block * samples * (d + d1))
             if samples > 1:
-                candidate = samples * d * (k // k1)
-                drawn = level * k * samples * d
-                stages += [
-                    clean + drawn + noise(k1, k // k1 * samples * self.n_r),
-                    drawn + 16 * candidate * min(k1, noise_chunk(candidate))
-                    + projected]
-            training = books + 8 * k * d + max(stages)
-            held = books + 8 * k * d + projected + 8 * k1 * d1
-            row = 8 * d * (k // k1)
-            data += 8 * n * k1 + row * min(n, sic.stage_two_chunk(row))
+                stage = level * k * samples * d + max(
+                    stage, 16 * k * self.n_r
+                    + noise(k1, k2 * samples * self.n_r))
+            training = held + 16 * (k1 + k2) * self.n_r + stage
+            detect = max(8 * u * (k1 + 2 * d1), ((level + 8) * d + 8) * k2
+                         * min(u, sic.stage_two_chunk(8 * d * k2)))
         else:
             implicit = self.training == "implicit"
             samples = (self.repetitions if implicit
                        else self.artificial_count) or 0
             model = level * k * samples * d
-            build = model + 24 * k * d if "mcd" in detectors else 0
+            build = model + 8 * k * d if "mcd" in detectors else 0
             if implicit:
                 slots = k * samples // 2
                 pilots = (16 * self.n_t + level * d) * slots
@@ -209,17 +210,18 @@ class ExperimentConfig:
             held = 0
             if "mcd" in detectors:
                 held += 8 * k * d
-                data += 8 * n * k
+                detect += 8 * u * (k + d)
             if {"emld", "mmd"} & detectors:
                 s = min(k * samples, 2 ** (self.bits * d))
                 held += model + 8 * s * k
-                data += max(8 * (n + s) * d + 16 * n * s,
-                            17 * n * s + 8 * s * k + 8 * n * k)
+                detect += max(8 * (u + s) * d + 16 * u * s,
+                              17 * u * s + 8 * s * k + 8 * u * k)
             if "mld" in detectors:
                 edges = 2 ** self.bits - 1
                 block = edges * min(k * d, baselines.cdf_chunk(edges))
-                data += 16 * k * d + 8 * k * d * (edges + 1) + max(
-                    40 * block, 4 * k * d + 12 * n * k * d + 8 * n * k)
+                detect += 16 * k * d + 8 * k * d * (edges + 1) + max(
+                    40 * block, 4 * k * d + 12 * u * k * d + 8 * u * k)
+        data = batch + max(transmit, detect)
         return 16 * k * self.n_t + _SMALL_BYTES + max(training, held + data)
 
     def pilot_slots(self) -> int:

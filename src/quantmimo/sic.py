@@ -6,18 +6,18 @@ signal projected onto the orthogonal complement of the second group's
 (real-expanded) channel columns, using nearest-centroid detection against
 marginalized first-stage training. Stage two picks the closest noiseless
 quantized output with the stage-one decision substituted. First-stage
-training quantizes those outputs once per channel, for every (first,
-second) hypothesis pair, into the K1 x K2 x d candidate table that stage
-two reads. Total search effort per vector is M**n_t1 + M**n_t2 candidate
-evaluations instead of M**n_t: stage one scores every row in one
-``nearest_center`` call and stage two in ``_candidate_sqdist`` calls, so
-those two functions see every candidate evaluation.
+training keeps only what the two stages read: the K1 centroids and those
+outputs, quantized once per channel for every (first, second) hypothesis
+pair into a K1 x K2 x d level table. Total search effort per vector is
+M**n_t1 + M**n_t2 candidate evaluations instead of M**n_t: stage one
+scores every row in one ``nearest_center`` call and stage two in
+``_candidate_sqdist`` calls, so those two functions see every candidate
+evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .core import (
     noise_chunk,
     noisy_levels,
     quantize_levels,
-    real_components,
 )
 from .detection import nearest_center
 
@@ -147,29 +146,17 @@ def build_plan(h_hat: np.ndarray, n_t1: int, real_mode: bool = False) -> SicPlan
 
 @dataclass(frozen=True, eq=False)
 class FirstStageModel:
-    """Marginal PMFs and centroids of the projected receive signal.
+    """What detection reads of first-stage training.
 
-    ``projected[k]`` holds, one per row, the K2 * samples_per_pair projected
-    signals synthesized for first-subvector candidate k; they are the samples
-    of its marginal PMF. ``table[k]`` holds the K2 noiseless quantized output
-    values with candidate k substituted, the stage-two candidates; a model
-    built by hand for stage one alone may leave it out.
+    ``centroids[k]`` is the mean of the K2 * samples_per_pair projected
+    signals synthesized for first-subvector candidate k, the samples of its
+    marginal PMF. ``table[k]`` holds the K2 noiseless quantized outputs with
+    candidate k substituted, the stage-two candidates, as levels of ``cfg``.
     """
 
-    projected: np.ndarray
-    table: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.projected.shape[0]
-
-    @property
-    def samples_per_symbol(self) -> int:
-        return self.projected.shape[1]
-
-    @cached_property
-    def centroids(self) -> np.ndarray:
-        return self.projected.mean(axis=1)
+    centroids: np.ndarray
+    table: np.ndarray
+    cfg: QuantizerConfig
 
 
 def learn_first_stage(
@@ -186,11 +173,17 @@ def learn_first_stage(
     For every (first, second) candidate pair, ``samples_per_pair`` projected
     signals are synthesized; the single-sample case is noise free by
     convention. Each first-stage candidate weights its second-subvector
-    hypotheses uniformly, so its marginal PMF has K2 * samples_per_pair
-    samples. The noiseless outputs of every pair are quantized once into the
-    model's stage-two ``table``; with one sample per pair they are also the
-    training signals, so the model draws no randomness and ignores
-    ``sigma2``.
+    hypotheses uniformly, so its centroid is the mean of its K2 *
+    samples_per_pair signals. The noiseless outputs of every pair are
+    quantized once into the model's stage-two ``table``; with one sample per
+    pair they are also the training signals, so the model draws no
+    randomness and ignores ``sigma2``; more are drawn for all pairs at once.
+
+    Table and centroids are built one block of first-stage candidates at a
+    time, as many as one noise chunk holds, and each block's arrays are
+    freed before the next block's. Each pair is projected by its own
+    (l x d) @ (d x d1) product, as in one whole-stack product, so the bits
+    do not depend on the block.
     """
     if samples_per_pair < 1:
         raise ValueError("samples_per_pair must be at least 1")
@@ -198,41 +191,28 @@ def learn_first_stage(
         raise ValueError("plan and quantizer disagree about real mode")
     k1, k2 = book1.size, book2.size
     n_r = plan.h1.shape[0]
-    clean = ((book1.vectors @ plan.h1.T)[..., None, :]
-             + book2.vectors @ plan.h2.T)
-    table = _output_values(real_components(clean, cfg.real_mode), cfg)
-    # the noiseless sums are freed once their last reader has run
-    if samples_per_pair == 1:
-        del clean
-        projected = table[:, :, None, :] @ plan.w1.T
-    else:
-        levels = noisy_levels(
-            clean[:, :, None, :], (k1, k2, samples_per_pair, n_r),
+    first = (book1.vectors @ plan.h1.T)[:, None, :]
+    second = book2.vectors @ plan.h2.T
+    table = np.empty((k1, k2, cfg.observed_dim(n_r)), dtype=cfg.level_dtype)
+    training = table[:, :, None]
+    if samples_per_pair > 1:
+        training = noisy_levels(
+            (first + second)[:, :, None, :], (k1, k2, samples_per_pair, n_r),
             sigma2, rng, cfg)
-        del clean
-        projected = np.empty(levels.shape[:-1] + (plan.w1.shape[0],))
-        # the float values of as many first-stage candidates as one noise
-        # chunk holds at a time; each pair's (l x d) @ (d x d1) product is
-        # the one the whole stack runs, so the bits do not depend on it
-        block = noise_chunk(levels[0].size)
-        for start in range(0, k1, block):
-            rows = slice(start, start + block)
-            np.matmul(level_values(levels[rows], cfg), plan.w1.T,
-                      out=projected[rows])
-    return FirstStageModel(
-        projected=projected.reshape(k1, k2 * samples_per_pair, -1),
-        table=table)
-
-
-def _output_values(received: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    """Quantized output values of receive signals in stacked real coordinates.
-
-    ``received`` stays alive until the values are allocated. Releasing it
-    first, as the inlined expression does, made ``learn_first_stage`` about
-    2 of 10 ms slower at K = 4096, d = 64 (one BLAS thread, 2-core host):
-    the allocator returned the freed pages and faulted them in again.
-    """
-    return level_values(quantize_levels(received, cfg), cfg)
+    centroids = np.empty((k1, plan.w1.shape[0]))
+    block = noise_chunk(training[0].size)
+    for start in range(0, k1, block):
+        rows = slice(start, start + block)
+        sums = first[rows] + second
+        table[rows, :, :n_r] = quantize_levels(sums.real, cfg)
+        if not cfg.real_mode:
+            table[rows, :, n_r:] = quantize_levels(sums.imag, cfg)
+        del sums
+        projected = level_values(training[rows], cfg) @ plan.w1.T
+        projected.reshape(len(projected), -1, projected.shape[-1]).mean(
+            axis=1, out=centroids[rows])
+        del projected
+    return FirstStageModel(centroids=centroids, table=table, cfg=cfg)
 
 
 def _candidate_sqdist(candidates: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -266,11 +246,11 @@ def detect_sic_batch(
     first = nearest_center(values @ plan.w1.T, model.centroids)
     second = np.empty_like(first)
     table = model.table
-    chunk = stage_two_chunk(table[0].nbytes)
+    chunk = stage_two_chunk(8 * table[0].size)
     for start in range(0, values.shape[0], chunk):
         rows = slice(start, start + chunk)
-        second[rows] = np.argmin(
-            _candidate_sqdist(table[first[rows]], values[rows]), axis=1)
+        second[rows] = np.argmin(_candidate_sqdist(
+            level_values(table[first[rows]], model.cfg), values[rows]), axis=1)
     # the two subvector indices' digits, placed at their antennas, make the
     # symbol index of the whole vector (first antenna most significant)
     m = book1.constellation.size

@@ -87,7 +87,7 @@ def test_quantize_levels_leaves_input_unchanged():
 @pytest.mark.parametrize("bits", [1, 2, 3, 9])
 def test_quantize_levels_blocks_match_whole_copy(monkeypatch, bits):
     # scratches of 1, 7 and 24 values and of everything: blocks of single
-    # values, of whole rows when a row is longer, and partial last blocks,
+    # values, of parts of a row when a row is longer, and partial last blocks,
     # on thresholds, infinities, a flat input, strided, transposed and
     # broadcast views, a scalar and an empty matrix
     cfg = QuantizerConfig(bits=bits, step=0.25)
@@ -479,6 +479,23 @@ def test_noise_free_levels_allocate_no_noise_buffer():
         tracemalloc.stop()
     block = clean.real.nbytes
     assert peak <= levels.nbytes + block + block // 8 + 16384
+
+
+def test_long_rows_share_the_bounded_scratch():
+    # the imaginary parts of a K1 = 4, K2 = 1024, n_r = 64 block of sums, a
+    # strided view with rows of 65 536 values: the levels and a scratch of
+    # at most _QUANTIZE_VALUES float64 values, not one whole row (512 KiB)
+    cfg = QuantizerConfig(bits=2, step=0.5)
+    rng = np.random.default_rng(8)
+    sums = rng.normal(size=(4, 1024, 64)) + 1j * rng.normal(size=(4, 1024, 64))
+    tracemalloc.start()
+    try:
+        levels = core.quantize_levels(sums.imag, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(levels, _int64_quantize_levels(sums.imag, cfg))
+    assert peak <= levels.nbytes + 8 * core._QUANTIZE_VALUES + 16384
 
 
 # ---------------------------------------------------------------------------

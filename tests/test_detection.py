@@ -242,9 +242,9 @@ def test_centroids_of_narrow_levels_do_not_wrap(dtype):
 
 
 def test_centroids_never_widen_every_level_at_once():
-    # the K = 4096, L = 16, d = 64 full search: the int64 sums, one float
-    # temporary and the centers fit; widening all 4 Mi levels to int64 at
-    # once would take 32 MiB
+    # the K = 4096, L = 16, d = 64 full search: the float64 sums, which
+    # become the centers in place, fit; widening all 4 Mi levels to float64
+    # at once would take 32 MiB
     k, d = 4096, 64
     levels = np.random.default_rng(6).integers(
         0, 4, size=(k, 16, d), dtype=np.uint8)
@@ -256,7 +256,7 @@ def test_centroids_never_widen_every_level_at_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * k * d + 64 * 1024
+    assert peak <= 8 * k * d + 64 * 1024
 
 
 @settings(max_examples=80, deadline=None)

@@ -165,27 +165,32 @@ def _full_search(**overrides):
 
 def test_peak_bytes_estimate_and_budget():
     full_search = _full_search()
-    # each 200-row data batch: 200 x 6 complex symbols, 200 x 32 complex
-    # sums, two 200 x 64 uint8 level copies, 200 x 64 float64 values and
-    # their scaled copy
-    batch = 200 * (16 * 6 + 16 * 32 + 2 * 64 + 16 * 64)
-    # the training peak is the larger one at 200 data vectors: besides the
-    # 4096 x 6 complex symbol book and the small-object allowance, the
-    # centroids are summed next to the 4096 x 16 x 64 uint8 levels into
-    # 4096 x 64 int64 sums and two float temporaries
-    training = 16 * 4096 * 6 + harness._SMALL_BYTES + (
-        4096 * 16 * 64 + 24 * 4096 * 64)
-    assert full_search.peak_bytes() == training
+    book = 16 * 4096 * 6 + harness._SMALL_BYTES
+    # with one data vector the training peak is the larger one: besides the
+    # 4096 x 6 complex symbol book and the small-object allowance, explicit
+    # training draws the 4096 x 16 x 64 uint8 levels next to the 4096 x 32
+    # complex sums and one noise chunk of 128 symbols (its 512 KiB float
+    # buffer and levels, and the quantizer's 16 384-value float scratch),
+    # more than the centroid build (the levels and 4096 x 64 float64 sums)
+    training = book + (
+        16 * 4096 * 32 + 4096 * 16 * 64 + 9 * 128 * 16 * 32 + 8 * 16_384)
     assert _full_search(vectors_per_channel=1).peak_bytes() == training
-    # at 2 000 the data phase holds more: the 4096 x 64 float64 centroids,
-    # the batch and MCD's 2 000 x 4096 float64 product, which becomes the
-    # distances in place
-    assert _full_search(vectors_per_channel=2_000).peak_bytes() == (
-        16 * 4096 * 6 + harness._SMALL_BYTES
-        + 8 * 4096 * 64 + 10 * batch + 8 * 2_000 * 4096)
+
+    def batch(n):
+        # n data rows, all distinct: their uint8 levels and three intp ids,
+        # and the distinct rows' uint8 levels and float64 values
+        return n * (64 + 24) + n * 9 * 64
+
+    # from 200 data vectors the data phase holds more: the 4096 x 64
+    # float64 centroids, the batch and MCD's n x 4096 float64 product, which
+    # becomes the distances in place, with the doubled values; these
+    # outweigh the transmission
+    for n in (200, 2_000):
+        assert _full_search(vectors_per_channel=n).peak_bytes() == (
+            book + 8 * 4096 * 64 + batch(n) + 8 * n * (4096 + 64))
     assert full_search.peak_bytes() < 100 * 2**20
     full_search.validate()
-    # 20 000 data vectors fit (about 0.65 GiB, most of it MCD's distances);
+    # 20 000 data vectors fit (about 0.63 GiB, most of it MCD's distances);
     # 40 000 take 1.3 GiB
     assert _full_search(vectors_per_channel=20_000).peak_bytes() < 0.7 * 2**30
     _full_search(vectors_per_channel=20_000).validate()
@@ -194,40 +199,44 @@ def test_peak_bytes_estimate_and_budget():
     mld = _cfg(vectors_per_channel=500)
     # implicit: training (a 16*5/2-slot pilot frame) holds less than the
     # data phase: the 16 x 8 float64 MCD centroids, the model (16 x 5 x 8
-    # uint8 levels) with its 80 x 16 int64 count matrix, the 500-row batch,
-    # eMLD's 500 x 80 int64 distances with their bool and float64 neighbor
-    # masks, the float64 cast of the count matrix and its 500 x 16 scores
-    # (more than the level-distance kernel's float64 operands, distances and
-    # int64 cast), MCD's 500 x 16 product turned distances, and MLD's 16 x 4
-    # complex sums and 16 x 8 real form with its 16 x 8 x 2 float64
-    # likelihood table and, more than the CDF block that builds the table,
-    # its 16 x 8 int32 cell offsets, the 500 x 16 x 8 int32 index and
-    # float64 gather and their 500 x 16 sums
+    # uint8 levels) with its 80 x 16 int64 count matrix, the 500 rows'
+    # uint8 levels and three intp ids, and the at most 2**8 = 256 distinct
+    # rows' uint8 levels and float64 values; then, more than the
+    # transmission, eMLD's 256 x 80 int64 distances with their bool and
+    # float64 neighbor masks, the float64 cast of the count matrix and its
+    # 256 x 16 scores (more than the level-distance kernel's float64
+    # operands, distances and int64 cast), MCD's 256 x 16 product turned
+    # distances with the doubled values, and MLD's 16 x 4 complex sums and
+    # 16 x 8 real form with its 16 x 8 x 2 float64 likelihood table and,
+    # more than the CDF block that builds the table, its 16 x 8 int32 cell
+    # offsets, the 256 x 16 x 8 int32 index and float64 gather and their
+    # 256 x 16 sums
     assert mld.peak_bytes() == (
         16 * 16 * 2 + harness._SMALL_BYTES
         + 8 * 16 * 8 + 80 * 8 + 8 * 80 * 16
-        + 500 * (16 * 2 + 16 * 4 + 2 * 8 + 16 * 8)
-        + 17 * 500 * 80 + 8 * 80 * 16 + 8 * 500 * 16 + 8 * 500 * 16
+        + 500 * (8 + 24) + 256 * 9 * 8
+        + 17 * 256 * 80 + 8 * 80 * 16 + 8 * 256 * 16
+        + 8 * 256 * (16 + 8)
         + 16 * 16 * 8 + 8 * 16 * 8 * 2 + 4 * 16 * 8
-        + 12 * 500 * 16 * 8 + 8 * 500 * 16)
+        + 12 * 256 * 16 * 8 + 8 * 256 * 16)
     for n_t in (12, 40):
         with pytest.raises(ConfigError, match=f"n_t={n_t}"):
             _cfg(n_t=n_t).validate()
     sic_split = dataclasses.replace(
         full_search, framework="sic", n_t1=5, first_stage_count=1)
     # the data phase: the 1024 x 5 and 4 x 1 subvector books, the 4096 x 64
-    # float64 table, the 4096 x 62 projections and 1024 x 62 centroids, the
-    # batch, the 200 x 1024 stage-one product turned distances, and the
-    # stage-two gather of all 200 observations against K2 = 4 candidates
+    # uint8 table and 1024 x 62 float64 centroids, the batch, and stage
+    # one's 200 x 62 projections with their doubled copy and 200 x 1024
+    # product turned distances, more than the stage-two gather of all 200
+    # observations against K2 = 4 candidates
     assert sic_split.peak_bytes() == (
-        16 * 4096 * 6 + harness._SMALL_BYTES + 16 * (1024 * 5 + 4 * 1)
-        + 8 * 4096 * 64 + 8 * 4096 * 62 + 8 * 1024 * 62 + batch
-        + 8 * 200 * 1024 + 200 * 8 * 4 * 64)
-    # K2 = 1024: the gather is cut to 32 observations of 512 KiB each
+        book + 16 * (1024 * 5 + 4 * 1) + 4096 * 64 + 8 * 1024 * 62
+        + batch(200) + 8 * 200 * (1024 + 2 * 62))
+    # K2 = 1024: the gather is cut to 32 observations of 512 KiB of float64
+    # values each, with their uint8 levels and 1024 squared distances
     assert dataclasses.replace(sic_split, n_t1=1).peak_bytes() == (
-        16 * 4096 * 6 + harness._SMALL_BYTES + 16 * (4 * 1 + 1024 * 5)
-        + 8 * 4096 * 64 + 8 * 4096 * 54 + 8 * 4 * 54 + batch
-        + 8 * 200 * 4 + 32 * 8 * 1024 * 64)
+        book + 16 * (4 * 1 + 1024 * 5) + 4096 * 64 + 8 * 4 * 54
+        + batch(200) + 32 * 1024 * (9 * 64 + 8))
 
 
 def _traced_channel_peak(cfg):
@@ -288,6 +297,19 @@ def test_peak_bytes_bounds_traced_emld_mmd_peak():
                        channel_count=1)
     peak = _traced_channel_peak(cfg)
     assert peak <= cfg.peak_bytes() <= 1.25 * peak
+
+
+@pytest.mark.parametrize("vectors", [5_000, 20_000])
+@pytest.mark.parametrize("detectors", [("emld", "mmd"), ("mcd",), ("mld",)],
+                         ids=["emld-mmd", "mcd", "mld"])
+def test_peak_bytes_counts_distinct_rows(detectors, vectors):
+    # QPSK n_t = 3 over n_r = 2 two-bit antennas with l_a = 8: a batch
+    # holds at most 2**(2*4) = 256 distinct rows, all the detectors see,
+    # while the batch's levels and ids span every row
+    cfg = _full_search(n_t=3, n_r=2, artificial_count=8, channel_count=1,
+                       detectors=detectors, vectors_per_channel=vectors)
+    peak = _traced_channel_peak(cfg)
+    assert peak <= cfg.peak_bytes() <= 2 * peak
 
 
 def test_downlink_guard_warns():
@@ -941,7 +963,7 @@ seed = 0
 
 def test_cli_bound_budgets_its_mcd_run_not_the_listed_detectors(
         tmp_path, capsys, monkeypatch):
-    # bound runs MCD whatever the file lists: ZF alone estimates 39 MiB per
+    # bound runs MCD whatever the file lists: ZF alone estimates 32 MiB per
     # channel, but MCD's 40 000 x 4096 distances take 1.2 GiB
     def forbidden(*args, **kwargs):
         raise AssertionError("a channel was drawn past the budget")
@@ -1282,6 +1304,12 @@ _REDUCED_CSV_SHA256 = {
     "sic_tradeoff_nt1_5.cfg": (
         "sic_tradeoff_nt1_5.cfg", harness.run_ser_experiment, 5,
         "a8fa889f1df77efc2b087b206b43b3ababa35aca47ef232bd16c051234fed02e"),
+    # four noisy first-stage signals per pair instead of one
+    "sic_tradeoff_nt1_5.cfg-l_a1-4": (
+        "sic_tradeoff_nt1_5.cfg",
+        lambda cfg: harness.run_ser_experiment(
+            dataclasses.replace(cfg, first_stage_count=4)), 5,
+        "1b61f4b6956f53959addf41b77fa492339794342e8efc416f6418f40ac345906"),
 }
 
 

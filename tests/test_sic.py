@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quantmimo import core, detection, sic, training
 from quantmimo.core import QuantizerConfig
@@ -140,10 +143,17 @@ def _real_mode_plan(h, n_t1):
     return sic.build_plan(h, n_t1, real_mode=True)
 
 
-def _marginal_pmf(model, k):
+def _noiseless_projections(model, plan, k):
+    """The projected training signals of candidate k with one sample per
+    pair: its K2 stage-two candidates' values through the projector."""
+    return core.level_values(model.table[k], model.cfg) @ plan.w1.T
+
+
+def _marginal_pmf(model, plan, k):
     """Each distinct projected signal of candidate k with its probability."""
-    atoms = Counter(map(tuple, model.projected[k].tolist()))
-    return {a: c / model.samples_per_symbol for a, c in atoms.items()}
+    projected = _noiseless_projections(model, plan, k)
+    atoms = Counter(map(tuple, projected.tolist()))
+    return {a: c / len(projected) for a, c in atoms.items()}
 
 
 def test_first_stage_distinct_projections_split_mass():
@@ -156,9 +166,9 @@ def test_first_stage_distinct_projections_split_mass():
     book1 = core.enumerate_symbols(core.bpsk(), 1)
     book2 = core.enumerate_symbols(core.bpsk(), 1)
     model = sic.learn_first_stage(plan, 0.0, 1, book1, book2, cfg)
-    assert model.samples_per_symbol == 2
-    for k in range(model.size):
-        assert sorted(_marginal_pmf(model, k).values()) == [0.5, 0.5]
+    assert model.table.shape[:2] == (2, 2)
+    for k in range(book1.size):
+        assert sorted(_marginal_pmf(model, plan, k).values()) == [0.5, 0.5]
 
 
 def test_first_stage_coinciding_projections_merge():
@@ -170,8 +180,8 @@ def test_first_stage_coinciding_projections_merge():
     assert plan.second_indices == (1,)
     book = core.enumerate_symbols(core.bpsk(), 1)
     model = sic.learn_first_stage(plan, 0.0, 1, book, book, cfg)
-    for k in range(model.size):
-        assert list(_marginal_pmf(model, k).values()) == [1.0]
+    for k in range(book.size):
+        assert list(_marginal_pmf(model, plan, k).values()) == [1.0]
 
 
 def test_first_stage_residual_interference_bounded_at_high_resolution():
@@ -185,8 +195,8 @@ def test_first_stage_residual_interference_bounded_at_high_resolution():
     book2 = core.enumerate_symbols(core.bpsk(), 1)
     model = sic.learn_first_stage(plan, 0.0, 1, book1, book2, cfg)
     budget = cfg.step * np.sqrt(2 * 4)  # two quantization errors of norm <= step*sqrt(2 n_r)/2
-    for k in range(model.size):
-        atoms = np.unique(model.projected[k], axis=0)
+    for k in range(book1.size):
+        atoms = np.unique(_noiseless_projections(model, plan, k), axis=0)
         spread = np.linalg.norm(atoms - atoms[0], axis=1).max()
         assert spread <= budget
 
@@ -208,31 +218,84 @@ def test_first_stage_projections_match_complex_path():
         core.real_components(clean[:, :, None, :] + noise), cfg)
     flat = (core.level_values(levels, cfg) @ plan.w1.T).reshape(
         book1.size, book2.size * 3, -1)
-    assert model.samples_per_symbol == book2.size * 3
-    assert model.projected.tobytes() == flat.tobytes()
     assert model.centroids.tobytes() == flat.mean(axis=1).tobytes()
+    assert np.array_equal(
+        model.table, core.quantize_levels(core.real_components(clean), cfg))
+
+
+@st.composite
+def _first_stage_cases(draw):
+    """A split of 2 to 4 BPSK or QPSK antennas over more receive antennas
+    than interferers, b in [1, 3] and l in {1, 2, 3}, complex or real."""
+    n_t = draw(st.integers(2, 4))
+    n_t1 = draw(st.integers(1, n_t))
+    return dict(
+        constellation=draw(st.sampled_from([core.bpsk(), core.qpsk()])),
+        n_t=n_t, n_t1=n_t1, n_r=draw(st.integers(n_t - n_t1 + 1, 6)),
+        bits=draw(st.integers(1, 3)), samples=draw(st.integers(1, 3)),
+        real_mode=draw(st.booleans()), seed=draw(st.integers(0, 2**16)))
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])
-def test_first_stage_blocks_match_whole_stack_projection(monkeypatch, block):
-    # K1 = 64 first-stage candidates converted and projected in blocks of
-    # 1, 7 (the last one partial) or 100 (one block) give the bits of the
-    # whole (K1, K2, l, d) stack's product
-    cfg = QuantizerConfig(bits=2, step=0.5)
-    h = core.sample_channel(4, 4, np.random.default_rng(41))
-    plan = sic.build_plan(h, 3)
-    book1 = core.enumerate_symbols(core.qpsk(), 3)
-    book2 = core.enumerate_symbols(core.qpsk(), 1)
-    monkeypatch.setattr(sic, "noise_chunk", lambda values: block)
-    model = sic.learn_first_stage(
-        plan, 0.4, 3, book1, book2, cfg, np.random.default_rng(6))
+@settings(max_examples=40, deadline=None)
+@given(case=_first_stage_cases())
+@example(case=dict(constellation=core.qpsk(), n_t=4, n_t1=3, n_r=4, bits=2,
+                   samples=3, real_mode=False, seed=41))
+def test_first_stage_blocks_match_whole_stack_projection(block, case):
+    # up to K1 = 64 first-stage candidates built in blocks of 1, 7 (the last
+    # one partial) or 100 (one block) give the table and, bit for bit, the
+    # centroids of the whole (K1, K2, l, d) stack's per-pair product
+    cfg = QuantizerConfig(case["bits"], 0.5, real_mode=case["real_mode"])
+    rng = np.random.default_rng(case["seed"])
+    h = core.sample_channel(case["n_r"], case["n_t"], rng)
+    if case["real_mode"]:
+        h = h.real.astype(complex)
+    plan = sic.build_plan(h, case["n_t1"], real_mode=case["real_mode"])
+    book1 = core.enumerate_symbols(case["constellation"], case["n_t1"])
+    book2 = core.enumerate_symbols(
+        case["constellation"], case["n_t"] - case["n_t1"])
+    samples = case["samples"]
+    with mock.patch.object(sic, "noise_chunk", lambda values: block):
+        model = sic.learn_first_stage(
+            plan, 0.4, samples, book1, book2, cfg, np.random.default_rng(6))
     clean = (book1.vectors @ plan.h1.T)[:, None, :] + (
         book2.vectors @ plan.h2.T)[None, :, :]
-    levels = core.noisy_levels(
-        clean[:, :, None, :], (64, 4, 3, 4), 0.4, np.random.default_rng(6),
-        cfg)
-    whole = core.level_values(levels, cfg) @ plan.w1.T
-    assert model.projected.tobytes() == whole.reshape(64, 12, -1).tobytes()
+    table = core.quantize_levels(
+        core.real_components(clean, cfg.real_mode), cfg)
+    if samples == 1:
+        levels = table[:, :, None, :]
+    else:
+        levels = core.noisy_levels(
+            clean[:, :, None, :],
+            (book1.size, book2.size, samples, case["n_r"]), 0.4,
+            np.random.default_rng(6), cfg)
+    whole = (core.level_values(levels, cfg) @ plan.w1.T).reshape(
+        book1.size, book2.size * samples, -1)
+    assert np.array_equal(model.table, table)
+    assert model.table.dtype == cfg.level_dtype
+    assert model.centroids.tobytes() == whole.mean(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("n_t1", [5, 1])
+def test_first_stage_holds_only_table_and_centroids(n_t1):
+    # the 5/1 and 1/5 splits of the K = 4096, n_r = 32 benchmark run: the
+    # uint8 table (256 KiB), the float64 centroids (496 KiB at K1 = 1024)
+    # and one block of candidates' sums, values and projections, but no
+    # K x d float64 table (2 MiB) nor K x d1 projections (up to 1.94 MiB)
+    cfg = QuantizerConfig(bits=2, step=0.5)
+    h = core.sample_channel(32, 6, np.random.default_rng(12))
+    plan = sic.build_plan(h, n_t1)
+    book1 = core.enumerate_symbols(core.qpsk(), n_t1)
+    book2 = core.enumerate_symbols(core.qpsk(), 6 - n_t1)
+    tracemalloc.start()
+    try:
+        model = sic.learn_first_stage(plan, 0.0, 1, book1, book2, cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.table.nbytes == 4096 * 64
+    assert peak < 2.5 * 2**20
+    assert held < 2**20
 
 
 def test_first_stage_rejects_bad_inputs():
@@ -279,7 +342,8 @@ def _single_path_sic(values, plan, model):
         proj = plan.w1 @ y
         d1 = [float(np.sum((proj - c) ** 2)) for c in model.centroids]
         k1 = min(range(len(d1)), key=lambda k: (d1[k], k))
-        d2 = [float(np.sum((y - t) ** 2)) for t in model.table[k1]]
+        candidates = core.level_values(model.table[k1], model.cfg)
+        d2 = [float(np.sum((y - t) ** 2)) for t in candidates]
         decisions.append((k1, min(range(len(d2)), key=lambda k: (d2[k], k))))
     return decisions
 
@@ -328,8 +392,8 @@ def test_detect_first_tie_breaks_to_smallest_index(demo_cfg):
         w1=np.eye(2), real_mode=True)
     book = core.enumerate_symbols(core.bpsk(), 1)
     model = sic.FirstStageModel(
-        projected=np.array([[[1.0, 0.0]], [[1.0, 2.0]]]),
-        table=np.zeros((2, 2, 2)))
+        centroids=np.array([[1.0, 0.0], [1.0, 2.0]]),
+        table=np.zeros((2, 2, 2), dtype=demo_cfg.level_dtype), cfg=demo_cfg)
     levels = np.array([(1, 1)])
     proj = core.level_values(levels[0], demo_cfg)  # (1, 1): equidistant
     assert np.linalg.norm(proj - model.centroids[0]) == np.linalg.norm(
@@ -533,14 +597,13 @@ def test_chunked_stage_two_matches_per_vector_path(monkeypatch, samples_per_pair
     for k1, x1 in enumerate(book1.vectors):
         for k2, x2 in enumerate(book2.vectors):
             clean = plan.h1 @ x1 + plan.h2 @ x2
-            want = core.level_values(
-                core.quantize_levels(core.real_components(clean), cfg), cfg)
+            want = core.quantize_levels(core.real_components(clean), cfg)
             assert np.array_equal(model.table[k1, k2], want)
 
     full_book = core.enumerate_symbols(c, 4)
     data = full_book.vectors[rng.integers(0, full_book.size, size=50)]
     levels = core.transmit_batch(h, data, 0.3, cfg, rng)
-    row_bytes = model.table[0].nbytes
+    row_bytes = 8 * model.table[0].size
     monkeypatch.setattr(sic, "_GATHER_BYTES", 7 * row_bytes + 5)
     assert sic.stage_two_chunk(row_bytes) == 7
     first, second = _detect(levels, plan, model, book1, book2, cfg)
