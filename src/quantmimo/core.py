@@ -274,9 +274,8 @@ def distinct_rows(levels) -> tuple[np.ndarray, np.ndarray]:
     n, d = rows.shape
     lo, hi = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
     radix = hi - lo + 1
-    # each product and partial sum of the code dot product is an integer of
-    # magnitude below max|v| * d * r**d, which float64 holds exactly
-    if radix ** d <= n and max(-lo, hi) * d * n < 2 ** 53:
+    # each partial sum of the intp code sum is below max|v| * d * n
+    if radix ** d <= n and max(-lo, hi) * d * n < 2 ** 63:
         return _distinct_by_code(rows, lo, radix)
     return _distinct_by_sort(rows)
 
@@ -287,10 +286,12 @@ def _distinct_by_code(
     """:func:`distinct_rows` of a matrix whose entries lie in
     [lo, lo + radix): each row is one base-``radix`` integer, and the first
     row of each code is its minimum row index in a table of radix**d slots.
-    O(rows + radix**d), with no sort."""
+    O(rows + radix**d), with no sort. The codes are summed in intp, so the
+    levels are never widened as a whole."""
     n, d = rows.shape
-    weights = float(radix) ** np.arange(d - 1, -1, -1)
-    codes = (rows @ weights - lo * weights.sum()).astype(np.intp)
+    weights = radix ** np.arange(d - 1, -1, -1, dtype=np.intp)
+    codes = np.einsum("nd,d->n", rows, weights)
+    codes -= lo * int(weights.sum())
     table = np.full(radix ** d, n, dtype=np.intp)
     np.minimum.at(table, codes, np.arange(n))
     first = np.sort(table[table < n])

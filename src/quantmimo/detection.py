@@ -94,13 +94,15 @@ def nearest_center(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center row for each float row of ``values``.
 
     The squared distances are expanded as |v|^2 - 2 v.c + |c|^2, so rounding
-    can misorder near ties. The N x K product ``2 v.c`` becomes the distances
-    in place, by the same float operations in the same order as the
-    out-of-place expression, so it is the only N x K float64 array. MCD and
-    stage one of SIC share this kernel.
+    can misorder near ties. The N x K product ``v.c`` is doubled in place,
+    which is exact (barring overflow), so it has the bits of ``(2 v).c``,
+    and it becomes the distances in place: it is the only N x K float64
+    array, and no copy of ``values`` is made. MCD and stage one of SIC share
+    this kernel.
     """
     norms = np.einsum("nd,nd->n", values, values)
-    d2 = 2.0 * values @ centers.T
+    d2 = values @ centers.T
+    d2 *= 2.0
     np.subtract(norms[:, None], d2, out=d2)
     d2 += np.einsum("kd,kd->k", centers, centers)
     return np.argmin(d2, axis=1)

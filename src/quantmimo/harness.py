@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,16 +35,13 @@ from .core import (
     transmit_batch,
 )
 
-KNOWN_DETECTORS = ("emld", "mmd", "mcd", "mld", "zf")
-_MODEL_DETECTORS = {"emld", "mmd", "mcd"}
-
 CSV_COLUMNS = (
     "snr_db", "detector", "framework", "errors", "trials", "ser", "svep", "bound")
 
 # Largest accepted array estimate of one channel (ExperimentConfig.peak_bytes),
 # of bound's code geometry or of sample_dmin's block draws and tile. The
 # K = 4**6 full search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32)
-# and 200 data vectors, estimates 9.0 MiB with MCD (0.63 GiB at 20 000 data
+# and 200 data vectors, estimates 8.9 MiB with MCD (0.63 GiB at 20 000 data
 # vectors), and 4.2 GiB with eMLD and MMD, whose count matrix, its float64
 # cast and distances span all 65 536 distinct trained rows.
 _PEAK_BYTES_BUDGET = 1 << 30
@@ -53,6 +52,250 @@ _SMALL_BYTES = 1 << 17
 
 class ConfigError(ValueError):
     """Raised for malformed or infeasible experiment configurations."""
+
+
+# ---------------------------------------------------------------------------
+# receivers and training routes: each one's code and memory terms
+
+
+class _Sizes:
+    """Sizes of one channel of a SER sweep, in which the memory terms count
+    bytes: K = M**n_t candidates; d = 2 n_r level columns of w bytes; N data
+    vectors, of which the receivers see the U = min(N, 2**(b d)) distinct
+    ones; L trained samples per symbol (l or l_a), S = min(K L, 2**(b d)) of
+    them distinct; T pilot slots; and for a SIC split K1 = M**n_t1,
+    K2 = K / K1, d1 = d - 2 (n_t - n_t1) and l1 = l_a1 samples per pair."""
+
+    def __init__(self, cfg: ExperimentConfig) -> None:
+        self.m = constellation(cfg.modulation).size
+        self.n_t, self.n_r, self.n = cfg.n_t, cfg.n_r, cfg.vectors_per_channel
+        self.k, self.d, self.t = cfg.symbol_count, 2 * cfg.n_r, cfg.pilot_slots()
+        self.w = QuantizerConfig(cfg.bits, cfg.step).level_dtype.itemsize
+        self.edges, outputs = 2 ** cfg.bits - 1, 2 ** (cfg.bits * self.d)
+        self.u = min(self.n, outputs)
+        self.l = (cfg.repetitions if cfg.training == "implicit"
+                  else cfg.artificial_count) or 0
+        self.s = min(self.k * self.l, outputs)
+        self.model = self.w * self.k * self.l * self.d
+        # validate_for_ser rejects an n_t1 outside [1, n_t] after the budget
+        self.n_t1 = min(max(cfg.n_t1 or 1, 1), cfg.n_t)
+        self.k1, self.l1 = self.m ** self.n_t1, cfg.first_stage_count
+        self.k2, self.d1 = self.k // self.k1, self.d - 2 * (cfg.n_t - self.n_t1)
+        # the least-squares estimate beyond its pilots and levels: the T x d
+        # float64 values with the T x n_r complex rows reassembled from them
+        # and numpy's buffer casting values to complex, then those rows with
+        # the pilots' complex conjugate
+        rows = self.t * self.n_r
+        self.estimate = 16 * rows + max(
+            16 * (rows + min(rows, np.getbufsize())),
+            16 * self.t * self.n_t) if cfg.csir == "ls" else 0
+
+    def noise(self, rows: int, row_values: int) -> int:
+        """One ``core.noisy_levels`` chunk of at most ``rows`` rows: its
+        float64 buffer, their levels and the quantizer's float scratch."""
+        chunk = min(rows, noise_chunk(row_values)) * row_values
+        return (8 + self.w) * chunk + 8 * quantize_scratch(chunk)
+
+
+class _Receiver(NamedTuple):
+    """A receiver: the :class:`_Trained` attribute it reads, its decision
+    ``(read, distinct levels, their values) -> symbol indices``, and its
+    bytes: ``held``, what training leaves for it, and ``work``, its
+    decision's temporaries."""
+
+    reads: str
+    decide: Callable
+    held: Callable[[_Sizes], int]
+    work: Callable[[_Sizes], int]
+
+
+def _support_held(s: _Sizes) -> int:
+    # the model and the S x K int64 count matrix of its distinct rows
+    return s.model + 8 * s.s * s.k
+
+
+def _support_work(s: _Sizes) -> int:
+    # the larger of the level-distance kernel (U x d and S x d float64
+    # operands, U x S float64 distances and their int64 cast) and eMLD's
+    # U x S bool and float64 masks next to the distances, with the float64
+    # cast of the count matrix that its product (and MMD's) reads and the
+    # U x K scores
+    return max(8 * (s.u + s.s) * s.d + 16 * s.u * s.s,
+               17 * s.u * s.s + 8 * s.s * s.k + 8 * s.u * s.k)
+
+
+def _first_stage_held(s: _Sizes) -> int:
+    # the two subvector books, the K x d level table, K1 x d1 float64 centroids
+    return (16 * (s.k1 * s.n_t1 + s.k2 * (s.n_t - s.n_t1))
+            + s.w * s.k * s.d + 8 * s.k1 * s.d1)
+
+
+# Every receiver; the decisions look their detectors up in their modules when
+# they run. eMLD and MMD read one model and share its terms, counted once.
+_RECEIVERS = {
+    "emld": _Receiver(
+        "model", lambda model, rows, _: detection.detect_emld_batch(rows, model),
+        _support_held, _support_work),
+    "mmd": _Receiver(
+        "model", lambda model, rows, _: detection.detect_mmd_batch(rows, model),
+        _support_held, _support_work),
+    # K x d float64 centroids; the U x K product becomes the distances in
+    # place (detection.nearest_center), next to the U row norms
+    "mcd": _Receiver(
+        "centroids",
+        lambda book, _, values: detection.detect_mcd_batch(values, book),
+        lambda s: 8 * s.k * s.d, lambda s: 8 * s.u * (s.k + 1)),
+    # the K x n_r complex sums with their real form and the K x d x 2**b
+    # float64 table, with the larger of its build (a block of cdf_chunk rows
+    # of CDF arguments: a float64 copy, a list of floats and the results)
+    # and its gather (K x d int32 cell offsets, the U x K x d int32 index
+    # and float64 likelihoods, and their U x K sums)
+    "mld": _Receiver(
+        "channel", lambda c, rows, _: baselines.detect_mld_batch(rows, *c),
+        lambda s: 0, lambda s: 8 * s.k * s.d * (s.edges + 3) + max(
+            40 * s.edges * min(s.k * s.d, baselines.cdf_chunk(s.edges)),
+            4 * s.k * s.d + 12 * s.u * s.k * s.d + 8 * s.u * s.k)),
+    # the U x n_r complex rows reassembled from the values, their U x n_t
+    # soft estimates and U x n_t x M complex differences from the
+    # constellation points with their float64 magnitudes
+    "zf": _Receiver(
+        "channel", lambda c, _, values: baselines.detect_zf_batch(
+            values, c.h_hat, c.book.constellation),
+        lambda s: 0,
+        lambda s: 16 * s.u * (s.n_r + s.n_t) + 24 * s.u * s.n_t * s.m),
+    # the SIC stage pair, which a SIC split lists as its one detector, mcd:
+    # the larger of stage one (U x d1 projections, the U x K1 product turned
+    # distances and U row norms) and one chunk of the U x K2 x d stage-two
+    # gather (sic.stage_two_chunk) as levels, float64 values and distances
+    "sic": _Receiver(
+        "first_stage",
+        lambda first, _, values: sic.detect_sic_batch(values, *first),
+        _first_stage_held, lambda s: max(
+            8 * s.u * (s.k1 + s.d1 + 1), ((s.w + 8) * s.d + 8) * s.k2
+            * min(s.u, sic.stage_two_chunk(8 * s.d * s.k2)))),
+}
+KNOWN_DETECTORS = tuple(name for name in _RECEIVERS if name != "sic")
+_MODEL_DETECTORS = {name for name, r in _RECEIVERS.items()
+                    if r.reads in ("model", "centroids")}
+
+# What MLD and ZF read: the channel estimate, noise variance, book, quantizer.
+_Channel = namedtuple("_Channel", "h_hat sigma2 book qcfg")
+
+
+class _Trained:
+    """One SNR point's training: each of its routes (:func:`_routes`) runs
+    in frame order, and the receivers read the attributes they leave."""
+
+    def __init__(self, cfg, qcfg, book, h, sigma2, rng, books) -> None:
+        self.cfg, self.qcfg, self.book, self.books = cfg, qcfg, book, books
+        self.h, self.h_hat, self.sigma2, self.rng = h, h, sigma2, rng
+        self.model = self.first_stage = None
+        for route in _routes(cfg):
+            _ROUTES[route].train(self)
+
+    @property
+    def channel(self) -> _Channel:
+        return _Channel(self.h_hat, self.sigma2, self.book, self.qcfg)
+
+    @cached_property
+    def centroids(self) -> detection.CentroidBook:
+        # summed from the model when first read, which is at binding
+        return detection.centroids(self.model)
+
+    def ls_pilots(self) -> None:
+        x = baselines.random_pilots(
+            self.book.constellation, self.cfg.n_t, self.cfg.t_t, self.rng)
+        levels = transmit_batch(self.h, x.T, self.sigma2, self.qcfg, self.rng)
+        self.h_hat = baselines.estimate_channel_ls(x, levels, self.qcfg)
+
+    def implicit(self) -> None:
+        frame = training.build_implicit_pilots(self.book, self.cfg.repetitions)
+        levels = transmit_batch(self.h, frame, self.sigma2, self.qcfg, self.rng)
+        if self.cfg.csir == "ls":
+            self.h_hat = baselines.estimate_channel_ls(frame.T, levels, self.qcfg)
+        if _MODEL_DETECTORS & set(self.cfg.detectors):
+            self.model = training.learn_implicit(
+                levels, self.book, self.cfg.repetitions, self.qcfg)
+
+    def explicit(self) -> None:
+        self.model = training.learn_explicit(
+            self.h_hat, self.sigma2, self.cfg.artificial_count, self.book,
+            self.qcfg, self.rng)
+
+    def first_stage_split(self) -> None:
+        plan = sic.build_plan(self.h_hat, self.cfg.n_t1)
+        self.first_stage = (plan, sic.learn_first_stage(
+            plan, self.sigma2, self.cfg.first_stage_count, *self.books,
+            self.qcfg, self.rng), *self.books)
+
+
+def _first_stage_bytes(s: _Sizes, held) -> int:
+    # what it leaves, the K1 x n_r and K2 x n_r complex products of the
+    # books with their channels, and one block of as many first-stage
+    # candidates as a noise chunk holds: the larger of its complex sums with
+    # the quantizer's scratch and half-levels, and its float64 values with
+    # their projections; for l1 > 1 the K l1 x d noisy levels come on top,
+    # with the larger of that block and their draw (K x n_r complex sums and
+    # a noise chunk)
+    block = min(s.k1, noise_chunk(s.k2 * s.l1 * s.d)) * s.k2
+    stage = max((16 + s.w) * block * s.n_r + 8 * quantize_scratch(block * s.n_r),
+                8 * block * s.l1 * (s.d + s.d1))
+    if s.l1 > 1:
+        stage = s.w * s.k * s.l1 * s.d + max(
+            stage, 16 * s.k * s.n_r + s.noise(s.k1, s.k2 * s.l1 * s.n_r))
+    return _first_stage_held(s) + 16 * (s.k1 + s.k2) * s.n_r + stage
+
+
+class _Route(NamedTuple):
+    """A training route: the :class:`_Trained` method that runs it and its
+    peak ``bytes(sizes, held)``, given the held bytes of each read."""
+
+    train: Callable
+    bytes: Callable
+
+
+# Every training route. Binding sums MCD's centroids while the model is held.
+_ROUTES = {
+    # random n_t x T complex pilots, drawn as int64, with the larger of
+    # their transmission (T x n_r complex sums, levels and a noise chunk)
+    # and the estimate on their levels
+    "ls": _Route(_Trained.ls_pilots, lambda s, held: 16 * s.n_t * s.t + max(
+        8 * s.n_t * s.t, s.w * s.t * s.d + max(
+            16 * s.t * s.n_r + s.noise(s.t, s.n_r), s.estimate))),
+    # the T = K L / 2 slots' complex symbols and levels, with the largest of
+    # their transmission, the estimate, the model with its mirrored half and
+    # the model with the centroids
+    "implicit": _Route(_Trained.implicit, lambda s, held: (
+        16 * s.n_t + s.w * s.d) * s.t + max(
+            16 * s.t * s.n_r + s.noise(s.t, s.n_r), s.estimate,
+            s.model + s.w * s.t * s.d, s.model + held.get("centroids", 0))),
+    # the larger of the draw (K x n_r complex sums, the model and a noise
+    # chunk) and the model with the centroids
+    "explicit": _Route(_Trained.explicit, lambda s, held: max(
+        16 * s.k * s.n_r + s.model + s.noise(s.k, s.l * s.n_r),
+        s.model + held.get("centroids", 0))),
+    "sic": _Route(_Trained.first_stage_split, _first_stage_bytes),
+}
+
+
+def _configured(cfg: ExperimentConfig) -> list[_Receiver]:
+    """The receivers a config runs: its detectors, or a SIC split's pair."""
+    names = ("sic",) if cfg.framework == "sic" else cfg.detectors
+    return [_RECEIVERS[name] for name in names]
+
+
+def _routes(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """The training routes of one SNR point, in frame order: the implicit
+    schedule when a trained detector or the least-squares estimate reads
+    it, else random pilots for the estimate alone; then explicit or
+    first-stage training on the estimate."""
+    ls = ("ls",) if cfg.csir == "ls" else ()
+    if cfg.framework == "sic":
+        return ls + ("sic",)
+    trained = bool(_MODEL_DETECTORS & set(cfg.detectors))
+    if cfg.training == "implicit":
+        return ("implicit",) if trained or ls else ()
+    return ls + (("explicit",) if trained else ())
 
 
 @dataclass(frozen=True)
@@ -105,124 +348,32 @@ class ExperimentConfig:
         return constellation(self.modulation).size ** self.n_t
 
     def peak_bytes(self) -> int:
-        """Integer estimate of one channel's largest arrays, in bytes.
+        """Integer estimate of one channel's largest arrays in a SER sweep,
+        in bytes, in the sizes of :class:`_Sizes`; builds none of them.
 
-        With K = M**n_t, d = 2 n_r, N data vectors, L trained samples per
-        symbol and levels of ``QuantizerConfig.level_dtype`` it counts the
-        K x n_t complex symbol book, ``_SMALL_BYTES`` and the larger of two
-        peaks. Builds none of the arrays.
-
-        Training: one noise chunk of ``core.noisy_levels`` holds its float
-        buffer, their levels and the quantizer's float scratch of
-        ``core.quantize_scratch`` values. Explicit training holds the K x n_r
-        complex noiseless sums and the model, a K x L x d level array, while
-        it draws. Implicit training holds the K*L/2 x n_t complex pilot
-        symbols and their levels with, while it transmits, their complex
-        noiseless sums, and afterwards the mirrored levels and the model.
-        MCD sums its centroids next to the model into one K x d float64
-        array. SIC, with K1 = M**n_t1, K2 = K / K1, l = l_a1 and
-        d1 = d - 2 (n_t - n_t1) projected dimensions, holds its two
-        subvector books, the K x d level table and the K1 x d1 float64
-        centroids, the K1 x n_r and K2 x n_r complex products of the books
-        with their channels and, for l > 1, the K*l x d noisy levels, drawn
-        next to the K x n_r complex noiseless sums and one noise chunk. One
-        block of first-stage candidates at a time, as many as one noise
-        chunk holds, adds the larger of its complex sums with the
-        quantizer's scratch and half-levels, and its float64 values with
-        their d1-dimensional projections.
-
-        Data phase: what training leaves (MCD's K x d centroids; for eMLD
-        and MMD the model and the S x K int64 count matrix of its
-        S = min(K*L, 2**(b*d)) distinct trained rows; SIC's books, table
-        and centroids) and the batch: N x d levels and three intp arrays of
-        N ids (the distinct-row codes, each row's distinct id and its
-        decided copy), with the larger of the transmission (N x n_t complex
-        symbols, N x n_r complex sums and one noise chunk) and the
-        detectors. These see only the U = min(N, 2**(b*d)) distinct rows
-        (``_channel_counts``): their U x d levels and float64 values, and
-        each detector's own terms. MCD a U x K float64 product, which
-        becomes the distances in place (``detection.nearest_center``), and
-        the values' doubled copy; eMLD and MMD the larger of the
-        level-distance kernel (U x d and S x d float64 operands, U x S
-        float64 distances and their int64 cast) and eMLD's U x S bool and
-        float64 neighbor masks next to the distances, with the float64 cast
-        of the count matrix that its product (and MMD's) reads and its
-        U x K scores; MLD its K x n_r complex noiseless sums and their real
-        form and its K x d x 2**b float64 likelihood table with the larger
-        of the table's build (one block of ``baselines.cdf_chunk`` rows of
-        CDF arguments as a float64 copy, a list of Python floats and the
-        float64 results) and its gather (K x d int32 cell offsets, the
-        U x K x d int32 flat index and float64 likelihoods, and their U x K
-        sums); SIC the larger of stage one (the U x d1 projections, their
-        doubled copy and the U x K1 product turned distances) and one chunk
-        of its U x K2 x d stage-two gather (``sic.stage_two_chunk``) as
-        levels and float64 values with their squared distances.
+        The K x n_t complex symbol book and ``_SMALL_BYTES``, with the
+        largest of the book's build (K x n_t int64 digits and a second
+        copy), training (the largest term of its routes, ``_ROUTES``) and
+        the data phase: what training leaves for the receivers
+        (``_RECEIVERS``' held terms, one per distinct read) and the batch,
+        with the larger of its transmission and the receivers' work terms.
         """
-        k, d, n = self.symbol_count, 2 * self.n_r, self.vectors_per_channel
-        level = QuantizerConfig(self.bits, self.step).level_dtype.itemsize
-        detectors = set(self.detectors)
-        u = min(n, 2 ** (self.bits * d))
-
-        def noise(rows: int, row_values: int) -> int:
-            chunk = min(rows, noise_chunk(row_values)) * row_values
-            return (8 + level) * chunk + 8 * quantize_scratch(chunk)
-
-        # the symbols, their sums and the noise chunk are freed before the
-        # batch is deduplicated and decided
-        transmit = 16 * n * (self.n_t + self.n_r) + noise(n, self.n_r)
-        batch, detect = n * (level * d + 24) + u * (level + 8) * d, 0
-        if self.framework == "sic":
-            # validate_for_ser rejects an n_t1 outside [1, n_t]
-            n_t1 = min(max(self.n_t1 or 1, 1), self.n_t)
-            k1 = constellation(self.modulation).size ** n_t1
-            k2, samples = k // k1, self.first_stage_count
-            d1 = d - 2 * (self.n_t - n_t1)
-            held = (16 * (k1 * n_t1 + k2 * (self.n_t - n_t1))
-                    + level * k * d + 8 * k1 * d1)
-            block = min(k1, noise_chunk(k2 * samples * d)) * k2
-            stage = max(
-                (16 + level) * block * self.n_r
-                + 8 * quantize_scratch(block * self.n_r),
-                8 * block * samples * (d + d1))
-            if samples > 1:
-                stage = level * k * samples * d + max(
-                    stage, 16 * k * self.n_r
-                    + noise(k1, k2 * samples * self.n_r))
-            training = held + 16 * (k1 + k2) * self.n_r + stage
-            detect = max(8 * u * (k1 + 2 * d1), ((level + 8) * d + 8) * k2
-                         * min(u, sic.stage_two_chunk(8 * d * k2)))
-        else:
-            implicit = self.training == "implicit"
-            samples = (self.repetitions if implicit
-                       else self.artificial_count) or 0
-            model = level * k * samples * d
-            build = model + 8 * k * d if "mcd" in detectors else 0
-            if implicit:
-                slots = k * samples // 2
-                pilots = (16 * self.n_t + level * d) * slots
-                training = pilots + max(
-                    16 * slots * self.n_r + noise(slots, self.n_r),
-                    model + level * slots * d, build)
-            else:
-                drawing = (16 * k * self.n_r + level * k * samples * d
-                           + noise(k, samples * self.n_r))
-                training = max(drawing, build)
-            held = 0
-            if "mcd" in detectors:
-                held += 8 * k * d
-                detect += 8 * u * (k + d)
-            if {"emld", "mmd"} & detectors:
-                s = min(k * samples, 2 ** (self.bits * d))
-                held += model + 8 * s * k
-                detect += max(8 * (u + s) * d + 16 * u * s,
-                              17 * u * s + 8 * s * k + 8 * u * k)
-            if "mld" in detectors:
-                edges = 2 ** self.bits - 1
-                block = edges * min(k * d, baselines.cdf_chunk(edges))
-                detect += 16 * k * d + 8 * k * d * (edges + 1) + max(
-                    40 * block, 4 * k * d + 12 * u * k * d + 8 * u * k)
-        data = batch + max(transmit, detect)
-        return 16 * k * self.n_t + _SMALL_BYTES + max(training, held + data)
+        s = _Sizes(self)
+        receivers = _configured(self)
+        held = {r.reads: r.held(s) for r in receivers}
+        training = max(
+            (_ROUTES[route].bytes(s, held) for route in _routes(self)),
+            default=0)
+        # the batch's N x d levels and three intp arrays of N ids (codes,
+        # distinct ids, decided copy), and its U distinct rows as levels and
+        # float64 values; its transmission (N x n_t complex symbols, N x n_r
+        # complex sums and a noise chunk) is freed before it is decided
+        batch = s.n * (s.w * s.d + 24) + s.u * (s.w + 8) * s.d
+        transmit = 16 * s.n * (s.n_t + s.n_r) + s.noise(s.n, s.n_r)
+        decide = sum(work(s) for work in {r.work for r in receivers})
+        data = sum(held.values()) + batch + max(transmit, decide)
+        return 16 * s.k * s.n_t + _SMALL_BYTES + max(
+            24 * s.k * s.n_t, training, data)
 
     def pilot_slots(self) -> int:
         """Effective T_t: the implicit schedule length, or the configured value."""
@@ -231,7 +382,7 @@ class ExperimentConfig:
         return self.t_t or 0
 
     def validate(self) -> None:
-        """Field checks and the per-channel budget, run by every construction."""
+        """Field checks, run by every construction."""
         for name in ("n_t", "n_r", "bits", "channel_count",
                      "vectors_per_channel"):
             if getattr(self, name) < 1:
@@ -262,10 +413,11 @@ class ExperimentConfig:
         if len(set(self.detectors)) < len(self.detectors):
             raise ConfigError(
                 f"detectors lists one twice: {', '.join(self.detectors)}")
-        _require_budget(self, self.peak_bytes(), "per channel")
 
     def validate_for_ser(self) -> None:
-        """Further checks of an SNR sweep, which warns of unavoidable errors."""
+        """The per-channel budget of a SER batch and further checks of an
+        SNR sweep, which warns of unavoidable errors."""
+        _require_budget(self, self.peak_bytes(), "per channel")
         if self.framework == "sic":
             if self.n_t1 is None or not 1 <= self.n_t1 <= self.n_t:
                 raise ConfigError("framework sic needs n_t1 in [1, n_t]")
@@ -403,57 +555,14 @@ def write_csv(records, path) -> None:
 # SER sweeps
 
 
-def _receivers(cfg, qcfg, book, h, sigma2, rng, books=None):
-    """Train one SNR point in frame order; one decision function
-    ``(distinct levels, their values) -> symbol indices`` per detector.
-
-    The pilot frame comes first: the implicit schedule when a trained
-    detector or the least-squares estimate reads it, else random pilots for
-    the estimate alone. Explicit training, or first-stage training for a
-    SIC split (``books`` holds its two subvector books, and its detector is
-    the one entry), then runs on the estimate. Detectors are looked up in
-    their modules when they run.
-    """
-    trained = cfg.framework == "full" and bool(
-        _MODEL_DETECTORS & set(cfg.detectors))
-    model = pilots = None
-    if (cfg.framework == "full" and cfg.training == "implicit"
-            and (trained or cfg.csir == "ls")):
-        # the repetition schedule is the pilot frame; the least-squares
-        # estimate (when requested) reuses the same observations
-        frame = training.build_implicit_pilots(book, cfg.repetitions)
-        pilot_levels = transmit_batch(h, frame, sigma2, qcfg, rng)
-        pilots = frame.T, pilot_levels
-        if trained:
-            model = training.learn_implicit(
-                pilot_levels, book, cfg.repetitions, qcfg)
-    h_hat = h
-    if cfg.csir == "ls":
-        if pilots is None:
-            x = baselines.random_pilots(book.constellation, cfg.n_t, cfg.t_t, rng)
-            pilots = x, transmit_batch(h, x.T, sigma2, qcfg, rng)
-        h_hat = baselines.estimate_channel_ls(*pilots, qcfg)
-    if cfg.framework == "sic":
-        plan = sic.build_plan(h_hat, cfg.n_t1)
-        first_stage = sic.learn_first_stage(
-            plan, sigma2, cfg.first_stage_count, *books, qcfg, rng)
-        return [lambda _, values: sic.detect_sic_batch(
-            values, plan, first_stage, *books)]
-    if trained and cfg.training == "explicit":
-        model = training.learn_explicit(
-            h_hat, sigma2, cfg.artificial_count, book, qcfg, rng)
-    centers = (detection.centroids(model)
-               if trained and "mcd" in cfg.detectors else None)
-    decide = {
-        "emld": lambda levels, _: detection.detect_emld_batch(levels, model),
-        "mmd": lambda levels, _: detection.detect_mmd_batch(levels, model),
-        "mcd": lambda _, values: detection.detect_mcd_batch(values, centers),
-        "mld": lambda levels, _: baselines.detect_mld_batch(
-            levels, h_hat, sigma2, book, qcfg),
-        "zf": lambda _, values: baselines.detect_zf_batch(
-            values, h_hat, book.constellation),
-    }
-    return [decide[det] for det in cfg.detectors]
+def _receivers(cfg, qcfg, book, h, sigma2, rng, books):
+    """Train one SNR point (:class:`_Trained`) and bind each configured
+    receiver to what it reads: one decision ``(distinct levels, their
+    values) -> symbol indices`` per detector, or the one of a SIC split
+    (``books`` holds its two subvector books)."""
+    trained = _Trained(cfg, qcfg, book, h, sigma2, rng, books)
+    return [partial(r.decide, getattr(trained, r.reads))
+            for r in _configured(cfg)]
 
 
 def _error_counts(decided: np.ndarray, sent: np.ndarray,
@@ -467,12 +576,12 @@ def _error_counts(decided: np.ndarray, sent: np.ndarray,
             wrong.size, sent.size)
 
 
-def _channel_counts(cfg, qcfg, book, h, rng, train, *,
+def _channel_counts(cfg, qcfg, book, h, rng, books=None, *,
                     noise_free=False) -> np.ndarray:
     """Error counts of one channel: (snr points, detectors, 4) symbol
     errors, symbol trials, vector errors and vector trials.
 
-    Each SNR point trains (``train(sigma2)``, run once in all when
+    Each SNR point trains (:func:`_receivers`, run once in all when
     ``noise_free`` training draws nothing), then draws, transmits and
     decides a data batch. A b-bit batch repeats observations often (a
     one-bit, n_r = 4 batch of 500 holds 26 to 184 distinct rows, and a
@@ -481,6 +590,7 @@ def _channel_counts(cfg, qcfg, book, h, rng, train, *,
     first-seen order, and each decided index is copied back to every repeat
     before errors are counted.
     """
+    train = partial(_receivers, cfg, qcfg, book, h, rng=rng, books=books)
     fixed = train(0.0) if noise_free else None
     out = []
     for snr_db in cfg.snr_grid_db:
@@ -515,10 +625,8 @@ def _ser_channel_counts(cfg: ExperimentConfig, child) -> np.ndarray:
     # first-stage training with l_a1 = 1 on the true channel draws nothing
     noise_free = (cfg.framework == "sic" and cfg.csir == "perfect"
                   and cfg.first_stage_count == 1)
-    return _channel_counts(
-        cfg, qcfg, book, h, rng,
-        partial(_receivers, cfg, qcfg, book, h, rng=rng, books=books),
-        noise_free=noise_free)
+    return _channel_counts(cfg, qcfg, book, h, rng, books,
+                           noise_free=noise_free)
 
 
 def _map_channels(worker, cfg: ExperimentConfig, children):
@@ -591,11 +699,11 @@ def run_bound_validation(
         raise ConfigError("bound validation requires one-bit ADCs and BPSK")
     if use_trained_centroids and (cfg.repetitions or 0) < 1:
         raise ConfigError("trained-centroid validation needs l >= 1")
-    # constructing the config of the MCD run admits it to the budget
     mcd_cfg = replace(
         cfg, framework="full", csir="perfect", detectors=("mcd",),
         training="implicit" if use_trained_centroids else "explicit",
         artificial_count=1)
+    _require_budget(mcd_cfg, mcd_cfg.peak_bytes(), "per channel")
     # analysis.geometry: the K x d uint8 codebook with the two K x d float64
     # operands of core.level_sqdist, its K x K float64 distances and their
     # int64 cast; before and after those, at most three arrays of 16 K n_r
@@ -628,10 +736,8 @@ def run_bound_validation(
             f"within {budget} draws")
     rngs = map(np.random.default_rng, channel_children)
     totals = sum(
-        _channel_counts(
-            mcd_cfg, qcfg, book, h, rng,
-            partial(_receivers, mcd_cfg, qcfg, book, h, rng=rng),
-            noise_free=not use_trained_centroids)
+        _channel_counts(mcd_cfg, qcfg, book, h, rng,
+                        noise_free=not use_trained_centroids)
         for (h, _), rng in zip(kept, rngs))
     bounds = [
         sum(analysis.svep_upper_bound(

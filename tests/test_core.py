@@ -537,6 +537,20 @@ def test_distinct_rows_dtypes_and_non_contiguous_input(dtype):
     assert inverse.tolist() == ids
 
 
+def test_distinct_rows_codes_never_widen_the_levels():
+    # a 20 000 x 8 one-bit batch takes the code table; its codes are summed
+    # in intp, so no float64 (or intp) copy of all 160 000 levels is made
+    levels = np.random.default_rng(0).integers(0, 2, size=(20_000, 8))
+    levels = levels.astype(np.uint8)
+    tracemalloc.start()
+    try:
+        core.distinct_rows(levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * levels.size
+
+
 def test_distinct_rows_of_no_rows():
     first, inverse = core.distinct_rows(np.zeros((0, 4), dtype=np.int64))
     assert first.shape == inverse.shape == (0,)

@@ -400,8 +400,8 @@ def test_nearest_center_equals_out_of_place_expansion(n, k, d, samples, seed):
 
 def test_nearest_center_holds_one_distance_matrix():
     # MCD at K = 4096, d = 64 on a 200-row batch: the 200 x 4096 float64
-    # product becomes the distances in place; the norms and the scaled
-    # values fit in the remaining tenth
+    # product is doubled and becomes the distances in place, next to the
+    # norms and no 200 x 64 copy of the values
     rng = np.random.default_rng(8)
     values = rng.normal(size=(200, 64))
     centers = rng.normal(size=(4096, 64))
@@ -411,7 +411,7 @@ def test_nearest_center_holds_one_distance_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.1 * 8 * 200 * 4096
+    assert peak < 8 * 200 * (4096 + 64)
 
 
 @settings(max_examples=60, deadline=None)

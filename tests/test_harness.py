@@ -183,19 +183,19 @@ def test_peak_bytes_estimate_and_budget():
 
     # from 200 data vectors the data phase holds more: the 4096 x 64
     # float64 centroids, the batch and MCD's n x 4096 float64 product, which
-    # becomes the distances in place, with the doubled values; these
-    # outweigh the transmission
+    # becomes the distances in place, with the n row norms; these outweigh
+    # the transmission
     for n in (200, 2_000):
         assert _full_search(vectors_per_channel=n).peak_bytes() == (
-            book + 8 * 4096 * 64 + batch(n) + 8 * n * (4096 + 64))
+            book + 8 * 4096 * 64 + batch(n) + 8 * n * (4096 + 1))
     assert full_search.peak_bytes() < 100 * 2**20
-    full_search.validate()
+    full_search.validate_for_ser()
     # 20 000 data vectors fit (about 0.63 GiB, most of it MCD's distances);
-    # 40 000 take 1.3 GiB
+    # 40 000 take 1.2 GiB
     assert _full_search(vectors_per_channel=20_000).peak_bytes() < 0.7 * 2**30
-    _full_search(vectors_per_channel=20_000).validate()
+    _full_search(vectors_per_channel=20_000).validate_for_ser()
     with pytest.raises(ConfigError, match="MiB per channel"):
-        _full_search(vectors_per_channel=40_000).validate()
+        _full_search(vectors_per_channel=40_000).validate_for_ser()
     mld = _cfg(vectors_per_channel=500)
     # implicit: training (a 16*5/2-slot pilot frame) holds less than the
     # data phase: the 16 x 8 float64 MCD centroids, the model (16 x 5 x 8
@@ -206,7 +206,7 @@ def test_peak_bytes_estimate_and_budget():
     # float64 neighbor masks, the float64 cast of the count matrix and its
     # 256 x 16 scores (more than the level-distance kernel's float64
     # operands, distances and int64 cast), MCD's 256 x 16 product turned
-    # distances with the doubled values, and MLD's 16 x 4 complex sums and
+    # distances with the 256 row norms, and MLD's 16 x 4 complex sums and
     # 16 x 8 real form with its 16 x 8 x 2 float64 likelihood table and,
     # more than the CDF block that builds the table, its 16 x 8 int32 cell
     # offsets, the 256 x 16 x 8 int32 index and float64 gather and their
@@ -216,22 +216,22 @@ def test_peak_bytes_estimate_and_budget():
         + 8 * 16 * 8 + 80 * 8 + 8 * 80 * 16
         + 500 * (8 + 24) + 256 * 9 * 8
         + 17 * 256 * 80 + 8 * 80 * 16 + 8 * 256 * 16
-        + 8 * 256 * (16 + 8)
+        + 8 * 256 * (16 + 1)
         + 16 * 16 * 8 + 8 * 16 * 8 * 2 + 4 * 16 * 8
         + 12 * 256 * 16 * 8 + 8 * 256 * 16)
     for n_t in (12, 40):
         with pytest.raises(ConfigError, match=f"n_t={n_t}"):
-            _cfg(n_t=n_t).validate()
+            _cfg(n_t=n_t).validate_for_ser()
     sic_split = dataclasses.replace(
         full_search, framework="sic", n_t1=5, first_stage_count=1)
     # the data phase: the 1024 x 5 and 4 x 1 subvector books, the 4096 x 64
     # uint8 table and 1024 x 62 float64 centroids, the batch, and stage
-    # one's 200 x 62 projections with their doubled copy and 200 x 1024
-    # product turned distances, more than the stage-two gather of all 200
+    # one's 200 x 62 projections, 200 x 1024 product turned distances and
+    # 200 row norms, more than the stage-two gather of all 200
     # observations against K2 = 4 candidates
     assert sic_split.peak_bytes() == (
         book + 16 * (1024 * 5 + 4 * 1) + 4096 * 64 + 8 * 1024 * 62
-        + batch(200) + 8 * 200 * (1024 + 2 * 62))
+        + batch(200) + 8 * 200 * (1024 + 62 + 1))
     # K2 = 1024: the gather is cut to 32 observations of 512 KiB of float64
     # values each, with their uint8 levels and 1024 squared distances
     assert dataclasses.replace(sic_split, n_t1=1).peak_bytes() == (
@@ -251,15 +251,19 @@ def _traced_channel_peak(cfg):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("training_kind, vectors", [
-    ("explicit", 200), ("implicit", 200), ("explicit", 2_000),
-], ids=["explicit", "implicit", "explicit-2000"])
-def test_peak_bytes_bounds_traced_training_peak(training_kind, vectors):
+@pytest.mark.parametrize("training_kind, repetitions, vectors", [
+    ("explicit", 16, 200), ("implicit", 16, 200), ("explicit", 16, 2_000),
+    ("implicit", 1, 1),
+], ids=["explicit", "implicit", "explicit-2000", "implicit-l1"])
+def test_peak_bytes_bounds_traced_training_peak(
+        training_kind, repetitions, vectors):
     # one SNR point of the full search, trained explicitly with l_a = 16 as
     # in the benchmark, or implicitly from a 4096*16/2-slot pilot frame; at
-    # 2 000 data vectors MCD's distances make the data phase the peak
+    # 2 000 data vectors MCD's distances make the data phase the peak, and
+    # with one repetition and one data vector the centroids summed next to
+    # the model and the pilot frame are
     cfg = _full_search(
-        channel_count=1, training=training_kind, repetitions=16,
+        channel_count=1, training=training_kind, repetitions=repetitions,
         vectors_per_channel=vectors)
     peak = _traced_channel_peak(cfg)
     assert peak <= cfg.peak_bytes() <= 1.25 * peak
@@ -295,6 +299,47 @@ def test_peak_bytes_bounds_traced_emld_mmd_peak():
     # a float64 cast of the 4 096 x 256 int64 count matrix
     cfg = _full_search(n_t=4, n_r=8, detectors=("emld", "mmd"),
                        channel_count=1)
+    peak = _traced_channel_peak(cfg)
+    assert peak <= cfg.peak_bytes() <= 1.25 * peak
+
+
+@pytest.mark.parametrize("cfg", [
+    # QPSK n_t = 4 over n_r = 6 two-bit antennas: the 20 000 data rows
+    # repeat, so fewer than U are distinct
+    ExperimentConfig(n_t=4, n_r=6, bits=2, modulation="qpsk",
+                     snr_grid_db=(10.0,), channel_count=1,
+                     vectors_per_channel=20_000, seed=42, detectors=("zf",)),
+    # at n_r = 32 every row is distinct
+    _full_search(n_t=4, detectors=("zf",), vectors_per_channel=20_000,
+                 channel_count=1),
+    # 200 rows against K = 4096: building the symbol book is the peak
+    _full_search(detectors=("zf",), channel_count=1),
+], ids=["4x6", "4x32", "book"])
+def test_peak_bytes_bounds_traced_zf_peak(cfg):
+    # ZF alone with perfect CSIR trains nothing; it decides on the
+    # reassembled complex rows, their soft estimates and their distances
+    # to every constellation point
+    peak = _traced_channel_peak(cfg)
+    assert peak <= cfg.peak_bytes() <= 1.25 * peak
+
+
+_LS_MULTIBIT = dict(
+    n_t=4, n_r=6, bits=2, modulation="qpsk", snr_grid_db=(10.0,),
+    channel_count=1, vectors_per_channel=500, seed=42, csir="ls")
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(detectors=("mcd", "zf"), training="explicit", artificial_count=8,
+         t_t=200_000),
+    dict(detectors=("mcd",), framework="sic", n_t1=2, t_t=200_000),
+    # the implicit schedule of 256 * 200 / 2 slots is the pilot frame
+    dict(detectors=("mcd", "zf"), repetitions=200),
+], ids=["explicit", "sic", "implicit"])
+def test_peak_bytes_bounds_traced_ls_pilot_peak(overrides):
+    # a long pilot frame makes the least-squares estimate the peak: the
+    # pilots, their levels, the float64 output values and the complex rows
+    # reassembled from them
+    cfg = ExperimentConfig(**_LS_MULTIBIT, **overrides)
     peak = _traced_channel_peak(cfg)
     assert peak <= cfg.peak_bytes() <= 1.25 * peak
 
@@ -913,6 +958,50 @@ def test_cli_rejects_huge_data_batch_before_drawing_a_channel(
     assert err.startswith("error: ") and "MiB per channel" in err
 
 
+def test_cli_rejects_huge_pilot_frame_before_drawing_a_channel(
+        tmp_path, capsys, monkeypatch):
+    # 10**8 random pilot slots for the least-squares estimate: its arrays
+    # would take about 25 GiB, though the data batch is small
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a channel was drawn past validation")
+
+    for module in (core, harness):
+        monkeypatch.setattr(module, "sample_channel", forbidden)
+    shipped = Path(__file__).parents[1] / "configs/multibit_downlink_b2.cfg"
+    bad = tmp_path / "pilots.cfg"
+    bad.write_text(shipped.read_text().replace(
+        "t_t = 100", "t_t = 100000000"))
+    assert main(["ser", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MiB per channel" in err
+
+
+def test_ccdf_is_admitted_by_its_own_budget_not_a_ser_batch(
+        tmp_path, capsys, monkeypatch):
+    # ccdf draws no data vector, so the 400 000 per channel that a SER
+    # sweep of this file would decide (about 1.7 GiB) do not reject it
+    shipped = Path(__file__).parents[1] / "configs/dmin_ccdf.cfg"
+    cfg_path = tmp_path / "ccdf.cfg"
+    cfg_path.write_text(
+        shipped.read_text().replace("n_t = 4", "n_t = 9")
+        .replace("n_r = 4", "n_r = 16")
+        .replace("channel_count = 100000", "channel_count = 100")
+        .replace("vectors_per_channel = 1", "vectors_per_channel = 400000"))
+    assert main(["ser", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_t=9 ") and "MiB per channel" in err
+    # the sampled distances and the analytic CCDF are stubbed: at n_t = 9
+    # the approximation alone takes seconds
+    sampled = []
+    monkeypatch.setattr(
+        harness, "sample_dmin",
+        lambda n_t, n_r, count, rng: sampled.append(count) or np.zeros(
+            count, dtype=np.int64))
+    monkeypatch.setattr(analysis, "dmin_ccdf_approx", lambda *args: 0.0)
+    assert main(["ccdf", "--config", str(cfg_path)]) == 0
+    assert sampled == [100]
+
+
 @pytest.mark.parametrize("command, config, n_t", [
     # sample_dmin's 16 384 x 1024 x 1024 float32 Gram matrix: 64 GiB
     ("ccdf", "dmin_ccdf.cfg", 10),
@@ -963,7 +1052,7 @@ seed = 0
 
 def test_cli_bound_budgets_its_mcd_run_not_the_listed_detectors(
         tmp_path, capsys, monkeypatch):
-    # bound runs MCD whatever the file lists: ZF alone estimates 32 MiB per
+    # bound runs MCD whatever the file lists: ZF alone estimates 53 MiB per
     # channel, but MCD's 40 000 x 4096 distances take 1.2 GiB
     def forbidden(*args, **kwargs):
         raise AssertionError("a channel was drawn past the budget")
