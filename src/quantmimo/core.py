@@ -10,6 +10,7 @@ concurrently with independent generators.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,19 @@ _POWER_TOL = 1e-12
 # Largest noise chunk (float64 values) that noisy_levels draws at once; the
 # K = 4096, l_a = 16, n_r = 32 explicit training draws 128 symbols per chunk.
 _NOISE_BYTES = 1 << 19
+
+# Largest row block (bytes) that a blocked kernel forms at once: a block of
+# nearest-centre scores, of SIC projections or of SIC stage-two candidates.
+_BLOCK_BYTES = 1 << 20
+
+# Fewest rows of a block that a product across rows is formed on, so that
+# the blocks give the whole product's bits. With OpenBLAS 0.3.31 a one-row
+# block is a matrix-vector product, whose sums run in another order, and at
+# d >= 32 a block of at most about 1 200 scores (two rows of 256 centres)
+# takes a small-matrix kernel with other sums too. A split's near-equal
+# blocks hold about half a budget or more (65 536 scores of _BLOCK_BYTES),
+# or at least two rows of over 32 768 centres, so they take neither.
+_PRODUCT_ROWS = 2
 
 # Largest float64 scratch (values) that quantize_levels copies its input into
 # at once: a quarter of a noise chunk.
@@ -364,9 +378,10 @@ def enumerate_symbols(c: Constellation, n_t: int) -> SymbolBook:
         vectors = np.zeros((1, 0), dtype=complex)
     else:
         # C order over the (M,)*n_t grid: the first antenna's digit varies
-        # slowest; the copy keeps the book C-contiguous for the matmuls
-        digits = np.indices((c.size,) * n_t).reshape(n_t, -1).T
-        vectors = np.ascontiguousarray(c.as_array()[digits])
+        # slowest; C-ordered digits gather a C-contiguous book, which the
+        # matmuls read, so the book itself is never copied
+        digits = np.indices((c.size,) * n_t).reshape(n_t, -1).T.copy()
+        vectors = c.as_array()[digits]
     vectors.setflags(write=False)
     return SymbolBook(constellation=c, n_t=n_t, vectors=vectors)
 
@@ -391,40 +406,77 @@ def sample_channel(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
     ) / math.sqrt(2.0)
 
 
-def noise_chunk(row_values: int) -> int:
-    """Leading-axis rows per :func:`noisy_levels` chunk: as many rows of
-    ``row_values`` float64 values as ``_NOISE_BYTES`` holds, and at least
-    one."""
-    return max(1, _NOISE_BYTES // (8 * max(1, row_values)))
+def _block_count(rows: int, row_bytes: int, budget: int, least: int) -> int:
+    per = max(1, budget // max(1, row_bytes))
+    return max(1, min(-(-rows // per), rows // least))
+
+
+def block_rows(
+    rows: int, row_bytes: int, budget: int = _BLOCK_BYTES,
+    least: int = _PRODUCT_ROWS,
+) -> int:
+    """Rows of the largest block, the first, of :func:`row_blocks`."""
+    return -(-rows // _block_count(rows, row_bytes, budget, least))
+
+
+def row_blocks(
+    rows: int, row_bytes: int, budget: int = _BLOCK_BYTES,
+    least: int = _PRODUCT_ROWS,
+) -> Iterator[slice]:
+    """Consecutive slices that split ``rows`` rows of ``row_bytes`` bytes
+    each into as few blocks as keep each within ``budget`` bytes, but none
+    of fewer than ``least`` rows; a single block may be shorter. ``least``
+    is ``_PRODUCT_ROWS`` where a product across a block's rows is formed.
+    The blocks are near-equal, larger ones first, so no short remainder is
+    split off: B + 1 rows of a B-row budget give two blocks of about B / 2
+    rows, not B and 1.
+    """
+    count = _block_count(rows, row_bytes, budget, least)
+    size, extra = divmod(rows, count)
+    start = 0
+    for i in range(count):
+        stop = start + size + (i < extra)
+        yield slice(start, stop)
+        start = stop
+
+
+def noise_chunk(rows: int, row_values: int) -> int:
+    """Rows of the largest :func:`noisy_levels` chunk of ``rows``
+    leading-axis rows of ``row_values`` float64 values each: the
+    :func:`row_blocks` of ``_NOISE_BYTES``."""
+    return block_rows(rows, 8 * row_values, _NOISE_BYTES)
 
 
 def noisy_levels(
-    clean: np.ndarray,
+    clean: Callable[[slice], np.ndarray],
     shape: tuple[int, ...],
     sigma2: float,
     rng: np.random.Generator | None,
     cfg: QuantizerConfig,
 ) -> np.ndarray:
-    """Quantized levels of ``clean`` plus i.i.d. CN(0, sigma2) noise.
+    """Quantized levels of a noiseless signal plus i.i.d. CN(0, sigma2) noise.
 
     ``shape`` is the shape of the complex noise (at least two axes, the last
-    n_r) and the complex ``clean`` broadcasts against it. The result has
-    shape ``shape[:-1] + (d,)`` and ``cfg.level_dtype``, holding the levels
-    of [Re, Im] (d = 2 n_r), or of Re only in real mode (d = n_r).
+    n_r). ``clean(rows)`` gives the complex noiseless part of the
+    leading-axis slice ``rows``, broadcasting against that slice of the
+    noise; it is called for each chunk of each part, so a noiseless product
+    is formed one chunk at a time and never whole. The result has shape
+    ``shape[:-1] + (d,)`` and ``cfg.level_dtype``, holding the levels of
+    [Re, Im] (d = 2 n_r), or of Re only in real mode (d = n_r).
 
     The noise is the real ``standard_normal`` block of ``shape``, then the
     imaginary one, both scaled by sqrt(sigma2 / 2); real mode still draws the
     imaginary block, so the generator advances the same way in both modes.
-    Each block is drawn in chunks of :func:`noise_chunk` leading-axis rows
-    into one scratch buffer, where the clean part is added and the chunk is
+    Each block is drawn in the near-equal :func:`row_blocks` of
+    ``_NOISE_BYTES`` (the largest is :func:`noise_chunk` rows) into one
+    scratch buffer, where the clean part is added and the chunk is
     quantized; consecutive fills of a generator give the stream of one fill,
     so the levels do not depend on the chunk size. :func:`quantize_levels`
     reads the buffer through its own bounded float scratch, so a chunk adds
     no float copy of the buffer, only the chunk's narrow levels. sigma2 == 0
     draws nothing, needs no generator and allocates no buffer: it quantizes
-    views of ``clean`` the same way.
+    the clean chunks the same way.
     """
-    clean = np.asarray(clean, dtype=complex)
     shape = tuple(shape)
     if len(shape) < 2:
         raise ValueError("noise shape needs a leading axis and n_r")
@@ -438,26 +490,27 @@ def noisy_levels(
     # each [Re | Im] half of a level row as one n_r-level item, so a chunk's
     # levels are placed by whole halves, not level by level
     halves = levels.view(np.dtype((np.void, n_r * levels.itemsize)))
-    chunk = noise_chunk(math.prod(shape[1:]))
+    row_values = math.prod(shape[1:])
     if sigma2:
-        buffer = np.empty((min(chunk, rows),) + shape[1:])
+        buffer = np.empty((noise_chunk(rows, row_values),) + shape[1:])
     scale = math.sqrt(sigma2 / 2.0)
-    for block, part in enumerate((clean.real, clean.imag)):
+    for block, part in enumerate(("real", "imag")):
         kept = not (block and cfg.real_mode)
         if not (kept or sigma2):
             break
-        part = np.broadcast_to(part, shape)
-        for start in range(0, rows, chunk):
-            stop = min(start + chunk, rows)
-            signal = part[start:stop]
+        for chunk in row_blocks(rows, 8 * row_values, _NOISE_BYTES):
+            chunk_shape = (chunk.stop - chunk.start,) + shape[1:]
             if sigma2:
-                signal = buffer[:stop - start]
+                signal = buffer[:chunk_shape[0]]
                 rng.standard_normal(out=signal)
                 if not kept:
                     continue
                 signal *= scale
-                signal += part[start:stop]
-            halves[start:stop, ..., block] = (
+                signal += getattr(clean(chunk), part)
+            else:
+                signal = np.broadcast_to(
+                    getattr(clean(chunk), part), chunk_shape)
+            halves[chunk, ..., block] = (
                 quantize_levels(signal, cfg).view(halves.dtype)[..., 0])
     return levels
 
@@ -474,12 +527,15 @@ def transmit_batch(
     ``x_rows`` has one symbol vector per row; the returned level matrix
     (``cfg.level_dtype``) has one observation per row. Noise for the whole
     batch comes from one :func:`noisy_levels` call, so results are
-    reproducible per (generator state, batch).
+    reproducible per (generator state, batch); the noiseless product
+    ``x_rows @ h.T`` is formed one noise chunk of rows at a time, which
+    gives the whole product's bits (see ``_PRODUCT_ROWS``).
     """
     h = np.asarray(h, dtype=complex)
     x_rows = np.asarray(x_rows, dtype=complex)
     if h.ndim != 2 or x_rows.ndim != 2 or x_rows.shape[1] != h.shape[1]:
         raise ValueError(
             f"dimension mismatch: channel {h.shape}, symbol rows {x_rows.shape}")
-    clean = x_rows @ h.T
-    return noisy_levels(clean, clean.shape, sigma2, rng, cfg)
+    return noisy_levels(
+        lambda rows: x_rows[rows] @ h.T, (len(x_rows), h.shape[0]), sigma2,
+        rng, cfg)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import level_sqdist
+from .core import level_sqdist, row_blocks
 from .training import EmpiricalModel
 
 
@@ -94,18 +94,25 @@ def nearest_center(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center row for each float row of ``values``.
 
     The squared distances are expanded as |v|^2 - 2 v.c + |c|^2, so rounding
-    can misorder near ties. The N x K product ``v.c`` is doubled in place,
-    which is exact (barring overflow), so it has the bits of ``(2 v).c``,
-    and it becomes the distances in place: it is the only N x K float64
-    array, and no copy of ``values`` is made. MCD and stage one of SIC share
-    this kernel.
+    can misorder near ties. The center norms are computed once, and the rows
+    are scored in the near-equal ``core.row_blocks`` of K float64 scores per
+    row, each of which gives the whole product's rows bit for bit. A block's
+    product ``v.c`` is doubled in place, which is exact (barring overflow),
+    so it has the bits of ``(2 v).c``, and it becomes the distances in
+    place: one block is the only array of that size, whatever N, and no copy
+    of ``values`` is made. MCD and stage one of SIC share this kernel.
     """
-    norms = np.einsum("nd,nd->n", values, values)
-    d2 = values @ centers.T
-    d2 *= 2.0
-    np.subtract(norms[:, None], d2, out=d2)
-    d2 += np.einsum("kd,kd->k", centers, centers)
-    return np.argmin(d2, axis=1)
+    center_norms = np.einsum("kd,kd->k", centers, centers)
+    nearest = np.empty(len(values), dtype=np.intp)
+    for rows in row_blocks(len(values), 8 * len(centers)):
+        block = values[rows]
+        d2 = block @ centers.T
+        d2 *= 2.0
+        np.subtract(np.einsum("nd,nd->n", block, block)[:, None], d2, out=d2)
+        d2 += center_norms
+        nearest[rows] = np.argmin(d2, axis=1)
+        del d2  # before the next block's product is made
+    return nearest
 
 
 def detect_mcd_batch(values: np.ndarray, book: CentroidBook) -> np.ndarray:

@@ -24,6 +24,7 @@ import numpy as np
 from . import analysis, baselines, detection, sic, training
 from .core import (
     QuantizerConfig,
+    block_rows,
     constellation,
     distinct_rows,
     enumerate_symbols,
@@ -41,9 +42,10 @@ CSV_COLUMNS = (
 # Largest accepted array estimate of one channel (ExperimentConfig.peak_bytes),
 # of bound's code geometry or of sample_dmin's block draws and tile. The
 # K = 4**6 full search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32)
-# and 200 data vectors, estimates 8.9 MiB with MCD (0.63 GiB at 20 000 data
-# vectors), and 4.2 GiB with eMLD and MMD, whose count matrix, its float64
-# cast and distances span all 65 536 distinct trained rows.
+# and 200 data vectors, estimates 6.5 MiB with MCD (33 MiB at 40 000 data
+# vectors, most of it the batch; up to 1 407 042 are admitted), and 4.2 GiB
+# with eMLD and MMD, whose count matrix, its float64 cast and distances span
+# all 65 536 distinct trained rows.
 _PEAK_BYTES_BUDGET = 1 << 30
 # Allowance in that estimate for the channel, the small arrays and the Python
 # objects of one channel realization.
@@ -90,11 +92,22 @@ class _Sizes:
             16 * (rows + min(rows, np.getbufsize())),
             16 * self.t * self.n_t) if cfg.csir == "ls" else 0
 
-    def noise(self, rows: int, row_values: int) -> int:
-        """One ``core.noisy_levels`` chunk of at most ``rows`` rows: its
-        float64 buffer, their levels and the quantizer's float scratch."""
-        chunk = min(rows, noise_chunk(row_values)) * row_values
-        return (8 + self.w) * chunk + 8 * quantize_scratch(chunk)
+    def noise(self, rows: int, row_values: int, clean_values: int) -> int:
+        """The largest ``core.noisy_levels`` chunk of ``rows`` rows of
+        ``row_values`` noise values and ``clean_values`` complex noiseless
+        values: its float64 buffer, its noiseless part, their levels and the
+        quantizer's float scratch."""
+        chunk_rows = noise_chunk(rows, row_values)
+        chunk = chunk_rows * row_values
+        return ((8 + self.w) * chunk + 16 * chunk_rows * clean_values
+                + 8 * quantize_scratch(chunk))
+
+    def nearest(self, rows: int, centers: int) -> int:
+        """One ``detection.nearest_center`` call on ``rows`` rows: the
+        center norms, the rows' decisions and one block of scores, which
+        become the distances in place, with its row norms."""
+        block = block_rows(rows, 8 * centers)
+        return 8 * (centers + rows + block * (centers + 1))
 
 
 class _Receiver(NamedTuple):
@@ -130,6 +143,18 @@ def _first_stage_held(s: _Sizes) -> int:
             + s.w * s.k * s.d + 8 * s.k1 * s.d1)
 
 
+def _first_stage_work(s: _Sizes) -> int:
+    # the U stage-one decisions with the larger of stage one (one block of
+    # U x d1 projections and a nearest_center call on it) and stage two (the
+    # U stage-two decisions and one block of the U x K2 x d gather as
+    # levels, float64 values and distances)
+    projected = block_rows(s.u, 8 * s.d1)
+    gathered = block_rows(s.u, 8 * s.d * s.k2) * s.k2
+    return 8 * s.u + max(
+        8 * projected * s.d1 + s.nearest(projected, s.k1),
+        8 * s.u + ((s.w + 8) * s.d + 8) * gathered)
+
+
 # Every receiver; the decisions look their detectors up in their modules when
 # they run. eMLD and MMD read one model and share its terms, counted once.
 _RECEIVERS = {
@@ -139,12 +164,11 @@ _RECEIVERS = {
     "mmd": _Receiver(
         "model", lambda model, rows, _: detection.detect_mmd_batch(rows, model),
         _support_held, _support_work),
-    # K x d float64 centroids; the U x K product becomes the distances in
-    # place (detection.nearest_center), next to the U row norms
+    # K x d float64 centroids; one call of detection.nearest_center
     "mcd": _Receiver(
         "centroids",
         lambda book, _, values: detection.detect_mcd_batch(values, book),
-        lambda s: 8 * s.k * s.d, lambda s: 8 * s.u * (s.k + 1)),
+        lambda s: 8 * s.k * s.d, lambda s: s.nearest(s.u, s.k)),
     # the K x n_r complex sums with their real form and the K x d x 2**b
     # float64 table, with the larger of its build (a block of cdf_chunk rows
     # of CDF arguments: a float64 copy, a list of floats and the results)
@@ -163,16 +187,11 @@ _RECEIVERS = {
             values, c.h_hat, c.book.constellation),
         lambda s: 0,
         lambda s: 16 * s.u * (s.n_r + s.n_t) + 24 * s.u * s.n_t * s.m),
-    # the SIC stage pair, which a SIC split lists as its one detector, mcd:
-    # the larger of stage one (U x d1 projections, the U x K1 product turned
-    # distances and U row norms) and one chunk of the U x K2 x d stage-two
-    # gather (sic.stage_two_chunk) as levels, float64 values and distances
+    # the SIC stage pair, which a SIC split lists as its one detector, mcd
     "sic": _Receiver(
         "first_stage",
         lambda first, _, values: sic.detect_sic_batch(values, *first),
-        _first_stage_held, lambda s: max(
-            8 * s.u * (s.k1 + s.d1 + 1), ((s.w + 8) * s.d + 8) * s.k2
-            * min(s.u, sic.stage_two_chunk(8 * s.d * s.k2)))),
+        _first_stage_held, _first_stage_work),
 }
 KNOWN_DETECTORS = tuple(name for name in _RECEIVERS if name != "sic")
 _MODEL_DETECTORS = {name for name, r in _RECEIVERS.items()
@@ -231,18 +250,18 @@ class _Trained:
 
 def _first_stage_bytes(s: _Sizes, held) -> int:
     # what it leaves, the K1 x n_r and K2 x n_r complex products of the
-    # books with their channels, and one block of as many first-stage
-    # candidates as a noise chunk holds: the larger of its complex sums with
-    # the quantizer's scratch and half-levels, and its float64 values with
-    # their projections; for l1 > 1 the K l1 x d noisy levels come on top,
-    # with the larger of that block and their draw (K x n_r complex sums and
-    # a noise chunk)
-    block = min(s.k1, noise_chunk(s.k2 * s.l1 * s.d)) * s.k2
-    stage = max((16 + s.w) * block * s.n_r + 8 * quantize_scratch(block * s.n_r),
+    # books with their channels, and one block of first-stage candidates
+    # (those whose values and projections fit a row block): the larger of
+    # its float64 sums of one part with the quantizer's scratch and
+    # half-levels, and its float64 values with their projections; for
+    # l1 > 1 the K l1 x d noisy levels come on top, with the larger of that
+    # block and their draw (a noise chunk of K2 x n_r complex sums per row)
+    block = block_rows(s.k1, 8 * s.k2 * s.l1 * (s.d + s.d1), least=1) * s.k2
+    stage = max((8 + s.w) * block * s.n_r + 8 * quantize_scratch(block * s.n_r),
                 8 * block * s.l1 * (s.d + s.d1))
     if s.l1 > 1:
         stage = s.w * s.k * s.l1 * s.d + max(
-            stage, 16 * s.k * s.n_r + s.noise(s.k1, s.k2 * s.l1 * s.n_r))
+            stage, s.noise(s.k1, s.k2 * s.l1 * s.n_r, s.k2 * s.n_r))
     return _first_stage_held(s) + 16 * (s.k1 + s.k2) * s.n_r + stage
 
 
@@ -257,23 +276,22 @@ class _Route(NamedTuple):
 # Every training route. Binding sums MCD's centroids while the model is held.
 _ROUTES = {
     # random n_t x T complex pilots, drawn as int64, with the larger of
-    # their transmission (T x n_r complex sums, levels and a noise chunk)
-    # and the estimate on their levels
+    # their transmission (levels and a noise chunk) and the estimate on
+    # their levels
     "ls": _Route(_Trained.ls_pilots, lambda s, held: 16 * s.n_t * s.t + max(
         8 * s.n_t * s.t, s.w * s.t * s.d + max(
-            16 * s.t * s.n_r + s.noise(s.t, s.n_r), s.estimate))),
+            s.noise(s.t, s.n_r, s.n_r), s.estimate))),
     # the T = K L / 2 slots' complex symbols and levels, with the largest of
     # their transmission, the estimate, the model with its mirrored half and
     # the model with the centroids
     "implicit": _Route(_Trained.implicit, lambda s, held: (
         16 * s.n_t + s.w * s.d) * s.t + max(
-            16 * s.t * s.n_r + s.noise(s.t, s.n_r), s.estimate,
+            s.noise(s.t, s.n_r, s.n_r), s.estimate,
             s.model + s.w * s.t * s.d, s.model + held.get("centroids", 0))),
-    # the larger of the draw (K x n_r complex sums, the model and a noise
-    # chunk) and the model with the centroids
-    "explicit": _Route(_Trained.explicit, lambda s, held: max(
-        16 * s.k * s.n_r + s.model + s.noise(s.k, s.l * s.n_r),
-        s.model + held.get("centroids", 0))),
+    # the model with the larger of its draw (a noise chunk of symbols) and
+    # the centroids
+    "explicit": _Route(_Trained.explicit, lambda s, held: s.model + max(
+        s.noise(s.k, s.l * s.n_r, s.n_r), held.get("centroids", 0))),
     "sic": _Route(_Trained.first_stage_split, _first_stage_bytes),
 }
 
@@ -352,11 +370,14 @@ class ExperimentConfig:
         in bytes, in the sizes of :class:`_Sizes`; builds none of them.
 
         The K x n_t complex symbol book and ``_SMALL_BYTES``, with the
-        largest of the book's build (K x n_t int64 digits and a second
-        copy), training (the largest term of its routes, ``_ROUTES``) and
-        the data phase: what training leaves for the receivers
-        (``_RECEIVERS``' held terms, one per distinct read) and the batch,
-        with the larger of its transmission and the receivers' work terms.
+        largest of the book's build (its C-ordered K x n_t int64 digits;
+        before the book exists, they and the index grid they are copied
+        from take no more than it), training (the largest term of its
+        routes, ``_ROUTES``) and the data phase: what training leaves for
+        the receivers (``_RECEIVERS``' held terms, one per distinct read)
+        and the batch, with the larger of its transmission and the largest
+        of the receivers' work terms, since the receivers decide one after
+        another.
         """
         s = _Sizes(self)
         receivers = _configured(self)
@@ -366,14 +387,14 @@ class ExperimentConfig:
             default=0)
         # the batch's N x d levels and three intp arrays of N ids (codes,
         # distinct ids, decided copy), and its U distinct rows as levels and
-        # float64 values; its transmission (N x n_t complex symbols, N x n_r
-        # complex sums and a noise chunk) is freed before it is decided
+        # float64 values; its transmission (N x n_t complex symbols and a
+        # noise chunk) is freed before it is decided
         batch = s.n * (s.w * s.d + 24) + s.u * (s.w + 8) * s.d
-        transmit = 16 * s.n * (s.n_t + s.n_r) + s.noise(s.n, s.n_r)
-        decide = sum(work(s) for work in {r.work for r in receivers})
+        transmit = 16 * s.n * s.n_t + s.noise(s.n, s.n_r, s.n_r)
+        decide = max(r.work(s) for r in receivers)
         data = sum(held.values()) + batch + max(transmit, decide)
         return 16 * s.k * s.n_t + _SMALL_BYTES + max(
-            24 * s.k * s.n_t, training, data)
+            8 * s.k * s.n_t, training, data)
 
     def pilot_slots(self) -> int:
         """Effective T_t: the implicit schedule length, or the configured value."""

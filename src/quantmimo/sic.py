@@ -10,9 +10,10 @@ training keeps only what the two stages read: the K1 centroids and those
 outputs, quantized once per channel for every (first, second) hypothesis
 pair into a K1 x K2 x d level table. Total search effort per vector is
 M**n_t1 + M**n_t2 candidate evaluations instead of M**n_t: stage one
-scores every row in one ``nearest_center`` call and stage two in
+scores the rows in ``nearest_center`` calls and stage two in
 ``_candidate_sqdist`` calls, so those two functions see every candidate
-evaluation.
+evaluation. Both stages work one block of rows at a time, so a block, not
+an N x K array, is the largest temporary of a detection.
 """
 
 from __future__ import annotations
@@ -25,23 +26,11 @@ from .core import (
     QuantizerConfig,
     SymbolBook,
     level_values,
-    noise_chunk,
     noisy_levels,
     quantize_levels,
+    row_blocks,
 )
 from .detection import nearest_center
-
-# Largest stage-two gather (observations x K2 x d float64 values) that
-# detect_sic_batch materializes at once; n_t1 = 1 of 6 QPSK antennas at
-# n_r = 32 needs 512 KiB per observation.
-_GATHER_BYTES = 1 << 24
-
-
-def stage_two_chunk(row_bytes: int) -> int:
-    """Observations per stage-two gather: as many candidate blocks of
-    ``row_bytes`` as ``_GATHER_BYTES`` holds, and at least one."""
-    return max(1, _GATHER_BYTES // row_bytes)
-
 
 def divide_symbols(h_hat: np.ndarray, n_t1: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split antenna indices into a detect-first group and a remainder.
@@ -180,10 +169,13 @@ def learn_first_stage(
     randomness and ignores ``sigma2``; more are drawn for all pairs at once.
 
     Table and centroids are built one block of first-stage candidates at a
-    time, as many as one noise chunk holds, and each block's arrays are
-    freed before the next block's. Each pair is projected by its own
-    (l x d) @ (d x d1) product, as in one whole-stack product, so the bits
-    do not depend on the block.
+    time: the ``core.row_blocks`` of a block's float64 values and
+    projections, at least one candidate each. Each block's arrays are freed
+    before the next block's. The real and imaginary parts of a block's
+    noiseless sums are added as floats into one quantizer input, which
+    gives the parts of the complex sums bit for bit. Each pair is projected
+    by its own (l x d) @ (d x d1) product, as in one whole-stack product, so
+    the bits do not depend on the block.
     """
     if samples_per_pair < 1:
         raise ValueError("samples_per_pair must be at least 1")
@@ -193,20 +185,21 @@ def learn_first_stage(
     n_r = plan.h1.shape[0]
     first = (book1.vectors @ plan.h1.T)[:, None, :]
     second = book2.vectors @ plan.h2.T
-    table = np.empty((k1, k2, cfg.observed_dim(n_r)), dtype=cfg.level_dtype)
+    d, d1 = cfg.observed_dim(n_r), plan.w1.shape[0]
+    table = np.empty((k1, k2, d), dtype=cfg.level_dtype)
     training = table[:, :, None]
     if samples_per_pair > 1:
         training = noisy_levels(
-            (first + second)[:, :, None, :], (k1, k2, samples_per_pair, n_r),
-            sigma2, rng, cfg)
-    centroids = np.empty((k1, plan.w1.shape[0]))
-    block = noise_chunk(training[0].size)
-    for start in range(0, k1, block):
-        rows = slice(start, start + block)
-        sums = first[rows] + second
-        table[rows, :, :n_r] = quantize_levels(sums.real, cfg)
+            lambda rows: (first[rows] + second)[:, :, None, :],
+            (k1, k2, samples_per_pair, n_r), sigma2, rng, cfg)
+    centroids = np.empty((k1, d1))
+    for rows in row_blocks(
+            k1, 8 * k2 * samples_per_pair * (d + d1), least=1):
+        sums = np.add(first.real[rows], second.real)
+        table[rows, :, :n_r] = quantize_levels(sums, cfg)
         if not cfg.real_mode:
-            table[rows, :, n_r:] = quantize_levels(sums.imag, cfg)
+            np.add(first.imag[rows], second.imag, out=sums)
+            table[rows, :, n_r:] = quantize_levels(sums, cfg)
         del sums
         projected = level_values(training[rows], cfg) @ plan.w1.T
         projected.reshape(len(projected), -1, projected.shape[-1]).mean(
@@ -236,19 +229,20 @@ def detect_sic_batch(
     symbol index per row, of the ``enumerate_symbols`` book of all n_t
     antennas.
 
-    Stage one scores every row against the K1 first-stage centroids. Stage
-    two gathers each row's K2 candidates from the model's table by its
-    stage-one decision and takes one argmin over them, in row chunks of at
-    most ``_GATHER_BYTES``. ``book1`` and ``book2`` are the
+    Stage one projects the rows and scores them against the K1 first-stage
+    centroids, one ``core.row_blocks`` block of projections at a time.
+    Stage two gathers each row's K2 candidates from the model's table by
+    its stage-one decision and takes one argmin over them, one block of
+    gathered float64 values at a time. ``book1`` and ``book2`` are the
     ``enumerate_symbols`` books of the plan's two antenna groups.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    first = nearest_center(values @ plan.w1.T, model.centroids)
-    second = np.empty_like(first)
     table = model.table
-    chunk = stage_two_chunk(8 * table[0].size)
-    for start in range(0, values.shape[0], chunk):
-        rows = slice(start, start + chunk)
+    first = np.empty(len(values), dtype=np.intp)
+    for rows in row_blocks(len(values), 8 * plan.w1.shape[0]):
+        first[rows] = nearest_center(values[rows] @ plan.w1.T, model.centroids)
+    second = np.empty_like(first)
+    for rows in row_blocks(len(values), 8 * table[0].size):
         second[rows] = np.argmin(_candidate_sqdist(
             level_values(table[first[rows]], model.cfg), values[rows]), axis=1)
     # the two subvector indices' digits, placed at their antennas, make the

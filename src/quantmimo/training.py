@@ -158,7 +158,9 @@ def learn_explicit(
     Gaussian noise and the quantizer. All K * artificial_count noise vectors
     are independent; the loop order is symbol-major. The signals are drawn
     and quantized in chunks of symbols (:func:`~quantmimo.core.noisy_levels`),
-    so only their narrow levels are kept.
+    each chunk's noiseless points formed as its rows of ``book.vectors @
+    h_hat.T``, so only one chunk of those points and the narrow levels are
+    kept.
     """
     if artificial_count < 1:
         raise ValueError("artificial_count must be at least 1")
@@ -166,8 +168,7 @@ def learn_explicit(
     if h_hat.ndim != 2 or h_hat.shape[1] != book.n_t:
         raise ValueError(
             f"dimension mismatch: channel {h_hat.shape}, book n_t {book.n_t}")
-    clean = book.vectors @ h_hat.T
     levels = noisy_levels(
-        clean[:, None, :], (book.size, artificial_count, h_hat.shape[0]),
-        sigma2, rng, cfg)
+        lambda rows: (book.vectors[rows] @ h_hat.T)[:, None, :],
+        (book.size, artificial_count, h_hat.shape[0]), sigma2, rng, cfg)
     return EmpiricalModel(levels=levels, cfg=cfg)

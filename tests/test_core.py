@@ -20,7 +20,7 @@ def _quantize_rows(r, cfg):
     """Output values of complex receive rows quantized without noise."""
     r = np.atleast_2d(np.asarray(r, dtype=complex))
     return core.level_values(
-        core.noisy_levels(r, r.shape, 0.0, None, cfg), cfg)
+        core.noisy_levels(lambda rows: r[rows], r.shape, 0.0, None, cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +170,18 @@ def test_noisy_levels_match_unchunked_float_kernel(
         want_rng = np.random.default_rng(11)
         want = _int64_quantize_levels(_float_noisy_components(
             clean, shape, sigma2, want_rng, real_mode), cfg)
-        # rows per chunk: one, two (a partial last chunk), and all at once
+        whole = np.broadcast_to(clean, shape)
+        # noise budgets of one row and of two rows (chunks of at least two
+        # rows, several where the leading axis has four or more), and of all
+        # rows at once
         for rows in (1, 2, shape[0]):
             monkeypatch.setattr(
                 core, "_NOISE_BYTES", 8 * rows * math.prod(shape[1:]))
-            assert core.noise_chunk(math.prod(shape[1:])) == rows
+            assert core.noise_chunk(shape[0], math.prod(shape[1:])) == (
+                -(-shape[0] // max(1, shape[0] // max(2, rows))))
             got_rng = np.random.default_rng(11)
-            got = core.noisy_levels(clean, shape, sigma2, got_rng, cfg)
+            got = core.noisy_levels(
+                lambda r: whole[r], shape, sigma2, got_rng, cfg)
             assert got.dtype == cfg.level_dtype
             assert got.shape == want.shape and np.array_equal(got, want)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -185,13 +190,14 @@ def test_noisy_levels_match_unchunked_float_kernel(
 def test_noisy_levels_rejects_bad_arguments():
     cfg = QuantizerConfig(bits=2, step=0.5)
     with pytest.raises(ValueError, match="generator"):
-        core.noisy_levels(np.zeros((2, 3)), (2, 3), 0.5, None, cfg)
+        core.noisy_levels(lambda rows: 0j, (2, 3), 0.5, None, cfg)
     with pytest.raises(ValueError, match="non-negative"):
-        core.noisy_levels(np.zeros((2, 3)), (2, 3), -1.0, None, cfg)
+        core.noisy_levels(lambda rows: 0j, (2, 3), -1.0, None, cfg)
     with pytest.raises(ValueError, match="leading axis"):
-        core.noisy_levels(np.zeros(3), (3,), 0.0, None, cfg)
+        core.noisy_levels(lambda rows: 0j, (3,), 0.0, None, cfg)
     empty = core.noisy_levels(
-        np.zeros((0, 3)), (0, 3), 0.5, np.random.default_rng(0), cfg)
+        lambda rows: np.zeros((0, 3)), (0, 3), 0.5, np.random.default_rng(0),
+        cfg)
     assert empty.shape == (0, 6) and empty.dtype == np.uint8
 
 
@@ -331,6 +337,19 @@ def test_book_matches_lexicographic_product(c, n_t):
     assert np.array_equal(book.vectors[::-1], -book.vectors)
 
 
+def test_book_build_holds_its_digits_once():
+    # the QPSK n_t = 6 book (393 KB) is gathered from C-ordered int64
+    # digits (half its size) straight into C order: no Fortran-order gather
+    # and contiguous copy, which held 2.5 times the book
+    tracemalloc.start()
+    try:
+        book = core.enumerate_symbols(core.qpsk(), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * book.vectors.nbytes + 4096
+
+
 def test_empty_book_for_zero_antennas():
     book = core.enumerate_symbols(core.qpsk(), 0)
     assert book.size == 1 and book.vectors.shape == (1, 0)
@@ -449,10 +468,10 @@ def test_noisy_chunk_holds_no_float_quantizer_temporary():
     rng = np.random.default_rng(3)
     shape = (128, 16, 32)
     clean = rng.normal(size=(128, 1, 32)) + 1j * rng.normal(size=(128, 1, 32))
-    assert core.noise_chunk(16 * 32) == 128
+    assert core.noise_chunk(128, 16 * 32) == 128
     tracemalloc.start()
     try:
-        levels = core.noisy_levels(clean, shape, 0.7, rng, cfg)
+        levels = core.noisy_levels(lambda rows: clean[rows], shape, 0.7, rng, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -460,6 +479,50 @@ def test_noisy_chunk_holds_no_float_quantizer_temporary():
     scratch = 8 * core._QUANTIZE_VALUES
     assert scratch == buffer // 4
     assert peak <= buffer + levels.nbytes + levels.nbytes // 2 + scratch + 16384
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 2_000), per=st.integers(1, 300),
+       least=st.integers(1, 4))
+def test_row_blocks_are_near_equal_and_as_few_as_fit(rows, per, least):
+    # a budget of ``per`` rows: consecutive blocks covering every row,
+    # larger first and at most one row apart, none shorter than ``least``
+    # unless there is one block, within the budget unless ``least`` forbids
+    # it, and one block fewer would not fit
+    blocks = list(core.row_blocks(rows, 8, 8 * per, least))
+    sizes = [b.stop - b.start for b in blocks]
+    assert blocks[0].start == 0 and blocks[-1].stop == rows
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+    assert sizes[0] == core.block_rows(rows, 8, 8 * per, least)
+    assert len(blocks) == 1 or sizes[-1] >= least
+    assert sizes[0] <= per or len(blocks) == max(1, rows // least)
+    assert len(blocks) == 1 or -(-rows // (len(blocks) - 1)) > per
+
+
+@pytest.mark.parametrize("n_t, n_r", [(1, 2), (2, 4), (6, 32), (12, 16)])
+def test_noise_chunk_products_equal_the_whole_product(n_t, n_r):
+    # the noiseless products that noisy_levels forms per chunk for
+    # transmit_batch (rows of n_r values) and explicit training (rows of
+    # l_a n_r values), on C-ordered symbol rows and on the transposed
+    # pilots of the least-squares estimate, at B, B + 1 and B + 2 rows for
+    # a B-row chunk, where a naive split leaves one- and two-row blocks, and
+    # with rows of 65 536 values, one of which fills a chunk: bit for bit
+    # the rows of one whole product
+    rng = np.random.default_rng(n_t * n_r)
+    h = core.sample_channel(n_r, n_t, rng)
+    points = core.qpsk().as_array()
+    for row_values in (n_r, 16 * n_r, 1 << 16):
+        b = core.noise_chunk(10**9, row_values)
+        assert b == max(2, core._NOISE_BYTES // (8 * row_values))
+        for n in (1, 2, 3, b, b + 1, b + 2):
+            pilots = points[rng.integers(0, 4, size=(n_t, n))]
+            for x in (np.ascontiguousarray(pilots.T), pilots.T):
+                whole = x @ h.T
+                blocked = np.concatenate([
+                    x[rows] @ h.T for rows in core.row_blocks(
+                        n, 8 * row_values, core._NOISE_BYTES)])
+                assert blocked.tobytes() == whole.tobytes()
 
 
 def test_noise_free_levels_allocate_no_noise_buffer():
@@ -473,7 +536,8 @@ def test_noise_free_levels_allocate_no_noise_buffer():
     clean = book.vectors @ h.T
     tracemalloc.start()
     try:
-        levels = core.noisy_levels(clean, clean.shape, 0.0, None, cfg)
+        levels = core.noisy_levels(
+            lambda rows: clean[rows], clean.shape, 0.0, None, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -398,20 +398,53 @@ def test_nearest_center_equals_out_of_place_expansion(n, k, d, samples, seed):
     assert np.array_equal(got, np.argmin(d2, axis=1))
 
 
+@pytest.mark.parametrize("k, d", [
+    (k, d) for k in (16, 64, 256, 1024, 4096, 16384) for d in (8, 32, 64)
+] + [(131_072, 8)])
+def test_blocked_products_and_decisions_equal_whole_ones(k, d):
+    # N = 1, 2, 3 and B - 1 to B + 2 rows for a B-row block of K float64
+    # scores, and 2 B + 3: a naive split of B + 1 rows leaves a one-row
+    # block (a matrix-vector product) and of B + 2 rows, at d = 64 and
+    # K <= 256, a two-row one that a small-matrix kernel scores, both with
+    # other bits, and at K = 131 072 the budget holds one row; the
+    # near-equal blocks of at least two rows give the rows of the whole
+    # product bit for bit, and nearest_center the decisions of the whole
+    # three-term expansion
+    rng = np.random.default_rng(k + d)
+    centers = rng.normal(size=(k, d))
+    center_norms = np.einsum("kd,kd->k", centers, centers)
+    b = core.block_rows(10**9, 8 * k)
+    assert b == max(2, core._BLOCK_BYTES // (8 * k))
+    for n in (1, 2, 3, b - 1, b, b + 1, b + 2, 2 * b + 3):
+        values = rng.normal(size=(n, d))
+        whole = values @ centers.T
+        blocked = np.concatenate(
+            [values[rows] @ centers.T for rows in core.row_blocks(n, 8 * k)])
+        assert blocked.tobytes() == whole.tobytes()
+        d2 = (np.einsum("nd,nd->n", values, values)[:, None]
+              - 2.0 * whole + center_norms)
+        assert np.array_equal(
+            detection.nearest_center(values, centers), np.argmin(d2, axis=1))
+
+
 def test_nearest_center_holds_one_distance_matrix():
-    # MCD at K = 4096, d = 64 on a 200-row batch: the 200 x 4096 float64
-    # product is doubled and becomes the distances in place, next to the
-    # norms and no 200 x 64 copy of the values
+    # MCD at K = 4096, d = 64 on a 200-row batch: seven blocks of 28 or 29
+    # rows' float64 scores, each doubled and turned into distances in place
+    # before the next is made, next to the 4096 center norms, the 200
+    # decisions, a block's row norms and the ufunc buffer of the broadcast
+    # subtraction, but no 200 x 4096 product (6.25 MiB) and no copy of the
+    # values
     rng = np.random.default_rng(8)
     values = rng.normal(size=(200, 64))
     centers = rng.normal(size=(4096, 64))
+    assert core.block_rows(200, 8 * 4096) == 29
     tracemalloc.start()
     try:
         detection.nearest_center(values, centers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 200 * (4096 + 64)
+    assert peak < 8 * (29 * 4096 + 4096 + 200 + 29 + np.getbufsize()) + 16384
 
 
 @settings(max_examples=60, deadline=None)

@@ -166,77 +166,101 @@ def _full_search(**overrides):
 def test_peak_bytes_estimate_and_budget():
     full_search = _full_search()
     book = 16 * 4096 * 6 + harness._SMALL_BYTES
-    # with one data vector the training peak is the larger one: besides the
-    # 4096 x 6 complex symbol book and the small-object allowance, explicit
-    # training draws the 4096 x 16 x 64 uint8 levels next to the 4096 x 32
-    # complex sums and one noise chunk of 128 symbols (its 512 KiB float
-    # buffer and levels, and the quantizer's 16 384-value float scratch),
-    # more than the centroid build (the levels and 4096 x 64 float64 sums)
-    training = book + (
-        16 * 4096 * 32 + 4096 * 16 * 64 + 9 * 128 * 16 * 32 + 8 * 16_384)
-    assert _full_search(vectors_per_channel=1).peak_bytes() == training
+    # up to a few thousand data vectors the training peak is the larger
+    # one: besides the 4096 x 6 complex symbol book and the small-object
+    # allowance, the 4096 x 16 x 64 uint8 levels of explicit training with
+    # the 4096 x 64 float64 centroids summed from them, more than the draw
+    # (the levels next to one noise chunk of 128 symbols: its 512 KiB float
+    # buffer and levels, their 128 x 32 complex noiseless points and the
+    # quantizer's 16 384-value float scratch)
+    training = book + 4096 * 16 * 64 + max(
+        8 * 4096 * 64, 9 * 128 * 16 * 32 + 16 * 128 * 32 + 8 * 16_384)
+    for n in (1, 200, 2_000):
+        assert _full_search(vectors_per_channel=n).peak_bytes() == training
 
     def batch(n):
         # n data rows, all distinct: their uint8 levels and three intp ids,
         # and the distinct rows' uint8 levels and float64 values
         return n * (64 + 24) + n * 9 * 64
 
-    # from 200 data vectors the data phase holds more: the 4096 x 64
-    # float64 centroids, the batch and MCD's n x 4096 float64 product, which
-    # becomes the distances in place, with the n row norms; these outweigh
-    # the transmission
-    for n in (200, 2_000):
+    # from 20 000 data vectors the data phase holds more: the centroids,
+    # the batch and, more than MCD's decision (the center norms, n
+    # decisions and one 32-row block of scores with its row norms), its
+    # transmission: the n x 6 complex symbols and a noise chunk of 2 000
+    # rows (float buffer, levels, complex noiseless points and the
+    # quantizer's scratch)
+    for n in (20_000, 40_000):
+        decide = 8 * (4096 + n + 32 * (4096 + 1))
+        transmit = 16 * n * 6 + (
+            9 * 2_000 * 32 + 16 * 2_000 * 32 + 8 * 16_384)
+        assert transmit > decide
         assert _full_search(vectors_per_channel=n).peak_bytes() == (
-            book + 8 * 4096 * 64 + batch(n) + 8 * n * (4096 + 1))
+            book + 8 * 4096 * 64 + batch(n) + transmit)
     assert full_search.peak_bytes() < 100 * 2**20
     full_search.validate_for_ser()
-    # 20 000 data vectors fit (about 0.63 GiB, most of it MCD's distances);
-    # 40 000 take 1.2 GiB
-    assert _full_search(vectors_per_channel=20_000).peak_bytes() < 0.7 * 2**30
-    _full_search(vectors_per_channel=20_000).validate_for_ser()
+    # 40 000 data vectors fit (about 33 MiB, most of it the batch); up to
+    # about 1.4 M vectors do, and 2 000 000 take 1.4 GiB
+    assert _full_search(vectors_per_channel=40_000).peak_bytes() < 40 * 2**20
+    _full_search(vectors_per_channel=40_000).validate_for_ser()
     with pytest.raises(ConfigError, match="MiB per channel"):
-        _full_search(vectors_per_channel=40_000).validate_for_ser()
+        _full_search(vectors_per_channel=2_000_000).validate_for_ser()
     mld = _cfg(vectors_per_channel=500)
     # implicit: training (a 16*5/2-slot pilot frame) holds less than the
     # data phase: the 16 x 8 float64 MCD centroids, the model (16 x 5 x 8
     # uint8 levels) with its 80 x 16 int64 count matrix, the 500 rows'
     # uint8 levels and three intp ids, and the at most 2**8 = 256 distinct
-    # rows' uint8 levels and float64 values; then, more than the
-    # transmission, eMLD's 256 x 80 int64 distances with their bool and
-    # float64 neighbor masks, the float64 cast of the count matrix and its
-    # 256 x 16 scores (more than the level-distance kernel's float64
-    # operands, distances and int64 cast), MCD's 256 x 16 product turned
-    # distances with the 256 row norms, and MLD's 16 x 4 complex sums and
+    # rows' uint8 levels and float64 values; then the largest decision, as
+    # the detectors run one after another: MLD's 16 x 4 complex sums and
     # 16 x 8 real form with its 16 x 8 x 2 float64 likelihood table and,
     # more than the CDF block that builds the table, its 16 x 8 int32 cell
     # offsets, the 256 x 16 x 8 int32 index and float64 gather and their
-    # 256 x 16 sums
+    # 256 x 16 sums; that is more than eMLD's 256 x 80 int64 distances with
+    # their bool and float64 neighbor masks, the float64 cast of the count
+    # matrix and its 256 x 16 scores, more than MCD's center norms, 256
+    # decisions and one 256 x 16 block of scores with its row norms, and
+    # more than the transmission
+    mld_decide = (16 * 16 * 8 + 8 * 16 * 8 * 2 + 4 * 16 * 8
+                  + 12 * 256 * 16 * 8 + 8 * 256 * 16)
+    assert mld_decide > max(
+        17 * 256 * 80 + 8 * 80 * 16 + 8 * 256 * 16,
+        8 * (16 + 256 + 256 * (16 + 1)))
     assert mld.peak_bytes() == (
         16 * 16 * 2 + harness._SMALL_BYTES
         + 8 * 16 * 8 + 80 * 8 + 8 * 80 * 16
-        + 500 * (8 + 24) + 256 * 9 * 8
-        + 17 * 256 * 80 + 8 * 80 * 16 + 8 * 256 * 16
-        + 8 * 256 * (16 + 1)
-        + 16 * 16 * 8 + 8 * 16 * 8 * 2 + 4 * 16 * 8
-        + 12 * 256 * 16 * 8 + 8 * 256 * 16)
+        + 500 * (8 + 24) + 256 * 9 * 8 + mld_decide)
     for n_t in (12, 40):
         with pytest.raises(ConfigError, match=f"n_t={n_t}"):
             _cfg(n_t=n_t).validate_for_ser()
     sic_split = dataclasses.replace(
         full_search, framework="sic", n_t1=5, first_stage_count=1)
-    # the data phase: the 1024 x 5 and 4 x 1 subvector books, the 4096 x 64
-    # uint8 table and 1024 x 62 float64 centroids, the batch, and stage
-    # one's 200 x 62 projections, 200 x 1024 product turned distances and
-    # 200 row norms, more than the stage-two gather of all 200
-    # observations against K2 = 4 candidates
+    # what first-stage training leaves: the 1024 x 5 and 4 x 1 subvector
+    # books, the 4096 x 64 uint8 table and the 1024 x 62 float64 centroids
+    held = 16 * (1024 * 5 + 4 * 1) + 4096 * 64 + 8 * 1024 * 62
+    # at 200 data vectors its training is the peak: what it leaves, the
+    # 1024 x 32 and 4 x 32 complex products of the books with their
+    # channels, and a block of 256 first-stage candidates' 1024 pairs as
+    # float64 values with their projections, more than their float64 sums
+    # of one part with its levels and the quantizer's scratch
     assert sic_split.peak_bytes() == (
-        book + 16 * (1024 * 5 + 4 * 1) + 4096 * 64 + 8 * 1024 * 62
-        + batch(200) + 8 * 200 * (1024 + 62 + 1))
-    # K2 = 1024: the gather is cut to 32 observations of 512 KiB of float64
-    # values each, with their uint8 levels and 1024 squared distances
-    assert dataclasses.replace(sic_split, n_t1=1).peak_bytes() == (
+        book + held + 16 * (1024 + 4) * 32 + 8 * 1024 * (64 + 62))
+    # at 2 000 the data phase is: what training leaves, the batch, the
+    # 2 000 stage-one decisions and stage one, one block of all 2 000 x 62
+    # projections with a nearest_center call on them (the center norms,
+    # 2 000 decisions and one of 16 blocks of 125 x 1024 scores with its row
+    # norms), more than stage two's 2 000 decisions and one of 4 blocks of
+    # 500 observations' gather against K2 = 4 candidates, and more than the
+    # transmission
+    sic_2000 = dataclasses.replace(sic_split, vectors_per_channel=2_000)
+    assert sic_2000.peak_bytes() == (
+        book + held + batch(2_000) + 8 * 2_000 + 8 * 2_000 * 62
+        + 8 * (1024 + 2_000 + 125 * (1024 + 1)))
+    # K2 = 1024 at 1 000 data vectors: the gather takes blocks of two
+    # observations of 512 KiB of float64 values each, with their uint8
+    # levels and 1024 squared distances, more than the transmission
+    assert dataclasses.replace(
+        sic_split, n_t1=1, vectors_per_channel=1_000).peak_bytes() == (
         book + 16 * (4 * 1 + 1024 * 5) + 4096 * 64 + 8 * 4 * 54
-        + batch(200) + 32 * 1024 * (9 * 64 + 8))
+        + batch(1_000) + 2 * 8 * 1_000 + 2 * 1024 * (9 * 64 + 8))
 
 
 def _traced_channel_peak(cfg):
@@ -253,15 +277,17 @@ def _traced_channel_peak(cfg):
 
 @pytest.mark.parametrize("training_kind, repetitions, vectors", [
     ("explicit", 16, 200), ("implicit", 16, 200), ("explicit", 16, 2_000),
-    ("implicit", 1, 1),
-], ids=["explicit", "implicit", "explicit-2000", "implicit-l1"])
+    ("implicit", 1, 1), ("explicit", 16, 40_000),
+], ids=["explicit", "implicit", "explicit-2000", "implicit-l1",
+        "explicit-40000"])
 def test_peak_bytes_bounds_traced_training_peak(
         training_kind, repetitions, vectors):
     # one SNR point of the full search, trained explicitly with l_a = 16 as
-    # in the benchmark, or implicitly from a 4096*16/2-slot pilot frame; at
-    # 2 000 data vectors MCD's distances make the data phase the peak, and
-    # with one repetition and one data vector the centroids summed next to
-    # the model and the pilot frame are
+    # in the benchmark, or implicitly from a 4096*16/2-slot pilot frame; with
+    # one repetition and one data vector the centroids summed next to the
+    # model and the pilot frame are the peak, and at 40 000 data vectors the
+    # batch makes the data phase the peak, where MCD scores one block of
+    # rows at a time
     cfg = _full_search(
         channel_count=1, training=training_kind, repetitions=repetitions,
         vectors_per_channel=vectors)
@@ -312,13 +338,30 @@ def test_peak_bytes_bounds_traced_emld_mmd_peak():
     # at n_r = 32 every row is distinct
     _full_search(n_t=4, detectors=("zf",), vectors_per_channel=20_000,
                  channel_count=1),
-    # 200 rows against K = 4096: building the symbol book is the peak
-    _full_search(detectors=("zf",), channel_count=1),
+    # one row against K = 65 536: building the symbol book is the peak
+    _full_search(n_t=8, detectors=("zf",), channel_count=1,
+                 vectors_per_channel=1),
 ], ids=["4x6", "4x32", "book"])
 def test_peak_bytes_bounds_traced_zf_peak(cfg):
     # ZF alone with perfect CSIR trains nothing; it decides on the
     # reassembled complex rows, their soft estimates and their distances
     # to every constellation point
+    peak = _traced_channel_peak(cfg)
+    assert peak <= cfg.peak_bytes() <= 1.25 * peak
+
+
+@pytest.mark.parametrize("cfg", [
+    # the shipped config at one channel
+    dataclasses.replace(harness.load_config(
+        Path(__file__).parents[1] / "configs/multibit_downlink_b2.cfg"),
+        channel_count=1),
+    # 256 candidates over n_r = 32 antennas, 2 000 distinct data rows
+    _full_search(n_t=4, detectors=("mcd", "zf"), vectors_per_channel=2_000,
+                 channel_count=1),
+], ids=["multibit", "4x32"])
+def test_peak_bytes_bounds_traced_multi_detector_peak(cfg):
+    # MCD and ZF decide one after another, each freeing its temporaries
+    # before the next, so the estimate takes the larger decision, not both
     peak = _traced_channel_peak(cfg)
     assert peak <= cfg.peak_bytes() <= 1.25 * peak
 
@@ -942,8 +985,8 @@ def test_cli_rejects_huge_trained_support_before_drawing_a_channel(
 
 def test_cli_rejects_huge_data_batch_before_drawing_a_channel(
         tmp_path, capsys, monkeypatch):
-    # 40 000 data vectors against K = 4096 centroids: MCD's distances need
-    # about 1.2 GiB, though training fits in a few MiB
+    # 2 000 000 data vectors against K = 4096 centroids: their batch needs
+    # about 1.4 GiB, though training fits in a few MiB
     def forbidden(*args, **kwargs):
         raise AssertionError("a channel was drawn past validation")
 
@@ -952,7 +995,7 @@ def test_cli_rejects_huge_data_batch_before_drawing_a_channel(
     config = Path(__file__).parents[1] / "perfbench/configs/full_search_k4096.cfg"
     bad = tmp_path / "batch.cfg"
     bad.write_text(config.read_text().replace(
-        "vectors_per_channel = 200", "vectors_per_channel = 40000"))
+        "vectors_per_channel = 200", "vectors_per_channel = 2000000"))
     assert main(["ser", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "MiB per channel" in err
@@ -978,15 +1021,15 @@ def test_cli_rejects_huge_pilot_frame_before_drawing_a_channel(
 
 def test_ccdf_is_admitted_by_its_own_budget_not_a_ser_batch(
         tmp_path, capsys, monkeypatch):
-    # ccdf draws no data vector, so the 400 000 per channel that a SER
-    # sweep of this file would decide (about 1.7 GiB) do not reject it
+    # ccdf draws no data vector, so the 4 000 000 per channel that a SER
+    # sweep of this file would decide (about 1.8 GiB) do not reject it
     shipped = Path(__file__).parents[1] / "configs/dmin_ccdf.cfg"
     cfg_path = tmp_path / "ccdf.cfg"
     cfg_path.write_text(
         shipped.read_text().replace("n_t = 4", "n_t = 9")
         .replace("n_r = 4", "n_r = 16")
         .replace("channel_count = 100000", "channel_count = 100")
-        .replace("vectors_per_channel = 1", "vectors_per_channel = 400000"))
+        .replace("vectors_per_channel = 1", "vectors_per_channel = 4000000"))
     assert main(["ser", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: n_t=9 ") and "MiB per channel" in err
@@ -1045,15 +1088,16 @@ modulation = bpsk
 snr_grid_db = 10
 detectors = {detector}
 channel_count = 1
-vectors_per_channel = 40000
+vectors_per_channel = 4000000
 seed = 0
 """
 
 
 def test_cli_bound_budgets_its_mcd_run_not_the_listed_detectors(
         tmp_path, capsys, monkeypatch):
-    # bound runs MCD whatever the file lists: ZF alone estimates 53 MiB per
-    # channel, but MCD's 40 000 x 4096 distances take 1.2 GiB
+    # bound runs MCD whatever the file lists, so both files are rejected
+    # with MCD's estimate of 4 000 000 data vectors (2.0 GiB), not with
+    # ZF's, which a SER sweep of the ZF file would give (5.1 GiB)
     def forbidden(*args, **kwargs):
         raise AssertionError("a channel was drawn past the budget")
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from collections import Counter
@@ -255,7 +256,11 @@ def test_first_stage_blocks_match_whole_stack_projection(block, case):
     book2 = core.enumerate_symbols(
         case["constellation"], case["n_t"] - case["n_t1"])
     samples = case["samples"]
-    with mock.patch.object(sic, "noise_chunk", lambda values: block):
+
+    def blocks(rows, row_bytes, least):
+        return (slice(i, i + block) for i in range(0, rows, block))
+
+    with mock.patch.object(sic, "row_blocks", blocks):
         model = sic.learn_first_stage(
             plan, 0.4, samples, book1, book2, cfg, np.random.default_rng(6))
     clean = (book1.vectors @ plan.h1.T)[:, None, :] + (
@@ -266,7 +271,7 @@ def test_first_stage_blocks_match_whole_stack_projection(block, case):
         levels = table[:, :, None, :]
     else:
         levels = core.noisy_levels(
-            clean[:, :, None, :],
+            lambda rows: clean[rows, :, None, :],
             (book1.size, book2.size, samples, case["n_r"]), 0.4,
             np.random.default_rng(6), cfg)
     whole = (core.level_values(levels, cfg) @ plan.w1.T).reshape(
@@ -603,9 +608,12 @@ def test_chunked_stage_two_matches_per_vector_path(monkeypatch, samples_per_pair
     full_book = core.enumerate_symbols(c, 4)
     data = full_book.vectors[rng.integers(0, full_book.size, size=50)]
     levels = core.transmit_batch(h, data, 0.3, cfg, rng)
+    # stage two in near-equal blocks of at most 7 rows: 8 blocks, 7 and 6 rows
     row_bytes = 8 * model.table[0].size
-    monkeypatch.setattr(sic, "_GATHER_BYTES", 7 * row_bytes + 5)
-    assert sic.stage_two_chunk(row_bytes) == 7
+    budget = 7 * row_bytes + 5
+    assert core.block_rows(50, row_bytes, budget) == 7
+    monkeypatch.setattr(
+        sic, "row_blocks", functools.partial(core.row_blocks, budget=budget))
     first, second = _detect(levels, plan, model, book1, book2, cfg)
     assert len(first) == 50
     want = _single_path_sic(core.level_values(levels, cfg), plan, model)

@@ -330,7 +330,8 @@ def test_noisy_levels_equal_complex_path(shape, real_mode, sigma2, bits, seed):
     clean_shape = shape[:-2] + (1, shape[-1])
     clean = rng.normal(size=clean_shape) + 1j * rng.normal(size=clean_shape)
     kernel, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = core.noisy_levels(clean, shape, sigma2, kernel, cfg)
+    whole = np.broadcast_to(clean, shape)
+    got = core.noisy_levels(lambda rows: whole[rows], shape, sigma2, kernel, cfg)
     want = core.quantize_levels(core.real_components(
         clean + _complex_noise(shape, sigma2, oracle), real_mode), cfg)
     assert got.shape == want.shape and np.array_equal(got, want)
@@ -339,7 +340,11 @@ def test_noisy_levels_equal_complex_path(shape, real_mode, sigma2, bits, seed):
 
 def test_explicit_training_keeps_only_narrow_levels():
     # the K = 4096, l_a = 16, n_r = 32 full search: 4 MiB of uint8 levels,
-    # where float signals, a float temporary and int64 levels took 98 MiB
+    # where float signals, a float temporary and int64 levels took 98 MiB,
+    # and one noise chunk of 128 symbols: its 512 KiB float buffer, its
+    # levels, the 128 x 32 complex noiseless points of its rows and the
+    # quantizer's 16 384-value scratch, but not the whole 4096 x 32
+    # complex product (2 MiB)
     cfg = QuantizerConfig(bits=2, step=0.5)
     book = core.enumerate_symbols(core.qpsk(), 6)
     rng = np.random.default_rng(8)
@@ -352,7 +357,9 @@ def test_explicit_training_keeps_only_narrow_levels():
         tracemalloc.stop()
     assert model.levels.dtype == np.uint8
     assert model.levels.shape == (4096, 16, 64)
-    assert peak <= 16 * 2**20
+    chunk = 128 * 16 * 64
+    assert peak <= (model.levels.nbytes + 8 * chunk // 2 + chunk
+                    + 16 * 128 * 32 + 8 * 16_384 + 16384)
 
 
 def test_implicit_training_keeps_the_level_dtype():
