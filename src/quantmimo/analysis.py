@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -180,10 +179,10 @@ def dmin_ccdf_exact_2tx(n_r: int, n: int) -> float:
         raise ValueError("n must be non-negative")
     if n > n_r:
         return 0.0
-    total = Fraction(0)
-    for k in range(n, 2 * n_r - n + 1):
-        total += Fraction(math.comb(2 * n_r, k), 4**n_r)
-    return float(total)
+    # int / int true division is correctly rounded: the float of the exact
+    # rational, with no fractions (and decimal) import
+    return sum(math.comb(2 * n_r, k)
+               for k in range(n, 2 * n_r - n + 1)) / 4**n_r
 
 
 def dmin_ccdf_lower_bound(n_r: int, c: float) -> float:

@@ -10,6 +10,7 @@ how many worker processes are used.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from collections import namedtuple
@@ -40,7 +41,7 @@ CSV_COLUMNS = (
     "snr_db", "detector", "framework", "errors", "trials", "ser", "svep", "bound")
 
 # Largest accepted array estimate of one channel (ExperimentConfig.peak_bytes),
-# of bound's code geometry or of sample_dmin's block draws and tile. The
+# of bound's code geometry or of sample_dmin's tile. The
 # K = 4**6 full search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32)
 # and 200 data vectors, estimates 6.5 MiB with MCD (33 MiB at 40 000 data
 # vectors, most of it the batch; up to 1 407 042 are admitted), and 4.2 GiB
@@ -105,9 +106,11 @@ class _Sizes:
     def nearest(self, rows: int, centers: int) -> int:
         """One ``detection.nearest_center`` call on ``rows`` rows: the
         center norms, the rows' decisions and one block of scores, which
-        become the distances in place, with its row norms."""
+        become the distances in place, with its row norms and the ufunc
+        buffer of their broadcast subtraction."""
         block = block_rows(rows, 8 * centers)
-        return 8 * (centers + rows + block * (centers + 1))
+        return 8 * (centers + rows + block * (centers + 1)
+                    + min(block * centers, np.getbufsize()))
 
 
 class _Receiver(NamedTuple):
@@ -147,12 +150,14 @@ def _first_stage_work(s: _Sizes) -> int:
     # the U stage-one decisions with the larger of stage one (one block of
     # U x d1 projections and a nearest_center call on it) and stage two (the
     # U stage-two decisions and one block of the U x K2 x d gather as
-    # levels, float64 values and distances)
+    # levels, float64 values and distances, with the ufunc buffer of the
+    # broadcast subtraction that makes the differences in place)
     projected = block_rows(s.u, 8 * s.d1)
     gathered = block_rows(s.u, 8 * s.d * s.k2) * s.k2
     return 8 * s.u + max(
         8 * projected * s.d1 + s.nearest(projected, s.k1),
-        8 * s.u + ((s.w + 8) * s.d + 8) * gathered)
+        8 * s.u + ((s.w + 8) * s.d + 8) * gathered
+        + 8 * min(gathered * s.d, np.getbufsize()))
 
 
 # Every receiver; the decisions look their detectors up in their modules when
@@ -772,8 +777,8 @@ def run_bound_validation(
 # ---------------------------------------------------------------------------
 # minimum-distance distribution
 
-# Channels per sample_dmin draw block: all of a block's real parts are drawn
-# before its imaginary parts, and the real parts are held for the block.
+# Channels per sample_dmin draw block: the stream gives all of a block's real
+# parts before its imaginary parts, an order the reference digests fix.
 _DMIN_CHUNK = 1 << 14
 # Channels per sample_dmin tile: a block's channels, sums, signs and Gram
 # matrices are computed one tile at a time in buffers of this many channels.
@@ -788,19 +793,22 @@ def sample_dmin(
 
     Works directly on the signs of the stacked noiseless outputs, so it is
     an independent route from the codebook construction in :mod:`analysis`.
-    Each block of ``chunk`` channels draws all its real parts, then its
-    imaginary parts one tile of ``_DMIN_TILE`` channels at a time;
-    consecutive fills of a generator give the stream of one fill, so the
-    distances do not depend on the tile. Every tile is computed in one set
-    of preallocated buffers, so only the block's real parts and one tile's
-    arrays are held at a time.
+    The stream gives each block of ``chunk`` channels all its real parts,
+    then all its imaginary parts. Two cursors read it one tile of
+    ``_DMIN_TILE`` channels at a time: ``rng`` the real parts, and a copy of
+    it, moved past the block's real parts by drawing and dropping them, the
+    imaginary parts; after the block ``rng`` takes the copy's state.
+    Consecutive fills of a generator give the stream of one fill, so the
+    distances and the final state do not depend on the tile, and every tile
+    is computed in one set of preallocated buffers: only one tile's arrays
+    are held, whatever the block.
     """
     book = enumerate_symbols(constellation("bpsk"), n_t)
     x = book.vectors.real.T
     k = book.size
     out = np.empty(count, dtype=np.int64)
-    m, tile = min(chunk, count), min(_DMIN_TILE, chunk, count)
-    real = np.empty((m, n_r, n_t))
+    tile = min(_DMIN_TILE, chunk, count)
+    real = np.empty((tile, n_r, n_t))
     imag = np.empty((tile, n_r, n_t))
     h = np.empty((tile, n_r, n_t), dtype=complex)
     clean = np.empty((tile, n_r, k), dtype=complex)
@@ -810,12 +818,15 @@ def sample_dmin(
     diagonal = gram.reshape(tile, k * k)[:, ::k + 1]
     for block in range(0, count, chunk):
         m = min(chunk, count - block)
-        rng.standard_normal(out=real[:m])
-        for start in range(0, m, tile):
-            t = min(tile, m - start)
-            rng.standard_normal(out=imag[:t])
+        tiles = [(start, min(tile, m - start)) for start in range(0, m, tile)]
+        cursor = copy.deepcopy(rng)
+        for _, t in tiles:
+            cursor.standard_normal(out=real[:t])
+        for start, t in tiles:
+            rng.standard_normal(out=real[:t])
+            cursor.standard_normal(out=imag[:t])
             # h = (re + 1j * im) / sqrt(2), with the same complex division
-            h.real[:t] = real[start:start + t]
+            h.real[:t] = real[:t]
             h.imag[:t] = imag[:t]
             np.divide(h[:t], math.sqrt(2.0), out=h[:t])
             np.matmul(h[:t], x, out=clean[:t])
@@ -832,6 +843,7 @@ def sample_dmin(
             g_max = gram[:t].reshape(t, -1).max(axis=1)
             done = block + start
             out[done:done + t] = np.rint((2 * n_r - g_max) / 2.0)
+        rng.bit_generator.state = cursor.bit_generator.state
     return out
 
 
@@ -845,18 +857,15 @@ def run_ccdf_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     if cfg.bits != 1 or cfg.modulation != "bpsk":
         raise ConfigError(
             "the minimum-distance distribution requires one-bit ADCs and BPSK")
-    # sample_dmin: the int64 results, the m x n_r x n_t float64 real draws
-    # of one block of m channels, and one tile of t channels: their
-    # t x n_r x n_t float64 imaginary draws and complex channels, the
-    # t x n_r x K complex sums, the t x 2 n_r x K bool and float32 signs,
-    # the t x K x K float32 Gram matrix and its row maxima with two float32
-    # temporaries
+    # sample_dmin: the int64 results and one tile of t channels, whatever
+    # the draw block: their t x n_r x n_t float64 real and imaginary draws
+    # and complex channels, the t x n_r x K complex sums, the t x 2 n_r x K
+    # bool and float32 signs, the t x K x K float32 Gram matrix and its row
+    # maxima with two float32 temporaries
     n, k = cfg.channel_count, cfg.symbol_count
-    m, t = min(_DMIN_CHUNK, n), min(_DMIN_TILE, n)
-    tile = 24 * cfg.n_r * cfg.n_t + k * (26 * cfg.n_r + 4 * k) + 12
-    _require_budget(
-        cfg, 8 * n + 8 * m * cfg.n_r * cfg.n_t + t * tile + _SMALL_BYTES,
-        f"for {n} channels")
+    t = min(_DMIN_TILE, n)
+    tile = 32 * cfg.n_r * cfg.n_t + k * (26 * cfg.n_r + 4 * k) + 12
+    _require_budget(cfg, 8 * n + t * tile + _SMALL_BYTES, f"for {n} channels")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     samples = sample_dmin(cfg.n_t, cfg.n_r, cfg.channel_count, rng)
     book = enumerate_symbols(constellation("bpsk"), cfg.n_t)

@@ -241,6 +241,15 @@ def test_ccdf_formulas_agree_in_rational_arithmetic():
                 float(direct), abs=1e-15)
 
 
+def test_ccdf_exact_is_the_float_of_the_rational_sum():
+    # bit for bit the float of the exact sum of Fractions, for every n
+    for n_r in range(1, 65):
+        for n in range(n_r + 2):
+            exact = sum((Fraction(math.comb(2 * n_r, k), 4**n_r)
+                         for k in range(n, 2 * n_r - n + 1)), Fraction(0))
+            assert analysis.dmin_ccdf_exact_2tx(n_r, n) == float(exact)
+
+
 def test_ccdf_approx_requires_bpsk():
     book = core.enumerate_symbols(core.qpsk(), 2)
     with pytest.raises(ValueError, match="BPSK"):

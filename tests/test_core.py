@@ -33,6 +33,25 @@ def test_one_bit_is_sign_quantizer():
     assert _outputs([0.7, -0.2, 0.0], cfg) == [1.0, -1.0, 1.0]
 
 
+@pytest.mark.parametrize("bits, step, edge, upper", [
+    (1, 0.5, 0.0, 1),
+    # -5e-324 / 2 rounds to -0.0, whose floor plus one is level 1
+    (1, 2.0, -5e-324, 1),
+    (2, 0.5, -0.5, 1),
+    # -2**-55 + 0.5 rounds to 0.5
+    (2, 0.5, -2.7755575615628914e-17, 2),
+    # 0.5 - 2**-54 + 0.5 rounds to 1.0
+    (2, 0.5, 0.49999999999999994, 3),
+])
+def test_quantizer_cell_edges_are_pinned_floats(bits, step, edge, upper):
+    # the smallest float of each upper cell, after the quantizer's rounding;
+    # a quantizer that compares against edges must compare against these
+    cfg = QuantizerConfig(bits=bits, step=step)
+    below = np.nextafter(edge, -np.inf)
+    assert core.quantize_levels([below, edge], cfg).tolist() == [
+        upper - 1, upper]
+
+
 def test_two_bit_interior_cell():
     cfg = QuantizerConfig(bits=2, step=0.5)
     # floor((0.3 + 0.5) / 0.5) = 1 -> -0.5 + 0.5 + 0.25

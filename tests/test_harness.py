@@ -185,12 +185,12 @@ def test_peak_bytes_estimate_and_budget():
 
     # from 20 000 data vectors the data phase holds more: the centroids,
     # the batch and, more than MCD's decision (the center norms, n
-    # decisions and one 32-row block of scores with its row norms), its
-    # transmission: the n x 6 complex symbols and a noise chunk of 2 000
-    # rows (float buffer, levels, complex noiseless points and the
-    # quantizer's scratch)
+    # decisions and one 32-row block of scores with its row norms and the
+    # ufunc buffer of their subtraction), its transmission: the n x 6
+    # complex symbols and a noise chunk of 2 000 rows (float buffer,
+    # levels, complex noiseless points and the quantizer's scratch)
     for n in (20_000, 40_000):
-        decide = 8 * (4096 + n + 32 * (4096 + 1))
+        decide = 8 * (4096 + n + 32 * (4096 + 1) + np.getbufsize())
         transmit = 16 * n * 6 + (
             9 * 2_000 * 32 + 16 * 2_000 * 32 + 8 * 16_384)
         assert transmit > decide
@@ -217,13 +217,14 @@ def test_peak_bytes_estimate_and_budget():
     # 256 x 16 sums; that is more than eMLD's 256 x 80 int64 distances with
     # their bool and float64 neighbor masks, the float64 cast of the count
     # matrix and its 256 x 16 scores, more than MCD's center norms, 256
-    # decisions and one 256 x 16 block of scores with its row norms, and
-    # more than the transmission
+    # decisions and one 256 x 16 block of scores with its row norms and
+    # their subtraction's 4 096-value ufunc buffer, and more than the
+    # transmission
     mld_decide = (16 * 16 * 8 + 8 * 16 * 8 * 2 + 4 * 16 * 8
                   + 12 * 256 * 16 * 8 + 8 * 256 * 16)
     assert mld_decide > max(
         17 * 256 * 80 + 8 * 80 * 16 + 8 * 256 * 16,
-        8 * (16 + 256 + 256 * (16 + 1)))
+        8 * (16 + 256 + 256 * (16 + 1) + 256 * 16))
     assert mld.peak_bytes() == (
         16 * 16 * 2 + harness._SMALL_BYTES
         + 8 * 16 * 8 + 80 * 8 + 8 * 80 * 16
@@ -247,20 +248,22 @@ def test_peak_bytes_estimate_and_budget():
     # 2 000 stage-one decisions and stage one, one block of all 2 000 x 62
     # projections with a nearest_center call on them (the center norms,
     # 2 000 decisions and one of 16 blocks of 125 x 1024 scores with its row
-    # norms), more than stage two's 2 000 decisions and one of 4 blocks of
-    # 500 observations' gather against K2 = 4 candidates, and more than the
-    # transmission
+    # norms and the ufunc buffer of their subtraction), more than stage
+    # two's 2 000 decisions and one of 4 blocks of 500 observations' gather
+    # against K2 = 4 candidates, and more than the transmission
     sic_2000 = dataclasses.replace(sic_split, vectors_per_channel=2_000)
     assert sic_2000.peak_bytes() == (
         book + held + batch(2_000) + 8 * 2_000 + 8 * 2_000 * 62
-        + 8 * (1024 + 2_000 + 125 * (1024 + 1)))
+        + 8 * (1024 + 2_000 + 125 * (1024 + 1) + np.getbufsize()))
     # K2 = 1024 at 1 000 data vectors: the gather takes blocks of two
     # observations of 512 KiB of float64 values each, with their uint8
-    # levels and 1024 squared distances, more than the transmission
+    # levels, 1024 squared distances and the ufunc buffer of the
+    # subtraction that makes their differences, more than the transmission
     assert dataclasses.replace(
         sic_split, n_t1=1, vectors_per_channel=1_000).peak_bytes() == (
         book + 16 * (4 * 1 + 1024 * 5) + 4096 * 64 + 8 * 4 * 54
-        + batch(1_000) + 2 * 8 * 1_000 + 2 * 1024 * (9 * 64 + 8))
+        + batch(1_000) + 2 * 8 * 1_000 + 2 * 1024 * (9 * 64 + 8)
+        + 8 * np.getbufsize())
 
 
 def _traced_channel_peak(cfg):
@@ -764,14 +767,19 @@ def test_sample_dmin_tiles_match_full_distance_matrix(
 
 def test_sample_dmin_peak_is_one_tile_not_one_block():
     # dmin_ccdf.cfg's shape: a whole 16 384-channel block of sums, signs
-    # and Gram matrices takes about 50 MB
+    # and Gram matrices takes about 50 MB, and the block's real draws
+    # 2 MiB; only the 800 000 B of results, one 512-channel tile's arrays
+    # (real and imaginary draws, channels, sums, signs and Gram matrices)
+    # and a small allowance are held
+    rng = np.random.default_rng(0)
+    tile = 512 * (32 * 4 * 4 + 16 * (26 * 4 + 4 * 16) + 12)
     tracemalloc.start()
     try:
-        harness.sample_dmin(4, 4, 100_000, np.random.default_rng(0))
+        harness.sample_dmin(4, 4, 100_000, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20
+    assert peak < 8 * 100_000 + tile + (256 << 10)
 
 
 @pytest.mark.parametrize("n_t, n_r, count", [(4, 4, 20_000), (6, 4, 5000),
@@ -1115,6 +1123,17 @@ def test_cli_bound_budgets_its_mcd_run_not_the_listed_detectors(
     assert errors[0].endswith(" MiB per channel (limit 1024 MiB)\n")
 
 
+def _run_script(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    quantmimo; a failed assertion in it fails the call."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", script, *args],
+                   env=env, check=True, timeout=120)
+
+
 _NO_POOL = """
 import sys
 from quantmimo.cli import main
@@ -1126,15 +1145,9 @@ assert "concurrent.futures.process" not in sys.modules
 
 def test_cli_import_skips_process_pool(tmp_path):
     # only a multi-worker run imports the process pool
-    src = str(Path(harness.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     cfg = tmp_path / "one_worker.cfg"
     cfg.write_text(CONFIG_TEXT.replace("channel_count = 8", "channel_count = 2"))
-    subprocess.run(
-        [sys.executable, "-c", _NO_POOL, str(cfg)],
-        env=env, check=True, timeout=120)
+    _run_script(_NO_POOL, str(cfg))
 
 
 _NO_SCIPY = """
@@ -1152,10 +1165,6 @@ for path in sys.argv[1:]:
 def test_cli_import_skips_scipy_stats(tmp_path):
     # neither the import nor a ser run loads any of scipy, with or without
     # mld: only the analysis imports scipy.special
-    src = str(Path(harness.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     full = tmp_path / "full.cfg"
     full.write_text(CONFIG_TEXT.replace(
         "detectors = emld, mmd, mcd, mld", "detectors = emld, mmd, mcd, zf"))
@@ -1167,9 +1176,35 @@ def test_cli_import_skips_scipy_stats(tmp_path):
         "snr_grid_db = 5", "detectors = mcd", "framework = sic", "n_t1 = 2",
         "csir = ls", "t_t = 8", "channel_count = 1",
         "vectors_per_channel = 10", "seed = 1")))
-    subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY, str(full), str(mld), str(split)],
-        env=env, check=True, timeout=120)
+    _run_script(_NO_SCIPY, str(full), str(mld), str(split))
+
+
+_NO_FRACTIONS = """
+import sys
+from quantmimo.cli import main
+def loaded():
+    return sorted(m for m in ("fractions", "decimal") if m in sys.modules)
+assert not loaded(), loaded()
+for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    assert main([command, "--config", path, "--out", path + ".csv"]) == 0
+    assert not loaded(), (command, path, loaded())
+"""
+
+
+def test_cli_runs_skip_fractions_and_decimal(tmp_path):
+    # no ser, bound or ccdf run imports fractions, which imports decimal:
+    # the exact two-antenna CCDF is a correctly rounded int / int division
+    ser = tmp_path / "ser.cfg"
+    ser.write_text(CONFIG_TEXT)
+    args = ["ser", str(ser)]
+    for n_t in (2, 3):  # the exact and the approximate analytic CCDF
+        one_bit = tmp_path / f"bpsk{n_t}.cfg"
+        one_bit.write_text("\n".join((
+            f"n_t = {n_t}", "n_r = 3", "b = 1", "modulation = bpsk",
+            "snr_grid_db = 0, 10", "detectors = mcd", "l = 2",
+            "channel_count = 3", "vectors_per_channel = 20", "seed = 5")))
+        args += ["bound", str(one_bit), "ccdf", str(one_bit)]
+    _run_script(_NO_FRACTIONS, *args)
 
 
 def test_cli_demo_prints_worked_example(capsys):

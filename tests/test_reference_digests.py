@@ -1,9 +1,10 @@
 """The benchmark's full-size runs reproduce the reference digests.
 
 The blocked kernels (nearest-centre scores, SIC's stages and the noiseless
-products of ``core.noisy_levels``) must give the bits of whole products at
-the sizes the benchmark runs, which the tiny runs of
-``perfbench/test_smoke.py`` do not reach.
+products of ``core.noisy_levels``) must give the bits of whole products, and
+``harness.sample_dmin``'s two cursors the stream of whole draw blocks (the
+``ccdf`` run has seven, the last one partial), at the sizes the benchmark
+runs, which the tiny runs of ``perfbench/test_smoke.py`` do not reach.
 """
 
 import json
@@ -17,7 +18,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["full-search-k4096", "sic-split"])
+@pytest.mark.parametrize(
+    "workload", ["detectors-and-analysis", "full-search-k4096", "sic-split"])
 def test_benchmark_workload_matches_reference_digests(workload, tmp_path):
     # one pass of the workload's CLI runs at seed 42 in a copy of the
     # checkout, so the benchmark's work directory in the checkout is left
