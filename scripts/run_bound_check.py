@@ -1,28 +1,31 @@
 #!/usr/bin/env python3
 """Simulated vector-error probability of nearest-centroid detection against
-the closed-form upper bound, on channels with a unit flip budget."""
+the closed-form upper bound, on channels with a unit flip budget: the
+``bound`` run of configs/bound_validation.cfg."""
 
 import argparse
+from dataclasses import replace
+from pathlib import Path
 
 from quantmimo import harness
-from quantmimo.harness import ExperimentConfig
+
+CONFIG = (Path(__file__).resolve().parents[1] / "configs"
+          / "bound_validation.cfg")
 
 
 def main():
+    cfg = harness.load_config(CONFIG)
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--channels", type=int, default=100)
-    ap.add_argument("--vectors", type=int, default=10_000)
+    ap.add_argument("--seed", type=int, default=cfg.seed)
+    ap.add_argument("--channels", type=int, default=cfg.channel_count)
+    ap.add_argument("--vectors", type=int, default=cfg.vectors_per_channel)
     ap.add_argument("--trained", action="store_true",
                     help="use pilot-trained centroids instead of codewords")
     ap.add_argument("--out", default="bound_check.csv")
     args = ap.parse_args()
 
-    cfg = ExperimentConfig(
-        n_t=2, n_r=2, bits=1, modulation="bpsk",
-        snr_grid_db=tuple(range(0, 21, 5)), channel_count=args.channels,
-        vectors_per_channel=args.vectors, seed=args.seed,
-        detectors=("mcd",), repetitions=5)
+    cfg = replace(cfg, seed=args.seed, channel_count=args.channels,
+                  vectors_per_channel=args.vectors)
     records = harness.run_bound_validation(
         cfg, use_trained_centroids=args.trained)
     harness.write_csv(records, args.out)

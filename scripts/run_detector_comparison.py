@@ -1,30 +1,30 @@
 #!/usr/bin/env python3
 """SER sweep comparing the trained detectors against quantized MLD on a
 small receive array (downlink-style setting, one-bit ADCs, implicit
-training)."""
+training): configs/detector_comparison.cfg."""
 
 import argparse
+from dataclasses import replace
+from pathlib import Path
 
 from quantmimo import harness
-from quantmimo.harness import ExperimentConfig
+
+CONFIG = (Path(__file__).resolve().parents[1] / "configs"
+          / "detector_comparison.cfg")
 
 
 def main():
+    cfg = harness.load_config(CONFIG)
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--channels", type=int, default=200)
-    ap.add_argument("--vectors", type=int, default=500)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--seed", type=int, default=cfg.seed)
+    ap.add_argument("--channels", type=int, default=cfg.channel_count)
+    ap.add_argument("--vectors", type=int, default=cfg.vectors_per_channel)
+    ap.add_argument("--threads", type=int, default=cfg.threads)
     ap.add_argument("--out", default="detector_comparison.csv")
     args = ap.parse_args()
 
-    cfg = ExperimentConfig(
-        n_t=2, n_r=4, bits=1, modulation="qpsk",
-        snr_grid_db=tuple(range(0, 26, 5)),
-        channel_count=args.channels, vectors_per_channel=args.vectors,
-        seed=args.seed, repetitions=5,
-        detectors=("emld", "mmd", "mcd", "mld"),
-        training="implicit", csir="perfect", threads=args.threads)
+    cfg = replace(cfg, seed=args.seed, channel_count=args.channels,
+                  vectors_per_channel=args.vectors, threads=args.threads)
     records = harness.run_ser_experiment(cfg)
     harness.write_csv(records, args.out)
     for r in records:

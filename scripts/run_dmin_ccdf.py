@@ -1,27 +1,29 @@
 #!/usr/bin/env python3
 """Distribution of the codebook minimum distance over Rayleigh channels:
-closed-form CCDF against Monte Carlo, for several antenna setups."""
+closed-form CCDF against Monte Carlo, for several antenna setups, the last
+of them configs/dmin_ccdf.cfg's."""
 
 import argparse
+from dataclasses import replace
+from pathlib import Path
 
 from quantmimo import harness
-from quantmimo.harness import ExperimentConfig
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "dmin_ccdf.cfg"
 
 
 def main():
+    cfg = harness.load_config(CONFIG)
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--channels", type=int, default=100_000)
+    ap.add_argument("--seed", type=int, default=cfg.seed)
+    ap.add_argument("--channels", type=int, default=cfg.channel_count)
     ap.add_argument("--out", default="dmin_ccdf.csv")
     args = ap.parse_args()
 
+    cfg = replace(cfg, seed=args.seed, channel_count=args.channels)
     all_records = []
     for n_t, n_r in ((2, 2), (2, 4), (4, 4)):
-        cfg = ExperimentConfig(
-            n_t=n_t, n_r=n_r, bits=1, modulation="bpsk",
-            snr_grid_db=(0.0,), channel_count=args.channels,
-            vectors_per_channel=1, seed=args.seed, detectors=("mcd",))
-        records = harness.run_ccdf_experiment(cfg)
+        records = harness.run_ccdf_experiment(replace(cfg, n_t=n_t, n_r=n_r))
         all_records.extend(records)
         kind = "exact" if n_t == 2 else "approx"
         for r in records:

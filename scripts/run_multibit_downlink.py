@@ -1,32 +1,33 @@
 #!/usr/bin/env python3
 """SER vs ADC resolution with least-squares channel estimation: trained
-nearest-centroid detection against zero-forcing, for 1 to 3 bit ADCs."""
+nearest-centroid detection against zero-forcing, for 1 to 3 bit ADCs, the
+2-bit run being configs/multibit_downlink_b2.cfg."""
 
 import argparse
+from dataclasses import replace
+from pathlib import Path
 
 from quantmimo import harness
-from quantmimo.harness import ExperimentConfig
+
+CONFIG = (Path(__file__).resolve().parents[1] / "configs"
+          / "multibit_downlink_b2.cfg")
 
 
 def main():
+    cfg = harness.load_config(CONFIG)
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--channels", type=int, default=100)
-    ap.add_argument("--vectors", type=int, default=500)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--seed", type=int, default=cfg.seed)
+    ap.add_argument("--channels", type=int, default=cfg.channel_count)
+    ap.add_argument("--vectors", type=int, default=cfg.vectors_per_channel)
+    ap.add_argument("--threads", type=int, default=cfg.threads)
     ap.add_argument("--out", default="multibit_downlink.csv")
     args = ap.parse_args()
 
+    cfg = replace(cfg, seed=args.seed, channel_count=args.channels,
+                  vectors_per_channel=args.vectors, threads=args.threads)
     all_records = []
     for bits in (1, 2, 3):
-        cfg = ExperimentConfig(
-            n_t=4, n_r=6, bits=bits, modulation="qpsk",
-            snr_grid_db=tuple(range(0, 31, 5)),
-            channel_count=args.channels, vectors_per_channel=args.vectors,
-            seed=args.seed, training="explicit", csir="ls",
-            artificial_count=8, t_t=100, detectors=("mcd", "zf"),
-            threads=args.threads)
-        records = harness.run_ser_experiment(cfg)
+        records = harness.run_ser_experiment(replace(cfg, bits=bits))
         all_records.extend(records)
         for r in records:
             print(f"B={bits}  {r.snr_db:5.1f} dB  {r.detector:3s}  "

@@ -1,40 +1,43 @@
 #!/usr/bin/env python3
 """Performance/complexity tradeoff of two-stage detection on a large
-receive array: the full search against splits of the transmit antennas."""
+receive array: the full search against splits of the transmit antennas,
+the 5/1 split being configs/sic_tradeoff_nt1_5.cfg."""
 
 import argparse
+from dataclasses import replace
+from pathlib import Path
 
 from quantmimo import harness
-from quantmimo.harness import ExperimentConfig
+
+CONFIG = (Path(__file__).resolve().parents[1] / "configs"
+          / "sic_tradeoff_nt1_5.cfg")
 
 
 def main():
+    cfg = harness.load_config(CONFIG)
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--channels", type=int, default=50)
-    ap.add_argument("--vectors", type=int, default=200)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--seed", type=int, default=cfg.seed)
+    ap.add_argument("--channels", type=int, default=cfg.channel_count)
+    ap.add_argument("--vectors", type=int, default=cfg.vectors_per_channel)
+    ap.add_argument("--threads", type=int, default=cfg.threads)
     ap.add_argument("--out", default="sic_tradeoff.csv")
     args = ap.parse_args()
 
-    base = dict(
-        n_t=6, n_r=32, bits=2, modulation="qpsk",
-        snr_grid_db=(0.0, 5.0, 10.0), channel_count=args.channels,
-        vectors_per_channel=args.vectors, seed=args.seed,
-        training="explicit", csir="perfect", artificial_count=16,
-        detectors=("mcd",), threads=args.threads)
+    split = replace(cfg, seed=args.seed, channel_count=args.channels,
+                    vectors_per_channel=args.vectors, threads=args.threads)
+    runs = [
+        # the full search trains every candidate explicitly, 16 signals each
+        ("full search",
+         replace(split, framework="full", n_t1=None, artificial_count=16)),
+        ("split n_t1=5", split),
+        ("split n_t1=4", replace(split, n_t1=4)),
+    ]
     all_records = []
-    runs = [("full search", ExperimentConfig(**base))]
-    for n_t1 in (5, 4):
-        runs.append((
-            f"split n_t1={n_t1}",
-            ExperimentConfig(
-                **base, framework="sic", n_t1=n_t1, first_stage_count=1)))
-    for label, cfg in runs:
-        records = harness.run_ser_experiment(cfg)
+    for label, run in runs:
+        records = harness.run_ser_experiment(run)
         all_records.extend(records)
-        evals = (4**cfg.n_t1 + 4 ** (cfg.n_t - cfg.n_t1)
-                 if cfg.framework == "sic" else 4**cfg.n_t)
+        evals = (4**run.n_t1 + 4 ** (run.n_t - run.n_t1)
+                 if run.framework == "sic" else 4**run.n_t)
         for r in records:
             print(f"{label:14s} {r.snr_db:5.1f} dB  ser={r.ser:.5f}  "
                   f"candidates/vector={evals}")

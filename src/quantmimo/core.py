@@ -44,9 +44,8 @@ class Constellation:
     """Set of unit-average-power modulation symbols.
 
     Points must be listed in mirrored order, ``points[M-1-j] == -points[j]``,
-    so that symbol books built on top inherit the antipodal index pairing.
-    Use :func:`bpsk`, :func:`qpsk`, or :meth:`from_points` to get a valid
-    ordering automatically.
+    so that symbol books built on top inherit the antipodal index pairing;
+    :func:`bpsk` and :func:`qpsk` list theirs that way.
     """
 
     name: str
@@ -61,25 +60,7 @@ class Constellation:
             raise ValueError(f"average symbol power is {power!r}, expected 1")
         if not np.allclose(pts[::-1], -pts, rtol=0.0, atol=1e-15):
             raise ValueError(
-                "constellation is not origin-symmetric in mirrored order; "
-                "build it with Constellation.from_points"
-            )
-
-    @classmethod
-    def from_points(cls, name: str, points) -> "Constellation":
-        """Build a constellation from an unordered origin-symmetric point set."""
-        remaining = [complex(p) for p in points]
-        front: list[complex] = []
-        while remaining:
-            p = remaining.pop(0)
-            match = next(
-                (q for q in remaining if abs(q + p) <= 1e-12), None)
-            if match is None:
-                raise ValueError(f"no negated partner for point {p!r}")
-            remaining.remove(match)
-            front.append(p)
-        ordered = front + [-p for p in reversed(front)]
-        return cls(name, tuple(ordered))
+                "constellation is not origin-symmetric in mirrored order")
 
     @property
     def size(self) -> int:
@@ -136,10 +117,6 @@ class QuantizerConfig:
     @property
     def r_low(self) -> float:
         return (-(1 << (self.bits - 1)) + 1) * self.step
-
-    @property
-    def r_up(self) -> float:
-        return ((1 << (self.bits - 1)) - 1) * self.step
 
     @property
     def level_dtype(self) -> np.dtype:
@@ -227,24 +204,6 @@ def cell_edges(cfg: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-@dataclass(frozen=True)
-class QuantizedVector:
-    """One ADC output snapshot as a hashable tuple of integer levels.
-
-    Only the benchmark's tracer (``perfbench/tracer.py``) reads these.
-    """
-
-    levels: tuple[int, ...]
-    bits: int
-    step: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
-        top = 1 << self.bits
-        if any(v < 0 or v >= top for v in self.levels):
-            raise ValueError(f"levels out of range for {self.bits}-bit quantizer")
-
-
 def real_components(r, real_mode: bool = False) -> np.ndarray:
     """Stack complex antenna samples as [Re, Im] along the last axis.
 
@@ -257,16 +216,10 @@ def real_components(r, real_mode: bool = False) -> np.ndarray:
     return np.concatenate([r.real, r.imag], axis=-1)
 
 
-def vectors_from_levels(levels, cfg: QuantizerConfig) -> list[QuantizedVector]:
-    """Wrap rows of an integer level matrix as QuantizedVector objects.
-
-    Only the benchmark's tracer reads these, through ``EmpiricalModel.counts``.
-    """
-    levels = np.asarray(levels)
-    return [
-        QuantizedVector(tuple(int(v) for v in row), cfg.bits, cfg.step)
-        for row in np.atleast_2d(levels)
-    ]
+def vectors_from_levels(levels) -> list[tuple[int, ...]]:
+    """Rows of an integer level matrix as tuples of ints; only the benchmark's
+    tracer reads them, through ``EmpiricalModel.counts``."""
+    return [tuple(row) for row in np.atleast_2d(levels).tolist()]
 
 
 def distinct_rows(levels) -> tuple[np.ndarray, np.ndarray]:
@@ -386,15 +339,12 @@ def enumerate_symbols(c: Constellation, n_t: int) -> SymbolBook:
     return SymbolBook(constellation=c, n_t=n_t, vectors=vectors)
 
 
-def snr_to_sigma2(snr_linear: float, n_t: int) -> float:
-    """Noise variance for a linear SNR with unit-power symbols: n_t / snr."""
-    if not snr_linear > 0.0:
-        raise ValueError("SNR must be positive")
-    return n_t / snr_linear
-
-
 def snr_db_to_sigma2(snr_db: float, n_t: int) -> float:
-    return snr_to_sigma2(10.0 ** (snr_db / 10.0), n_t)
+    """Noise variance for an SNR in dB with unit-power symbols: n_t / snr."""
+    snr = 10.0 ** (snr_db / 10.0)
+    if not snr > 0.0:
+        raise ValueError("SNR must be positive")
+    return n_t / snr
 
 
 def sample_channel(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:

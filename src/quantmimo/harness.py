@@ -43,10 +43,10 @@ CSV_COLUMNS = (
 # Largest accepted array estimate of one channel (ExperimentConfig.peak_bytes),
 # of bound's code geometry or of sample_dmin's tile. The
 # K = 4**6 full search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32)
-# and 200 data vectors, estimates 6.5 MiB with MCD (33 MiB at 40 000 data
-# vectors, most of it the batch; up to 1 407 042 are admitted), and 4.2 GiB
-# with eMLD and MMD, whose count matrix, its float64 cast and distances span
-# all 65 536 distinct trained rows.
+# and 200 data vectors, estimates 6.5 MiB with MCD (29 MiB at 40 000 data
+# vectors, most of it the batch; up to 1 575 177 are admitted), and 2.3 GiB
+# with eMLD and MMD, whose count matrix and distances span all 65 536
+# distinct trained rows.
 _PEAK_BYTES_BUDGET = 1 << 30
 # Allowance in that estimate for the channel, the small arrays and the Python
 # objects of one channel realization.
@@ -126,18 +126,19 @@ class _Receiver(NamedTuple):
 
 
 def _support_held(s: _Sizes) -> int:
-    # the model and the S x K int64 count matrix of its distinct rows
-    return s.model + 8 * s.s * s.k
+    # the model with what it caches: the S + K L intp ids of its distinct
+    # rows, and those rows' S x d levels and S x K count matrix in float64
+    return s.model + 8 * (s.s + s.k * s.l) + 8 * s.s * (s.d + s.k)
 
 
 def _support_work(s: _Sizes) -> int:
-    # the larger of the level-distance kernel (U x d and S x d float64
-    # operands, U x S float64 distances and their int64 cast) and eMLD's
-    # U x S bool and float64 masks next to the distances, with the float64
-    # cast of the count matrix that its product (and MMD's) reads and the
-    # U x K scores
-    return max(8 * (s.u + s.s) * s.d + 16 * s.u * s.s,
-               17 * s.u * s.s + 8 * s.s * s.k + 8 * s.u * s.k)
+    # the largest of the cached arrays' build (the K L intp cells and the
+    # float64 ones summed into the count matrix), the level-distance kernel
+    # (U x d float64 operand, U x S float64 distances and their int64 cast)
+    # and eMLD's U x S bool and float64 masks next to the distances, with
+    # the U x K scores of its product (and MMD's)
+    return max(16 * s.k * s.l, 8 * s.u * s.d + 16 * s.u * s.s,
+               17 * s.u * s.s + 8 * s.u * s.k)
 
 
 def _first_stage_held(s: _Sizes) -> int:
@@ -327,12 +328,11 @@ class ExperimentConfig:
 
     The fields are the config-file schema, each key declared once. A key is
     its field's name unless ``key`` metadata gives the paper's notation:
-    ``b`` (bits), ``delta`` (step Δ), ``t`` (total slots T), ``l``
-    (repetitions L), ``l_a`` (artificial signals L_a) and ``l_a1``
-    (first-stage signals per pair). A key is required exactly when its
-    field has no default, ``_PARSERS`` parses its value by the field's
-    annotation, and ``choices`` metadata lists the values a field accepts,
-    in any case.
+    ``b`` (bits), ``delta`` (step Δ), ``l`` (repetitions L), ``l_a``
+    (artificial signals L_a) and ``l_a1`` (first-stage signals per pair).
+    A key is required exactly when its field has no default, ``_PARSERS``
+    parses its value by the field's annotation, and ``choices`` metadata
+    lists the values a field accepts, in any case.
     """
 
     n_t: int
@@ -345,7 +345,6 @@ class ExperimentConfig:
     seed: int
     step: float = field(default=0.5, metadata={"key": "delta"})
     t_t: int | None = None
-    total_slots: int | None = field(default=None, metadata={"key": "t"})
     detectors: tuple[str, ...] = ("mcd",)
     framework: str = field(default="full", metadata={"choices": ("full", "sic")})
     n_t1: int | None = None
@@ -380,9 +379,9 @@ class ExperimentConfig:
         from take no more than it), training (the largest term of its
         routes, ``_ROUTES``) and the data phase: what training leaves for
         the receivers (``_RECEIVERS``' held terms, one per distinct read)
-        and the batch, with the larger of its transmission and the largest
-        of the receivers' work terms, since the receivers decide one after
-        another.
+        with the largest of its steps: the batch's transmission, then the
+        receivers' decisions on it, one after another, and their error
+        counts.
         """
         s = _Sizes(self)
         receivers = _configured(self)
@@ -390,14 +389,18 @@ class ExperimentConfig:
         training = max(
             (_ROUTES[route].bytes(s, held) for route in _routes(self)),
             default=0)
-        # the batch's N x d levels and three intp arrays of N ids (codes,
-        # distinct ids, decided copy), and its U distinct rows as levels and
-        # float64 values; its transmission (N x n_t complex symbols and a
-        # noise chunk) is freed before it is decided
-        batch = s.n * (s.w * s.d + 24) + s.u * (s.w + 8) * s.d
-        transmit = 16 * s.n * s.n_t + s.noise(s.n, s.n_r, s.n_r)
-        decide = max(r.work(s) for r in receivers)
-        data = sum(held.values()) + batch + max(transmit, decide)
+        # the transmission: the batch's N x d levels and N data indices,
+        # their N x n_t complex symbols and a noise chunk; then the batch
+        # without the symbols: its levels and three intp arrays of N ids
+        # (data indices, distinct ids, decided copy) and its U distinct rows
+        # as levels and float64 values, with the larger of the largest
+        # decision and the error count's N intp quotient differences
+        levels = s.w * s.n * s.d
+        transmit = (levels + 8 * s.n + 16 * s.n * s.n_t
+                    + s.noise(s.n, s.n_r, s.n_r))
+        batch = levels + 24 * s.n + s.u * (s.w + 8) * s.d
+        decide = max(16 * s.n, *(r.work(s) for r in receivers))
+        data = sum(held.values()) + max(transmit, batch + decide)
         return 16 * s.k * s.n_t + _SMALL_BYTES + max(
             8 * s.k * s.n_t, training, data)
 
@@ -466,12 +469,6 @@ class ExperimentConfig:
             if self.pilot_slots() < self.n_t:
                 raise ConfigError(
                     "ls channel estimation needs t_t >= n_t pilot slots")
-        if self.total_slots is not None:
-            expected = self.pilot_slots() + self.vectors_per_channel
-            if self.total_slots != expected:
-                raise ConfigError(
-                    f"t={self.total_slots} must equal t_t + vectors_per_channel"
-                    f"={expected}")
         if self.symbol_count > 2 ** (2 * self.bits * self.n_r):
             warnings.warn(
                 "more candidate symbol vectors than distinguishable receiver "
@@ -591,15 +588,23 @@ def _receivers(cfg, qcfg, book, h, sigma2, rng, books):
             for r in _configured(cfg)]
 
 
-def _error_counts(decided: np.ndarray, sent: np.ndarray,
-                  vectors: np.ndarray) -> tuple[int, ...]:
+def _error_counts(decided: np.ndarray, sent: np.ndarray, m: int,
+                  n_t: int) -> tuple[int, ...]:
     """Symbol errors, symbol trials, vector errors and vector trials of the
-    decided symbol indices against the sent ones; the antennas of the book
-    ``vectors`` are compared on the wrongly decided rows only."""
-    wrong = np.flatnonzero(decided != sent)
-    mismatched = vectors[decided[wrong]] != vectors[sent[wrong]]
-    return (int(np.count_nonzero(mismatched)), sent.size * vectors.shape[1],
-            wrong.size, sent.size)
+    decided symbol indices against the sent ones, in the book of n_t
+    antennas with ``m`` points each. An index's base-m digits are its
+    antennas' points (:func:`~quantmimo.core.enumerate_symbols`), and two
+    indices share the point of place p iff their quotients by p differ by a
+    multiple of m: one intp array per antenna, and no symbol vector."""
+    symbol_errors = 0
+    for place in m ** np.arange(n_t):
+        shift = decided // place
+        shift -= sent // place
+        shift %= m
+        symbol_errors += int(np.count_nonzero(shift))
+        del shift  # before the next antenna's quotients are made
+    return (symbol_errors, sent.size * n_t,
+            int(np.count_nonzero(decided != sent)), sent.size)
 
 
 def _channel_counts(cfg, qcfg, book, h, rng, books=None, *,
@@ -629,7 +634,7 @@ def _channel_counts(cfg, qcfg, book, h, rng, books=None, *,
         rows = levels[first]
         values = level_values(rows, qcfg)
         out.append([_error_counts(d(rows, values)[inverse], data_idx,
-                                  book.vectors)
+                                  book.constellation.size, book.n_t)
                     for d in decide])
         # the next point trains afresh; this one's training is let go first
         del decide
@@ -786,15 +791,14 @@ _DMIN_TILE = 1 << 9
 
 
 def sample_dmin(
-    n_t: int, n_r: int, count: int, rng: np.random.Generator,
-    chunk: int = _DMIN_CHUNK,
+    n_t: int, n_r: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Monte Carlo minimum distances over Rayleigh channels (BPSK, one bit).
 
     Works directly on the signs of the stacked noiseless outputs, so it is
     an independent route from the codebook construction in :mod:`analysis`.
-    The stream gives each block of ``chunk`` channels all its real parts,
-    then all its imaginary parts. Two cursors read it one tile of
+    The stream gives each block of ``_DMIN_CHUNK`` channels all its real
+    parts, then all its imaginary parts. Two cursors read it one tile of
     ``_DMIN_TILE`` channels at a time: ``rng`` the real parts, and a copy of
     it, moved past the block's real parts by drawing and dropping them, the
     imaginary parts; after the block ``rng`` takes the copy's state.
@@ -807,7 +811,7 @@ def sample_dmin(
     x = book.vectors.real.T
     k = book.size
     out = np.empty(count, dtype=np.int64)
-    tile = min(_DMIN_TILE, chunk, count)
+    tile = min(_DMIN_TILE, _DMIN_CHUNK, count)
     real = np.empty((tile, n_r, n_t))
     imag = np.empty((tile, n_r, n_t))
     h = np.empty((tile, n_r, n_t), dtype=complex)
@@ -816,8 +820,8 @@ def sample_dmin(
     signs = np.empty((tile, 2 * n_r, k), dtype=np.float32)
     gram = np.empty((tile, k, k), dtype=np.float32)
     diagonal = gram.reshape(tile, k * k)[:, ::k + 1]
-    for block in range(0, count, chunk):
-        m = min(chunk, count - block)
+    for block in range(0, count, _DMIN_CHUNK):
+        m = min(_DMIN_CHUNK, count - block)
         tiles = [(start, min(tile, m - start)) for start in range(0, m, tile)]
         cursor = copy.deepcopy(rng)
         for _, t in tiles:

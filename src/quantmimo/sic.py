@@ -112,7 +112,6 @@ class SicPlan:
     h1: np.ndarray
     h2: np.ndarray
     w1: np.ndarray
-    real_mode: bool = False
 
     @property
     def n_t(self) -> int:
@@ -129,7 +128,6 @@ def build_plan(h_hat: np.ndarray, n_t1: int, real_mode: bool = False) -> SicPlan
         h1=h_hat[:, list(first)],
         h2=h2,
         w1=projection_matrix(h2, real_mode=real_mode),
-        real_mode=real_mode,
     )
 
 
@@ -179,10 +177,10 @@ def learn_first_stage(
     """
     if samples_per_pair < 1:
         raise ValueError("samples_per_pair must be at least 1")
-    if cfg.real_mode != plan.real_mode:
-        raise ValueError("plan and quantizer disagree about real mode")
     k1, k2 = book1.size, book2.size
     n_r = plan.h1.shape[0]
+    if plan.w1.shape[1] != cfg.observed_dim(n_r):
+        raise ValueError("plan and quantizer disagree about real mode")
     first = (book1.vectors @ plan.h1.T)[:, None, :]
     second = book2.vectors @ plan.h2.T
     d, d1 = cfg.observed_dim(n_r), plan.w1.shape[0]

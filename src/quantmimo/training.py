@@ -14,13 +14,13 @@ read its distinct rows and their per-symbol counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import (
-    QuantizedVector,
     QuantizerConfig,
     SymbolBook,
     distinct_rows,
@@ -88,35 +88,34 @@ class EmpiricalModel:
 
     @cached_property
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(levels, count matrix) over the distinct trained set.
+        """(levels, count matrix) over the distinct trained set, in the
+        float64 the detectors' products read, exact for these integers.
 
-        ``levels`` is S x d int64, in first-seen order over the trained rows,
-        and ``count_matrix`` is S x K with the per-symbol multiplicities;
-        column k divided by ``samples_per_symbol`` is the PMF of symbol k.
+        ``levels`` is S x d, in first-seen order over the trained rows, and
+        ``count_matrix`` is S x K with the per-symbol multiplicities (at most
+        L); column k divided by ``samples_per_symbol`` is the PMF of symbol k.
         """
         first, ids = self._row_ids
         # row i of symbol k counts at flat position i * K + k
         cells = ids.reshape(self.size, -1) * self.size
         cells += np.arange(self.size)[:, None]
+        # summed as float64 ones, so the count matrix is the only S x K array
         count_matrix = np.bincount(
-            cells.ravel(), minlength=first.size * self.size
-        ).reshape(first.size, self.size)
-        return np.asarray(self._rows[first], dtype=np.int64), count_matrix
+            cells.ravel(), weights=np.ones(cells.size),
+            minlength=first.size * self.size).reshape(first.size, self.size)
+        return self._rows[first].astype(np.float64), count_matrix
 
     @cached_property
-    def counts(self) -> tuple[dict[QuantizedVector, int], ...]:
-        """Per symbol, each trained vector (first-seen order) and its count.
+    def counts(self) -> tuple[dict[tuple[int, ...], int], ...]:
+        """Per symbol, each trained level tuple and its count, in first-seen
+        order.
 
         Only the benchmark's tracer (``perfbench/tracer.py``) reads this.
         """
         first, ids = self._row_ids
-        trained = vectors_from_levels(self._rows[first], self.cfg)
-        out: list[dict[QuantizedVector, int]] = [{} for _ in range(self.size)]
-        for k, per_symbol in enumerate(ids.reshape(self.size, -1).tolist()):
-            for i in per_symbol:
-                y = trained[i]
-                out[k][y] = out[k].get(y, 0) + 1
-        return tuple(out)
+        trained = vectors_from_levels(self._rows[first])
+        return tuple(Counter(trained[i] for i in per_symbol)
+                     for per_symbol in ids.reshape(self.size, -1).tolist())
 
 
 def learn_implicit(

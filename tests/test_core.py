@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quantmimo import core, training
-from quantmimo.core import QuantizerConfig, QuantizedVector
+from quantmimo.core import QuantizerConfig
 
 
 def _outputs(x, cfg):
@@ -29,7 +29,7 @@ def _quantize_rows(r, cfg):
 
 def test_one_bit_is_sign_quantizer():
     cfg = QuantizerConfig(bits=1, step=2.0)
-    # upper saturation branch starts at r_up == 0, so 0 maps to +1
+    # the one decision threshold is 0, and 0 lands in the upper cell: +1
     assert _outputs([0.7, -0.2, 0.0], cfg) == [1.0, -1.0, 1.0]
 
 
@@ -285,22 +285,13 @@ def test_vector_complex_stacking():
     assert np.array_equal(y, [[0.25, 0.75]])
 
 
-def test_quantized_vector_identity_and_range_check():
-    a = QuantizedVector((0, 3, 1), bits=2, step=0.5)
-    b = QuantizedVector(np.array([0, 3, 1], dtype=np.uint8), bits=2, step=0.5)
-    assert a == b and hash(a) == hash(b)
-    with pytest.raises(ValueError):
-        QuantizedVector((4,), bits=2, step=0.5)
-
-
 def test_quantizer_config_validation():
     with pytest.raises(ValueError):
         QuantizerConfig(bits=0, step=0.5)
     with pytest.raises(ValueError):
         QuantizerConfig(bits=2, step=0.0)
     cfg = QuantizerConfig(bits=3, step=0.25)
-    assert cfg.r_low == -0.75 and cfg.r_up == 0.75
-    assert cfg.r_low <= cfg.r_up
+    assert cfg.r_low == -0.75
 
 
 def test_cell_edges_cover_real_line():
@@ -377,12 +368,12 @@ def test_empty_book_for_zero_antennas():
 def test_constellation_validation():
     with pytest.raises(ValueError, match="power"):
         core.Constellation("bad", (2 + 0j, -2 + 0j))
-    with pytest.raises(ValueError, match="negated partner"):
-        core.Constellation.from_points(
-            "bad", (1 + 0j, 1j * math.sqrt(1.0)))
-    reordered = core.Constellation.from_points(
-        "qpsk-shuffled", np.asarray(core.qpsk().points)[[2, 0, 3, 1]])
-    assert set(reordered.points) == set(core.qpsk().points)
+    with pytest.raises(ValueError, match="mirrored order"):
+        core.Constellation("bad", (1 + 0j, 1j))
+    # the QPSK points, but the first two swapped: no longer mirrored
+    with pytest.raises(ValueError, match="mirrored order"):
+        core.Constellation(
+            "qpsk-swapped", tuple(np.asarray(core.qpsk().points)[[1, 0, 2, 3]]))
 
 
 def test_unit_power_invariant():
@@ -409,10 +400,11 @@ def test_channel_moments():
 
 
 def test_snr_conversion():
-    assert core.snr_to_sigma2(4.0, 2) == 0.5
+    assert core.snr_db_to_sigma2(0.0, 2) == 2.0
     assert core.snr_db_to_sigma2(10.0, 2) == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        core.snr_to_sigma2(0.0, 2)
+    for snr_db in (-math.inf, math.nan):
+        with pytest.raises(ValueError, match="SNR must be positive"):
+            core.snr_db_to_sigma2(snr_db, 2)
 
 
 # ---------------------------------------------------------------------------

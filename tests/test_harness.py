@@ -41,7 +41,6 @@ modulation = qpsk
 snr_grid_db = 0, 10, 20
 l = 5
 t_t = 40
-t = 90
 detectors = emld, mmd, mcd, mld
 framework = full
 training = implicit
@@ -62,13 +61,15 @@ def test_parse_config_roundtrip():
     assert cfg.step == 0.5
     assert cfg.snr_grid_db == (0.0, 10.0, 20.0)
     assert cfg.detectors == ("emld", "mmd", "mcd", "mld")
-    assert cfg.repetitions == 5 and cfg.t_t == 40 and cfg.total_slots == 90
+    assert cfg.repetitions == 5 and cfg.t_t == 40
     cfg.validate_for_ser()
 
 
 @pytest.mark.parametrize("line,fragment", [
     ("nonsense", "expected 'key = value'"),
     ("bogus_key = 3", "unknown key"),
+    # the total frame length T = T_t + N is derived, not configured
+    ("t = 90", "unknown key 't'"),
     ("threads = moose", "cannot parse"),
 ])
 def test_parse_config_precise_errors(line, fragment):
@@ -89,7 +90,7 @@ def test_parse_config_duplicate_key():
 _KNOWN_KEYS = (
     "b", "channel_count", "csir", "delta", "detectors", "framework", "l",
     "l_a", "l_a1", "modulation", "n_r", "n_t", "n_t1", "seed", "snr_grid_db",
-    "t", "t_t", "threads", "training", "vectors_per_channel")
+    "t_t", "threads", "training", "vectors_per_channel")
 
 
 def test_config_schema_is_the_dataclass():
@@ -140,8 +141,6 @@ def test_validate_catches_inconsistencies():
         _cfg(training="explicit", artificial_count=None).validate_for_ser()
     with pytest.raises(ConfigError, match="contradicts"):
         _cfg(t_t=10).validate_for_ser()
-    with pytest.raises(ConfigError, match="t="):
-        _cfg(total_slots=41).validate_for_ser()
     with pytest.raises(ConfigError, match="pilot slots"):
         _cfg(training="explicit", artificial_count=4,
              csir="ls", t_t=1).validate_for_ser()
@@ -184,22 +183,24 @@ def test_peak_bytes_estimate_and_budget():
         return n * (64 + 24) + n * 9 * 64
 
     # from 20 000 data vectors the data phase holds more: the centroids,
-    # the batch and, more than MCD's decision (the center norms, n
-    # decisions and one 32-row block of scores with its row norms and the
-    # ufunc buffer of their subtraction), its transmission: the n x 6
-    # complex symbols and a noise chunk of 2 000 rows (float buffer,
-    # levels, complex noiseless points and the quantizer's scratch)
+    # the batch and MCD's decision (the center norms, n decisions and one
+    # 32-row block of scores with its row norms and the ufunc buffer of
+    # their subtraction), more than the error count's n intp differences
+    # and more than the batch's transmission: the n rows' uint8 levels and
+    # data indices, their n x 6 complex symbols and a noise chunk of 2 000
+    # rows (float buffer, levels, complex noiseless points and the
+    # quantizer's scratch)
     for n in (20_000, 40_000):
         decide = 8 * (4096 + n + 32 * (4096 + 1) + np.getbufsize())
-        transmit = 16 * n * 6 + (
+        transmit = n * (64 + 8 + 16 * 6) + (
             9 * 2_000 * 32 + 16 * 2_000 * 32 + 8 * 16_384)
-        assert transmit > decide
+        assert decide > 16 * n and batch(n) + decide > transmit
         assert _full_search(vectors_per_channel=n).peak_bytes() == (
-            book + 8 * 4096 * 64 + batch(n) + transmit)
+            book + 8 * 4096 * 64 + batch(n) + decide)
     assert full_search.peak_bytes() < 100 * 2**20
     full_search.validate_for_ser()
-    # 40 000 data vectors fit (about 33 MiB, most of it the batch); up to
-    # about 1.4 M vectors do, and 2 000 000 take 1.4 GiB
+    # 40 000 data vectors fit (about 29 MiB, most of it the batch); up to
+    # about 1.6 M vectors do, and 2 000 000 take 1.3 GiB
     assert _full_search(vectors_per_channel=40_000).peak_bytes() < 40 * 2**20
     _full_search(vectors_per_channel=40_000).validate_for_ser()
     with pytest.raises(ConfigError, match="MiB per channel"):
@@ -207,27 +208,28 @@ def test_peak_bytes_estimate_and_budget():
     mld = _cfg(vectors_per_channel=500)
     # implicit: training (a 16*5/2-slot pilot frame) holds less than the
     # data phase: the 16 x 8 float64 MCD centroids, the model (16 x 5 x 8
-    # uint8 levels) with its 80 x 16 int64 count matrix, the 500 rows'
-    # uint8 levels and three intp ids, and the at most 2**8 = 256 distinct
-    # rows' uint8 levels and float64 values; then the largest decision, as
-    # the detectors run one after another: MLD's 16 x 4 complex sums and
-    # 16 x 8 real form with its 16 x 8 x 2 float64 likelihood table and,
-    # more than the CDF block that builds the table, its 16 x 8 int32 cell
-    # offsets, the 256 x 16 x 8 int32 index and float64 gather and their
-    # 256 x 16 sums; that is more than eMLD's 256 x 80 int64 distances with
-    # their bool and float64 neighbor masks, the float64 cast of the count
-    # matrix and its 256 x 16 scores, more than MCD's center norms, 256
-    # decisions and one 256 x 16 block of scores with its row norms and
-    # their subtraction's 4 096-value ufunc buffer, and more than the
-    # transmission
+    # uint8 levels) with what it caches (the intp ids of its 80 rows and
+    # of at most 80 distinct ones, and those rows' float64 levels and
+    # 80 x 16 float64 count matrix), the 500 rows' uint8 levels and three
+    # intp ids, and the at most 2**8 = 256 distinct rows' uint8 levels and
+    # float64 values; then the largest decision, as the detectors run one
+    # after another: MLD's 16 x 4 complex sums and 16 x 8 real form with
+    # its 16 x 8 x 2 float64 likelihood table and, more than the CDF block
+    # that builds the table, its 16 x 8 int32 cell offsets, the
+    # 256 x 16 x 8 int32 index and float64 gather and their 256 x 16 sums;
+    # that is more than eMLD's 256 x 80 int64 distances with their bool and
+    # float64 neighbor masks and its 256 x 16 scores, more than MCD's
+    # center norms, 256 decisions and one 256 x 16 block of scores with its
+    # row norms and their subtraction's 4 096-value ufunc buffer, and more
+    # than the transmission
     mld_decide = (16 * 16 * 8 + 8 * 16 * 8 * 2 + 4 * 16 * 8
                   + 12 * 256 * 16 * 8 + 8 * 256 * 16)
     assert mld_decide > max(
-        17 * 256 * 80 + 8 * 80 * 16 + 8 * 256 * 16,
+        17 * 256 * 80 + 8 * 256 * 16,
         8 * (16 + 256 + 256 * (16 + 1) + 256 * 16))
     assert mld.peak_bytes() == (
         16 * 16 * 2 + harness._SMALL_BYTES
-        + 8 * 16 * 8 + 80 * 8 + 8 * 80 * 16
+        + 8 * 16 * 8 + 80 * 8 + 8 * (80 + 80) + 8 * 80 * (8 + 16)
         + 500 * (8 + 24) + 256 * 9 * 8 + mld_decide)
     for n_t in (12, 40):
         with pytest.raises(ConfigError, match=f"n_t={n_t}"):
@@ -325,9 +327,21 @@ def test_peak_bytes_bounds_traced_mld_peak(bits):
 def test_peak_bytes_bounds_traced_emld_mmd_peak():
     # eMLD and MMD on 256 QPSK candidates, n_r = 8 and l_a = 16: the data
     # phase holds 4 096 distinct trained rows, and both score products read
-    # a float64 cast of the 4 096 x 256 int64 count matrix
+    # their 4 096 x 256 float64 count matrix
     cfg = _full_search(n_t=4, n_r=8, detectors=("emld", "mmd"),
                        channel_count=1)
+    peak = _traced_channel_peak(cfg)
+    assert peak <= cfg.peak_bytes() <= 1.25 * peak
+
+
+def test_peak_bytes_bounds_traced_support_build_peak():
+    # eMLD on 4 096 BPSK candidates over n_r = 2 one-bit antennas with
+    # l_a = 16 and one data vector: the 65 536 trained rows fall on at most
+    # 16 distinct ones, so building the count matrix (its intp cells and
+    # the float64 ones it sums) outweighs every product on the support
+    cfg = _full_search(n_t=12, n_r=2, bits=1, modulation="bpsk",
+                       detectors=("emld",), channel_count=1,
+                       vectors_per_channel=1)
     peak = _traced_channel_peak(cfg)
     assert peak <= cfg.peak_bytes() <= 1.25 * peak
 
@@ -365,6 +379,23 @@ def test_peak_bytes_bounds_traced_zf_peak(cfg):
 def test_peak_bytes_bounds_traced_multi_detector_peak(cfg):
     # MCD and ZF decide one after another, each freeing its temporaries
     # before the next, so the estimate takes the larger decision, not both
+    peak = _traced_channel_peak(cfg)
+    assert peak <= cfg.peak_bytes() <= 1.25 * peak
+
+
+@pytest.mark.parametrize("snr_db", [-20.0, 5.0])
+@pytest.mark.parametrize("n_t, modulation", [
+    (4, "qpsk"), (2, "bpsk"), (1, "bpsk"),
+], ids=["qpsk-4x2", "bpsk-2x2", "bpsk-1x2"])
+def test_peak_bytes_bounds_traced_data_phase_peak(n_t, modulation, snr_db):
+    # one-bit MCD over n_r = 2 with 200 000 data vectors, trained from a
+    # short implicit frame: the batch holds at most 16 distinct rows, so
+    # its transmission (the symbols and a noise chunk) is the peak at
+    # n_t >= 2, and the error count (its intp quotient differences) at
+    # n_t = 1, whether most decisions are wrong (-20 dB) or few (5 dB)
+    cfg = ExperimentConfig(
+        n_t=n_t, n_r=2, bits=1, modulation=modulation, snr_grid_db=(snr_db,),
+        channel_count=1, vectors_per_channel=200_000, seed=42, repetitions=5)
     peak = _traced_channel_peak(cfg)
     assert peak <= cfg.peak_bytes() <= 1.25 * peak
 
@@ -734,11 +765,12 @@ def _sample_dmin_full_distances(n_t, n_r, count, rng, chunk):
 
 @pytest.mark.parametrize("n_t", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n_r", [1, 2, 4, 8, 16])
-def test_sample_dmin_matches_full_distance_matrix(n_t, n_r):
+def test_sample_dmin_matches_full_distance_matrix(monkeypatch, n_t, n_r):
     # 300 channels in chunks of 128: two full chunks and a partial one
+    monkeypatch.setattr(harness, "_DMIN_CHUNK", 128)
     got_rng = np.random.default_rng(n_t * 100 + n_r)
     ref_rng = np.random.default_rng(n_t * 100 + n_r)
-    got = harness.sample_dmin(n_t, n_r, 300, got_rng, chunk=128)
+    got = harness.sample_dmin(n_t, n_r, 300, got_rng)
     ref = _sample_dmin_full_distances(n_t, n_r, 300, ref_rng, chunk=128)
     assert got.dtype == np.int64
     assert np.array_equal(got, ref)
@@ -757,9 +789,10 @@ def test_sample_dmin_tiles_match_full_distance_matrix(
         monkeypatch, tile, n_t, n_r, count, chunk, seed):
     # tiles of 1 and 3 channels, and one tile larger than any block
     monkeypatch.setattr(harness, "_DMIN_TILE", tile)
+    monkeypatch.setattr(harness, "_DMIN_CHUNK", chunk)
     got_rng = np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
-    got = harness.sample_dmin(n_t, n_r, count, got_rng, chunk=chunk)
+    got = harness.sample_dmin(n_t, n_r, count, got_rng)
     ref = _sample_dmin_full_distances(n_t, n_r, count, ref_rng, chunk)
     assert np.array_equal(got, ref)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -1264,10 +1297,11 @@ def test_trained_detection_never_builds_quantized_vectors(monkeypatch):
     expected = [harness._ser_channel_counts(cfg, child) for cfg in configs]
     expected_csvs = analysis_csvs()
 
-    def forbidden(self):
-        raise AssertionError("a QuantizedVector was built on a hot path")
+    def forbidden(*args):
+        raise AssertionError("level tuples were built on a hot path")
 
-    monkeypatch.setattr(core.QuantizedVector, "__post_init__", forbidden)
+    for module in (core, training):
+        monkeypatch.setattr(module, "vectors_from_levels", forbidden)
     qcfg = core.QuantizerConfig(bits=2, step=0.5)
     book = core.enumerate_symbols(core.qpsk(), 2)
     h = core.sample_channel(4, 2, np.random.default_rng(3))
@@ -1409,7 +1443,7 @@ def test_index_error_counts_equal_vector_comparison(
                        rng.integers(0, book.size, size=60))
     for decided in (guessed, baselines.detect_zf_batch(values, h, c),
                     sic.detect_sic_batch(values, plan, first_stage, *books)):
-        assert harness._error_counts(decided, sent, book.vectors) == (
+        assert harness._error_counts(decided, sent, c.size, n_t) == (
             _vector_error_counts(book.vectors[decided], book.vectors[sent]))
 
 

@@ -172,6 +172,18 @@ def test_first_stage_distinct_projections_split_mass():
         assert sorted(_marginal_pmf(model, plan, k).values()) == [0.5, 0.5]
 
 
+def test_first_stage_rejects_plan_of_the_other_mode():
+    # a plan's projector width (n_r real, 2 n_r complex) must match the
+    # quantizer's observation
+    h = np.array([[2.0, 1.0], [0.5, -1.0]], dtype=complex)
+    book = core.enumerate_symbols(core.bpsk(), 1)
+    for real_mode in (False, True):
+        cfg = QuantizerConfig(bits=1, step=2.0, real_mode=real_mode)
+        plan = sic.build_plan(h, 1, real_mode=not real_mode)
+        with pytest.raises(ValueError, match="disagree about real mode"):
+            sic.learn_first_stage(plan, 0.0, 1, book, book, cfg)
+
+
 def test_first_stage_coinciding_projections_merge():
     # axis-aligned interference: the projector drops the only component the
     # second symbol touches, so both hypotheses collapse into one atom
@@ -394,7 +406,7 @@ def test_detect_first_tie_breaks_to_smallest_index(demo_cfg):
     plan = sic.SicPlan(
         first_indices=(0,), second_indices=(1,),
         h1=np.zeros((2, 1)), h2=np.zeros((2, 1)),
-        w1=np.eye(2), real_mode=True)
+        w1=np.eye(2))
     book = core.enumerate_symbols(core.bpsk(), 1)
     model = sic.FirstStageModel(
         centroids=np.array([[1.0, 0.0], [1.0, 2.0]]),
@@ -556,7 +568,7 @@ def test_projection_basis_rotation_invariance():
     rotated = sic.SicPlan(
         first_indices=plan.first_indices,
         second_indices=plan.second_indices,
-        h1=plan.h1, h2=plan.h2, w1=q @ plan.w1, real_mode=plan.real_mode)
+        h1=plan.h1, h2=plan.h2, w1=q @ plan.w1)
     m_base = sic.learn_first_stage(
         plan, 0.3, 3, book1, book2, cfg, np.random.default_rng(1000))
     m_rot = sic.learn_first_stage(

@@ -244,11 +244,11 @@ def _oracle_support_arrays(counts):
     """Distinct level tuples in first-seen order over the per-symbol dicts."""
     trained = list(dict.fromkeys(y for per_symbol in counts for y in per_symbol))
     position = {y: i for i, y in enumerate(trained)}
-    count_matrix = np.zeros((len(trained), len(counts)), dtype=np.int64)
+    count_matrix = np.zeros((len(trained), len(counts)), dtype=np.float64)
     for k, per_symbol in enumerate(counts):
         for y, c in per_symbol.items():
             count_matrix[position[y], k] = c
-    levels = np.array(trained, dtype=np.int64)
+    levels = np.array(trained, dtype=np.float64)
     return levels, count_matrix
 
 
