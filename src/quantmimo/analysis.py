@@ -59,16 +59,16 @@ def compute_dmin(codebook: np.ndarray) -> int:
     return int(d.min())
 
 
-def compute_gmin(h: np.ndarray, book: SymbolBook, real_mode: bool = False) -> float:
+def compute_gmin(h: np.ndarray, book: SymbolBook) -> float:
     """Smallest absolute real/imaginary component over all noiseless outputs."""
     clean = book.vectors @ np.asarray(h, dtype=complex).T
-    return float(np.abs(real_components(clean, real_mode)).min())
+    return float(np.abs(real_components(clean)).min())
 
 
 def geometry(h: np.ndarray, book: SymbolBook, cfg: QuantizerConfig) -> GeometrySummary:
     return GeometrySummary(
         d_min=compute_dmin(build_codebook(h, book, cfg)),
-        g_min=compute_gmin(h, book, cfg.real_mode),
+        g_min=compute_gmin(h, book),
     )
 
 

@@ -130,7 +130,7 @@ def mld_log_likelihoods(
         raise ValueError("quantized MLD needs strictly positive noise")
     levels = np.atleast_2d(np.asarray(levels))
     clean = book.vectors @ np.asarray(h, dtype=complex).T
-    g = real_components(clean, cfg.real_mode)
+    g = real_components(clean)
     k, d = g.shape
     # the finite edges, the upper edges of every cell but the last
     edges = cell_edges(cfg)[1][:-1]

@@ -47,14 +47,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _demo() -> None:
-    h = np.array([[0.5, 1.0], [1.0, 0.0]], dtype=complex)
-    cfg = QuantizerConfig(bits=1, step=2.0, real_mode=True)
+    # the paper's real 2x2 toy channel as one complex antenna: BPSK symbols
+    # are real, so its [Re; Im] outputs are the toy channel's two outputs
+    h = np.array([[0.5 + 1j, 1.0]])
+    cfg = QuantizerConfig(bits=1, step=2.0)
     book = enumerate_symbols(bpsk(), 2)
     levels = transmit_batch(
         h, training.build_implicit_pilots(book, 1), 0.0, cfg)
     model = training.learn_implicit(levels, book, 1, cfg)
     print("channel:")
-    print(np.array2string(h.real))
+    print(np.array2string(np.vstack([h.real, h.imag])))
     print("trained pairs (symbol vector -> one-bit observation):")
     # one noise-free sample per symbol: row k is symbol k's only one
     trained = level_values(model.levels[:, 0], cfg)

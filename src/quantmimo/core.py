@@ -93,22 +93,16 @@ def constellation(name: str) -> Constellation:
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Uniform B-bit scalar quantizer applied per real ADC sample.
-
-    ``real_mode`` restricts the receiver observable to the real parts of the
-    antenna signals (an observable of length ``n_r`` instead of ``2 * n_r``);
-    it exists for real-coefficient toy channels and is off by default.
-    """
+    """Uniform B-bit scalar quantizer applied per real ADC sample."""
 
     bits: int
     step: float
-    real_mode: bool = False
 
     def __post_init__(self) -> None:
         if self.bits < 1:
             raise ValueError("quantizer needs at least one bit")
-        if not self.step > 0.0:
-            raise ValueError("quantizer step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("quantizer step must be positive and finite")
 
     @property
     def n_levels(self) -> int:
@@ -127,9 +121,6 @@ class QuantizerConfig:
         """All 2**bits producible output values, ascending."""
         offsets = np.arange(self.n_levels) - (1 << (self.bits - 1)) + 0.5
         return offsets * self.step
-
-    def observed_dim(self, n_r: int) -> int:
-        return n_r if self.real_mode else 2 * n_r
 
 
 def quantize_levels(x, cfg: QuantizerConfig) -> np.ndarray:
@@ -204,15 +195,10 @@ def cell_edges(cfg: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-def real_components(r, real_mode: bool = False) -> np.ndarray:
-    """Stack complex antenna samples as [Re, Im] along the last axis.
-
-    Works on one vector or on any stack of them; in real mode only the real
-    parts are kept.
-    """
+def real_components(r) -> np.ndarray:
+    """Stack complex antenna samples as [Re, Im] along the last axis, for one
+    vector or for any stack of them."""
     r = np.asarray(r, dtype=complex)
-    if real_mode:
-        return r.real.copy()
     return np.concatenate([r.real, r.imag], axis=-1)
 
 
@@ -411,21 +397,19 @@ def noisy_levels(
     leading-axis slice ``rows``, broadcasting against that slice of the
     noise; it is called for each chunk of each part, so a noiseless product
     is formed one chunk at a time and never whole. The result has shape
-    ``shape[:-1] + (d,)`` and ``cfg.level_dtype``, holding the levels of
-    [Re, Im] (d = 2 n_r), or of Re only in real mode (d = n_r).
+    ``shape[:-1] + (2 n_r,)`` and ``cfg.level_dtype``, holding the levels of
+    [Re, Im].
 
     The noise is the real ``standard_normal`` block of ``shape``, then the
-    imaginary one, both scaled by sqrt(sigma2 / 2); real mode still draws the
-    imaginary block, so the generator advances the same way in both modes.
-    Each block is drawn in the near-equal :func:`row_blocks` of
-    ``_NOISE_BYTES`` (the largest is :func:`noise_chunk` rows) into one
-    scratch buffer, where the clean part is added and the chunk is
-    quantized; consecutive fills of a generator give the stream of one fill,
-    so the levels do not depend on the chunk size. :func:`quantize_levels`
-    reads the buffer through its own bounded float scratch, so a chunk adds
-    no float copy of the buffer, only the chunk's narrow levels. sigma2 == 0
-    draws nothing, needs no generator and allocates no buffer: it quantizes
-    the clean chunks the same way.
+    imaginary one, both scaled by sqrt(sigma2 / 2). Each block is drawn in
+    the near-equal :func:`row_blocks` of ``_NOISE_BYTES`` (the largest is
+    :func:`noise_chunk` rows) into one scratch buffer, where the clean part
+    is added and the chunk is quantized; consecutive fills of a generator
+    give the stream of one fill, so the levels do not depend on the chunk
+    size. :func:`quantize_levels` reads the buffer through its own bounded
+    float scratch, so a chunk adds no float copy of the buffer, only the
+    chunk's narrow levels. sigma2 == 0 draws nothing, needs no generator and
+    allocates no buffer: it quantizes the clean chunks the same way.
     """
     shape = tuple(shape)
     if len(shape) < 2:
@@ -435,8 +419,7 @@ def noisy_levels(
     if sigma2 != 0.0 and rng is None:
         raise ValueError("a random generator is required for sigma2 > 0")
     n_r, rows = shape[-1], shape[0]
-    levels = np.empty(
-        shape[:-1] + (cfg.observed_dim(n_r),), dtype=cfg.level_dtype)
+    levels = np.empty(shape[:-1] + (2 * n_r,), dtype=cfg.level_dtype)
     # each [Re | Im] half of a level row as one n_r-level item, so a chunk's
     # levels are placed by whole halves, not level by level
     halves = levels.view(np.dtype((np.void, n_r * levels.itemsize)))
@@ -445,16 +428,11 @@ def noisy_levels(
         buffer = np.empty((noise_chunk(rows, row_values),) + shape[1:])
     scale = math.sqrt(sigma2 / 2.0)
     for block, part in enumerate(("real", "imag")):
-        kept = not (block and cfg.real_mode)
-        if not (kept or sigma2):
-            break
         for chunk in row_blocks(rows, 8 * row_values, _NOISE_BYTES):
             chunk_shape = (chunk.stop - chunk.start,) + shape[1:]
             if sigma2:
                 signal = buffer[:chunk_shape[0]]
                 rng.standard_normal(out=signal)
-                if not kept:
-                    continue
                 signal *= scale
                 signal += getattr(clean(chunk), part)
             else:

@@ -416,6 +416,8 @@ class ExperimentConfig:
                      "vectors_per_channel"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+        if self.bits > 32:
+            raise ConfigError("b must be at most 32")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ConfigError("delta must be a positive finite number")
         if self.seed < 0:

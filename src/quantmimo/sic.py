@@ -73,21 +73,14 @@ def real_expand(h2: np.ndarray) -> np.ndarray:
     return out
 
 
-def projection_matrix(h2: np.ndarray, real_mode: bool = False) -> np.ndarray:
-    """Orthonormal rows spanning the left null space of the expanded columns.
+def projection_matrix(h2: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the left null space of the real-expanded
+    complex columns.
 
-    In real mode the interference columns are taken as-is (the channel must
-    be real); otherwise the complex matrix is real-expanded first. Raises if
-    the expanded matrix is column-rank deficient, since the projection then
-    cannot cancel the full interference subspace.
+    Raises if the expanded matrix is column-rank deficient, since the
+    projection then cannot cancel the full interference subspace.
     """
-    h2 = np.asarray(h2, dtype=complex)
-    if real_mode:
-        if np.abs(h2.imag).max(initial=0.0) > 1e-12:
-            raise ValueError("real-mode projection needs a real channel")
-        expanded = h2.real.astype(float)
-    else:
-        expanded = real_expand(h2)
+    expanded = real_expand(h2)
     rows, cols = expanded.shape
     if cols == 0:
         return np.eye(rows)
@@ -118,7 +111,7 @@ class SicPlan:
         return len(self.first_indices) + len(self.second_indices)
 
 
-def build_plan(h_hat: np.ndarray, n_t1: int, real_mode: bool = False) -> SicPlan:
+def build_plan(h_hat: np.ndarray, n_t1: int) -> SicPlan:
     h_hat = np.asarray(h_hat, dtype=complex)
     first, second = divide_symbols(h_hat, n_t1)
     h2 = h_hat[:, list(second)]
@@ -127,7 +120,7 @@ def build_plan(h_hat: np.ndarray, n_t1: int, real_mode: bool = False) -> SicPlan
         second_indices=second,
         h1=h_hat[:, list(first)],
         h2=h2,
-        w1=projection_matrix(h2, real_mode=real_mode),
+        w1=projection_matrix(h2),
     )
 
 
@@ -179,11 +172,9 @@ def learn_first_stage(
         raise ValueError("samples_per_pair must be at least 1")
     k1, k2 = book1.size, book2.size
     n_r = plan.h1.shape[0]
-    if plan.w1.shape[1] != cfg.observed_dim(n_r):
-        raise ValueError("plan and quantizer disagree about real mode")
     first = (book1.vectors @ plan.h1.T)[:, None, :]
     second = book2.vectors @ plan.h2.T
-    d, d1 = cfg.observed_dim(n_r), plan.w1.shape[0]
+    d, d1 = 2 * n_r, plan.w1.shape[0]
     table = np.empty((k1, k2, d), dtype=cfg.level_dtype)
     training = table[:, :, None]
     if samples_per_pair > 1:
@@ -195,9 +186,8 @@ def learn_first_stage(
             k1, 8 * k2 * samples_per_pair * (d + d1), least=1):
         sums = np.add(first.real[rows], second.real)
         table[rows, :, :n_r] = quantize_levels(sums, cfg)
-        if not cfg.real_mode:
-            np.add(first.imag[rows], second.imag, out=sums)
-            table[rows, :, n_r:] = quantize_levels(sums, cfg)
+        np.add(first.imag[rows], second.imag, out=sums)
+        table[rows, :, n_r:] = quantize_levels(sums, cfg)
         del sums
         projected = level_values(training[rows], cfg) @ plan.w1.T
         projected.reshape(len(projected), -1, projected.shape[-1]).mean(

@@ -6,14 +6,15 @@ from quantmimo import core
 
 @pytest.fixture
 def demo_channel():
-    """Real-coefficient 2x2 toy channel used by the worked example."""
-    return np.array([[0.5, 1.0], [1.0, 0.0]], dtype=complex)
+    """The worked example's real 2x2 toy channel [[0.5, 1], [1, 0]] as one
+    complex receive antenna: its [Re, Im] outputs are the toy's two rows."""
+    return np.array([[0.5 + 1j, 1.0]])
 
 
 @pytest.fixture
 def demo_cfg():
-    """One-bit quantizer with step 2 restricted to the real components."""
-    return core.QuantizerConfig(bits=1, step=2.0, real_mode=True)
+    """One-bit quantizer with step 2."""
+    return core.QuantizerConfig(bits=1, step=2.0)
 
 
 @pytest.fixture

@@ -38,8 +38,9 @@ def _passed(name, detail=""):
 
 def test_motivating_example_golden():
     with _Budget(1.0) as budget:
-        h = np.array([[0.5, 1.0], [1.0, 0.0]], dtype=complex)
-        cfg = QuantizerConfig(bits=1, step=2.0, real_mode=True)
+        # the real 2x2 toy channel [[0.5, 1], [1, 0]] as one complex antenna
+        h = np.array([[0.5 + 1j, 1.0]])
+        cfg = QuantizerConfig(bits=1, step=2.0)
         book = core.enumerate_symbols(core.bpsk(), 2)
         codebook = analysis.build_codebook(h, book, cfg)
         values = {tuple(row) for row in core.level_values(codebook, cfg)}

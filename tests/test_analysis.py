@@ -25,7 +25,7 @@ def test_codebook_worked_example(demo_channel, demo_cfg, demo_book):
 
 def test_codebook_antipodal_symbols_give_antipodal_words(demo_cfg, demo_book):
     rng = np.random.default_rng(3)
-    h = rng.normal(size=(2, 2)).astype(complex)
+    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     cb = analysis.build_codebook(h, demo_book, demo_cfg)
     for k in range(demo_book.size):
         assert np.array_equal(cb[demo_book.size - 1 - k], 1 - cb[k])
@@ -46,15 +46,15 @@ def test_codebook_rejects_multibit():
 
 
 @settings(max_examples=80, deadline=None)
-@given(n_t=st.integers(1, 4), n_r=st.integers(1, 4), real_mode=st.booleans(),
+@given(n_t=st.integers(1, 4), n_r=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1))
-def test_codebook_equals_per_vector_quantization(n_t, n_r, real_mode, seed):
+def test_codebook_equals_per_vector_quantization(n_t, n_r, seed):
     # oracle: quantize each noiseless receive point on its own and stack
-    cfg = QuantizerConfig(bits=1, step=0.5, real_mode=real_mode)
+    cfg = QuantizerConfig(bits=1, step=0.5)
     book = core.enumerate_symbols(core.bpsk(), n_t)
     h = core.sample_channel(n_r, n_t, np.random.default_rng(seed))
     want = np.array(
-        [core.quantize_levels(core.real_components(h @ x, real_mode), cfg)
+        [core.quantize_levels(core.real_components(h @ x), cfg)
          for x in book.vectors], dtype=cfg.level_dtype)
     got = analysis.build_codebook(h, book, cfg)
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -90,8 +90,8 @@ def test_dmin_requires_two_codewords():
 def test_dmin_scaling_invariance(demo_book, demo_cfg):
     rng = np.random.default_rng(10)
     for _ in range(10):
-        h = rng.normal(size=(3, 2)).astype(complex)
-        cfg = QuantizerConfig(bits=1, step=0.5, real_mode=True)
+        h = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        cfg = QuantizerConfig(bits=1, step=0.5)
         base = analysis.compute_dmin(analysis.build_codebook(h, demo_book, cfg))
         scaled = analysis.compute_dmin(
             analysis.build_codebook(3.7 * h, demo_book, cfg))
@@ -99,20 +99,41 @@ def test_dmin_scaling_invariance(demo_book, demo_cfg):
 
 
 def test_gmin_worked_example(demo_channel, demo_book):
-    g = analysis.compute_gmin(demo_channel, demo_book, real_mode=True)
+    g = analysis.compute_gmin(demo_channel, demo_book)
     assert g == pytest.approx(0.5, abs=1e-15)
 
 
 def test_gmin_scales_linearly(demo_channel, demo_book):
-    base = analysis.compute_gmin(demo_channel, demo_book, real_mode=True)
+    base = analysis.compute_gmin(demo_channel, demo_book)
     assert analysis.compute_gmin(
-        2.5 * demo_channel, demo_book, real_mode=True
-    ) == pytest.approx(2.5 * base)
+        2.5 * demo_channel, demo_book) == pytest.approx(2.5 * base)
 
 
 def test_gmin_zero_component(demo_book):
-    h = np.array([[1.0, -1.0], [1.0, 0.0]], dtype=complex)
-    assert analysis.compute_gmin(h, demo_book, real_mode=True) == 0.0
+    # the real toy channel [[1, -1], [1, 0]]: x = (1, 1) gives Re 0
+    h = np.array([[1.0 + 1.0j, -1.0]])
+    assert analysis.compute_gmin(h, demo_book) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_t=st.integers(1, 4), n_r=st.integers(1, 4),
+       bits=st.integers(1, 3))
+def test_real_toy_channel_embeds_as_complex_channel(data, n_t, n_r, bits):
+    # BPSK symbols are real, so a real 2 n_r x n_t channel G is the complex
+    # n_r x n_t channel G[:n_r] + 1j G[n_r:]: its [Re, Im] outputs are G x.
+    # Entries on a 1/16 grid (zeros and cell edges included) keep every sum
+    # exact, in any order.
+    entries = st.integers(-64, 64).map(lambda i: i / 16)
+    g = np.array(data.draw(st.lists(
+        entries, min_size=2 * n_r * n_t, max_size=2 * n_r * n_t))).reshape(
+            2 * n_r, n_t)
+    h = g[:n_r] + 1j * g[n_r:]
+    book = core.enumerate_symbols(core.bpsk(), n_t)
+    x = book.vectors.real
+    cfg = QuantizerConfig(bits=bits, step=0.5)
+    levels = core.transmit_batch(h, book.vectors, 0.0, cfg)
+    assert np.array_equal(levels, core.quantize_levels(x @ g.T, cfg))
+    assert analysis.compute_gmin(h, book) == np.abs(x @ g.T).min()
 
 
 def test_geometry_summary(demo_channel, demo_cfg, demo_book):

@@ -102,16 +102,18 @@ def test_normal_cdf_matches_scipy_ndtr():
 
 
 def test_mld_one_bit_cells_match_flip_probability():
-    cfg = QuantizerConfig(bits=1, step=2.0, real_mode=True)
+    # both parts of the one output have magnitude g
+    cfg = QuantizerConfig(bits=1, step=2.0)
     book = core.enumerate_symbols(core.bpsk(), 1)
     for g in (0.2, 0.7, 1.3):
         for sigma2 in (0.1, 0.5, 2.0):
-            h = np.array([[g]], dtype=complex)
+            h = np.array([[g + 1j * g]])
             loglik = baselines.mld_log_likelihoods(
-                np.array([[1]]), h, sigma2, book, cfg)[0]
+                np.array([[1, 1]]), h, sigma2, book, cfg)[0]
             flip = analysis.flip_probability(g, 1.0 / sigma2, 1)
-            assert np.exp(loglik[0]) == pytest.approx(1.0 - flip, rel=1e-9)
-            assert np.exp(loglik[1]) == pytest.approx(flip, rel=1e-9)
+            assert np.exp(loglik[0]) == pytest.approx(
+                (1.0 - flip) ** 2, rel=1e-9)
+            assert np.exp(loglik[1]) == pytest.approx(flip ** 2, rel=1e-9)
 
 
 def test_mld_noiseless_limit_recovers_codewords():
@@ -140,7 +142,7 @@ def test_mld_worked_example_and_oracle(demo_channel, demo_cfg, demo_book):
     scale = np.sqrt(sigma2 / 2.0)
     best = None
     for k, x in enumerate(demo_book.vectors):
-        g = (demo_channel @ x).real
+        g = core.real_components(demo_channel @ x)
         prob = 1.0
         for comp, sign in zip(g, core.level_values(levels[0], demo_cfg)):
             if sign > 0:
@@ -154,7 +156,7 @@ def test_mld_worked_example_and_oracle(demo_channel, demo_cfg, demo_book):
 
 def _mld_direct(levels, h, sigma2, book, cfg):
     """N x K x d evaluation of the quantized-MLD log-likelihoods."""
-    g = core.real_components(book.vectors @ h.T, cfg.real_mode)
+    g = core.real_components(book.vectors @ h.T)
     lower, upper = core.cell_edges(cfg)
     scale = np.sqrt(sigma2 / 2.0)
     a = lower[levels][:, None, :]
@@ -168,7 +170,6 @@ def _mld_direct(levels, h, sigma2, book, cfg):
 @settings(max_examples=150, deadline=None)
 @given(
     bits=st.integers(1, 3),
-    real_mode=st.booleans(),
     modulation=st.sampled_from(["bpsk", "qpsk"]),
     n_t=st.integers(1, 3),
     n_r=st.integers(1, 6),
@@ -176,17 +177,17 @@ def _mld_direct(levels, h, sigma2, book, cfg):
     log_sigma2=st.floats(-4.0, math.log10(30.0)),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(bits=2, real_mode=False, modulation="qpsk", n_t=2, n_r=4, rows=8,
-         log_sigma2=-4.0, seed=1)
+@example(bits=2, modulation="qpsk", n_t=2, n_r=4, rows=8, log_sigma2=-4.0,
+         seed=1)
 def test_mld_table_matches_direct_evaluation(
-        bits, real_mode, modulation, n_t, n_r, rows, log_sigma2, seed):
+        bits, modulation, n_t, n_r, rows, log_sigma2, seed):
     rng = np.random.default_rng(seed)
-    cfg = QuantizerConfig(bits=bits, step=0.5, real_mode=real_mode)
+    cfg = QuantizerConfig(bits=bits, step=0.5)
     book = core.enumerate_symbols(core.constellation(modulation), n_t)
     h = core.sample_channel(n_r, n_t, rng)
     sigma2 = 10.0 ** log_sigma2
     top = cfg.n_levels - 1
-    levels = rng.integers(0, top + 1, size=(rows, cfg.observed_dim(n_r)))
+    levels = rng.integers(0, top + 1, size=(rows, 2 * n_r))
     # both saturating end cells, whose edges are -inf and +inf
     levels = np.vstack([levels, np.zeros_like(levels[:1]),
                         np.full_like(levels[:1], top)])
@@ -230,14 +231,14 @@ def test_mld_table_build_holds_one_cdf_block():
 
 def test_mld_table_reaches_the_log_floor():
     # at sigma2 = 1e-4 a saturating cell on the far side of a unit-size
-    # component has probability below the floor
-    cfg = QuantizerConfig(bits=1, step=0.5, real_mode=True)
+    # component has probability below the floor, here in both parts
+    cfg = QuantizerConfig(bits=1, step=0.5)
     book = core.enumerate_symbols(core.bpsk(), 1)
-    h = np.array([[1.0]], dtype=complex)
-    got = baselines.mld_log_likelihoods(np.array([[0]]), h, 1e-4, book, cfg)
-    assert got[0, 0] == np.log(baselines._LOG_FLOOR)
-    assert got.tobytes() == _mld_direct(
-        np.array([[0]]), h, 1e-4, book, cfg).tobytes()
+    h = np.array([[1.0 + 1.0j]])
+    levels = np.array([[0, 0]])
+    got = baselines.mld_log_likelihoods(levels, h, 1e-4, book, cfg)
+    assert got[0, 0] == 2 * np.log(baselines._LOG_FLOOR)
+    assert got.tobytes() == _mld_direct(levels, h, 1e-4, book, cfg).tobytes()
 
 
 def test_mld_requires_noise():

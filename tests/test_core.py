@@ -71,13 +71,14 @@ def test_nan_rejected():
         core.quantize_levels([float("nan")], cfg)
 
 
-@pytest.mark.parametrize("real_mode", [False, True])
+@pytest.mark.parametrize("imag", [False, True])
 @pytest.mark.parametrize("sigma2", [0.0, 0.4])
-def test_nan_channel_reaches_quantizer_check(real_mode, sigma2):
-    cfg = QuantizerConfig(bits=2, step=0.5, real_mode=real_mode)
+def test_nan_channel_reaches_quantizer_check(imag, sigma2):
+    # a NaN in either part of one channel entry
+    cfg = QuantizerConfig(bits=2, step=0.5)
     book = core.enumerate_symbols(core.qpsk(), 2)
     h = core.sample_channel(3, 2, np.random.default_rng(1))
-    h[1, 0] = np.nan
+    h[1, 0] = complex(0.0, np.nan) if imag else complex(np.nan, 0.0)
     with pytest.raises(ValueError, match="NaN"):
         core.transmit_batch(
             h, book.vectors, sigma2, cfg, np.random.default_rng(2))
@@ -150,20 +151,18 @@ def test_level_values_of_narrow_levels_equal_int64_values(bits, step):
     assert core.level_values(0, cfg) == want[0]
 
 
-def _float_noisy_components(clean, shape, sigma2, rng, real_mode):
+def _float_noisy_components(clean, shape, sigma2, rng):
     """The unchunked float kernel that noisy_levels replaced: every signal in
     stacked real coordinates, drawn as one real and one imaginary block."""
     clean = np.asarray(clean, dtype=complex)
     if sigma2 == 0.0:
-        return core.real_components(np.broadcast_to(clean, shape), real_mode)
+        return core.real_components(np.broadcast_to(clean, shape))
     n_r = shape[-1]
-    out = np.empty(shape[:-1] + ((1 if real_mode else 2) * n_r,))
+    out = np.empty(shape[:-1] + (2 * n_r,))
     draw = np.empty(shape)
     scale = math.sqrt(sigma2 / 2.0)
     for block, part in enumerate((clean.real, clean.imag)):
         rng.standard_normal(out=draw)
-        if block and real_mode:
-            break
         view = out[..., block * n_r:(block + 1) * n_r]
         np.multiply(draw, scale, out=view)
         view += part
@@ -176,19 +175,20 @@ def _int64_quantize_levels(x, cfg):
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3])
-@pytest.mark.parametrize("real_mode", [False, True])
+@pytest.mark.parametrize("zero_imag", [False, True])
 @pytest.mark.parametrize("sigma2", [0.0, 0.7])
 def test_noisy_levels_match_unchunked_float_kernel(
-        monkeypatch, bits, real_mode, sigma2):
-    cfg = QuantizerConfig(bits=bits, step=0.5, real_mode=real_mode)
+        monkeypatch, bits, zero_imag, sigma2):
+    # zero_imag: clean signals whose imaginary parts are signed zeros
+    cfg = QuantizerConfig(bits=bits, step=0.5)
     rng = np.random.default_rng(bits)
     for shape, clean_shape in (((5, 3), (5, 3)), ((7, 4, 2), (7, 1, 2)),
                                ((3, 2, 4, 3), (3, 2, 1, 3)), ((1, 6), (6,))):
-        clean = (rng.normal(size=clean_shape)
-                 + 1j * rng.normal(size=clean_shape))
+        imag = rng.normal(size=clean_shape) * (0.0 if zero_imag else 1.0)
+        clean = rng.normal(size=clean_shape) + 1j * imag
         want_rng = np.random.default_rng(11)
         want = _int64_quantize_levels(_float_noisy_components(
-            clean, shape, sigma2, want_rng, real_mode), cfg)
+            clean, shape, sigma2, want_rng), cfg)
         whole = np.broadcast_to(clean, shape)
         # noise budgets of one row and of two rows (chunks of at least two
         # rows, several where the leading axis has four or more), and of all
@@ -268,8 +268,9 @@ def test_boundary_inputs_pair_to_step(bits):
 # vector quantization
 
 
-def test_vector_real_mode_matches_worked_example(demo_cfg):
-    y = _quantize_rows([1.5 + 0j, 1.0 + 0j], demo_cfg)
+def test_vector_matches_worked_example(demo_cfg):
+    # the toy channel's outputs for x = (1, 1): [Re, Im] of 1.5 + 1j
+    y = _quantize_rows([1.5 + 1j], demo_cfg)
     assert np.array_equal(y, [[1.0, 1.0]])
 
 
@@ -288,8 +289,9 @@ def test_vector_complex_stacking():
 def test_quantizer_config_validation():
     with pytest.raises(ValueError):
         QuantizerConfig(bits=0, step=0.5)
-    with pytest.raises(ValueError):
-        QuantizerConfig(bits=2, step=0.0)
+    for step in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            QuantizerConfig(bits=2, step=step)
     cfg = QuantizerConfig(bits=3, step=0.25)
     assert cfg.r_low == -0.75
 
@@ -423,8 +425,7 @@ def test_noise_free_transmit_equals_quantized_product(demo_channel, demo_cfg):
     for x, row in zip(xs.astype(complex), levels):
         # each noiseless receive point quantized on its own
         direct = core.quantize_levels(
-            core.real_components(demo_channel @ x, demo_cfg.real_mode),
-            demo_cfg)
+            core.real_components(demo_channel @ x), demo_cfg)
         assert np.array_equal(row, direct)
 
 

@@ -934,6 +934,22 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, key, value):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("bits", [32, 33, 65])
+def test_cli_accepts_at_most_32_bits(tmp_path, capsys, bits):
+    # from 54 bits the float quantizer merges cells, and from 65 the levels
+    # have no integer dtype
+    text = CONFIG_TEXT.replace("b = 1", f"b = {bits}").replace(
+        "emld, mmd, mcd, mld", "mcd")
+    cfg_path = tmp_path / "bits.cfg"
+    cfg_path.write_text(text)
+    status = main(["ser", "--config", str(cfg_path)])
+    out, err = capsys.readouterr()
+    if bits <= 32:
+        assert status == 0 and err == "" and out.startswith("snr_db,")
+    else:
+        assert status == 2 and err == "error: b must be at most 32\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_cli_rejects_first_stage_count_below_one(tmp_path, capsys, value):
     config = Path(__file__).parents[1] / "configs/sic_tradeoff_nt1_5.cfg"
@@ -1240,11 +1256,25 @@ def test_cli_runs_skip_fractions_and_decimal(tmp_path):
     _run_script(_NO_FRACTIONS, *args)
 
 
+_DEMO_OUT = """\
+channel:
+[[0.5 1. ]
+ [1.  0. ]]
+trained pairs (symbol vector -> one-bit observation):
+  x1 = [1. 1.] -> y = [1. 1.]
+  x2 = [ 1. -1.] -> y = [-1.  1.]
+  x3 = [-1.  1.] -> y = [ 1. -1.]
+  x4 = [-1. -1.] -> y = [-1. -1.]
+detecting y = [ 1. -1.]:
+  emld: index 3 (symbol vector [-1.  1.])
+  mmd: index 3 (symbol vector [-1.  1.])
+  mcd: index 3 (symbol vector [-1.  1.])
+"""
+
+
 def test_cli_demo_prints_worked_example(capsys):
     assert main(["demo"]) == 0
-    out = capsys.readouterr().out
-    assert "index 3" in out
-    assert out.count("index 3") == 3
+    assert capsys.readouterr().out == _DEMO_OUT
 
 
 def test_sic_books_built_once_per_channel(monkeypatch):

@@ -22,23 +22,21 @@ from hypothesis import strategies as st
 from quantmimo import baselines, core, detection, sic, training
 
 
-def _detectors(rng, bits, real_mode, n_t, n_r, modulation, sigma2):
+def _detectors(rng, bits, n_t, n_r, modulation, sigma2):
     """Per detector, a function from a level batch to its decisions (one
     symbol index per row) and, for MCD and MMD, one from a level batch to
     every row's symbol scores (lower wins)."""
-    qcfg = core.QuantizerConfig(bits, 0.5, real_mode=real_mode)
+    qcfg = core.QuantizerConfig(bits, 0.5)
     c = core.constellation(modulation)
     book = core.enumerate_symbols(c, n_t)
     h = core.sample_channel(n_r, n_t, rng)
-    if real_mode:
-        h = h.real.astype(complex)
     model = training.learn_explicit(h, sigma2, 3, book, qcfg, rng)
     trained, count_matrix = model.support_arrays
     cb = detection.centroids(model)
     n_t1 = int(rng.integers(1, n_t + 1))
     book1 = core.enumerate_symbols(c, n_t1)
     book2 = core.enumerate_symbols(c, n_t - n_t1)
-    plan = sic.build_plan(h, n_t1, real_mode=real_mode)
+    plan = sic.build_plan(h, n_t1)
     fs_model = sic.learn_first_stage(
         plan, sigma2, int(rng.integers(1, 3)), book1, book2, qcfg, rng)
 
@@ -53,7 +51,7 @@ def _detectors(rng, bits, real_mode, n_t, n_r, modulation, sigma2):
         dist = qcfg.step * np.sqrt(core.level_sqdist(levels, trained))
         return (dist[:, :, None] * count_matrix).sum(axis=1)
 
-    receivers = {
+    return {
         "emld": (lambda lv: detection.detect_emld_batch(lv, model), None),
         "mmd": (lambda lv: detection.detect_mmd_batch(lv, model), mmd_scores),
         "mcd": (lambda lv: detection.detect_mcd_batch(values(lv), cb),
@@ -62,28 +60,22 @@ def _detectors(rng, bits, real_mode, n_t, n_r, modulation, sigma2):
             lv, h, sigma2, book, qcfg), None),
         "sic": (lambda lv: sic.detect_sic_batch(
             values(lv), plan, fs_model, book1, book2), None),
+        "zf": (lambda lv: baselines.detect_zf_batch(values(lv), h, c), None),
     }
-    if not real_mode:
-        # ZF folds the stacked [Re, Im] rows back into complex samples, so
-        # it has no real-mode form
-        receivers["zf"] = (
-            lambda lv: baselines.detect_zf_batch(values(lv), h, c), None)
-    return qcfg.observed_dim(n_r), receivers
 
 
 @st.composite
 def _batches(draw):
     bits = draw(st.integers(1, 3))
-    real_mode = draw(st.booleans())
     n_t = draw(st.integers(1, 2))
     n_r = draw(st.integers(n_t, 3))
     modulation = draw(st.sampled_from(["bpsk", "qpsk"]))
     sigma2 = draw(st.sampled_from([0.05, 0.3, 1.5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d, receivers = _detectors(
-        rng, bits, real_mode, n_t, n_r, modulation, sigma2)
+    receivers = _detectors(rng, bits, n_t, n_r, modulation, sigma2)
     # few distinct rows, drawn with repeats
-    distinct = rng.integers(0, 1 << bits, size=(draw(st.integers(1, 8)), d))
+    distinct = rng.integers(
+        0, 1 << bits, size=(draw(st.integers(1, 8)), 2 * n_r))
     n = draw(st.integers(1, 30))
     levels = distinct[rng.integers(0, len(distinct), size=n)]
     order = np.array(draw(st.permutations(range(n))), dtype=np.intp)

@@ -69,13 +69,6 @@ def test_real_expand_pure_imaginary_column():
     assert np.array_equal(expanded[:2, 1:], -h2.imag)
 
 
-def test_projection_axis_aligned_real_mode():
-    w1 = sic.projection_matrix(np.array([[0.0], [1.0]], dtype=complex),
-                               real_mode=True)
-    assert w1.shape == (1, 2)
-    assert np.allclose(np.abs(w1), [[1.0, 0.0]], atol=1e-12)
-
-
 @pytest.mark.parametrize("n_r,n_t2", [(3, 1), (4, 2), (5, 3)])
 def test_projection_annihilates_and_is_orthonormal(n_r, n_t2):
     rng = np.random.default_rng(n_r * 10 + n_t2)
@@ -112,13 +105,10 @@ def test_projection_equals_scipy_null_space():
         n_r = int(rng.integers(1, 33))
         n_t2 = int(rng.integers(1, min(n_r, 5) + 1))
         h2 = core.sample_channel(n_r, n_t2, rng)
-        for real_mode, expanded in (
-                (False, sic.real_expand(h2)), (True, h2.real.copy())):
-            want = scipy.linalg.null_space(expanded.T).T
-            got = sic.projection_matrix(
-                expanded.astype(complex) if real_mode else h2, real_mode)
-            assert got.tobytes() == want.tobytes()
-            assert got.strides == want.strides
+        want = scipy.linalg.null_space(sic.real_expand(h2).T).T
+        got = sic.projection_matrix(h2)
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
     # a complex multiple of a column is deficient for scipy's rank too
     col = core.sample_channel(6, 1, rng)
     h2 = np.hstack([col, (0.5 - 2j) * col])
@@ -140,10 +130,6 @@ def _complex_noise(shape, sigma2, rng):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _real_mode_plan(h, n_t1):
-    return sic.build_plan(h, n_t1, real_mode=True)
-
-
 def _noiseless_projections(model, plan, k):
     """The projected training signals of candidate k with one sample per
     pair: its K2 stage-two candidates' values through the projector."""
@@ -160,9 +146,9 @@ def _marginal_pmf(model, plan, k):
 def test_first_stage_distinct_projections_split_mass():
     # interference column not aligned with any axis: the two second-stage
     # hypotheses survive the projection as distinct atoms
-    cfg = QuantizerConfig(bits=1, step=2.0, real_mode=True)
-    h = np.array([[2.0, 1.0], [0.5, -1.0]], dtype=complex)
-    plan = _real_mode_plan(h, 1)
+    cfg = QuantizerConfig(bits=1, step=2.0)
+    h = np.array([[2.0 + 0.5j, 1.0 - 1.0j], [0.5 - 1.0j, -1.0 + 0.5j]])
+    plan = sic.build_plan(h, 1)
     assert plan.second_indices == (1,)
     book1 = core.enumerate_symbols(core.bpsk(), 1)
     book2 = core.enumerate_symbols(core.bpsk(), 1)
@@ -172,24 +158,13 @@ def test_first_stage_distinct_projections_split_mass():
         assert sorted(_marginal_pmf(model, plan, k).values()) == [0.5, 0.5]
 
 
-def test_first_stage_rejects_plan_of_the_other_mode():
-    # a plan's projector width (n_r real, 2 n_r complex) must match the
-    # quantizer's observation
-    h = np.array([[2.0, 1.0], [0.5, -1.0]], dtype=complex)
-    book = core.enumerate_symbols(core.bpsk(), 1)
-    for real_mode in (False, True):
-        cfg = QuantizerConfig(bits=1, step=2.0, real_mode=real_mode)
-        plan = sic.build_plan(h, 1, real_mode=not real_mode)
-        with pytest.raises(ValueError, match="disagree about real mode"):
-            sic.learn_first_stage(plan, 0.0, 1, book, book, cfg)
-
-
 def test_first_stage_coinciding_projections_merge():
-    # axis-aligned interference: the projector drops the only component the
-    # second symbol touches, so both hypotheses collapse into one atom
-    cfg = QuantizerConfig(bits=1, step=2.0, real_mode=True)
-    h = np.array([[1.0, 0.0], [0.5, 1.0]], dtype=complex)
-    plan = _real_mode_plan(h, 1)
+    # interference column [1, 0]: the projector drops both parts of antenna
+    # 1, the only antenna the second symbol touches, so both hypotheses
+    # collapse into one atom
+    cfg = QuantizerConfig(bits=1, step=2.0)
+    h = np.array([[0.5 + 0.25j, 1.0], [1.0 + 1.0j, 0.0]])
+    plan = sic.build_plan(h, 1)
     assert plan.second_indices == (1,)
     book = core.enumerate_symbols(core.bpsk(), 1)
     model = sic.learn_first_stage(plan, 0.0, 1, book, book, cfg)
@@ -239,31 +214,29 @@ def test_first_stage_projections_match_complex_path():
 @st.composite
 def _first_stage_cases(draw):
     """A split of 2 to 4 BPSK or QPSK antennas over more receive antennas
-    than interferers, b in [1, 3] and l in {1, 2, 3}, complex or real."""
+    than interferers, b in [1, 3] and l in {1, 2, 3}."""
     n_t = draw(st.integers(2, 4))
     n_t1 = draw(st.integers(1, n_t))
     return dict(
         constellation=draw(st.sampled_from([core.bpsk(), core.qpsk()])),
         n_t=n_t, n_t1=n_t1, n_r=draw(st.integers(n_t - n_t1 + 1, 6)),
         bits=draw(st.integers(1, 3)), samples=draw(st.integers(1, 3)),
-        real_mode=draw(st.booleans()), seed=draw(st.integers(0, 2**16)))
+        seed=draw(st.integers(0, 2**16)))
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])
 @settings(max_examples=40, deadline=None)
 @given(case=_first_stage_cases())
 @example(case=dict(constellation=core.qpsk(), n_t=4, n_t1=3, n_r=4, bits=2,
-                   samples=3, real_mode=False, seed=41))
+                   samples=3, seed=41))
 def test_first_stage_blocks_match_whole_stack_projection(block, case):
     # up to K1 = 64 first-stage candidates built in blocks of 1, 7 (the last
     # one partial) or 100 (one block) give the table and, bit for bit, the
     # centroids of the whole (K1, K2, l, d) stack's per-pair product
-    cfg = QuantizerConfig(case["bits"], 0.5, real_mode=case["real_mode"])
+    cfg = QuantizerConfig(case["bits"], 0.5)
     rng = np.random.default_rng(case["seed"])
     h = core.sample_channel(case["n_r"], case["n_t"], rng)
-    if case["real_mode"]:
-        h = h.real.astype(complex)
-    plan = sic.build_plan(h, case["n_t1"], real_mode=case["real_mode"])
+    plan = sic.build_plan(h, case["n_t1"])
     book1 = core.enumerate_symbols(case["constellation"], case["n_t1"])
     book2 = core.enumerate_symbols(
         case["constellation"], case["n_t"] - case["n_t1"])
@@ -277,8 +250,7 @@ def test_first_stage_blocks_match_whole_stack_projection(block, case):
             plan, 0.4, samples, book1, book2, cfg, np.random.default_rng(6))
     clean = (book1.vectors @ plan.h1.T)[:, None, :] + (
         book2.vectors @ plan.h2.T)[None, :, :]
-    table = core.quantize_levels(
-        core.real_components(clean, cfg.real_mode), cfg)
+    table = core.quantize_levels(core.real_components(clean), cfg)
     if samples == 1:
         levels = table[:, :, None, :]
     else:
@@ -322,10 +294,6 @@ def test_first_stage_rejects_bad_inputs():
     book = core.enumerate_symbols(core.bpsk(), 1)
     with pytest.raises(ValueError, match="samples_per_pair"):
         sic.learn_first_stage(plan, 0.0, 0, book, book, cfg)
-    with pytest.raises(ValueError, match="real mode"):
-        sic.learn_first_stage(
-            plan, 0.0, 1, book, book,
-            QuantizerConfig(bits=1, step=2.0, real_mode=True))
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +344,10 @@ def _all_pairs(plan, book):
 
 @pytest.fixture
 def toy_stage(demo_cfg):
-    # real 2x2 channel whose second column is axis-aligned
-    h = np.array([[1.0, 0.0], [0.5, 1.0]], dtype=complex)
-    plan = _real_mode_plan(h, 1)
+    # 2x2 channel whose interference column [1, 0] nulls antenna 1: stage
+    # one sees only antenna 2, (1 + 1j) x1
+    h = np.array([[0.5 + 0.25j, 1.0], [1.0 + 1.0j, 0.0]])
+    plan = sic.build_plan(h, 1)
     book = core.enumerate_symbols(core.bpsk(), 1)
     model = sic.learn_first_stage(plan, 0.0, 1, book, book, demo_cfg)
     return h, plan, book, model
@@ -394,18 +363,24 @@ def test_detect_first_noiseless(toy_stage, demo_cfg):
 
 def test_detect_first_exact_centroid_hit(toy_stage, demo_cfg):
     _, plan, book, model = toy_stage
+    hits = 0
     for k, center in enumerate(model.centroids):
-        # synthesize an observation projecting exactly onto the centroid
-        levels = np.array([(1, 1) if center[0] > 0 else (0, 0)])
-        if np.allclose(plan.w1 @ core.level_values(levels[0], demo_cfg), center):
-            first, _ = _detect(levels, plan, model, book, book, demo_cfg)
-            assert first == [k]
+        # synthesize an observation projecting exactly onto the centroid:
+        # antenna 2's parts both positive or both negative ([Re, Im] order)
+        for levels in ([(1, 1, 1, 1)], [(1, 0, 1, 0)]):
+            levels = np.array(levels)
+            values = core.level_values(levels[0], demo_cfg)
+            if np.array_equal(plan.w1 @ values, center):
+                first, _ = _detect(levels, plan, model, book, book, demo_cfg)
+                assert first == [k]
+                hits += 1
+    assert hits == len(model.centroids)
 
 
 def test_detect_first_tie_breaks_to_smallest_index(demo_cfg):
     plan = sic.SicPlan(
         first_indices=(0,), second_indices=(1,),
-        h1=np.zeros((2, 1)), h2=np.zeros((2, 1)),
+        h1=np.zeros((1, 1)), h2=np.zeros((1, 1)),
         w1=np.eye(2))
     book = core.enumerate_symbols(core.bpsk(), 1)
     model = sic.FirstStageModel(

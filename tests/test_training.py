@@ -37,8 +37,7 @@ def _negated(y, cfg):
 
 def _quantized(r, cfg):
     """Level tuple of one complex receive vector quantized on its own."""
-    return tuple(core.quantize_levels(
-        core.real_components(r, cfg.real_mode), cfg).tolist())
+    return tuple(core.quantize_levels(core.real_components(r), cfg).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +81,10 @@ def test_implicit_noiseless_worked_example(demo_channel, demo_cfg, demo_book):
     pilots = training.build_implicit_pilots(demo_book, 1)
     obs = core.transmit_batch(demo_channel, pilots, 0.0, demo_cfg)
     model = training.learn_implicit(obs, demo_book, 1, demo_cfg)
-    y11 = _quantized(np.array([1.0, 1.0]), demo_cfg)
-    ym11 = _quantized(np.array([-1.0, 1.0]), demo_cfg)
-    y1m1 = _quantized(np.array([1.0, -1.0]), demo_cfg)
+    # the toy channel's two outputs are [Re, Im] of one complex antenna
+    y11 = _quantized(np.array([1.0 + 1.0j]), demo_cfg)
+    ym11 = _quantized(np.array([-1.0 + 1.0j]), demo_cfg)
+    y1m1 = _quantized(np.array([1.0 - 1.0j]), demo_cfg)
     assert _pmf(model, 0) == {y11: 1.0}
     assert _pmf(model, 1) == {ym11: 1.0}
     # symbol 2 is the mirror of symbol 1: the 0-based book has x2 = -x1
@@ -299,11 +299,11 @@ def test_implicit_array_model_matches_dict_oracle(bits, step, n_t, dim, reps, se
 @settings(max_examples=40, deadline=None)
 @given(
     bits=st.integers(1, 3), step=_DYADIC_STEPS, n_t=st.integers(1, 2),
-    n_r=st.integers(1, 3), samples=st.integers(1, 9), real_mode=st.booleans(),
+    n_r=st.integers(1, 3), samples=st.integers(1, 9),
     sigma2=st.sampled_from([0.0, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
 def test_explicit_array_model_matches_dict_oracle(
-        bits, step, n_t, n_r, samples, real_mode, sigma2, seed):
-    cfg = QuantizerConfig(bits=bits, step=step, real_mode=real_mode)
+        bits, step, n_t, n_r, samples, sigma2, seed):
+    cfg = QuantizerConfig(bits=bits, step=step)
     book = core.enumerate_symbols(core.qpsk(), n_t)
     h = core.sample_channel(n_r, n_t, np.random.default_rng(seed))
     model = training.learn_explicit(
@@ -312,7 +312,7 @@ def test_explicit_array_model_matches_dict_oracle(
     noise = _complex_noise(
         (book.size, samples, n_r), sigma2, np.random.default_rng(seed + 1))
     r = (book.vectors @ h.T)[:, None, :] + noise
-    levels = core.quantize_levels(core.real_components(r, real_mode), cfg)
+    levels = core.quantize_levels(core.real_components(r), cfg)
     counts = [dict(Counter(map(tuple, levels[k].tolist())))
               for k in range(book.size)]
     _assert_matches_oracle(model, counts, samples)
@@ -320,12 +320,12 @@ def test_explicit_array_model_matches_dict_oracle(
 
 @settings(max_examples=40, deadline=None)
 @given(
-    shape=st.sampled_from([(1, 1), (3, 4), (2, 5, 3)]), real_mode=st.booleans(),
+    shape=st.sampled_from([(1, 1), (3, 4), (2, 5, 3)]),
     sigma2=st.sampled_from([0.0, 0.1, 2.5]), bits=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1))
-def test_noisy_levels_equal_complex_path(shape, real_mode, sigma2, bits, seed):
+def test_noisy_levels_equal_complex_path(shape, sigma2, bits, seed):
     rng = np.random.default_rng(seed)
-    cfg = QuantizerConfig(bits=bits, step=0.5, real_mode=real_mode)
+    cfg = QuantizerConfig(bits=bits, step=0.5)
     # a clean signal that broadcasts along the second-to-last axis
     clean_shape = shape[:-2] + (1, shape[-1])
     clean = rng.normal(size=clean_shape) + 1j * rng.normal(size=clean_shape)
@@ -333,7 +333,7 @@ def test_noisy_levels_equal_complex_path(shape, real_mode, sigma2, bits, seed):
     whole = np.broadcast_to(clean, shape)
     got = core.noisy_levels(lambda rows: whole[rows], shape, sigma2, kernel, cfg)
     want = core.quantize_levels(core.real_components(
-        clean + _complex_noise(shape, sigma2, oracle), real_mode), cfg)
+        clean + _complex_noise(shape, sigma2, oracle)), cfg)
     assert got.shape == want.shape and np.array_equal(got, want)
     assert kernel.bit_generator.state == oracle.bit_generator.state
 
