@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    QuantizerConfig, SymbolBook, level_sqdist, real_components, transmit_batch)
+    QuantizerConfig, SymbolBook, level_sqdist, normal_cdf, real_components,
+    transmit_batch)
 
 # beyond this many ADC samples the binomial tail terms are evaluated in
 # log space to dodge float underflow
@@ -76,10 +77,7 @@ def flip_probability(g: float, snr: float, n_t: int) -> float:
     """Probability that noise flips the sign of a component of magnitude g."""
     if not snr > 0.0:
         raise ValueError("SNR must be positive")
-    # imported here, so that the CLI's import path stays free of scipy
-    from scipy.special import ndtr
-
-    return float(ndtr(-math.sqrt(2.0 * snr * g * g / n_t)))
+    return normal_cdf(-math.sqrt(2.0 * snr * g * g / n_t))
 
 
 def svep_upper_bound(
@@ -130,14 +128,16 @@ def _binomial_band(n_samples: int, lo: int, hi: int, p_eq: float) -> float:
         combs = np.array([math.comb(n_samples, int(k)) for k in ks], dtype=float)
         return float(np.sum(
             combs * (1.0 - p_eq) ** ks * p_eq ** (n_samples - ks)))
+    log_all = math.lgamma(n_samples + 1)
     log_combs = np.array(
-        [math.lgamma(n_samples + 1) - math.lgamma(k + 1)
-         - math.lgamma(n_samples - k + 1) for k in ks])
+        [log_all - math.lgamma(k + 1) - math.lgamma(n_samples - k + 1)
+         for k in range(lo, hi + 1)])
     log_terms = (
         log_combs + ks * math.log1p(-p_eq) + (n_samples - ks) * math.log(p_eq))
-    from scipy.special import logsumexp
-
-    return float(np.exp(logsumexp(log_terms)))
+    # summed as multiples of the largest term, which is 1, so the sum does
+    # not underflow
+    top = float(log_terms.max())
+    return math.exp(top) * math.fsum(np.exp(log_terms - top).tolist())
 
 
 def _require_bpsk(book: SymbolBook) -> None:

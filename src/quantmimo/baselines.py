@@ -8,13 +8,10 @@ which is the standard low-complexity estimate for coarse ADCs; it is exact
 in the infinite-resolution limit and direction-informative at one bit.
 
 Quantized MLD takes its Gaussian cell probabilities from
-:func:`_normal_cdf`, built on ``math.erf``/``math.erfc``, so no receiver here
-imports scipy.
+:func:`quantmimo.core.normal_cdf`, built on ``math.erf``/``math.erfc``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,33 +21,15 @@ from .core import (
     SymbolBook,
     cell_edges,
     level_values,
+    normal_cdf,
     real_components,
 )
 
 _LOG_FLOOR = 1e-300
 
-# M_SQRT1_2, the double nearest 1/sqrt(2); 1 / math.sqrt(2) is one ulp off
-_SQRT1_2 = 0.7071067811865476
-
 # Largest block of cell-edge arguments (float64 values) that the MLD table
-# passes through _normal_cdf at once, as one Python list.
+# passes through normal_cdf at once, as one Python list.
 _CDF_VALUES = 1 << 12
-
-
-def _normal_cdf(x: float) -> float:
-    """Standard normal CDF of one float, in the structure of cephes' ``ndtr``.
-
-    With t = x / sqrt(2) it is 0.5 + 0.5 erf(t) for |t| < 1, and otherwise
-    y = 0.5 erfc(|t|), returned as 1 - y for t > 0 so the lower tail keeps
-    its relative precision. Exact at 0 (0.5) and at -inf and +inf (0 and 1).
-    Over x in [-37.5, 9] it is within 6e-14 relative of
-    ``scipy.special.ndtr``, though not bit-equal to it.
-    """
-    t = x * _SQRT1_2
-    if abs(t) < 1.0:
-        return 0.5 + 0.5 * math.erf(t)
-    y = 0.5 * math.erfc(abs(t))
-    return 1.0 - y if t > 0.0 else y
 
 
 def cdf_chunk(edges: int) -> int:
@@ -119,7 +98,7 @@ def mld_log_likelihoods(
     so both forms give the same bits.
 
     The table holds the CDF at each finite cell edge, K*d*(2**bits - 1)
-    calls of :func:`_normal_cdf`, evaluated in blocks of :func:`cdf_chunk`
+    calls of :func:`normal_cdf`, evaluated in blocks of :func:`cdf_chunk`
     rows; the infinite edges of the end cells are exactly 0 and 1.
     Each cell probability is then the difference of its upper and lower
     edge terms, written in place, so the table is the only array of its
@@ -146,7 +125,7 @@ def mld_log_likelihoods(
         np.subtract(edges, components[start:start + rows, None], out=block)
         block /= scale
         block[...] = np.fromiter(
-            map(_normal_cdf, block.ravel().tolist()), float, block.size
+            map(normal_cdf, block.ravel().tolist()), float, block.size
         ).reshape(block.shape)
     # cell probability cdf(upper) - cdf(lower), top cell first so each
     # lower edge is read before it is overwritten; the first cell's lower

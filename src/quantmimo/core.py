@@ -38,6 +38,29 @@ _PRODUCT_ROWS = 2
 # at once: a quarter of a noise chunk.
 _QUANTIZE_VALUES = 1 << 14
 
+# Most ADC bits: from 54 bits float64 inputs merge cells, and from 65 the
+# levels have no integer dtype
+_MAX_BITS = 32
+
+# M_SQRT1_2, the double nearest 1/sqrt(2); 1 / math.sqrt(2) is one ulp off
+_SQRT1_2 = 0.7071067811865476
+
+
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF of one float, in the structure of cephes' ``ndtr``.
+
+    With t = x / sqrt(2) it is 0.5 + 0.5 erf(t) for |t| < 1, and otherwise
+    y = 0.5 erfc(|t|), returned as 1 - y for t > 0 so the lower tail keeps
+    its relative precision. Exact at 0 (0.5) and at -inf and +inf (0 and 1).
+    Over x in [-37.5, 9] it is within 6e-14 relative of
+    ``scipy.special.ndtr``, though not bit-equal to it.
+    """
+    t = x * _SQRT1_2
+    if abs(t) < 1.0:
+        return 0.5 + 0.5 * math.erf(t)
+    y = 0.5 * math.erfc(abs(t))
+    return 1.0 - y if t > 0.0 else y
+
 
 @dataclass(frozen=True)
 class Constellation:
@@ -101,6 +124,8 @@ class QuantizerConfig:
     def __post_init__(self) -> None:
         if self.bits < 1:
             raise ValueError("quantizer needs at least one bit")
+        if self.bits > _MAX_BITS:
+            raise ValueError(f"quantizer supports at most {_MAX_BITS} bits")
         if not 0.0 < self.step < math.inf:
             raise ValueError("quantizer step must be positive and finite")
 
@@ -326,10 +351,18 @@ def enumerate_symbols(c: Constellation, n_t: int) -> SymbolBook:
 
 
 def snr_db_to_sigma2(snr_db: float, n_t: int) -> float:
-    """Noise variance for an SNR in dB with unit-power symbols: n_t / snr."""
-    snr = 10.0 ** (snr_db / 10.0)
-    if not snr > 0.0:
-        raise ValueError("SNR must be positive")
+    """Noise variance for an SNR in dB with unit-power symbols: n_t / snr.
+
+    Raises ``ValueError`` unless the SNR and the variance are both positive
+    and finite: 10**(snr_db / 10) overflows a float above about 3 082 dB,
+    and n_t / snr does below about -3 080 dB.
+    """
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not (0.0 < snr < math.inf and n_t / snr < math.inf):
+        raise ValueError(f"SNR must be positive and finite, not {snr_db!r} dB")
     return n_t / snr
 
 

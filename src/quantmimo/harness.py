@@ -416,18 +416,25 @@ class ExperimentConfig:
                      "vectors_per_channel"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
-        if self.bits > 32:
-            raise ConfigError("b must be at most 32")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ConfigError("delta must be a positive finite number")
+        try:
+            QuantizerConfig(self.bits, self.step)
+        except ValueError:
+            raise ConfigError("b must be at most 32") from None
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must list at least one SNR point")
-        if not all(math.isfinite(v) for v in self.snr_grid_db):
-            raise ConfigError("snr_grid_db values must be finite")
+        for v in self.snr_grid_db:
+            try:
+                snr_db_to_sigma2(v, self.n_t)
+            except ValueError:
+                raise ConfigError(
+                    f"snr_grid_db values must be finite and give a finite "
+                    f"positive SNR and noise variance, not {v!r} dB") from None
         for f in fields(self):
             choices = f.metadata.get("choices", ())
             value = getattr(self, f.name)

@@ -147,11 +147,15 @@ def test_geometry_summary(demo_channel, demo_cfg, demo_book):
 
 
 def test_flip_probability_equals_gaussian_tail_exactly():
+    # bit for bit the package's normal CDF at -x, x = sqrt(2 snr g^2 / n_t),
+    # and within 1e-12 relative of scipy's Gaussian tail
     for g in (0.0, 1e-3, 0.25, 1.0, 3.0, 10.0, 40.0):
         for snr in (1e-3, 1.0, 10.0, 1e4):
             for n_t in (1, 2, 4):
-                expected = float(norm.sf(math.sqrt(2.0 * snr * g * g / n_t)))
-                assert analysis.flip_probability(g, snr, n_t) == expected
+                x = math.sqrt(2.0 * snr * g * g / n_t)
+                got = analysis.flip_probability(g, snr, n_t)
+                assert got == core.normal_cdf(-x)
+                assert got == pytest.approx(float(norm.sf(x)), rel=1e-12)
 
 
 def test_flip_probability_values():
@@ -342,6 +346,35 @@ def test_svep_bound_dominates_exact_error_for_fixed_channels():
             sigma2 = core.snr_db_to_sigma2(snr_db, 2)
             bound = analysis.svep_upper_bound(geom, snr, 2, 2)
             assert exact_svep(h, sigma2) <= bound + 1e-12
+
+
+def test_log_space_band_matches_scipy_logsumexp():
+    # the fsum of max-scaled terms against scipy's logsumexp of the same
+    # log terms, over every band dmin_ccdf_approx asks for past the exact
+    # limit: 2 n_r from 66 to 256, every threshold n and every delta < n_t
+    # of n_t in {2, 3, 4, 6}, whose match probabilities take 7 values
+    from scipy.special import logsumexp
+
+    probabilities = {
+        analysis.sign_match_probability(n_t, delta)
+        for n_t in (2, 3, 4, 6) for delta in range(1, n_t)}
+    assert len(probabilities) == 7
+    for p in probabilities:
+        for n_r in range(33, 129):
+            m = 2 * n_r
+            ks = np.arange(m + 1)
+            log_terms = np.array([
+                math.lgamma(m + 1) - math.lgamma(k + 1)
+                - math.lgamma(m - k + 1) for k in range(m + 1)])
+            log_terms += ks * math.log1p(-p) + (m - ks) * math.log(p)
+            # row n keeps the terms of the band [n, m - n]
+            ns = np.arange(n_r + 1)[:, None]
+            bands = np.where(
+                (ks >= ns) & (ks <= m - ns), log_terms, -np.inf)
+            want = np.exp(logsumexp(bands, axis=1))
+            got = [analysis._binomial_band(m, n, m - n, p)
+                   for n in range(n_r + 1)]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_log_space_band_matches_exact_band():

@@ -289,6 +289,11 @@ def test_vector_complex_stacking():
 def test_quantizer_config_validation():
     with pytest.raises(ValueError):
         QuantizerConfig(bits=0, step=0.5)
+    # from 54 bits float inputs merge cells, from 65 levels have no dtype
+    assert QuantizerConfig(bits=32, step=0.5).level_dtype == np.uint32
+    for bits in (33, 54, 65):
+        with pytest.raises(ValueError, match="at most 32 bits"):
+            QuantizerConfig(bits=bits, step=0.5)
     for step in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             QuantizerConfig(bits=2, step=step)
@@ -405,6 +410,13 @@ def test_snr_conversion():
     assert core.snr_db_to_sigma2(0.0, 2) == 2.0
     assert core.snr_db_to_sigma2(10.0, 2) == pytest.approx(0.2)
     for snr_db in (-math.inf, math.nan):
+        with pytest.raises(ValueError, match="SNR must be positive"):
+            core.snr_db_to_sigma2(snr_db, 2)
+    # 10**308 and n_t / 10**-307 are finite; 10**400 overflows, 10**-400
+    # underflows to 0, and 2 / 10**-309 overflows
+    assert core.snr_db_to_sigma2(3080.0, 2) == 2e-308
+    assert core.snr_db_to_sigma2(-3070.0, 2) == pytest.approx(2e307)
+    for snr_db in (math.inf, 4000.0, -4000.0, -3090.0):
         with pytest.raises(ValueError, match="SNR must be positive"):
             core.snr_db_to_sigma2(snr_db, 2)
 

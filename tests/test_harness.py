@@ -934,6 +934,31 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, key, value):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("snr", ["4000", "-4000"])
+@pytest.mark.parametrize("command, config", [
+    ("ser", "detector_comparison.cfg"), ("bound", "bound_validation.cfg")])
+def test_cli_rejects_snr_out_of_float_range(
+        tmp_path, capsys, monkeypatch, command, config, snr):
+    # 10**400 overflows a float and 10**-400 underflows to 0: the config
+    # check names the value before any channel is drawn
+    def no_channel(*args):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr(core, "sample_channel", no_channel)
+    monkeypatch.setattr(harness, "sample_channel", no_channel)
+    shipped = Path(__file__).parents[1] / "configs" / config
+    bad = tmp_path / config
+    bad.write_text("\n".join(
+        f"snr_grid_db = 0, {snr}" if line.startswith("snr_grid_db =") else line
+        for line in shipped.read_text().splitlines()))
+    assert main([command, "--config", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: snr_grid_db values must be finite and give a finite positive "
+        f"SNR and noise variance, not {float(snr)!r} dB\n")
+
+
 @pytest.mark.parametrize("bits", [32, 33, 65])
 def test_cli_accepts_at_most_32_bits(tmp_path, capsys, bits):
     # from 54 bits the float quantizer merges cells, and from 65 the levels
@@ -1201,19 +1226,34 @@ def test_cli_import_skips_process_pool(tmp_path):
 
 _NO_SCIPY = """
 import sys
+
+
+class _Blocker:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, _Blocker())
+from quantmimo import analysis
 from quantmimo.cli import main
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded(), loaded()
-for path in sys.argv[1:]:
-    assert main(["ser", "--config", path, "--out", path + ".csv"]) == 0
-    assert not loaded(), (path, loaded())
+for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    assert main([command, "--config", path, "--out", path + ".csv"]) == 0
+    assert not loaded(), (command, path, loaded())
+assert main(["demo"]) == 0
+assert 0.0 < analysis.flip_probability(1.0, 2.0, 2) < 0.5
+assert not loaded(), loaded()
 """
 
 
 def test_cli_import_skips_scipy_stats(tmp_path):
-    # neither the import nor a ser run loads any of scipy, with or without
-    # mld: only the analysis imports scipy.special
+    # numpy is the only runtime dependency: with every scipy import made to
+    # fail, ser runs with and without mld and with a sic split, a bound run,
+    # a ccdf run past the exact binomial band (2 n_r > 64), the demo and
+    # the one-bit flip probability all complete
     full = tmp_path / "full.cfg"
     full.write_text(CONFIG_TEXT.replace(
         "detectors = emld, mmd, mcd, mld", "detectors = emld, mmd, mcd, zf"))
@@ -1225,7 +1265,18 @@ def test_cli_import_skips_scipy_stats(tmp_path):
         "snr_grid_db = 5", "detectors = mcd", "framework = sic", "n_t1 = 2",
         "csir = ls", "t_t = 8", "channel_count = 1",
         "vectors_per_channel = 10", "seed = 1")))
-    _run_script(_NO_SCIPY, str(full), str(mld), str(split))
+    one_bit = tmp_path / "bound.cfg"
+    one_bit.write_text("\n".join((
+        "n_t = 2", "n_r = 2", "b = 1", "modulation = bpsk",
+        "snr_grid_db = 0, 10", "detectors = mcd", "l = 2",
+        "channel_count = 2", "vectors_per_channel = 20", "seed = 5")))
+    wide = tmp_path / "ccdf.cfg"
+    wide.write_text("\n".join((
+        "n_t = 3", "n_r = 33", "b = 1", "modulation = bpsk",
+        "snr_grid_db = 0", "channel_count = 50", "vectors_per_channel = 1",
+        "seed = 3")))
+    _run_script(_NO_SCIPY, "ser", str(full), "ser", str(mld), "ser",
+                str(split), "bound", str(one_bit), "ccdf", str(wide))
 
 
 _NO_FRACTIONS = """
