@@ -95,11 +95,15 @@ def mld_log_likelihoods(
     form a K x d x 2**bits table that the observed levels gather from. Each
     gathered element equals the one a direct N x K x d evaluation computes
     with the same CDF, and the sum runs over the same contiguous last axis,
-    so both forms give the same bits.
+    so both forms give the same bits. The result is the transpose of the
+    K x N sums.
 
     The table holds the CDF at each finite cell edge, K*d*(2**bits - 1)
     calls of :func:`normal_cdf`, evaluated in blocks of :func:`cdf_chunk`
-    rows; the infinite edges of the end cells are exactly 0 and 1.
+    rows. Each block's arguments are formed as one contiguous array, not in
+    the table's strided finite-edge columns, and its results are written
+    into those columns; the infinite edges of the end cells are exactly 0
+    and 1.
     Each cell probability is then the difference of its upper and lower
     edge terms, written in place, so the table is the only array of its
     size. Each call costs 0.2-0.4 µs, so a table of 10**6 edges takes
@@ -121,12 +125,12 @@ def mld_log_likelihoods(
     components = g.reshape(-1)
     rows = cdf_chunk(edges.size)
     for start in range(0, k * d, rows):
-        block = table[start:start + rows, :-1]
-        np.subtract(edges, components[start:start + rows, None], out=block)
-        block /= scale
-        block[...] = np.fromiter(
-            map(normal_cdf, block.ravel().tolist()), float, block.size
-        ).reshape(block.shape)
+        # one contiguous block of arguments, whose CDFs fill the table rows
+        args = np.subtract(edges, components[start:start + rows, None])
+        args /= scale
+        table[start:start + rows, :-1] = np.fromiter(
+            map(normal_cdf, args.ravel().tolist()), float, args.size
+        ).reshape(args.shape)
     # cell probability cdf(upper) - cdf(lower), top cell first so each
     # lower edge is read before it is overwritten; the first cell's lower
     # edge is -inf, whose CDF 0 leaves its upper term as it is
@@ -134,13 +138,13 @@ def mld_log_likelihoods(
         table[:, level] -= table[:, level - 1]
     np.maximum(table, _LOG_FLOOR, out=table)
     np.log(table, out=table)
-    # one flat index into the table: entry (k, j, level) sits at
-    # (k * d + j) * 2**bits + level. The index is int32 and the levels keep
-    # their narrow dtype, so neither is widened to int64: a table of 2**31
-    # entries takes 16 GiB, far past the budget that
-    # ExperimentConfig.validate enforces, so no index can overflow.
-    cells = (np.arange(k * d, dtype=np.int32) * cfg.n_levels).reshape(k, d)
-    return table.reshape(-1)[cells + levels[:, None, :]].sum(axis=2)
+    # row k of the K x (d * 2**bits) table holds entry (j, level) of
+    # symbol k at column j * 2**bits + level; one take gathers every
+    # observation's columns as a C-contiguous K x N x d array, whose rows
+    # are summed over the contiguous last axis in the same order as those
+    # of an N x K x d gather, so each sum has the same bits
+    columns = np.arange(d) * cfg.n_levels + levels
+    return np.take(table.reshape(k, -1), columns, axis=1).sum(axis=2).T
 
 
 def detect_mld_batch(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,10 @@ _PRODUCT_ROWS = 2
 # Largest float64 scratch (values) that quantize_levels copies its input into
 # at once: a quarter of a noise chunk.
 _QUANTIZE_VALUES = 1 << 14
+
+# Code-table slots (intp, 32 KiB) that distinct_rows uses whatever the row
+# count: a table this small costs less than sorting even a few rows.
+_CODE_SLOTS = 1 << 12
 
 # Most ADC bits: from 54 bits float64 inputs merge cells, and from 65 the
 # levels have no integer dtype
@@ -137,7 +142,7 @@ class QuantizerConfig:
     def r_low(self) -> float:
         return (-(1 << (self.bits - 1)) + 1) * self.step
 
-    @property
+    @cached_property
     def level_dtype(self) -> np.dtype:
         """Narrowest unsigned integer dtype holding every level index."""
         return np.min_scalar_type(self.n_levels - 1)
@@ -148,14 +153,18 @@ class QuantizerConfig:
         return offsets * self.step
 
 
-def quantize_levels(x, cfg: QuantizerConfig) -> np.ndarray:
+def quantize_levels(
+    x, cfg: QuantizerConfig, out: np.ndarray | None = None
+) -> np.ndarray:
     """Vectorized quantizer returning level indices in [0, 2**bits).
 
     The levels have ``cfg.level_dtype``, the narrowest unsigned integer type
     that holds them (uint8 up to 8 bits). Saturates below the lowest and
     at/above the highest decision threshold; inputs exactly on a threshold
     land in the upper cell (so 0 maps to the smallest positive output). The
-    input is never modified.
+    input is never modified. ``out``, if given, is an array of the input's
+    shape and ``cfg.level_dtype`` (a view is fine) that receives the levels
+    and is returned.
 
     The input is copied into one float64 scratch of :func:`quantize_scratch`
     values, a block of leading-axis rows at a time, and quantized there, so
@@ -163,15 +172,28 @@ def quantize_levels(x, cfg: QuantizerConfig) -> np.ndarray:
     row longer than the scratch is split along its own leading axis the same
     way. Every step is elementwise, so the levels do not depend on the block
     size.
+
+    The level is ``floor((x - r_low) / step) + 1`` clipped to
+    [0, 2**bits - 1]. At one bit r_low is 0, so the level is 1 exactly
+    where the quotient ``x / step`` is >= 0: the quotient, not x, is
+    compared, so a subnormal x whose quotient rounds to -0.0 (possible only
+    at step > 1) stays in the upper cell. At step <= 1 every nonzero
+    quotient is at least as large as x in magnitude, so x itself is
+    compared, uncopied.
     """
     x = np.asarray(x, dtype=float)
     # NaN propagates through min, so one reduction finds it
     if x.size and np.isnan(x.min()):
         raise ValueError("cannot quantize NaN samples")
-    levels = np.empty(x.shape, dtype=cfg.level_dtype)
+    if out is None:
+        out = np.empty(x.shape, dtype=cfg.level_dtype)
+    elif out.shape != x.shape or out.dtype != cfg.level_dtype:
+        raise ValueError(
+            f"out must have shape {x.shape} and dtype {cfg.level_dtype}, "
+            f"not {out.shape} and {out.dtype}")
     scratch = np.empty(quantize_scratch(x.size))
-    _quantize_rows(*np.atleast_1d(x, levels), scratch, cfg)
-    return levels
+    _quantize_rows(*np.atleast_1d(x, out), scratch, cfg)
+    return out
 
 
 def quantize_scratch(values: int) -> int:
@@ -191,13 +213,22 @@ def _quantize_rows(rows, out, scratch, cfg: QuantizerConfig) -> None:
     step = max(1, len(scratch) // max(1, row_values))
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
+        dest = out[start:start + step]
         cells = scratch[:block.size].reshape(block.shape)
+        if cfg.bits == 1:
+            # r_low is 0 and x - 0.0 is x; at step <= 1 no nonzero x has a
+            # zero quotient, so x has the quotient's sign. uint8 levels
+            # take bools as 0 or 1
+            quotient = block if cfg.step <= 1.0 else np.divide(
+                block, cfg.step, out=cells)
+            np.greater_equal(quotient, 0.0, out=dest.view(np.bool_))
+            continue
         np.subtract(block, cfg.r_low, out=cells)
         cells /= cfg.step
         np.floor(cells, out=cells)
         cells += 1.0
         np.clip(cells, 0, cfg.n_levels - 1, out=cells)
-        out[start:start + step] = cells
+        dest[...] = cells
 
 
 def level_values(levels, cfg: QuantizerConfig) -> np.ndarray:
@@ -244,16 +275,18 @@ def distinct_rows(levels) -> tuple[np.ndarray, np.ndarray]:
 
     With r = max - min + 1 values per entry and d columns there are r**d
     possible rows. When that is at most the row count (a one-bit data batch
-    has r = 2 and d = 2 n_r) the rows are found in a code-indexed table
-    (:func:`_distinct_by_code`), else by sorting their bytes
-    (:func:`_distinct_by_sort`). Both give the same output.
+    has r = 2 and d = 2 n_r) or at most ``_CODE_SLOTS`` (the trained rows
+    of a one-bit n_r = 4 model: r**d = 256) the rows are found in a
+    code-indexed table (:func:`_distinct_by_code`), else by sorting their
+    bytes (:func:`_distinct_by_sort`). Both give the same output.
     """
     rows = np.ascontiguousarray(levels)
     n, d = rows.shape
     lo, hi = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
     radix = hi - lo + 1
-    # each partial sum of the intp code sum is below max|v| * d * n
-    if radix ** d <= n and max(-lo, hi) * d * n < 2 ** 63:
+    slots = max(n, _CODE_SLOTS)
+    # each partial sum of the intp code sum is below max|v| * d * slots
+    if radix ** d <= slots and max(-lo, hi) * d * slots < 2 ** 63:
         return _distinct_by_code(rows, lo, radix)
     return _distinct_by_sort(rows)
 
@@ -264,12 +297,19 @@ def _distinct_by_code(
     """:func:`distinct_rows` of a matrix whose entries lie in
     [lo, lo + radix): each row is one base-``radix`` integer, and the first
     row of each code is its minimum row index in a table of radix**d slots.
-    O(rows + radix**d), with no sort. The codes are summed in intp, so the
-    levels are never widened as a whole."""
+    O(rows + radix**d), with no sort. The codes are summed in the levels'
+    own dtype where every partial sum fits it (one-bit levels of up to 8
+    columns in uint8), else in intp, so the levels are never widened as a
+    whole."""
     n, d = rows.shape
     weights = radix ** np.arange(d - 1, -1, -1, dtype=np.intp)
-    codes = np.einsum("nd,d->n", rows, weights)
-    codes -= lo * int(weights.sum())
+    total = int(weights.sum())
+    if max(-lo, lo + radix - 1) * total <= np.iinfo(rows.dtype).max:
+        # every partial sum fits the levels' own dtype: one product in it
+        codes = (rows @ weights.astype(rows.dtype)).astype(np.intp)
+    else:
+        codes = np.einsum("nd,d->n", rows, weights)
+    codes -= lo * total
     table = np.full(radix ** d, n, dtype=np.intp)
     np.minimum.at(table, codes, np.arange(n))
     first = np.sort(table[table < n])
@@ -428,10 +468,15 @@ def noisy_levels(
     ``shape`` is the shape of the complex noise (at least two axes, the last
     n_r). ``clean(rows)`` gives the complex noiseless part of the
     leading-axis slice ``rows``, broadcasting against that slice of the
-    noise; it is called for each chunk of each part, so a noiseless product
-    is formed one chunk at a time and never whole. The result has shape
-    ``shape[:-1] + (2 n_r,)`` and ``cfg.level_dtype``, holding the levels of
-    [Re, Im].
+    noise, so a noiseless product is formed one chunk at a time and never
+    whole. It is called once per chunk, and again only when another chunk
+    came between: a draw of one chunk (every data batch of the shipped
+    configs) forms its noiseless part once for both the real and the
+    imaginary pass, and a longer draw forms each chunk's in each part. A
+    chunk's noiseless part is held while the chunk is quantized and let go
+    before the next one is formed. The result has shape
+    ``shape[:-1] + (2 n_r,)`` and ``cfg.level_dtype``, holding the levels
+    of [Re, Im].
 
     The noise is the real ``standard_normal`` block of ``shape``, then the
     imaginary one, both scaled by sqrt(sigma2 / 2). Each block is drawn in
@@ -440,9 +485,12 @@ def noisy_levels(
     is added and the chunk is quantized; consecutive fills of a generator
     give the stream of one fill, so the levels do not depend on the chunk
     size. :func:`quantize_levels` reads the buffer through its own bounded
-    float scratch, so a chunk adds no float copy of the buffer, only the
-    chunk's narrow levels. sigma2 == 0 draws nothing, needs no generator and
-    allocates no buffer: it quantizes the clean chunks the same way.
+    float scratch and writes the part's levels into one level scratch of a
+    chunk, allocated once per call, from which each row's n_r levels are
+    copied into their half of the level matrix as one item. So a chunk adds
+    no float copy of the buffer. sigma2 == 0 draws nothing, needs no
+    generator and allocates no buffer: it quantizes the clean chunks the
+    same way.
     """
     shape = tuple(shape)
     if len(shape) < 2:
@@ -457,22 +505,32 @@ def noisy_levels(
     # levels are placed by whole halves, not level by level
     halves = levels.view(np.dtype((np.void, n_r * levels.itemsize)))
     row_values = math.prod(shape[1:])
+    chunks = list(row_blocks(rows, 8 * row_values, _NOISE_BYTES))
+    chunk_rows = noise_chunk(rows, row_values)
     if sigma2:
-        buffer = np.empty((noise_chunk(rows, row_values),) + shape[1:])
+        buffer = np.empty((chunk_rows,) + shape[1:])
+    # one part's levels of a chunk, before they are placed in their halves
+    part_levels = np.empty((chunk_rows,) + shape[1:], dtype=cfg.level_dtype)
     scale = math.sqrt(sigma2 / 2.0)
+    sums = formed = None
     for block, part in enumerate(("real", "imag")):
-        for chunk in row_blocks(rows, 8 * row_values, _NOISE_BYTES):
-            chunk_shape = (chunk.stop - chunk.start,) + shape[1:]
+        for chunk in chunks:
+            n = chunk.stop - chunk.start
             if sigma2:
-                signal = buffer[:chunk_shape[0]]
+                signal = buffer[:n]
                 rng.standard_normal(out=signal)
                 signal *= scale
-                signal += getattr(clean(chunk), part)
+            # formed after the draw: formed before it, the K = 4096 explicit
+            # training took about 15 % longer (2-core x86-64, OpenBLAS)
+            if chunk != formed:
+                sums = None  # the last chunk's goes before the next is formed
+                sums, formed = clean(chunk), chunk
+            if sigma2:
+                signal += getattr(sums, part)
             else:
-                signal = np.broadcast_to(
-                    getattr(clean(chunk), part), chunk_shape)
-            halves[chunk, ..., block] = (
-                quantize_levels(signal, cfg).view(halves.dtype)[..., 0])
+                signal = np.broadcast_to(getattr(sums, part), (n,) + shape[1:])
+            dest = quantize_levels(signal, cfg, out=part_levels[:n])
+            halves[chunk, ..., block] = dest.view(halves.dtype)[..., 0]
     return levels
 
 

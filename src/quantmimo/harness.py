@@ -96,8 +96,10 @@ class _Sizes:
     def noise(self, rows: int, row_values: int, clean_values: int) -> int:
         """The largest ``core.noisy_levels`` chunk of ``rows`` rows of
         ``row_values`` noise values and ``clean_values`` complex noiseless
-        values: its float64 buffer, its noiseless part, their levels and the
-        quantizer's float scratch."""
+        values: its float64 buffer and the level scratch of one part, with
+        its complex noiseless part, which is held while both parts are
+        quantized (the previous chunk's is let go before it is formed), and
+        the quantizer's float scratch."""
         chunk_rows = noise_chunk(rows, row_values)
         chunk = chunk_rows * row_values
         return ((8 + self.w) * chunk + 16 * chunk_rows * clean_values
@@ -177,14 +179,14 @@ _RECEIVERS = {
         lambda s: 8 * s.k * s.d, lambda s: s.nearest(s.u, s.k)),
     # the K x n_r complex sums with their real form and the K x d x 2**b
     # float64 table, with the larger of its build (a block of cdf_chunk rows
-    # of CDF arguments: a float64 copy, a list of floats and the results)
-    # and its gather (K x d int32 cell offsets, the U x K x d int32 index
-    # and float64 likelihoods, and their U x K sums)
+    # of CDF arguments: their float64 array, a list of floats and the
+    # results) and its gather (the U x d intp table columns, the K x U x d
+    # float64 likelihoods and their K x U sums)
     "mld": _Receiver(
         "channel", lambda c, rows, _: baselines.detect_mld_batch(rows, *c),
         lambda s: 0, lambda s: 8 * s.k * s.d * (s.edges + 3) + max(
             40 * s.edges * min(s.k * s.d, baselines.cdf_chunk(s.edges)),
-            4 * s.k * s.d + 12 * s.u * s.k * s.d + 8 * s.u * s.k)),
+            8 * s.u * s.d + 8 * s.u * s.k * s.d + 8 * s.u * s.k)),
     # the U x n_r complex rows reassembled from the values, their U x n_t
     # soft estimates and U x n_t x M complex differences from the
     # constellation points with their float64 magnitudes
@@ -394,7 +396,7 @@ class ExperimentConfig:
         # without the symbols: its levels and three intp arrays of N ids
         # (data indices, distinct ids, decided copy) and its U distinct rows
         # as levels and float64 values, with the larger of the largest
-        # decision and the error count's N intp quotient differences
+        # decision and the error count's N intp XOR and antenna digits
         levels = s.w * s.n * s.d
         transmit = (levels + 8 * s.n + 16 * s.n * s.n_t
                     + s.noise(s.n, s.n_r, s.n_r))
@@ -601,19 +603,23 @@ def _error_counts(decided: np.ndarray, sent: np.ndarray, m: int,
                   n_t: int) -> tuple[int, ...]:
     """Symbol errors, symbol trials, vector errors and vector trials of the
     decided symbol indices against the sent ones, in the book of n_t
-    antennas with ``m`` points each. An index's base-m digits are its
-    antennas' points (:func:`~quantmimo.core.enumerate_symbols`), and two
-    indices share the point of place p iff their quotients by p differ by a
-    multiple of m: one intp array per antenna, and no symbol vector."""
+    antennas with ``m`` points each, m a power of two (2 or 4). An index's
+    base-m digits are its antennas' points
+    (:func:`~quantmimo.core.enumerate_symbols`), so the point of place p is
+    bits log2(m) p onward of the index, and two indices share it iff
+    ``(diff >> log2(m) p) & (m - 1)`` is 0, with ``diff`` their XOR: one
+    intp array per antenna next to the XOR, no division and no symbol
+    vector."""
+    diff = np.bitwise_xor(decided, sent)
+    width = m.bit_length() - 1
     symbol_errors = 0
-    for place in m ** np.arange(n_t):
-        shift = decided // place
-        shift -= sent // place
-        shift %= m
-        symbol_errors += int(np.count_nonzero(shift))
-        del shift  # before the next antenna's quotients are made
-    return (symbol_errors, sent.size * n_t,
-            int(np.count_nonzero(decided != sent)), sent.size)
+    for place in range(n_t):
+        digit = diff >> (width * place)
+        digit &= m - 1
+        symbol_errors += int(np.count_nonzero(digit))
+        del digit  # before the next antenna's digits are made
+    return (symbol_errors, sent.size * n_t, int(np.count_nonzero(diff)),
+            sent.size)
 
 
 def _channel_counts(cfg, qcfg, book, h, rng, books=None, *,

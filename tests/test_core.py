@@ -174,6 +174,53 @@ def _int64_quantize_levels(x, cfg):
     return np.clip(cells + 1.0, 0, cfg.n_levels - 1).astype(np.int64)
 
 
+@pytest.mark.parametrize("bits", [1, 2, 3, 8])
+@pytest.mark.parametrize("step", [0.3, 0.5, 1.0, 2.0, 4.0])
+def test_quantizer_edges_equal_int64_oracle(monkeypatch, bits, step):
+    # every finite cell edge with one ulp either side, the signed zeros and
+    # infinities, the largest floats, and the smallest subnormals: -5e-324,
+    # whose quotient rounds to -0.0 at steps 2 and 4, and -1e-323, whose
+    # quotient does at step 4. quantize_levels with and without out= (whole
+    # and strided, in one block and in blocks of 7 values) and noise-free
+    # noisy_levels give the levels of the unblocked int64 kernel
+    cfg = QuantizerConfig(bits=bits, step=step)
+    edges = core.cell_edges(cfg)[0][1:]
+    tiny = 5e-324
+    x = np.concatenate([
+        np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf),
+        [0.0, -0.0, np.inf, -np.inf, np.finfo(float).max,
+         -np.finfo(float).max, tiny, -tiny, 2 * tiny, -2 * tiny, -3 * tiny]])
+    n = len(x)
+    clean = np.empty((n, 1), dtype=complex)
+    clean.real[:, 0], clean.imag[:, 0] = x, x[::-1]
+    # the largest floats overflow the quotient to +-inf at steps below 1
+    with np.errstate(over="ignore"):
+        want = _int64_quantize_levels(x, cfg)
+        if bits == 1 and step >= 2.0:
+            assert want[[-4, -2, -1]].tolist() == [1, int(step == 4.0), 0]
+        for values in (7, n):
+            monkeypatch.setattr(core, "_QUANTIZE_VALUES", values)
+            assert np.array_equal(core.quantize_levels(x, cfg), want)
+            wide = np.zeros((n, 3), dtype=cfg.level_dtype)
+            for out in (np.zeros(n, dtype=cfg.level_dtype), wide[:, 1]):
+                assert core.quantize_levels(x, cfg, out=out) is out
+                assert np.array_equal(out, want)
+            assert not wide[:, ::2].any()
+            levels = core.noisy_levels(
+                lambda rows: clean[rows], clean.shape, 0.0, None, cfg)
+            assert np.array_equal(
+                levels, np.stack([want, want[::-1]], axis=1))
+
+
+def test_quantize_levels_rejects_a_mismatched_out():
+    cfg = QuantizerConfig(bits=2, step=0.5)
+    x = np.zeros((3, 4))
+    for out in (np.empty((3, 4), dtype=np.int64), np.empty((4, 3), np.uint8),
+                np.empty(12, np.uint8)):
+        with pytest.raises(ValueError, match="out must have shape"):
+            core.quantize_levels(x, cfg, out=out)
+
+
 @pytest.mark.parametrize("bits", [1, 2, 3])
 @pytest.mark.parametrize("zero_imag", [False, True])
 @pytest.mark.parametrize("sigma2", [0.0, 0.7])
@@ -658,8 +705,8 @@ def test_distinct_rows_of_no_rows():
 def test_distinct_rows_code_table_equals_byte_sort(
         dtype, radix, d, low, rows_per_code, strided, seed):
     # entries in [low, low + radix), with fewer or more rows than the
-    # radix**d possible ones, so both sides of distinct_rows' switch and
-    # zero rows occur
+    # radix**d possible ones, and zero rows; at radix**d <= 1 024
+    # distinct_rows takes the code table for every one of them
     info = np.iinfo(dtype)
     low = min(max(low, info.min), info.max - radix + 1)
     n = int(rows_per_code * radix ** d)

@@ -213,24 +213,24 @@ def test_peak_bytes_estimate_and_budget():
     # 80 x 16 float64 count matrix), the 500 rows' uint8 levels and three
     # intp ids, and the at most 2**8 = 256 distinct rows' uint8 levels and
     # float64 values; then the largest decision, as the detectors run one
-    # after another: MLD's 16 x 4 complex sums and 16 x 8 real form with
-    # its 16 x 8 x 2 float64 likelihood table and, more than the CDF block
-    # that builds the table, its 16 x 8 int32 cell offsets, the
-    # 256 x 16 x 8 int32 index and float64 gather and their 256 x 16 sums;
-    # that is more than eMLD's 256 x 80 int64 distances with their bool and
-    # float64 neighbor masks and its 256 x 16 scores, more than MCD's
-    # center norms, 256 decisions and one 256 x 16 block of scores with its
-    # row norms and their subtraction's 4 096-value ufunc buffer, and more
-    # than the transmission
-    mld_decide = (16 * 16 * 8 + 8 * 16 * 8 * 2 + 4 * 16 * 8
-                  + 12 * 256 * 16 * 8 + 8 * 256 * 16)
-    assert mld_decide > max(
-        17 * 256 * 80 + 8 * 256 * 16,
+    # after another: eMLD's 256 x 80 int64 distances with their bool and
+    # float64 neighbor masks and its 256 x 16 scores; that is more than
+    # MLD's 16 x 4 complex sums and 16 x 8 real form with its 16 x 8 x 2
+    # float64 likelihood table and, more than the CDF block that builds
+    # the table, its 256 x 8 intp table columns, the 16 x 256 x 8 float64
+    # gather and their 16 x 256 sums, more than MCD's center norms, 256
+    # decisions and one 256 x 16 block of scores with its row norms and
+    # their subtraction's 4 096-value ufunc buffer, and more than the
+    # transmission
+    emld_decide = 17 * 256 * 80 + 8 * 256 * 16
+    assert emld_decide > max(
+        16 * 16 * 8 + 8 * 16 * 8 * 2 + 8 * 256 * 8 + 8 * 256 * 16 * 8
+        + 8 * 256 * 16,
         8 * (16 + 256 + 256 * (16 + 1) + 256 * 16))
     assert mld.peak_bytes() == (
         16 * 16 * 2 + harness._SMALL_BYTES
         + 8 * 16 * 8 + 80 * 8 + 8 * (80 + 80) + 8 * 80 * (8 + 16)
-        + 500 * (8 + 24) + 256 * 9 * 8 + mld_decide)
+        + 500 * (8 + 24) + 256 * 9 * 8 + emld_decide)
     for n_t in (12, 40):
         with pytest.raises(ConfigError, match=f"n_t={n_t}"):
             _cfg(n_t=n_t).validate_for_ser()
@@ -391,7 +391,7 @@ def test_peak_bytes_bounds_traced_data_phase_peak(n_t, modulation, snr_db):
     # one-bit MCD over n_r = 2 with 200 000 data vectors, trained from a
     # short implicit frame: the batch holds at most 16 distinct rows, so
     # its transmission (the symbols and a noise chunk) is the peak at
-    # n_t >= 2, and the error count (its intp quotient differences) at
+    # n_t >= 2, and the error count (its intp XOR and antenna digits) at
     # n_t = 1, whether most decisions are wrong (-20 dB) or few (5 dB)
     cfg = ExperimentConfig(
         n_t=n_t, n_r=2, bits=1, modulation=modulation, snr_grid_db=(snr_db,),
@@ -1501,19 +1501,23 @@ def _vector_error_counts(x_det, x_true):
 
 
 @settings(max_examples=40, deadline=None)
-@given(modulation=st.sampled_from(["bpsk", "qpsk"]), n_t=st.integers(1, 3),
+@given(modulation=st.sampled_from(["bpsk", "qpsk"]), n_t=st.integers(1, 6),
        bits=st.integers(1, 3), snr_db=st.floats(-5.0, 30.0),
        seed=st.integers(0, 2**32 - 1))
 def test_index_error_counts_equal_vector_comparison(
         modulation, n_t, bits, snr_db, seed):
-    # random, ZF and SIC decisions
+    # random, ZF and SIC decisions, up to the K = 4096 books of the full
+    # search; the random ones pair the first and last indices 0 and K - 1
+    # with themselves and with each other
     rng = np.random.default_rng(seed)
     c = core.constellation(modulation)
     book = core.enumerate_symbols(c, n_t)
     qcfg = core.QuantizerConfig(bits, 0.5)
     h = core.sample_channel(n_t + 1, n_t, rng)
     sigma2 = core.snr_db_to_sigma2(snr_db, n_t)
+    last = book.size - 1
     sent = rng.integers(0, book.size, size=60)
+    sent[:4] = 0, last, 0, last
     values = core.level_values(core.transmit_batch(
         h, book.vectors[sent], sigma2, qcfg, rng), qcfg)
     n_t1 = int(rng.integers(1, n_t + 1))
@@ -1522,6 +1526,7 @@ def test_index_error_counts_equal_vector_comparison(
     first_stage = sic.learn_first_stage(plan, sigma2, 1, *books, qcfg)
     guessed = np.where(rng.random(60) < 0.5, sent,
                        rng.integers(0, book.size, size=60))
+    guessed[:4] = 0, last, last, 0
     for decided in (guessed, baselines.detect_zf_batch(values, h, c),
                     sic.detect_sic_batch(values, plan, first_stage, *books)):
         assert harness._error_counts(decided, sent, c.size, n_t) == (
