@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -142,7 +141,7 @@ class QuantizerConfig:
     def r_low(self) -> float:
         return (-(1 << (self.bits - 1)) + 1) * self.step
 
-    @cached_property
+    @property
     def level_dtype(self) -> np.dtype:
         """Narrowest unsigned integer dtype holding every level index."""
         return np.min_scalar_type(self.n_levels - 1)
@@ -153,18 +152,14 @@ class QuantizerConfig:
         return offsets * self.step
 
 
-def quantize_levels(
-    x, cfg: QuantizerConfig, out: np.ndarray | None = None
-) -> np.ndarray:
+def quantize_levels(x, cfg: QuantizerConfig) -> np.ndarray:
     """Vectorized quantizer returning level indices in [0, 2**bits).
 
     The levels have ``cfg.level_dtype``, the narrowest unsigned integer type
     that holds them (uint8 up to 8 bits). Saturates below the lowest and
     at/above the highest decision threshold; inputs exactly on a threshold
     land in the upper cell (so 0 maps to the smallest positive output). The
-    input is never modified. ``out``, if given, is an array of the input's
-    shape and ``cfg.level_dtype`` (a view is fine) that receives the levels
-    and is returned.
+    input is never modified.
 
     The input is copied into one float64 scratch of :func:`quantize_scratch`
     values, a block of leading-axis rows at a time, and quantized there, so
@@ -176,24 +171,17 @@ def quantize_levels(
     The level is ``floor((x - r_low) / step) + 1`` clipped to
     [0, 2**bits - 1]. At one bit r_low is 0, so the level is 1 exactly
     where the quotient ``x / step`` is >= 0: the quotient, not x, is
-    compared, so a subnormal x whose quotient rounds to -0.0 (possible only
-    at step > 1) stays in the upper cell. At step <= 1 every nonzero
-    quotient is at least as large as x in magnitude, so x itself is
-    compared, uncopied.
+    compared, so a subnormal x whose quotient rounds to -0.0 (possible at
+    step > 1) stays in the upper cell.
     """
     x = np.asarray(x, dtype=float)
     # NaN propagates through min, so one reduction finds it
     if x.size and np.isnan(x.min()):
         raise ValueError("cannot quantize NaN samples")
-    if out is None:
-        out = np.empty(x.shape, dtype=cfg.level_dtype)
-    elif out.shape != x.shape or out.dtype != cfg.level_dtype:
-        raise ValueError(
-            f"out must have shape {x.shape} and dtype {cfg.level_dtype}, "
-            f"not {out.shape} and {out.dtype}")
+    levels = np.empty(x.shape, dtype=cfg.level_dtype)
     scratch = np.empty(quantize_scratch(x.size))
-    _quantize_rows(*np.atleast_1d(x, out), scratch, cfg)
-    return out
+    _quantize_rows(*np.atleast_1d(x, levels), scratch, cfg)
+    return levels
 
 
 def quantize_scratch(values: int) -> int:
@@ -216,12 +204,9 @@ def _quantize_rows(rows, out, scratch, cfg: QuantizerConfig) -> None:
         dest = out[start:start + step]
         cells = scratch[:block.size].reshape(block.shape)
         if cfg.bits == 1:
-            # r_low is 0 and x - 0.0 is x; at step <= 1 no nonzero x has a
-            # zero quotient, so x has the quotient's sign. uint8 levels
-            # take bools as 0 or 1
-            quotient = block if cfg.step <= 1.0 else np.divide(
-                block, cfg.step, out=cells)
-            np.greater_equal(quotient, 0.0, out=dest.view(np.bool_))
+            # r_low is 0 and x - 0.0 is x; uint8 levels take bools as 0 or 1
+            np.divide(block, cfg.step, out=cells)
+            np.greater_equal(cells, 0.0, out=dest.view(np.bool_))
             continue
         np.subtract(block, cfg.r_low, out=cells)
         cells /= cfg.step
@@ -297,19 +282,12 @@ def _distinct_by_code(
     """:func:`distinct_rows` of a matrix whose entries lie in
     [lo, lo + radix): each row is one base-``radix`` integer, and the first
     row of each code is its minimum row index in a table of radix**d slots.
-    O(rows + radix**d), with no sort. The codes are summed in the levels'
-    own dtype where every partial sum fits it (one-bit levels of up to 8
-    columns in uint8), else in intp, so the levels are never widened as a
-    whole."""
+    O(rows + radix**d), with no sort. The codes are summed in intp, so the
+    levels are never widened as a whole."""
     n, d = rows.shape
     weights = radix ** np.arange(d - 1, -1, -1, dtype=np.intp)
-    total = int(weights.sum())
-    if max(-lo, lo + radix - 1) * total <= np.iinfo(rows.dtype).max:
-        # every partial sum fits the levels' own dtype: one product in it
-        codes = (rows @ weights.astype(rows.dtype)).astype(np.intp)
-    else:
-        codes = np.einsum("nd,d->n", rows, weights)
-    codes -= lo * total
+    codes = np.einsum("nd,d->n", rows, weights)
+    codes -= lo * int(weights.sum())
     table = np.full(radix ** d, n, dtype=np.intp)
     np.minimum.at(table, codes, np.arange(n))
     first = np.sort(table[table < n])
@@ -485,10 +463,9 @@ def noisy_levels(
     is added and the chunk is quantized; consecutive fills of a generator
     give the stream of one fill, so the levels do not depend on the chunk
     size. :func:`quantize_levels` reads the buffer through its own bounded
-    float scratch and writes the part's levels into one level scratch of a
-    chunk, allocated once per call, from which each row's n_r levels are
-    copied into their half of the level matrix as one item. So a chunk adds
-    no float copy of the buffer. sigma2 == 0 draws nothing, needs no
+    float scratch, so a chunk adds no float copy of the buffer, only the
+    chunk's narrow levels, whose n_r levels per row are copied into their
+    half of the level matrix as one item. sigma2 == 0 draws nothing, needs no
     generator and allocates no buffer: it quantizes the clean chunks the
     same way.
     """
@@ -506,11 +483,8 @@ def noisy_levels(
     halves = levels.view(np.dtype((np.void, n_r * levels.itemsize)))
     row_values = math.prod(shape[1:])
     chunks = list(row_blocks(rows, 8 * row_values, _NOISE_BYTES))
-    chunk_rows = noise_chunk(rows, row_values)
     if sigma2:
-        buffer = np.empty((chunk_rows,) + shape[1:])
-    # one part's levels of a chunk, before they are placed in their halves
-    part_levels = np.empty((chunk_rows,) + shape[1:], dtype=cfg.level_dtype)
+        buffer = np.empty((noise_chunk(rows, row_values),) + shape[1:])
     scale = math.sqrt(sigma2 / 2.0)
     sums = formed = None
     for block, part in enumerate(("real", "imag")):
@@ -529,8 +503,8 @@ def noisy_levels(
                 signal += getattr(sums, part)
             else:
                 signal = np.broadcast_to(getattr(sums, part), (n,) + shape[1:])
-            dest = quantize_levels(signal, cfg, out=part_levels[:n])
-            halves[chunk, ..., block] = dest.view(halves.dtype)[..., 0]
+            halves[chunk, ..., block] = (
+                quantize_levels(signal, cfg).view(halves.dtype)[..., 0])
     return levels
 
 

@@ -96,10 +96,10 @@ class _Sizes:
     def noise(self, rows: int, row_values: int, clean_values: int) -> int:
         """The largest ``core.noisy_levels`` chunk of ``rows`` rows of
         ``row_values`` noise values and ``clean_values`` complex noiseless
-        values: its float64 buffer and the level scratch of one part, with
-        its complex noiseless part, which is held while both parts are
-        quantized (the previous chunk's is let go before it is formed), and
-        the quantizer's float scratch."""
+        values: its float64 buffer, the levels of one part, its complex
+        noiseless part, which is held while both parts are quantized (the
+        previous chunk's is let go before it is formed), and the quantizer's
+        float scratch."""
         chunk_rows = noise_chunk(rows, row_values)
         chunk = chunk_rows * row_values
         return ((8 + self.w) * chunk + 16 * chunk_rows * clean_values
