@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    QuantizerConfig, SymbolBook, level_sqdist, normal_cdf, real_components,
+    QuantizerConfig, SymbolBook, normal_cdf, real_components, sqdist,
     transmit_batch)
 
 # beyond this many ADC samples the binomial tail terms are evaluated in
@@ -49,14 +49,14 @@ def build_codebook(
 
 def compute_dmin(codebook: np.ndarray) -> int:
     """Minimum Hamming distance between two rows of a one-bit codebook
-    level matrix, the smallest off-diagonal ``level_sqdist``; 0 means
+    level matrix, the smallest off-diagonal ``core.sqdist``; 0 means
     channel ambiguity."""
     size = len(codebook)
     if size < 2:
         raise ValueError("d_min needs at least two codewords")
-    d = level_sqdist(codebook, codebook)
+    d = sqdist(codebook, codebook)
     # the diagonal is pushed above every distance, in place
-    np.fill_diagonal(d, np.iinfo(d.dtype).max)
+    np.fill_diagonal(d, np.inf)
     return int(d.min())
 
 
@@ -140,36 +140,33 @@ def _binomial_band(n_samples: int, lo: int, hi: int, p_eq: float) -> float:
     return math.exp(top) * math.fsum(np.exp(log_terms - top).tolist())
 
 
-def _require_bpsk(book: SymbolBook) -> None:
-    points = set(book.constellation.points)
-    if points != {1 + 0j, -1 + 0j}:
-        raise ValueError("minimum-distance distribution requires BPSK symbols")
-
-
-def dmin_ccdf_approx(n_t: int, n_r: int, n: int, book: SymbolBook) -> float:
+def dmin_ccdf_approx(n_t: int, n_r: int, n: int) -> float:
     """Approximate P(d_min >= n) over Rayleigh channels, BPSK signalling.
 
     Treats the pairwise sign-agreement events of the first-half symbol pairs
-    as independent; exact for two transmit antennas. Values of n beyond n_r
-    are impossible and return 0.
+    as independent; exact for two transmit antennas. First-half symbols i
+    and j (``core.enumerate_symbols`` order) differ in the antennas of the
+    set bits of i ^ j. With n_t >= 2, x agrees with exactly one of x' and
+    -x' in every output, so values of n beyond n_r are impossible and
+    return 0; with n_t = 1 the only pair, x and -x, is 2 n_r apart.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    _require_bpsk(book)
-    if book.n_t != n_t or book.size != 2**n_t:
-        raise ValueError("symbol book does not match n_t")
+    if n < 0 or n_t < 1:
+        raise ValueError("n must be non-negative and n_t positive")
     if n == 0:
         return 1.0
-    if n > n_r:
+    if n > (2 * n_r if n_t == 1 else n_r):
         return 0.0
-    half = book.size // 2
-    signs = book.vectors.real[:half]
+    # the band of each pair distance delta in [1, n_t) once, multiplied in
+    # pair order
+    bands = [0.0] + [
+        _binomial_band(
+            2 * n_r, n, 2 * n_r - n, sign_match_probability(n_t, delta))
+        for delta in range(1, n_t)]
+    half = 1 << (n_t - 1)
     result = 1.0
     for i in range(half):
         for j in range(i + 1, half):
-            delta = int(np.sum(signs[i] != signs[j]))
-            p_eq = sign_match_probability(n_t, delta)
-            result *= _binomial_band(2 * n_r, n, 2 * n_r - n, p_eq)
+            result *= bands[(i ^ j).bit_count()]
     return result
 
 

@@ -23,6 +23,7 @@ from .core import (
     level_values,
     normal_cdf,
     real_components,
+    row_blocks,
 )
 
 _LOG_FLOOR = 1e-300
@@ -30,13 +31,6 @@ _LOG_FLOOR = 1e-300
 # Largest block of cell-edge arguments (float64 values) that the MLD table
 # passes through normal_cdf at once, as one Python list.
 _CDF_VALUES = 1 << 12
-
-
-def cdf_chunk(edges: int) -> int:
-    """Table rows per block of :func:`mld_log_likelihoods`' CDF calls: as
-    many rows of ``edges`` finite cell edges as ``_CDF_VALUES`` holds, and
-    at least one."""
-    return max(1, _CDF_VALUES // edges)
 
 
 def random_pilots(
@@ -99,11 +93,12 @@ def mld_log_likelihoods(
     K x N sums.
 
     The table holds the CDF at each finite cell edge, K*d*(2**bits - 1)
-    calls of :func:`normal_cdf`, evaluated in blocks of :func:`cdf_chunk`
-    rows. Each block's arguments are formed as one contiguous array, not in
-    the table's strided finite-edge columns, and its results are written
-    into those columns; the infinite edges of the end cells are exactly 0
-    and 1.
+    calls of :func:`normal_cdf`, evaluated in the near-equal
+    :func:`~quantmimo.core.row_blocks` of table rows that ``_CDF_VALUES``
+    arguments hold (at least one row). Each block's arguments are formed as
+    one contiguous array, not in the table's strided finite-edge columns,
+    and its results are written into those columns; the infinite edges of
+    the end cells are exactly 0 and 1.
     Each cell probability is then the difference of its upper and lower
     edge terms, written in place, so the table is the only array of its
     size. Each call costs 0.2-0.4 µs, so a table of 10**6 edges takes
@@ -123,12 +118,11 @@ def mld_log_likelihoods(
     table = np.empty((k * d, cfg.n_levels))
     table[:, -1] = 1.0
     components = g.reshape(-1)
-    rows = cdf_chunk(edges.size)
-    for start in range(0, k * d, rows):
+    for rows in row_blocks(k * d, 8 * edges.size, 8 * _CDF_VALUES, least=1):
         # one contiguous block of arguments, whose CDFs fill the table rows
-        args = np.subtract(edges, components[start:start + rows, None])
+        args = np.subtract(edges, components[rows, None])
         args /= scale
-        table[start:start + rows, :-1] = np.fromiter(
+        table[rows, :-1] = np.fromiter(
             map(normal_cdf, args.ravel().tolist()), float, args.size
         ).reshape(args.shape)
     # cell probability cdf(upper) - cdf(lower), top cell first so each

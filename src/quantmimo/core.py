@@ -191,17 +191,16 @@ def quantize_scratch(values: int) -> int:
 
 
 def _quantize_rows(rows, out, scratch, cfg: QuantizerConfig) -> None:
-    """Quantize ``rows`` into ``out`` through ``scratch``, as many
-    leading-axis rows at a time as it holds, each longer row on its own."""
+    """Quantize ``rows`` into ``out`` through ``scratch``, in the
+    :func:`row_blocks` of leading-axis rows it holds, longer rows alone."""
     row_values = math.prod(rows.shape[1:])
     if row_values > len(scratch):
         for row, dest in zip(rows, out):
             _quantize_rows(row, dest, scratch, cfg)
         return
-    step = max(1, len(scratch) // max(1, row_values))
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        dest = out[start:start + step]
+    for part in row_blocks(len(rows), 8 * row_values, 8 * len(scratch),
+                           least=1):
+        block, dest = rows[part], out[part]
         cells = scratch[:block.size].reshape(block.shape)
         if cfg.bits == 1:
             # r_low is 0 and x - 0.0 is x; uint8 levels take bools as 0 or 1
@@ -308,25 +307,30 @@ def _distinct_by_sort(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse]
 
 
-def level_sqdist(levels: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Exact integer squared distance between every row of ``levels`` and
-    every row of ``other``, two level matrices; one row per row of
-    ``levels``. On one-bit levels this is the Hamming distance.
+def sqdist(a, t) -> np.ndarray:
+    """Squared distances in float64 between every row of ``a`` and every
+    row of ``t``, one row per row of ``a``, expanded as
+    (-2 a.t + |a|^2) + |t|^2: one BLAS product and no difference array.
 
-    The distances are expanded as |a|^2 - 2 a.t + |t|^2 in float64, so the
-    cross term is one BLAS product. With b <= 8 bits and d <= 64 each
-    product is an integer below 2**16 and each term and partial sum one
-    below 2**24 in magnitude, so every float operation is exact in any
-    summation order and the cast back to int64 is too; no difference array
-    is built.
+    On values the terms round as floats do. On b-bit level rows of d
+    columns every term and partial sum is an integer of magnitude at most
+    2 d (2**b - 1)**2, so while that is at most 2**53 (:func:`sqdist_exact`)
+    the distances are exact integers in any summation order: at one bit,
+    Hamming distances.
     """
-    a = np.asarray(levels, dtype=float)
-    t = np.asarray(other, dtype=float)
+    a = np.asarray(a, dtype=float)
+    t = np.asarray(t, dtype=float)
     d2 = a @ t.T
     d2 *= -2.0
     d2 += np.einsum("nd,nd->n", a, a)[:, None]
     d2 += np.einsum("sd,sd->s", t, t)
-    return d2.astype(np.int64)
+    return d2
+
+
+def sqdist_exact(bits: int, d: int) -> bool:
+    """Whether :func:`sqdist` gives exact integers on ``bits``-bit level
+    rows of ``d`` columns: 2 d (2**bits - 1)**2 <= 2**53."""
+    return 2 * d * ((1 << bits) - 1) ** 2 <= 1 << 53
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@ symbol-vector index.
 
 eMLD scores each symbol by the total empirical probability of the trained
 vectors nearest to the observation, in exact integer squared distances of
-level indices (``core.level_sqdist``); MMD by the PMF-weighted mean of their
+level indices (``core.sqdist``); MMD by the PMF-weighted mean of their
 roots times the step Δ; MCD by the distance of the output values (scaled
 levels) to one centroid per symbol. Only eMLD, whose scores are integers,
 resolves ties to the smallest index exactly. MCD and MMD rank symbols by
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import level_sqdist, row_blocks
+from .core import row_blocks, sqdist
 from .training import EmpiricalModel
 
 
@@ -49,7 +49,7 @@ def detect_emld_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     product.
     """
     trained_levels, count_matrix = model.support_arrays
-    d2 = level_sqdist(np.atleast_2d(levels), trained_levels)
+    d2 = sqdist(np.atleast_2d(levels), trained_levels)
     neighbor_mask = d2 == d2.min(axis=1, keepdims=True)
     scores = neighbor_mask.astype(float) @ count_matrix
     return np.argmax(scores, axis=1)
@@ -59,7 +59,7 @@ def detect_mmd_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     """Minimum-mean-distance detection of each level-matrix row."""
     trained_levels, count_matrix = model.support_arrays
     dist = model.cfg.step * np.sqrt(
-        level_sqdist(np.atleast_2d(levels), trained_levels))
+        sqdist(np.atleast_2d(levels), trained_levels))
     # multiplicities instead of probabilities: the 1/L factor is common to
     # every symbol and cannot change the argmin
     scores = dist @ count_matrix
@@ -93,25 +93,17 @@ def centroids(model: EmpiricalModel) -> CentroidBook:
 def nearest_center(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center row for each float row of ``values``.
 
-    The squared distances are expanded as |v|^2 - 2 v.c + |c|^2, so rounding
-    can misorder near ties. The center norms are computed once, and the rows
-    are scored in the near-equal ``core.row_blocks`` of K float64 scores per
-    row, each of which gives the whole product's rows bit for bit. A block's
-    product ``v.c`` is doubled in place, which is exact (barring overflow),
-    so it has the bits of ``(2 v).c``, and it becomes the distances in
-    place: one block is the only array of that size, whatever N, and no copy
-    of ``values`` is made. MCD and stage one of SIC share this kernel.
+    The rows are scored in the near-equal ``core.row_blocks`` of K float64
+    distances per row, one :func:`~quantmimo.core.sqdist` call per block,
+    so one block is the only array of that size, whatever N, and no copy
+    of ``values`` is made. Each block's product gives the whole product's
+    rows bit for bit, so the decisions are those of the whole expansion,
+    whose rounding can misorder near ties. MCD and stage one of SIC share
+    this kernel.
     """
-    center_norms = np.einsum("kd,kd->k", centers, centers)
     nearest = np.empty(len(values), dtype=np.intp)
     for rows in row_blocks(len(values), 8 * len(centers)):
-        block = values[rows]
-        d2 = block @ centers.T
-        d2 *= 2.0
-        np.subtract(np.einsum("nd,nd->n", block, block)[:, None], d2, out=d2)
-        d2 += center_norms
-        nearest[rows] = np.argmin(d2, axis=1)
-        del d2  # before the next block's product is made
+        nearest[rows] = np.argmin(sqdist(values[rows], centers), axis=1)
     return nearest
 
 

@@ -34,6 +34,7 @@ from .core import (
     quantize_scratch,
     sample_channel,
     snr_db_to_sigma2,
+    sqdist_exact,
     transmit_batch,
 )
 
@@ -107,9 +108,9 @@ class _Sizes:
 
     def nearest(self, rows: int, centers: int) -> int:
         """One ``detection.nearest_center`` call on ``rows`` rows: the
-        center norms, the rows' decisions and one block of scores, which
-        become the distances in place, with its row norms and the ufunc
-        buffer of their broadcast subtraction."""
+        rows' decisions and one block's ``core.sqdist``: its products, which
+        become the distances in place, with the center and row norms and
+        the ufunc buffer of the broadcast row-norm addition."""
         block = block_rows(rows, 8 * centers)
         return 8 * (centers + rows + block * (centers + 1)
                     + min(block * centers, np.getbufsize()))
@@ -135,11 +136,10 @@ def _support_held(s: _Sizes) -> int:
 
 def _support_work(s: _Sizes) -> int:
     # the largest of the cached arrays' build (the K L intp cells and the
-    # float64 ones summed into the count matrix), the level-distance kernel
-    # (U x d float64 operand, U x S float64 distances and their int64 cast)
-    # and eMLD's U x S bool and float64 masks next to the distances, with
-    # the U x K scores of its product (and MMD's)
-    return max(16 * s.k * s.l, 8 * s.u * s.d + 16 * s.u * s.s,
+    # float64 ones summed into the count matrix), core.sqdist (U x d float64
+    # operand, U x S distances) and eMLD's U x S bool and float64 masks
+    # next to the distances, with the U x K scores of its product (and MMD's)
+    return max(16 * s.k * s.l, 8 * s.u * s.d + 8 * s.u * s.s,
                17 * s.u * s.s + 8 * s.u * s.k)
 
 
@@ -178,14 +178,15 @@ _RECEIVERS = {
         lambda book, _, values: detection.detect_mcd_batch(values, book),
         lambda s: 8 * s.k * s.d, lambda s: s.nearest(s.u, s.k)),
     # the K x n_r complex sums with their real form and the K x d x 2**b
-    # float64 table, with the larger of its build (a block of cdf_chunk rows
-    # of CDF arguments: their float64 array, a list of floats and the
+    # float64 table, with the larger of its build (one row block of
+    # CDF arguments: their float64 array, a list of floats and the
     # results) and its gather (the U x d intp table columns, the K x U x d
     # float64 likelihoods and their K x U sums)
     "mld": _Receiver(
         "channel", lambda c, rows, _: baselines.detect_mld_batch(rows, *c),
         lambda s: 0, lambda s: 8 * s.k * s.d * (s.edges + 3) + max(
-            40 * s.edges * min(s.k * s.d, baselines.cdf_chunk(s.edges)),
+            40 * s.edges * block_rows(s.k * s.d, 8 * s.edges,
+                                      8 * baselines._CDF_VALUES, least=1),
             8 * s.u * s.d + 8 * s.u * s.k * s.d + 8 * s.u * s.k)),
     # the U x n_r complex rows reassembled from the values, their U x n_t
     # soft estimates and U x n_t x M complex differences from the
@@ -480,6 +481,11 @@ class ExperimentConfig:
             if self.pilot_slots() < self.n_t:
                 raise ConfigError(
                     "ls channel estimation needs t_t >= n_t pilot slots")
+        support = [d for d in self.detectors if _RECEIVERS[d].reads == "model"]
+        if support and not sqdist_exact(self.bits, 2 * self.n_r):
+            raise ConfigError(
+                f"{' and '.join(support)}: exact level distances need 2 d "
+                f"(2**b - 1)**2 <= 2**53, not b={self.bits}, d={2 * self.n_r}")
         if self.symbol_count > 2 ** (2 * self.bits * self.n_r):
             warnings.warn(
                 "more candidate symbol vectors than distinguishable receiver "
@@ -751,12 +757,12 @@ def run_bound_validation(
         artificial_count=1)
     _require_budget(mcd_cfg, mcd_cfg.peak_bytes(), "per channel")
     # analysis.geometry: the K x d uint8 codebook with the two K x d float64
-    # operands of core.level_sqdist, its K x K float64 distances and their
-    # int64 cast; before and after those, at most three arrays of 16 K n_r
+    # operands of core.sqdist and its K x K float64 distances; before and
+    # after those, at most three arrays of 16 K n_r
     # bytes (the noiseless sums, their real form and its magnitudes)
     k, d = cfg.symbol_count, 2 * cfg.n_r
     _require_budget(
-        cfg, 16 * k * k + 17 * k * d + 48 * k * cfg.n_r + _SMALL_BYTES,
+        cfg, 8 * k * k + 17 * k * d + 48 * k * cfg.n_r + _SMALL_BYTES,
         "per channel")
     if k > 2 ** d:
         raise ConfigError(
@@ -887,13 +893,12 @@ def run_ccdf_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     _require_budget(cfg, 8 * n + t * tile + _SMALL_BYTES, f"for {n} channels")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     samples = sample_dmin(cfg.n_t, cfg.n_r, cfg.channel_count, rng)
-    book = enumerate_symbols(constellation("bpsk"), cfg.n_t)
     records = []
     for n in range(cfg.n_r + 2):
         if cfg.n_t == 2:
             analytic = analysis.dmin_ccdf_exact_2tx(cfg.n_r, n)
         else:
-            analytic = analysis.dmin_ccdf_approx(cfg.n_t, cfg.n_r, n, book)
+            analytic = analysis.dmin_ccdf_approx(cfg.n_t, cfg.n_r, n)
         hits = int((samples >= n).sum())
         records.append(ResultRecord(
             snr_db=None,

@@ -25,6 +25,7 @@ from .core import (
     SymbolBook,
     distinct_rows,
     noisy_levels,
+    sqdist_exact,
     vectors_from_levels,
 )
 
@@ -94,7 +95,10 @@ class EmpiricalModel:
         ``levels`` is S x d, in first-seen order over the trained rows, and
         ``count_matrix`` is S x K with the per-symbol multiplicities (at most
         L); column k divided by ``samples_per_symbol`` is the PMF of symbol k.
+        Raises ``ValueError`` unless ``core.sqdist_exact`` holds for them.
         """
+        if not sqdist_exact(self.cfg.bits, self.levels.shape[2]):
+            raise ValueError("core.sqdist is not exact on these levels")
         first, ids = self._row_ids
         # row i of symbol k counts at flat position i * K + k
         cells = ids.reshape(self.size, -1) * self.size

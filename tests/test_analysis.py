@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from quantmimo import analysis, core
+from quantmimo import analysis, core, harness
 from quantmimo.core import QuantizerConfig
 
 
@@ -228,20 +228,45 @@ def test_ccdf_exact_is_a_probability(n_r, n):
 
 
 def test_ccdf_approx_full_band_is_one():
-    book = core.enumerate_symbols(core.bpsk(), 3)
-    assert analysis.dmin_ccdf_approx(3, 4, 0, book) == 1.0
+    assert analysis.dmin_ccdf_approx(3, 4, 0) == 1.0
 
 
 def test_ccdf_approx_impossible_band_is_zero():
-    book = core.enumerate_symbols(core.bpsk(), 4)
-    assert analysis.dmin_ccdf_approx(4, 4, 5, book) == 0.0
+    assert analysis.dmin_ccdf_approx(4, 4, 5) == 0.0
+
+
+def test_ccdf_approx_one_antenna_pair_is_2nr_apart():
+    # with n_t = 1 the codewords of x and -x differ in all 2 n_r outputs,
+    # so d_min >= n is certain up to n = 2 n_r, past n_r too, as sampled
+    cfg = harness.ExperimentConfig(
+        n_t=1, n_r=3, bits=1, modulation="bpsk", snr_grid_db=(0.0,),
+        channel_count=20, vectors_per_channel=1, seed=1)
+    records = harness.run_ccdf_experiment(cfg)
+    assert [(r.ser, r.bound) for r in records] == [(1.0, 1.0)] * 5
+    for n_r in range(1, 6):
+        for n in range(2 * n_r + 3):
+            assert analysis.dmin_ccdf_approx(1, n_r, n) == float(n <= 2 * n_r)
+
+
+@pytest.mark.parametrize("n_t", [3, 4, 5, 6])
+def test_ccdf_approx_equals_product_over_book_pairs(n_t):
+    # one band per pair of first-half book rows, in pair order, with the
+    # pair's distance counted on the book's signs: the same floats
+    signs = core.enumerate_symbols(core.bpsk(), n_t).vectors.real
+    half = signs[:len(signs) // 2]
+    for n_r, n in [(2, 1), (4, 2), (4, 4), (40, 30)]:
+        want = 1.0
+        for i, j in itertools.combinations(range(len(half)), 2):
+            p_eq = analysis.sign_match_probability(
+                n_t, int(np.sum(half[i] != half[j])))
+            want *= analysis._binomial_band(2 * n_r, n, 2 * n_r - n, p_eq)
+        assert analysis.dmin_ccdf_approx(n_t, n_r, n) == want
 
 
 def test_ccdf_approx_reduces_to_exact_for_two_antennas():
-    book = core.enumerate_symbols(core.bpsk(), 2)
     for n_r in range(1, 9):
         for n in range(n_r + 2):
-            approx = analysis.dmin_ccdf_approx(2, n_r, n, book)
+            approx = analysis.dmin_ccdf_approx(2, n_r, n)
             exact = analysis.dmin_ccdf_exact_2tx(n_r, n)
             assert abs(approx - exact) <= 1e-12
 
@@ -273,12 +298,6 @@ def test_ccdf_exact_is_the_float_of_the_rational_sum():
             exact = sum((Fraction(math.comb(2 * n_r, k), 4**n_r)
                          for k in range(n, 2 * n_r - n + 1)), Fraction(0))
             assert analysis.dmin_ccdf_exact_2tx(n_r, n) == float(exact)
-
-
-def test_ccdf_approx_requires_bpsk():
-    book = core.enumerate_symbols(core.qpsk(), 2)
-    with pytest.raises(ValueError, match="BPSK"):
-        analysis.dmin_ccdf_approx(2, 2, 1, book)
 
 
 def test_ccdf_lower_bound_values():

@@ -429,11 +429,10 @@ def test_blocked_products_and_decisions_equal_whole_ones(k, d):
 
 def test_nearest_center_holds_one_distance_matrix():
     # MCD at K = 4096, d = 64 on a 200-row batch: seven blocks of 28 or 29
-    # rows' float64 scores, each doubled and turned into distances in place
-    # before the next is made, next to the 4096 center norms, the 200
-    # decisions, a block's row norms and the ufunc buffer of the broadcast
-    # subtraction, but no 200 x 4096 product (6.25 MiB) and no copy of the
-    # values
+    # rows' float64 products, each turned into distances in place before
+    # the next is made, next to the 4096 center norms, the 200 decisions, a
+    # block's row norms and the ufunc buffer of the broadcast addition, but
+    # no 200 x 4096 product (6.25 MiB) and no copy of the values
     rng = np.random.default_rng(8)
     values = rng.normal(size=(200, 64))
     centers = rng.normal(size=(4096, 64))
@@ -448,18 +447,35 @@ def test_nearest_center_holds_one_distance_matrix():
 
 
 @settings(max_examples=60, deadline=None)
-@given(bits=st.integers(1, 8), d=st.integers(1, 64), n=st.integers(1, 12),
+@given(bits=st.integers(1, 32), d=st.integers(1, 64), n=st.integers(1, 12),
        s=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_level_sqdist_equals_difference_tensor(bits, d, n, s, seed):
+def test_sqdist_equals_difference_tensor(bits, d, n, s, seed):
     # the BLAS expansion against the N x S x d integer differences it
-    # replaced; the first rows hold the largest possible distance
+    # replaced, up to the exactness limit; the first rows hold the largest
+    # possible distance
+    while not core.sqdist_exact(bits, d):
+        bits -= 1
     top = (1 << bits) - 1
+    dtype = core.QuantizerConfig(bits, 0.5).level_dtype
     rng = np.random.default_rng(seed)
-    levels = rng.integers(0, top + 1, size=(n, d)).astype(np.uint8)
-    trained = rng.integers(0, top + 1, size=(s, d))
+    levels = rng.integers(0, top + 1, size=(n, d), dtype=np.int64)
+    trained = rng.integers(0, top + 1, size=(s, d), dtype=np.int64)
     levels[0], trained[0] = 0, top
-    diff = levels.astype(np.int64)[:, None, :] - trained[None, :, :]
-    got = core.level_sqdist(levels, trained)
-    assert got.dtype == np.int64
+    diff = levels[:, None, :] - trained[None, :, :]
+    got = core.sqdist(levels.astype(dtype), trained.astype(dtype))
+    assert got.dtype == np.float64
     assert np.array_equal(got, np.einsum("nsd,nsd->ns", diff, diff))
     assert got[0, 0] == d * top * top
+
+
+@pytest.mark.parametrize("bits, exact", [(23, True), (24, False)])
+def test_sqdist_exactness_limit(bits, exact):
+    # rows of n_r = 32 (d = 64) levels one apart in one entry, both at the
+    # top level elsewhere: at b = 23 the distance is exactly 1, at b = 24
+    # the expansion's terms pass 2**53 and it rounds
+    top = (1 << bits) - 1
+    a = np.full((1, 64), top, dtype=np.uint32)
+    t = a.copy()
+    t[0, 0] -= 1
+    assert core.sqdist_exact(bits, 64) is exact
+    assert bool(core.sqdist(a, t)[0, 0] == 1.0) is exact

@@ -184,8 +184,8 @@ def test_peak_bytes_estimate_and_budget():
 
     # from 20 000 data vectors the data phase holds more: the centroids,
     # the batch and MCD's decision (the center norms, n decisions and one
-    # 32-row block of scores with its row norms and the ufunc buffer of
-    # their subtraction), more than the error count's n intp differences
+    # 32-row block of distances with its row norms and the ufunc buffer of
+    # their addition), more than the error count's n intp differences
     # and more than the batch's transmission: the n rows' uint8 levels and
     # data indices, their n x 6 complex symbols and a noise chunk of 2 000
     # rows (float buffer, levels, complex noiseless points and the
@@ -213,14 +213,14 @@ def test_peak_bytes_estimate_and_budget():
     # 80 x 16 float64 count matrix), the 500 rows' uint8 levels and three
     # intp ids, and the at most 2**8 = 256 distinct rows' uint8 levels and
     # float64 values; then the largest decision, as the detectors run one
-    # after another: eMLD's 256 x 80 int64 distances with their bool and
+    # after another: eMLD's 256 x 80 float64 distances with their bool and
     # float64 neighbor masks and its 256 x 16 scores; that is more than
     # MLD's 16 x 4 complex sums and 16 x 8 real form with its 16 x 8 x 2
     # float64 likelihood table and, more than the CDF block that builds
     # the table, its 256 x 8 intp table columns, the 16 x 256 x 8 float64
     # gather and their 16 x 256 sums, more than MCD's center norms, 256
-    # decisions and one 256 x 16 block of scores with its row norms and
-    # their subtraction's 4 096-value ufunc buffer, and more than the
+    # decisions and one 256 x 16 block of distances with its row norms and
+    # their addition's 4 096-value ufunc buffer, and more than the
     # transmission
     emld_decide = 17 * 256 * 80 + 8 * 256 * 16
     assert emld_decide > max(
@@ -250,7 +250,7 @@ def test_peak_bytes_estimate_and_budget():
     # 2 000 stage-one decisions and stage one, one block of all 2 000 x 62
     # projections with a nearest_center call on them (the center norms,
     # 2 000 decisions and one of 16 blocks of 125 x 1024 scores with its row
-    # norms and the ufunc buffer of their subtraction), more than stage
+    # norms and the ufunc buffer of their addition), more than stage
     # two's 2 000 decisions and one of 4 blocks of 500 observations' gather
     # against K2 = 4 candidates, and more than the transmission
     sic_2000 = dataclasses.replace(sic_split, vectors_per_channel=2_000)
@@ -679,6 +679,30 @@ def test_bound_budget_covers_traced_geometry_peak(monkeypatch, n_t, n_r):
     assert peak <= estimates[-1] <= 1.25 * peak
 
 
+@pytest.mark.parametrize("n_t, admitted", [(13, True), (14, False)])
+def test_bound_geometry_budget_is_one_float64_distance_matrix(
+        monkeypatch, n_t, admitted):
+    # analysis.geometry's K x K float64 distances, 8 K**2 bytes: at n_r = 7
+    # the estimate is about 517 MiB at n_t = 13, which reaches the channel
+    # search, and 2 057 MiB at n_t = 14, past the budget
+    class Searched(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Searched
+
+    monkeypatch.setattr(harness, "sample_channel", stop)
+    cfg = ExperimentConfig(
+        n_t=n_t, n_r=7, bits=1, modulation="bpsk", snr_grid_db=(10.0,),
+        channel_count=1, vectors_per_channel=10, seed=0, detectors=("mcd",))
+    if admitted:
+        with pytest.raises(Searched):
+            harness.run_bound_validation(cfg)
+    else:
+        with pytest.raises(ConfigError, match="about 2057 MiB per channel"):
+            harness.run_bound_validation(cfg)
+
+
 @pytest.mark.parametrize("n_t, n_r", [(10, 2), (11, 4)])
 def test_bound_rejects_more_codewords_than_outputs_before_drawing(
         monkeypatch, n_t, n_r):
@@ -975,6 +999,39 @@ def test_cli_accepts_at_most_32_bits(tmp_path, capsys, bits):
         assert status == 2 and err == "error: b must be at most 32\n"
 
 
+def test_cli_rejects_inexact_level_distances_before_drawing(
+        tmp_path, capsys, monkeypatch):
+    # at b = 30 core.sqdist rounds, and eMLD and MMD ranked wrong distances:
+    # this file ran to SER 0.5 for both, against 0 for MCD
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a channel was drawn past validation")
+
+    text = "\n".join((
+        "n_t = 1", "n_r = 1", "b = 30", "modulation = bpsk",
+        "snr_grid_db = 10", "l = 4", "detectors = emld, mcd, mmd",
+        "channel_count = 2", "vectors_per_channel = 50", "seed = 0"))
+    cfg_path = tmp_path / "b30.cfg"
+    cfg_path.write_text(text)
+    for module in (core, harness):
+        monkeypatch.setattr(module, "sample_channel", forbidden)
+    assert main(["ser", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: emld and mmd: exact level distances need "
+        "2 d (2**b - 1)**2 <= 2**53, not b=30, d=2\n")
+    harness.parse_config(text.replace("emld, mcd, mmd", "mcd")).validate_for_ser()
+
+
+@pytest.mark.parametrize("bits", [23, 24])
+def test_exact_level_distance_limit_at_32_receive_antennas(bits):
+    # d = 64: 2 d (2**23 - 1)**2 is below 2**53 and 2 d (2**24 - 1)**2 above
+    cfg = _cfg(n_r=32, bits=bits, detectors=("mmd",), channel_count=1)
+    if bits == 23:
+        cfg.validate_for_ser()
+    else:
+        with pytest.raises(ConfigError, match="^mmd: .* not b=24, d=64$"):
+            cfg.validate_for_ser()
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_cli_rejects_first_stage_count_below_one(tmp_path, capsys, value):
     config = Path(__file__).parents[1] / "configs/sic_tradeoff_nt1_5.cfg"
@@ -1115,14 +1172,12 @@ def test_ccdf_is_admitted_by_its_own_budget_not_a_ser_batch(
     assert main(["ser", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: n_t=9 ") and "MiB per channel" in err
-    # the sampled distances and the analytic CCDF are stubbed: at n_t = 9
-    # the approximation alone takes seconds
+    # the sampled distances are stubbed, and counted
     sampled = []
     monkeypatch.setattr(
         harness, "sample_dmin",
         lambda n_t, n_r, count, rng: sampled.append(count) or np.zeros(
             count, dtype=np.int64))
-    monkeypatch.setattr(analysis, "dmin_ccdf_approx", lambda *args: 0.0)
     assert main(["ccdf", "--config", str(cfg_path)]) == 0
     assert sampled == [100]
 
@@ -1130,7 +1185,7 @@ def test_ccdf_is_admitted_by_its_own_budget_not_a_ser_batch(
 @pytest.mark.parametrize("command, config, n_t", [
     # sample_dmin's 16 384 x 1024 x 1024 float32 Gram matrix: 64 GiB
     ("ccdf", "dmin_ccdf.cfg", 10),
-    # analysis.geometry's 16 384 x 16 384 int64 distances: 2 GiB
+    # analysis.geometry's 16 384 x 16 384 float64 distances: 2 GiB
     ("bound", "bound_validation.cfg", 14),
 ])
 def test_cli_rejects_huge_analysis_arrays_before_drawing(

@@ -48,7 +48,7 @@ def _detectors(rng, bits, n_t, n_r, modulation, sigma2):
         return (diff * diff).sum(axis=2)
 
     def mmd_scores(levels):
-        dist = qcfg.step * np.sqrt(core.level_sqdist(levels, trained))
+        dist = qcfg.step * np.sqrt(core.sqdist(levels, trained))
         return (dist[:, :, None] * count_matrix).sum(axis=1)
 
     return {

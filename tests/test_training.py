@@ -116,6 +116,20 @@ def test_implicit_negation_symmetry_with_noise():
             assert counts[mirror][_negated(y, cfg)] == c
 
 
+@pytest.mark.parametrize("bits, exact", [(23, True), (24, False)])
+def test_support_needs_exact_level_distances(bits, exact):
+    # n_r = 32 (d = 64) levels: at b = 24 core.sqdist rounds, so eMLD and
+    # MMD would rank wrong distances; the support refuses to be read
+    model = training.EmpiricalModel(
+        levels=np.zeros((2, 1, 64), dtype=np.uint32),
+        cfg=QuantizerConfig(bits=bits, step=0.5))
+    if exact:
+        assert model.support_arrays[0].shape == (1, 64)
+    else:
+        with pytest.raises(ValueError, match="not exact"):
+            model.support_arrays
+
+
 @pytest.mark.parametrize("shape", [(8, 2), (2, 1, 1, 2), (0, 3, 2), (4, 0, 2)])
 def test_model_rejects_levels_that_are_not_k_by_l_by_d(shape, demo_cfg):
     with pytest.raises(ValueError, match="K x L x d"):
