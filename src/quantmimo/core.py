@@ -312,6 +312,10 @@ def sqdist(a, t) -> np.ndarray:
     row of ``t``, one row per row of ``a``, expanded as
     (-2 a.t + |a|^2) + |t|^2: one BLAS product and no difference array.
 
+    The -2 scales a copy of the row operand ``a`` before the product, not
+    the distances after it: scaling by a power of two is exact, so the
+    bits are the same, barring underflow.
+
     On values the terms round as floats do. On b-bit level rows of d
     columns every term and partial sum is an integer of magnitude at most
     2 d (2**b - 1)**2, so while that is at most 2**53 (:func:`sqdist_exact`)
@@ -320,8 +324,7 @@ def sqdist(a, t) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     t = np.asarray(t, dtype=float)
-    d2 = a @ t.T
-    d2 *= -2.0
+    d2 = (-2.0 * a) @ t.T
     d2 += np.einsum("nd,nd->n", a, a)[:, None]
     d2 += np.einsum("sd,sd->s", t, t)
     return d2

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import analysis, baselines, detection, sic, training
 from .core import (
+    _NOISE_BYTES,
     QuantizerConfig,
     block_rows,
     constellation,
@@ -106,13 +107,14 @@ class _Sizes:
         return ((8 + self.w) * chunk + 16 * chunk_rows * clean_values
                 + 8 * quantize_scratch(chunk))
 
-    def nearest(self, rows: int, centers: int) -> int:
-        """One ``detection.nearest_center`` call on ``rows`` rows: the
-        rows' decisions and one block's ``core.sqdist``: its products, which
+    def nearest(self, rows: int, centers: int, cols: int) -> int:
+        """One ``detection.nearest_center`` call on ``rows`` rows of
+        ``cols`` values: the rows' decisions and one block's
+        ``core.sqdist``: its rows scaled by -2 and its products, which
         become the distances in place, with the center and row norms and
         the ufunc buffer of the broadcast row-norm addition."""
         block = block_rows(rows, 8 * centers)
-        return 8 * (centers + rows + block * (centers + 1)
+        return 8 * (centers + rows + block * (centers + cols + 1)
                     + min(block * centers, np.getbufsize()))
 
 
@@ -137,9 +139,10 @@ def _support_held(s: _Sizes) -> int:
 def _support_work(s: _Sizes) -> int:
     # the largest of the cached arrays' build (the K L intp cells and the
     # float64 ones summed into the count matrix), core.sqdist (U x d float64
-    # operand, U x S distances) and eMLD's U x S bool and float64 masks
-    # next to the distances, with the U x K scores of its product (and MMD's)
-    return max(16 * s.k * s.l, 8 * s.u * s.d + 8 * s.u * s.s,
+    # operand and its -2 multiple, U x S distances) and eMLD's U x S bool
+    # and float64 masks next to the distances, with the U x K scores of its
+    # product (and MMD's)
+    return max(16 * s.k * s.l, 16 * s.u * s.d + 8 * s.u * s.s,
                17 * s.u * s.s + 8 * s.u * s.k)
 
 
@@ -158,7 +161,7 @@ def _first_stage_work(s: _Sizes) -> int:
     projected = block_rows(s.u, 8 * s.d1)
     gathered = block_rows(s.u, 8 * s.d * s.k2) * s.k2
     return 8 * s.u + max(
-        8 * projected * s.d1 + s.nearest(projected, s.k1),
+        8 * projected * s.d1 + s.nearest(projected, s.k1, s.d1),
         8 * s.u + ((s.w + 8) * s.d + 8) * gathered
         + 8 * min(gathered * s.d, np.getbufsize()))
 
@@ -176,7 +179,7 @@ _RECEIVERS = {
     "mcd": _Receiver(
         "centroids",
         lambda book, _, values: detection.detect_mcd_batch(values, book),
-        lambda s: 8 * s.k * s.d, lambda s: s.nearest(s.u, s.k)),
+        lambda s: 8 * s.k * s.d, lambda s: s.nearest(s.u, s.k, s.d)),
     # the K x n_r complex sums with their real form and the K x d x 2**b
     # float64 table, with the larger of its build (one row block of
     # CDF arguments: their float64 array, a list of floats and the
@@ -258,20 +261,26 @@ class _Trained:
 
 
 def _first_stage_bytes(s: _Sizes, held) -> int:
-    # what it leaves, the K1 x n_r and K2 x n_r complex products of the
-    # books with their channels, and one block of first-stage candidates
-    # (those whose values and projections fit a row block): the larger of
-    # its float64 sums of one part with the quantizer's scratch and
-    # half-levels, and its float64 values with their projections; for
-    # l1 > 1 the K l1 x d noisy levels come on top, with the larger of that
-    # block and their draw (a noise chunk of K2 x n_r complex sums per row)
-    block = block_rows(s.k1, 8 * s.k2 * s.l1 * (s.d + s.d1), least=1) * s.k2
-    stage = max((8 + s.w) * block * s.n_r + 8 * quantize_scratch(block * s.n_r),
-                8 * block * s.l1 * (s.d + s.d1))
+    # what it leaves but the centroids, and the K1 x n_r and K2 x n_r complex
+    # products of the books with their channels, held throughout, with the
+    # larger of the table's build and the centroids' own. The build holds
+    # one block of first-stage candidates (those whose float64 sums fit a
+    # noise chunk): its sums with their levels and the quantizer's scratch;
+    # for l1 > 1 the K l1 x d noisy levels' draw (a noise chunk of K2 x n_r
+    # complex sums per row) follows it, and those levels are held until the
+    # centroids are made: the K1 x d float64 level sums and their K1 x d1
+    # product.
+    block = s.k2 * s.d * block_rows(
+        s.k1, 8 * s.k2 * s.d, _NOISE_BYTES, least=1)
+    stage = (8 + s.w) * block + 8 * quantize_scratch(block)
+    noisy = 0
     if s.l1 > 1:
-        stage = s.w * s.k * s.l1 * s.d + max(
-            stage, s.noise(s.k1, s.k2 * s.l1 * s.n_r, s.k2 * s.n_r))
-    return _first_stage_held(s) + 16 * (s.k1 + s.k2) * s.n_r + stage
+        noisy = s.w * s.k * s.l1 * s.d
+        stage = max(stage, noisy + s.noise(
+            s.k1, s.k2 * s.l1 * s.n_r, s.k2 * s.n_r))
+    return (_first_stage_held(s) - 8 * s.k1 * s.d1
+            + 16 * (s.k1 + s.k2) * s.n_r
+            + max(stage, noisy + 8 * s.k1 * (s.d + s.d1)))
 
 
 class _Route(NamedTuple):
@@ -757,17 +766,22 @@ def run_bound_validation(
         artificial_count=1)
     _require_budget(mcd_cfg, mcd_cfg.peak_bytes(), "per channel")
     # analysis.geometry: the K x d uint8 codebook with the two K x d float64
-    # operands of core.sqdist and its K x K float64 distances; before and
-    # after those, at most three arrays of 16 K n_r
+    # operands of core.sqdist, the -2 multiple of one and its K x K float64
+    # distances; before and after those, at most three arrays of 16 K n_r
     # bytes (the noiseless sums, their real form and its magnitudes)
     k, d = cfg.symbol_count, 2 * cfg.n_r
     _require_budget(
-        cfg, 8 * k * k + 17 * k * d + 48 * k * cfg.n_r + _SMALL_BYTES,
+        cfg, 8 * k * k + 25 * k * d + 48 * k * cfg.n_r + _SMALL_BYTES,
         "per channel")
     if k > 2 ** d:
         raise ConfigError(
             f"n_t={cfg.n_t} > 2 n_r with n_r={cfg.n_r}: more codewords than "
             "one-bit outputs, so every channel has d_min = 0 and none is kept")
+    if cfg.n_t == 1 and cfg.n_r > 1:
+        raise ConfigError(
+            f"n_t=1 with n_r={cfg.n_r}: the two codewords are always "
+            f"2 n_r = {2 * cfg.n_r} outputs apart, so every channel has a "
+            f"flip budget of {cfg.n_r} and none is kept")
     qcfg = QuantizerConfig(cfg.bits, cfg.step)
     book = enumerate_symbols(constellation(cfg.modulation), cfg.n_t)
     root = np.random.SeedSequence(cfg.seed)

@@ -8,7 +8,9 @@ marginalized first-stage training. Stage two picks the closest noiseless
 quantized output with the stage-one decision substituted. First-stage
 training keeps only what the two stages read: the K1 centroids and those
 outputs, quantized once per channel for every (first, second) hypothesis
-pair into a K1 x K2 x d level table. Total search effort per vector is
+pair into a K1 x K2 x d level table. The projection is linear, so each
+centroid is the projection of its candidate's mean trained output row, the
+``detection.centroids`` that MCD reads. Total search effort per vector is
 M**n_t1 + M**n_t2 candidate evaluations instead of M**n_t: stage one
 scores the rows in ``nearest_center`` calls and stage two in
 ``_candidate_sqdist`` calls, so those two functions see every candidate
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _NOISE_BYTES,
     QuantizerConfig,
     SymbolBook,
     level_values,
@@ -30,7 +33,8 @@ from .core import (
     quantize_levels,
     row_blocks,
 )
-from .detection import nearest_center
+from .detection import centroids, nearest_center
+from .training import EmpiricalModel
 
 def divide_symbols(h_hat: np.ndarray, n_t1: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split antenna indices into a detect-first group and a remainder.
@@ -130,7 +134,8 @@ class FirstStageModel:
 
     ``centroids[k]`` is the mean of the K2 * samples_per_pair projected
     signals synthesized for first-subvector candidate k, the samples of its
-    marginal PMF. ``table[k]`` holds the K2 noiseless quantized outputs with
+    marginal PMF, computed as the projection of their mean output row.
+    ``table[k]`` holds the K2 noiseless quantized outputs with
     candidate k substituted, the stage-two candidates, as levels of ``cfg``.
     """
 
@@ -159,14 +164,14 @@ def learn_first_stage(
     pair they are also the training signals, so the model draws no
     randomness and ignores ``sigma2``; more are drawn for all pairs at once.
 
-    Table and centroids are built one block of first-stage candidates at a
-    time: the ``core.row_blocks`` of a block's float64 values and
-    projections, at least one candidate each. Each block's arrays are freed
-    before the next block's. The real and imaginary parts of a block's
-    noiseless sums are added as floats into one quantizer input, which
-    gives the parts of the complex sums bit for bit. Each pair is projected
-    by its own (l x d) @ (d x d1) product, as in one whole-stack product, so
-    the bits do not depend on the block.
+    The table is quantized in the ``core.row_blocks`` of first-stage
+    candidates whose float64 noiseless sums fit a noise chunk, at least one
+    each; a block's real and imaginary parts are added as floats into the
+    halves of one quantizer input, the parts of the complex sums bit for
+    bit. The centroids are the ``detection.centroids`` of the training
+    levels stacked per first-stage candidate, projected by one
+    K1 x d @ d x d1 product; they equal the means of the per-pair
+    projections up to rounding (about 1e-15 of the largest entry).
     """
     if samples_per_pair < 1:
         raise ValueError("samples_per_pair must be at least 1")
@@ -174,26 +179,23 @@ def learn_first_stage(
     n_r = plan.h1.shape[0]
     first = (book1.vectors @ plan.h1.T)[:, None, :]
     second = book2.vectors @ plan.h2.T
-    d, d1 = 2 * n_r, plan.w1.shape[0]
+    d = 2 * n_r
     table = np.empty((k1, k2, d), dtype=cfg.level_dtype)
-    training = table[:, :, None]
+    for rows in row_blocks(k1, 8 * k2 * d, _NOISE_BYTES, least=1):
+        block = first[rows]
+        sums = np.empty((len(block), k2, d))
+        np.add(block.real, second.real, out=sums[..., :n_r])
+        np.add(block.imag, second.imag, out=sums[..., n_r:])
+        table[rows] = quantize_levels(sums, cfg)
+        del sums
+    training = table
     if samples_per_pair > 1:
         training = noisy_levels(
             lambda rows: (first[rows] + second)[:, :, None, :],
             (k1, k2, samples_per_pair, n_r), sigma2, rng, cfg)
-    centroids = np.empty((k1, d1))
-    for rows in row_blocks(
-            k1, 8 * k2 * samples_per_pair * (d + d1), least=1):
-        sums = np.add(first.real[rows], second.real)
-        table[rows, :, :n_r] = quantize_levels(sums, cfg)
-        np.add(first.imag[rows], second.imag, out=sums)
-        table[rows, :, n_r:] = quantize_levels(sums, cfg)
-        del sums
-        projected = level_values(training[rows], cfg) @ plan.w1.T
-        projected.reshape(len(projected), -1, projected.shape[-1]).mean(
-            axis=1, out=centroids[rows])
-        del projected
-    return FirstStageModel(centroids=centroids, table=table, cfg=cfg)
+    means = centroids(EmpiricalModel(training.reshape(k1, -1, d), cfg))
+    return FirstStageModel(
+        centroids=means.centers @ plan.w1.T, table=table, cfg=cfg)
 
 
 def _candidate_sqdist(candidates: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -398,9 +398,14 @@ def test_nearest_center_equals_out_of_place_expansion(n, k, d, samples, seed):
     assert np.array_equal(got, np.argmin(d2, axis=1))
 
 
-@pytest.mark.parametrize("k, d", [
+# K centers of d values: the blocked-product grid, whose one-block rows and
+# block lengths around the block size take different BLAS kernels
+_BLOCKED_GRID = [
     (k, d) for k in (16, 64, 256, 1024, 4096, 16384) for d in (8, 32, 64)
-] + [(131_072, 8)])
+] + [(131_072, 8)]
+
+
+@pytest.mark.parametrize("k, d", _BLOCKED_GRID)
 def test_blocked_products_and_decisions_equal_whole_ones(k, d):
     # N = 1, 2, 3 and B - 1 to B + 2 rows for a B-row block of K float64
     # scores, and 2 B + 3: a naive split of B + 1 rows leaves a one-row
@@ -425,6 +430,23 @@ def test_blocked_products_and_decisions_equal_whole_ones(k, d):
               - 2.0 * whole + center_norms)
         assert np.array_equal(
             detection.nearest_center(values, centers), np.argmin(d2, axis=1))
+
+
+@pytest.mark.parametrize("k, d", _BLOCKED_GRID)
+def test_sqdist_equals_former_in_place_expansion(k, d):
+    # sqdist scales the row operand by -2 before the product; the kernel it
+    # replaced scaled the product in place. Scaling by a power of two is
+    # exact, so on the grid's row counts the distances keep every bit
+    rng = np.random.default_rng(k * d)
+    centers = rng.normal(size=(k, d))
+    b = core.block_rows(10**9, 8 * k)
+    for n in (1, 2, 3, b - 1, b, b + 1, b + 2, 2 * b + 3):
+        values = rng.normal(size=(n, d))
+        former = values @ centers.T
+        former *= -2.0
+        former += np.einsum("nd,nd->n", values, values)[:, None]
+        former += np.einsum("kd,kd->k", centers, centers)
+        assert core.sqdist(values, centers).tobytes() == former.tobytes()
 
 
 def test_nearest_center_holds_one_distance_matrix():

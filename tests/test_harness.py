@@ -184,14 +184,15 @@ def test_peak_bytes_estimate_and_budget():
 
     # from 20 000 data vectors the data phase holds more: the centroids,
     # the batch and MCD's decision (the center norms, n decisions and one
-    # 32-row block of distances with its row norms and the ufunc buffer of
-    # their addition), more than the error count's n intp differences
+    # 32-row block of distances with its rows scaled by -2, its row norms
+    # and the ufunc buffer of their addition), more than the error count's
+    # n intp differences
     # and more than the batch's transmission: the n rows' uint8 levels and
     # data indices, their n x 6 complex symbols and a noise chunk of 2 000
     # rows (float buffer, levels, complex noiseless points and the
     # quantizer's scratch)
     for n in (20_000, 40_000):
-        decide = 8 * (4096 + n + 32 * (4096 + 1) + np.getbufsize())
+        decide = 8 * (4096 + n + 32 * (4096 + 64 + 1) + np.getbufsize())
         transmit = n * (64 + 8 + 16 * 6) + (
             9 * 2_000 * 32 + 16 * 2_000 * 32 + 8 * 16_384)
         assert decide > 16 * n and batch(n) + decide > transmit
@@ -219,14 +220,14 @@ def test_peak_bytes_estimate_and_budget():
     # float64 likelihood table and, more than the CDF block that builds
     # the table, its 256 x 8 intp table columns, the 16 x 256 x 8 float64
     # gather and their 16 x 256 sums, more than MCD's center norms, 256
-    # decisions and one 256 x 16 block of distances with its row norms and
-    # their addition's 4 096-value ufunc buffer, and more than the
-    # transmission
+    # decisions and one 256 x 16 block of distances with its rows scaled by
+    # -2, its row norms and their addition's 4 096-value ufunc buffer, and
+    # more than the transmission
     emld_decide = 17 * 256 * 80 + 8 * 256 * 16
     assert emld_decide > max(
         16 * 16 * 8 + 8 * 16 * 8 * 2 + 8 * 256 * 8 + 8 * 256 * 16 * 8
         + 8 * 256 * 16,
-        8 * (16 + 256 + 256 * (16 + 1) + 256 * 16))
+        8 * (16 + 256 + 256 * (16 + 8 + 1) + 256 * 16))
     assert mld.peak_bytes() == (
         16 * 16 * 2 + harness._SMALL_BYTES
         + 8 * 16 * 8 + 80 * 8 + 8 * (80 + 80) + 8 * 80 * (8 + 16)
@@ -239,24 +240,27 @@ def test_peak_bytes_estimate_and_budget():
     # what first-stage training leaves: the 1024 x 5 and 4 x 1 subvector
     # books, the 4096 x 64 uint8 table and the 1024 x 62 float64 centroids
     held = 16 * (1024 * 5 + 4 * 1) + 4096 * 64 + 8 * 1024 * 62
-    # at 200 data vectors its training is the peak: what it leaves, the
-    # 1024 x 32 and 4 x 32 complex products of the books with their
-    # channels, and a block of 256 first-stage candidates' 1024 pairs as
-    # float64 values with their projections, more than their float64 sums
-    # of one part with its levels and the quantizer's scratch
-    assert sic_split.peak_bytes() == (
-        book + held + 16 * (1024 + 4) * 32 + 8 * 1024 * (64 + 62))
-    # at 2 000 the data phase is: what training leaves, the batch, the
-    # 2 000 stage-one decisions and stage one, one block of all 2 000 x 62
+    # at one data vector its training is the peak: what it leaves but the
+    # centroids, the 1024 x 32 and 4 x 32 complex products of the books
+    # with their channels, and the centroids' build: their 1024 x 64
+    # float64 level sums with the 1024 x 62 product, more than a block of
+    # 256 first-stage candidates' 1024 pairs' float64 sums of both parts
+    # with their levels and the quantizer's scratch
+    assert 8 * 1024 * (64 + 62) > 9 * 1024 * 64 + 8 * 16_384
+    assert dataclasses.replace(sic_split, vectors_per_channel=1).peak_bytes() \
+        == book + held + 16 * (1024 + 4) * 32 + 8 * 1024 * 64
+    # from 200 the data phase is: what training leaves, the batch, the
+    # stage-one decisions and stage one, one block of all n x 62
     # projections with a nearest_center call on them (the center norms,
-    # 2 000 decisions and one of 16 blocks of 125 x 1024 scores with its row
-    # norms and the ufunc buffer of their addition), more than stage
-    # two's 2 000 decisions and one of 4 blocks of 500 observations' gather
+    # n decisions and one block of n / 2 or 125 x 1024 scores with its rows
+    # scaled by -2, its row norms and the ufunc buffer of their addition),
+    # more than stage two's decisions and one block of observations' gather
     # against K2 = 4 candidates, and more than the transmission
-    sic_2000 = dataclasses.replace(sic_split, vectors_per_channel=2_000)
-    assert sic_2000.peak_bytes() == (
-        book + held + batch(2_000) + 8 * 2_000 + 8 * 2_000 * 62
-        + 8 * (1024 + 2_000 + 125 * (1024 + 1) + np.getbufsize()))
+    for n, block in ((200, 100), (2_000, 125)):
+        assert dataclasses.replace(
+            sic_split, vectors_per_channel=n).peak_bytes() == (
+            book + held + batch(n) + 8 * n + 8 * n * 62
+            + 8 * (1024 + n + block * (1024 + 62 + 1) + np.getbufsize()))
     # K2 = 1024 at 1 000 data vectors: the gather takes blocks of two
     # observations of 512 KiB of float64 values each, with their uint8
     # levels, 1024 squared distances and the ufunc buffer of the
@@ -684,7 +688,7 @@ def test_bound_geometry_budget_is_one_float64_distance_matrix(
         monkeypatch, n_t, admitted):
     # analysis.geometry's K x K float64 distances, 8 K**2 bytes: at n_r = 7
     # the estimate is about 517 MiB at n_t = 13, which reaches the channel
-    # search, and 2 057 MiB at n_t = 14, past the budget
+    # search, and 2 058 MiB at n_t = 14, past the budget
     class Searched(Exception):
         pass
 
@@ -699,7 +703,7 @@ def test_bound_geometry_budget_is_one_float64_distance_matrix(
         with pytest.raises(Searched):
             harness.run_bound_validation(cfg)
     else:
-        with pytest.raises(ConfigError, match="about 2057 MiB per channel"):
+        with pytest.raises(ConfigError, match="about 2058 MiB per channel"):
             harness.run_bound_validation(cfg)
 
 
@@ -1250,6 +1254,41 @@ def test_cli_bound_budgets_its_mcd_run_not_the_listed_detectors(
     assert errors[0] == errors[1]
     assert errors[0].startswith("error: n_t=12 ")
     assert errors[0].endswith(" MiB per channel (limit 1024 MiB)\n")
+
+
+@pytest.mark.parametrize("n_r", [2, 3, 64])
+def test_cli_bound_rejects_one_antenna_over_several_before_drawing(
+        tmp_path, capsys, monkeypatch, n_r):
+    # at n_t = 1 the codewords x and -x differ in every one of the 2 n_r
+    # one-bit outputs, so the flip budget is n_r on every channel, never one
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a channel was drawn for an infeasible search")
+
+    for module in (core, harness):
+        monkeypatch.setattr(module, "sample_channel", forbidden)
+    monkeypatch.setattr(analysis, "geometry", forbidden)
+    cfg_path = tmp_path / "one.cfg"
+    cfg_path.write_text(
+        f"n_t = 1\nn_r = {n_r}\nb = 1\nmodulation = bpsk\n"
+        "snr_grid_db = 10\ndetectors = mcd\nchannel_count = 5\n"
+        "vectors_per_channel = 10\nseed = 1\n")
+    assert main(["bound", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: n_t=1 with n_r={n_r}: the two codewords are always "
+        f"2 n_r = {2 * n_r} outputs apart, so every channel has a flip "
+        f"budget of {n_r} and none is kept\n")
+
+
+def test_cli_bound_runs_one_antenna_over_one(tmp_path, capsys):
+    # n_t = n_r = 1: the two codewords are 2 outputs apart, a unit budget
+    cfg_path = tmp_path / "one.cfg"
+    cfg_path.write_text(
+        "n_t = 1\nn_r = 1\nb = 1\nmodulation = bpsk\nsnr_grid_db = 10\n"
+        "detectors = mcd\nchannel_count = 2\nvectors_per_channel = 10\n"
+        "seed = 1\n")
+    assert main(["bound", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _run_script(script, *args):
