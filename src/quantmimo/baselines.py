@@ -41,12 +41,20 @@ def random_pilots(
 
 
 def reassemble_complex(values: np.ndarray) -> np.ndarray:
-    """Fold stacked [Re; Im] value rows back into complex antenna vectors."""
+    """Fold stacked [Re; Im] value rows back into complex antenna vectors.
+
+    The halves are copied into the real and imaginary parts of one complex
+    array, its only temporary; on finite values that are never -0.0, such
+    as level values, this is ``re + 1j * im`` bit for bit.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] % 2 != 0:
         raise ValueError("stacked dimension must be even to reassemble")
     half = values.shape[1] // 2
-    return values[:, :half] + 1j * values[:, half:]
+    out = np.empty((len(values), half), dtype=complex)
+    out.real = values[:, :half]
+    out.imag = values[:, half:]
+    return out
 
 
 def estimate_channel_ls(

@@ -67,8 +67,8 @@ def _demo() -> None:
     results = {
         "emld": detection.detect_emld_batch(target, model)[0],
         "mmd": detection.detect_mmd_batch(target, model)[0],
-        "mcd": detection.detect_mcd_batch(
-            values, detection.centroids(model))[0],
+        "mcd": detection.detect_mcd_batch(values, detection.centroids(
+            model.level_sums(), model.samples_per_symbol, cfg))[0],
     }
     print(f"detecting y = {values[0]}:")
     for name, k in results.items():

@@ -413,6 +413,19 @@ def block_rows(
     return -(-rows // _block_count(rows, row_bytes, budget, least))
 
 
+def largest_block(
+    rows: int, row_bytes: int, budget: int = _BLOCK_BYTES,
+    least: int = _PRODUCT_ROWS,
+) -> int:
+    """Rows of the largest block of :func:`row_blocks` over every row count
+    up to ``rows``. Fewer rows can make a larger block: 141 rows of a
+    170-row budget are one block, 200 rows two of 100. A split never makes
+    a block of more than the budget's rows or 2 ``least`` - 1, whichever is
+    more, and every count up to that is one block."""
+    per = max(1, budget // max(1, row_bytes))
+    return min(rows, max(per, 2 * least - 1))
+
+
 def row_blocks(
     rows: int, row_bytes: int, budget: int = _BLOCK_BYTES,
     least: int = _PRODUCT_ROWS,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import row_blocks, sqdist
+from .core import QuantizerConfig, row_blocks, sqdist
 from .training import EmpiricalModel
 
 
@@ -66,27 +66,28 @@ def detect_mmd_batch(levels: np.ndarray, model: EmpiricalModel) -> np.ndarray:
     return np.argmin(scores, axis=1)
 
 
-def centroids(model: EmpiricalModel) -> CentroidBook:
+def centroids(sums: np.ndarray, samples: int,
+              cfg: QuantizerConfig) -> CentroidBook:
     """Probability-weighted mean output vector per symbol.
 
-    With S_k the integer level sum over the L = ``samples_per_symbol``
-    trained rows of symbol k, Δ the quantizer step and
-    off = 2**(bits-1) - 0.5, the center of symbol k is
-    ``((S_k - L * off) * Δ) / L``, evaluated in that order. This is the
-    definition at every step. At a dyadic step (a power of two) each output
-    value and each partial sum of values is exact, so it equals the sum of
-    the symbol's output values over L bit for bit.
+    ``sums`` is the K x d integer level sums of a model
+    (:meth:`~quantmimo.training.EmpiricalModel.level_sums`): S_k over the
+    L = ``samples`` trained rows of symbol k, quantized with ``cfg``. With
+    Δ the quantizer step and off = 2**(bits-1) - 0.5, the center of symbol
+    k is ``((S_k - L * off) * Δ) / L``, evaluated in that order. This is
+    the definition at every step. At a dyadic step (a power of two) each
+    output value and each partial sum of values is exact, so it equals the
+    sum of the symbol's output values over L bit for bit.
 
-    The sums accumulate in float64, which holds every integer level sum
-    exactly, so narrow level dtypes cannot wrap; numpy casts the levels in
-    buffered blocks and never widens them all at once. The sums then become
-    the centers in place, so they are the only K x d array.
+    The sums are converted to float64 once, exactly below 2**53, and become
+    the centers in place, so the centers are the only K x d float64 array;
+    ``sums`` is not modified.
     """
-    centers = model.levels.sum(axis=1, dtype=np.float64)
-    off = (1 << (model.cfg.bits - 1)) - 0.5
-    centers -= model.samples_per_symbol * off
-    centers *= model.cfg.step
-    centers /= model.samples_per_symbol
+    centers = sums.astype(np.float64)
+    off = (1 << (cfg.bits - 1)) - 0.5
+    centers -= samples * off
+    centers *= cfg.step
+    centers /= samples
     return CentroidBook(centers=centers)
 
 

@@ -30,6 +30,7 @@ from .core import (
     constellation,
     distinct_rows,
     enumerate_symbols,
+    largest_block,
     level_values,
     noise_chunk,
     quantize_scratch,
@@ -45,7 +46,7 @@ CSV_COLUMNS = (
 # Largest accepted array estimate of one channel (ExperimentConfig.peak_bytes),
 # of bound's code geometry or of sample_dmin's tile. The
 # K = 4**6 full search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32)
-# and 200 data vectors, estimates 6.5 MiB with MCD (29 MiB at 40 000 data
+# and 200 data vectors, estimates 5.25 MiB with MCD (29 MiB at 40 000 data
 # vectors, most of it the batch; up to 1 575 177 are admitted), and 2.3 GiB
 # with eMLD and MMD, whose count matrix and distances span all 65 536
 # distinct trained rows.
@@ -63,13 +64,21 @@ class ConfigError(ValueError):
 # receivers and training routes: each one's code and memory terms
 
 
+def _sums_width(samples: int, bits: int) -> int:
+    """Bytes per level sum of ``samples`` b-bit levels."""
+    return np.min_scalar_type(samples * (2 ** bits - 1)).itemsize
+
+
 class _Sizes:
     """Sizes of one channel of a SER sweep, in which the memory terms count
     bytes: K = M**n_t candidates; d = 2 n_r level columns of w bytes; N data
     vectors, of which the receivers see the U = min(N, 2**(b d)) distinct
     ones; L trained samples per symbol (l or l_a), S = min(K L, 2**(b d)) of
     them distinct; T pilot slots; and for a SIC split K1 = M**n_t1,
-    K2 = K / K1, d1 = d - 2 (n_t - n_t1) and l1 = l_a1 samples per pair."""
+    K2 = K / K1, d1 = d - 2 (n_t - n_t1) and l1 = l_a1 samples per pair.
+    ``sums`` and ``sums1`` are the K x d and K1 x d integer level sums of
+    the model and of first-stage training
+    (``training.EmpiricalModel.level_sums``)."""
 
     def __init__(self, cfg: ExperimentConfig) -> None:
         self.m = constellation(cfg.modulation).size
@@ -86,14 +95,14 @@ class _Sizes:
         self.n_t1 = min(max(cfg.n_t1 or 1, 1), cfg.n_t)
         self.k1, self.l1 = self.m ** self.n_t1, cfg.first_stage_count
         self.k2, self.d1 = self.k // self.k1, self.d - 2 * (cfg.n_t - self.n_t1)
-        # the least-squares estimate beyond its pilots and levels: the T x d
-        # float64 values with the T x n_r complex rows reassembled from them
-        # and numpy's buffer casting values to complex, then those rows with
-        # the pilots' complex conjugate
+        self.sums = _sums_width(self.l, cfg.bits) * self.k * self.d
+        self.sums1 = _sums_width(self.k2 * self.l1, cfg.bits) * self.k1 * self.d
+        # the least-squares estimate beyond its pilots and levels: the T x n_r
+        # complex rows with the larger of the T x d float64 values they are
+        # reassembled from and the pilots' complex conjugate
         rows = self.t * self.n_r
         self.estimate = 16 * rows + max(
-            16 * (rows + min(rows, np.getbufsize())),
-            16 * self.t * self.n_t) if cfg.csir == "ls" else 0
+            16 * rows, 16 * self.t * self.n_t) if cfg.csir == "ls" else 0
 
     def noise(self, rows: int, row_values: int, clean_values: int) -> int:
         """The largest ``core.noisy_levels`` chunk of ``rows`` rows of
@@ -108,12 +117,14 @@ class _Sizes:
                 + 8 * quantize_scratch(chunk))
 
     def nearest(self, rows: int, centers: int, cols: int) -> int:
-        """One ``detection.nearest_center`` call on ``rows`` rows of
-        ``cols`` values: the rows' decisions and one block's
+        """One ``detection.nearest_center`` call on up to ``rows`` rows of
+        ``cols`` values: the rows' decisions and its largest block's
         ``core.sqdist``: its rows scaled by -2 and its products, which
         become the distances in place, with the center and row norms and
-        the ufunc buffer of the broadcast row-norm addition."""
-        block = block_rows(rows, 8 * centers)
+        the ufunc buffer of the broadcast row-norm addition. A batch may
+        have fewer distinct rows than U, and fewer rows can make a larger
+        block (``core.largest_block``)."""
+        block = largest_block(rows, 8 * centers)
         return 8 * (centers + rows + block * (centers + cols + 1)
                     + min(block * centers, np.getbufsize()))
 
@@ -157,9 +168,10 @@ def _first_stage_work(s: _Sizes) -> int:
     # U x d1 projections and a nearest_center call on it) and stage two (the
     # U stage-two decisions and one block of the U x K2 x d gather as
     # levels, float64 values and distances, with the ufunc buffer of the
-    # broadcast subtraction that makes the differences in place)
-    projected = block_rows(s.u, 8 * s.d1)
-    gathered = block_rows(s.u, 8 * s.d * s.k2) * s.k2
+    # broadcast subtraction that makes the differences in place); each
+    # block the largest that up to U distinct rows make
+    projected = largest_block(s.u, 8 * s.d1)
+    gathered = largest_block(s.u, 8 * s.d * s.k2) * s.k2
     return 8 * s.u + max(
         8 * projected * s.d1 + s.nearest(projected, s.k1, s.d1),
         8 * s.u + ((s.w + 8) * s.d + 8) * gathered
@@ -191,14 +203,17 @@ _RECEIVERS = {
             40 * s.edges * block_rows(s.k * s.d, 8 * s.edges,
                                       8 * baselines._CDF_VALUES, least=1),
             8 * s.u * s.d + 8 * s.u * s.k * s.d + 8 * s.u * s.k)),
-    # the U x n_r complex rows reassembled from the values, their U x n_t
-    # soft estimates and U x n_t x M complex differences from the
-    # constellation points with their float64 magnitudes
+    # the U x n_r complex rows reassembled from the values (one array), their
+    # U x n_t soft estimates and U x n_t x M complex differences from the
+    # constellation points, with the larger of the two complex ufunc buffers
+    # of that broadcast subtraction and the differences' float64 magnitudes
     "zf": _Receiver(
         "channel", lambda c, _, values: baselines.detect_zf_batch(
             values, c.h_hat, c.book.constellation),
         lambda s: 0,
-        lambda s: 16 * s.u * (s.n_r + s.n_t) + 24 * s.u * s.n_t * s.m),
+        lambda s: 16 * s.u * (s.n_r + s.n_t) + 16 * s.u * s.n_t * s.m + max(
+            32 * min(s.u * s.n_t * s.m, np.getbufsize()),
+            8 * s.u * s.n_t * s.m)),
     # the SIC stage pair, which a SIC split lists as its one detector, mcd
     "sic": _Receiver(
         "first_stage",
@@ -215,7 +230,13 @@ _Channel = namedtuple("_Channel", "h_hat sigma2 book qcfg")
 
 class _Trained:
     """One SNR point's training: each of its routes (:func:`_routes`) runs
-    in frame order, and the receivers read the attributes they leave."""
+    in frame order, and the receivers read the attributes they leave.
+
+    ``centroids`` is formed when binding first reads it: the model's
+    narrow integer level sums are taken, the model is let go unless a
+    configured receiver reads it (eMLD, MMD), and only then are the
+    float64 centers made, so an MCD-only point never holds the trained
+    levels next to the centers."""
 
     def __init__(self, cfg, qcfg, book, h, sigma2, rng, books) -> None:
         self.cfg, self.qcfg, self.book, self.books = cfg, qcfg, book, books
@@ -230,8 +251,11 @@ class _Trained:
 
     @cached_property
     def centroids(self) -> detection.CentroidBook:
-        # summed from the model when first read, which is at binding
-        return detection.centroids(self.model)
+        sums = self.model.level_sums()
+        samples = self.model.samples_per_symbol
+        if all(r.reads != "model" for r in _configured(self.cfg)):
+            self.model = None
+        return detection.centroids(sums, samples, self.qcfg)
 
     def ls_pilots(self) -> None:
         x = baselines.random_pilots(
@@ -260,16 +284,26 @@ class _Trained:
             self.qcfg, self.rng), *self.books)
 
 
+def _centroids_bytes(s: _Sizes, held) -> int:
+    # binding takes the model's K x d narrow level sums next to the model,
+    # lets the model go unless eMLD or MMD reads it, then makes MCD's K x d
+    # float64 centroids from the sums (_Trained.centroids)
+    if "centroids" not in held:
+        return s.model
+    kept = s.model if "model" in held else 0
+    return max(s.model + s.sums, kept + s.sums + held["centroids"])
+
+
 def _first_stage_bytes(s: _Sizes, held) -> int:
     # what it leaves but the centroids, and the K1 x n_r and K2 x n_r complex
     # products of the books with their channels, held throughout, with the
-    # larger of the table's build and the centroids' own. The build holds
+    # largest of the table's build and the centroids' steps. The build holds
     # one block of first-stage candidates (those whose float64 sums fit a
     # noise chunk): its sums with their levels and the quantizer's scratch;
     # for l1 > 1 the K l1 x d noisy levels' draw (a noise chunk of K2 x n_r
-    # complex sums per row) follows it, and those levels are held until the
-    # centroids are made: the K1 x d float64 level sums and their K1 x d1
-    # product.
+    # complex sums per row) follows it. Those levels are held while their
+    # K1 x d narrow level sums are taken and then let go; the sums become
+    # the K1 x d float64 level means, and those their K1 x d1 product.
     block = s.k2 * s.d * block_rows(
         s.k1, 8 * s.k2 * s.d, _NOISE_BYTES, least=1)
     stage = (8 + s.w) * block + 8 * quantize_scratch(block)
@@ -280,7 +314,8 @@ def _first_stage_bytes(s: _Sizes, held) -> int:
             s.k1, s.k2 * s.l1 * s.n_r, s.k2 * s.n_r))
     return (_first_stage_held(s) - 8 * s.k1 * s.d1
             + 16 * (s.k1 + s.k2) * s.n_r
-            + max(stage, noisy + 8 * s.k1 * (s.d + s.d1)))
+            + max(stage, noisy + s.sums1,
+                  8 * s.k1 * s.d + max(s.sums1, 8 * s.k1 * s.d1)))
 
 
 class _Route(NamedTuple):
@@ -291,7 +326,8 @@ class _Route(NamedTuple):
     bytes: Callable
 
 
-# Every training route. Binding sums MCD's centroids while the model is held.
+# Every training route. A route that trains the model ends with binding's
+# centroids (_centroids_bytes).
 _ROUTES = {
     # random n_t x T complex pilots, drawn as int64, with the larger of
     # their transmission (levels and a noise chunk) and the estimate on
@@ -300,16 +336,17 @@ _ROUTES = {
         8 * s.n_t * s.t, s.w * s.t * s.d + max(
             s.noise(s.t, s.n_r, s.n_r), s.estimate))),
     # the T = K L / 2 slots' complex symbols and levels, with the largest of
-    # their transmission, the estimate, the model with its mirrored half and
-    # the model with the centroids
-    "implicit": _Route(_Trained.implicit, lambda s, held: (
-        16 * s.n_t + s.w * s.d) * s.t + max(
+    # their transmission, the estimate and the model with its mirrored half;
+    # then, the slots let go, the centroids
+    "implicit": _Route(_Trained.implicit, lambda s, held: max(
+        (16 * s.n_t + s.w * s.d) * s.t + max(
             s.noise(s.t, s.n_r, s.n_r), s.estimate,
-            s.model + s.w * s.t * s.d, s.model + held.get("centroids", 0))),
-    # the model with the larger of its draw (a noise chunk of symbols) and
-    # the centroids
-    "explicit": _Route(_Trained.explicit, lambda s, held: s.model + max(
-        s.noise(s.k, s.l * s.n_r, s.n_r), held.get("centroids", 0))),
+            s.model + s.w * s.t * s.d),
+        _centroids_bytes(s, held))),
+    # the model with its draw (a noise chunk of symbols), then the centroids
+    "explicit": _Route(_Trained.explicit, lambda s, held: max(
+        s.model + s.noise(s.k, s.l * s.n_r, s.n_r),
+        _centroids_bytes(s, held))),
     "sic": _Route(_Trained.first_stage_split, _first_stage_bytes),
 }
 

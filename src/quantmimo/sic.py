@@ -168,8 +168,9 @@ def learn_first_stage(
     candidates whose float64 noiseless sums fit a noise chunk, at least one
     each; a block's real and imaginary parts are added as floats into the
     halves of one quantizer input, the parts of the complex sums bit for
-    bit. The centroids are the ``detection.centroids`` of the training
-    levels stacked per first-stage candidate, projected by one
+    bit. The centroids are the ``detection.centroids`` of the narrow
+    integer level sums of the training levels stacked per first-stage
+    candidate, formed after those levels are let go and projected by one
     K1 x d @ d x d1 product; they equal the means of the per-pair
     projections up to rounding (about 1e-15 of the largest entry).
     """
@@ -193,7 +194,10 @@ def learn_first_stage(
         training = noisy_levels(
             lambda rows: (first[rows] + second)[:, :, None, :],
             (k1, k2, samples_per_pair, n_r), sigma2, rng, cfg)
-    means = centroids(EmpiricalModel(training.reshape(k1, -1, d), cfg))
+    sums = EmpiricalModel(training.reshape(k1, -1, d), cfg).level_sums()
+    del training  # the noisy levels, when drawn, before the centroids exist
+    means = centroids(sums, k2 * samples_per_pair, cfg)
+    del sums
     return FirstStageModel(
         centroids=means.centers @ plan.w1.T, table=table, cfg=cfg)
 

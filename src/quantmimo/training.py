@@ -8,8 +8,8 @@ covers all K symbols). Explicit training synthesizes artificial received
 signals from a channel estimate instead of transmitting anything.
 
 Either route returns an :class:`EmpiricalModel` holding the L trained level
-rows of each of the K symbols as one K x L x d integer array; the detectors
-read its distinct rows and their per-symbol counts.
+rows of each of the K symbols as one K x L x d integer array; eMLD and MMD
+read its distinct rows and their per-symbol counts, MCD its level sums.
 """
 
 from __future__ import annotations
@@ -108,6 +108,19 @@ class EmpiricalModel:
             cells.ravel(), weights=np.ones(cells.size),
             minlength=first.size * self.size).reshape(first.size, self.size)
         return self._rows[first].astype(np.float64), count_matrix
+
+    def level_sums(self) -> np.ndarray:
+        """The K x d sums S_k of each symbol's L level rows, in
+        ``np.min_scalar_type(L * (2**bits - 1))``, the narrowest unsigned
+        type that holds the largest possible sum (uint8 at L = 16, b = 2).
+
+        Integer sums are exact in any order, so narrow level dtypes cannot
+        wrap. Converted to float64 they equal the float64 sums of the
+        levels bit for bit wherever those sums are exact, which is every
+        sum below 2**53.
+        """
+        top = self.samples_per_symbol * (self.cfg.n_levels - 1)
+        return self.levels.sum(axis=1, dtype=np.min_scalar_type(top))
 
     @cached_property
     def counts(self) -> tuple[dict[tuple[int, ...], int], ...]:

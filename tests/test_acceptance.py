@@ -53,7 +53,8 @@ def test_motivating_example_golden():
             detection.detect_emld_batch(y, model)[0],
             detection.detect_mmd_batch(y, model)[0],
             detection.detect_mcd_batch(
-                core.level_values(y, cfg), detection.centroids(model))[0],
+                core.level_values(y, cfg),
+                detection.centroids(model.level_sums(), 1, cfg))[0],
         )
         assert results == (2, 2, 2)  # 0-based index of the third symbol
         assert np.array_equal(book.vectors[2], [-1, 1])

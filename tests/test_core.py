@@ -557,6 +557,17 @@ def test_row_blocks_are_near_equal_and_as_few_as_fit(rows, per, least):
     assert len(blocks) == 1 or -(-rows // (len(blocks) - 1)) > per
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 600), per=st.integers(1, 300),
+       least=st.integers(1, 4))
+def test_largest_block_is_the_largest_of_any_fewer_rows(rows, per, least):
+    # a batch of at most ``rows`` distinct rows: fewer can make a larger
+    # block, and the bound is the largest block of every count up to it
+    largest = max(core.block_rows(r, 8, 8 * per, least)
+                  for r in range(1, rows + 1))
+    assert core.largest_block(rows, 8, 8 * per, least) == largest
+
+
 @pytest.mark.parametrize("n_t, n_r", [(1, 2), (2, 4), (6, 32), (12, 16)])
 def test_noise_chunk_products_equal_the_whole_product(n_t, n_r):
     # the noiseless products that noisy_levels forms per chunk for

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantmimo import core, detection, training
@@ -24,6 +24,11 @@ def _model(count_dicts, cfg=_ONE_BIT):
     levels = [[y for y, c in d.items() for _ in range(c)] for d in count_dicts]
     return training.EmpiricalModel(
         levels=np.array(levels, dtype=np.int64), cfg=cfg)
+
+
+def _centroids(model):
+    return detection.centroids(
+        model.level_sums(), model.samples_per_symbol, model.cfg)
 
 
 def _emld(levels, model):
@@ -167,13 +172,13 @@ def test_mmd_single_sample_collapses_to_nearest_trained():
 
 def test_centroid_single_vector():
     model = _model([{(1, 0): 4}])
-    book = detection.centroids(model)
+    book = _centroids(model)
     assert np.array_equal(book.centers[0], [1.0, -1.0])
 
 
 def test_centroid_weighted_mean():
     model = _model([{(1, 1): 3, (1, 0): 1}])
-    book = detection.centroids(model)
+    book = _centroids(model)
     assert np.array_equal(book.centers[0], [1.0, 0.5])
 
 
@@ -185,7 +190,7 @@ def test_centroid_antipodality_is_exact():
     pilots = training.build_implicit_pilots(book, 11)
     levels = core.transmit_batch(h, pilots, 0.7, cfg, rng)
     model = training.learn_implicit(levels, book, 11, cfg)
-    centers = detection.centroids(model).centers
+    centers = _centroids(model).centers
     for k in range(book.size):
         assert np.array_equal(centers[book.size - 1 - k], -centers[k])
 
@@ -207,9 +212,23 @@ def _count_models(draw, steps):
     return _model(counts, cfg=cfg), counts
 
 
+def _edge_case(bits, samples):
+    """Two symbols of L = ``samples`` rows over d = 2: one at the top level
+    throughout, its sums L (2**b - 1), and one mixed."""
+    top = (1 << bits) - 1
+    counts = [{(top, top): samples},
+              {(top, 0): samples - 1, (0, top): 1}]
+    return _model(counts, cfg=QuantizerConfig(bits, 0.3)), counts
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=_count_models(st.floats(1e-6, 1e6)),
        dtype=st.sampled_from([np.int64, np.uint8, np.int8]))
+# the largest sum L (2**b - 1) at either side of the uint8 and uint16 edges
+@example(case=_edge_case(2, 85), dtype=np.uint8)  # 255
+@example(case=_edge_case(1, 256), dtype=np.uint8)  # 256
+@example(case=_edge_case(2, 21_845), dtype=np.uint8)  # 65 535
+@example(case=_edge_case(1, 65_536), dtype=np.int8)  # 65 536
 def test_centroids_are_integer_level_sums_at_any_step(case, dtype):
     model, counts = case
     # a model may hold narrow integer levels; the sums must not wrap
@@ -224,7 +243,7 @@ def test_centroids_are_integer_level_sums_at_any_step(case, dtype):
                 for j in range(dim)]
         want.append((np.array(sums, dtype=float) - rows * off) * cfg.step
                     / model.samples_per_symbol)
-    got = detection.centroids(model).centers
+    got = _centroids(model).centers
     assert got.tobytes() == np.array(want).tobytes()
 
 
@@ -235,16 +254,16 @@ def test_centroids_of_narrow_levels_do_not_wrap(dtype):
     model = _model([{top: 300}, {low: 299, top: 1}],
                    cfg=QuantizerConfig(bits=3, step=0.5))
     narrow = dataclasses.replace(model, levels=model.levels.astype(dtype))
-    want = detection.centroids(model).centers
+    want = _centroids(model).centers
     assert model.levels.dtype == np.int64
     assert want[0].tolist() == [1.75, 1.75]
-    assert detection.centroids(narrow).centers.tobytes() == want.tobytes()
+    assert _centroids(narrow).centers.tobytes() == want.tobytes()
 
 
 def test_centroids_never_widen_every_level_at_once():
-    # the K = 4096, L = 16, d = 64 full search: the float64 sums, which
-    # become the centers in place, fit; widening all 4 Mi levels to float64
-    # at once would take 32 MiB
+    # the K = 4096, L = 16, d = 64 full search: the uint8 level sums, and
+    # the float64 centers made from them in place, fit; widening all 4 Mi
+    # levels to float64 at once would take 32 MiB
     k, d = 4096, 64
     levels = np.random.default_rng(6).integers(
         0, 4, size=(k, 16, d), dtype=np.uint8)
@@ -252,10 +271,16 @@ def test_centroids_never_widen_every_level_at_once():
         levels=levels, cfg=QuantizerConfig(bits=2, step=0.5))
     tracemalloc.start()
     try:
-        detection.centroids(model)
-        peak = tracemalloc.get_traced_memory()[1]
+        sums = model.level_sums()
+        sums_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        detection.centroids(sums, 16, model.cfg)
+        peak = tracemalloc.get_traced_memory()[1] - sums.nbytes
     finally:
         tracemalloc.stop()
+    # the uint8 sums are the only K x d array of their own build
+    assert sums.dtype == np.uint8
+    assert sums_peak <= k * d + 64 * 1024
     assert peak <= 8 * k * d + 64 * 1024
 
 
@@ -266,11 +291,11 @@ def test_centroids_equal_value_sums_at_dyadic_steps(case):
     # the value-sum form the integer sums replaced
     sums = core.level_values(model.levels, model.cfg).sum(axis=1)
     want = sums / model.samples_per_symbol
-    assert detection.centroids(model).centers.tobytes() == want.tobytes()
+    assert _centroids(model).centers.tobytes() == want.tobytes()
 
 
 def test_mcd_worked_example(demo_model):
-    book = detection.centroids(demo_model)
+    book = _centroids(demo_model)
     assert _mcd((1, 0), book) == 2
 
 
@@ -321,7 +346,7 @@ def test_all_detectors_agree_on_unambiguous_noiseless_input():
         if len(set(codewords)) < book.size:
             continue  # skip ambiguous channels
         model = training.learn_explicit(h, 0.0, 1, book, cfg, rng)
-        cb = detection.centroids(model)
+        cb = _centroids(model)
         for k, y in enumerate(codewords):
             assert _emld(y, model) == k
             assert _mmd(y, model) == k
@@ -337,7 +362,7 @@ def test_relabeling_equivariance():
     perm = np.array([2, 0, 3, 1])
     counts = _oracle_counts(model)
     permuted = _model([counts[k] for k in perm], cfg=cfg)
-    cb, cb_p = detection.centroids(model), detection.centroids(permuted)
+    cb, cb_p = _centroids(model), _centroids(permuted)
     inverse = np.argsort(perm)
     for _ in range(50):
         y = tuple(rng.integers(0, 2, size=6).tolist())
@@ -361,7 +386,7 @@ def test_batch_detectors_match_oracles():
     book = core.enumerate_symbols(core.bpsk(), 2)
     h = core.sample_channel(2, 2, rng)
     model = training.learn_explicit(h, 0.7, 9, book, cfg, rng)
-    cb = detection.centroids(model)
+    cb = _centroids(model)
     levels = rng.integers(0, 4, size=(40, 4))
     values = core.level_values(levels, cfg)
     emld = detection.detect_emld_batch(levels, model)

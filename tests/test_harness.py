@@ -167,13 +167,17 @@ def test_peak_bytes_estimate_and_budget():
     book = 16 * 4096 * 6 + harness._SMALL_BYTES
     # up to a few thousand data vectors the training peak is the larger
     # one: besides the 4096 x 6 complex symbol book and the small-object
-    # allowance, the 4096 x 16 x 64 uint8 levels of explicit training with
-    # the 4096 x 64 float64 centroids summed from them, more than the draw
-    # (the levels next to one noise chunk of 128 symbols: its 512 KiB float
+    # allowance, the draw: the 4096 x 16 x 64 uint8 levels of explicit
+    # training next to one noise chunk of 128 symbols (its 512 KiB float
     # buffer and levels, their 128 x 32 complex noiseless points and the
-    # quantizer's 16 384-value float scratch)
-    training = book + 4096 * 16 * 64 + max(
-        8 * 4096 * 64, 9 * 128 * 16 * 32 + 16 * 128 * 32 + 8 * 16_384)
+    # quantizer's 16 384-value float scratch). That is more than the levels
+    # with their 4096 x 64 uint8 level sums, and more than those sums with
+    # the 4096 x 64 float64 centroids made from them once the levels are
+    # let go.
+    levels, sums, centroids = 4096 * 16 * 64, 4096 * 64, 8 * 4096 * 64
+    draw = 9 * 128 * 16 * 32 + 16 * 128 * 32 + 8 * 16_384
+    assert levels + draw > max(levels + sums, sums + centroids)
+    training = book + levels + draw
     for n in (1, 200, 2_000):
         assert _full_search(vectors_per_channel=n).peak_bytes() == training
 
@@ -252,23 +256,25 @@ def test_peak_bytes_estimate_and_budget():
     # from 200 the data phase is: what training leaves, the batch, the
     # stage-one decisions and stage one, one block of all n x 62
     # projections with a nearest_center call on them (the center norms,
-    # n decisions and one block of n / 2 or 125 x 1024 scores with its rows
-    # scaled by -2, its row norms and the ufunc buffer of their addition),
-    # more than stage two's decisions and one block of observations' gather
-    # against K2 = 4 candidates, and more than the transmission
-    for n, block in ((200, 100), (2_000, 125)):
+    # n decisions and one block of 128 x 1024 scores, the largest that up
+    # to n distinct rows make, with its rows scaled by -2, its row norms
+    # and the ufunc buffer of their addition), more than stage two's
+    # decisions and one block of observations' gather against K2 = 4
+    # candidates, and more than the transmission
+    for n in (200, 2_000):
         assert dataclasses.replace(
             sic_split, vectors_per_channel=n).peak_bytes() == (
             book + held + batch(n) + 8 * n + 8 * n * 62
-            + 8 * (1024 + n + block * (1024 + 62 + 1) + np.getbufsize()))
+            + 8 * (1024 + n + 128 * (1024 + 62 + 1) + np.getbufsize()))
     # K2 = 1024 at 1 000 data vectors: the gather takes blocks of two
-    # observations of 512 KiB of float64 values each, with their uint8
-    # levels, 1024 squared distances and the ufunc buffer of the
-    # subtraction that makes their differences, more than the transmission
+    # observations of 512 KiB of float64 values each, or one of three when
+    # three distinct rows are left, with their uint8 levels, 1024 squared
+    # distances and the ufunc buffer of the subtraction that makes their
+    # differences, more than the transmission
     assert dataclasses.replace(
         sic_split, n_t1=1, vectors_per_channel=1_000).peak_bytes() == (
         book + 16 * (4 * 1 + 1024 * 5) + 4096 * 64 + 8 * 4 * 54
-        + batch(1_000) + 2 * 8 * 1_000 + 2 * 1024 * (9 * 64 + 8)
+        + batch(1_000) + 2 * 8 * 1_000 + 3 * 1024 * (9 * 64 + 8)
         + 8 * np.getbufsize())
 
 
@@ -362,7 +368,14 @@ def test_peak_bytes_bounds_traced_support_build_peak():
     # one row against K = 65 536: building the symbol book is the peak
     _full_search(n_t=8, detectors=("zf",), channel_count=1,
                  vectors_per_channel=1),
-], ids=["4x6", "4x32", "book"])
+    # BPSK n_t = 1 over n_r = 16 two-bit antennas: the reassembled complex
+    # rows outweigh the rest of the decision, and the broadcast
+    # subtraction's ufunc buffers outweigh the distances' magnitudes
+    ExperimentConfig(n_t=1, n_r=16, bits=2, modulation="bpsk",
+                     snr_grid_db=(10.0,), channel_count=1,
+                     vectors_per_channel=1_000, seed=42, detectors=("zf",),
+                     training="explicit", artificial_count=2),
+], ids=["4x6", "4x32", "book", "1x16"])
 def test_peak_bytes_bounds_traced_zf_peak(cfg):
     # ZF alone with perfect CSIR trains nothing; it decides on the
     # reassembled complex rows, their soft estimates and their distances
@@ -436,6 +449,115 @@ def test_peak_bytes_counts_distinct_rows(detectors, vectors):
                        detectors=detectors, vectors_per_channel=vectors)
     peak = _traced_channel_peak(cfg)
     assert peak <= cfg.peak_bytes() <= 2 * peak
+
+
+def _random_config(rng):
+    """One config over n_t <= 4, n_r <= 16, b <= 3, both modulations,
+    frameworks, training kinds and CSIR kinds, and 1-3 detectors. ZF gets
+    n_r >= n_t and a SIC split n_r >= n_t - n_t1, without which every
+    channel estimate is rank deficient."""
+    n_t = int(rng.integers(1, 5))
+    n_t1 = int(rng.integers(1, n_t + 1))
+    framework = str(rng.choice(["full", "sic"]))
+    detectors = ("mcd",) if framework == "sic" else tuple(rng.choice(
+        harness.KNOWN_DETECTORS, size=int(rng.integers(1, 4)), replace=False))
+    least = (n_t - n_t1 if framework == "sic"
+             else n_t if "zf" in detectors else 1)
+    csir = str(rng.choice(["perfect", "ls"]))
+    return ExperimentConfig(
+        n_t=n_t, n_r=int(rng.integers(max(least, 1), 17)),
+        bits=int(rng.integers(1, 4)),
+        modulation=str(rng.choice(["bpsk", "qpsk"])),
+        snr_grid_db=(float(rng.choice([-5.0, 10.0, 25.0])),),
+        channel_count=1,
+        vectors_per_channel=int(rng.choice([1, 200, 1_000, 3_000, 20_000])),
+        seed=int(rng.integers(0, 1_000)), detectors=detectors,
+        framework=framework, n_t1=n_t1,
+        training=str(rng.choice(["implicit", "explicit"])), csir=csir,
+        repetitions=int(rng.integers(1, 9)),
+        artificial_count=int(rng.integers(1, 9)),
+        first_stage_count=int(rng.integers(1, 5)),
+        t_t=int(rng.integers(n_t, 400)) if csir == "ls" else None)
+
+
+def test_peak_bytes_bounds_traced_peak_of_random_configs():
+    # the estimate is an upper bound on every valid config, not only on the
+    # pinned shapes above; it assumes every data row distinct, so it may be
+    # far above the peak, and no upper ratio is asserted. A csir = ls
+    # channel whose random pilots or estimate are rank deficient aborts the
+    # run: such a config is counted, not checked.
+    rng = np.random.default_rng(2024)
+    checked, aborted = 0, []
+    while checked < 500:
+        cfg = _random_config(rng)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cfg.validate_for_ser()
+        except ConfigError:
+            continue
+        if cfg.peak_bytes() > 64 << 20:
+            continue
+        try:
+            peak = _traced_channel_peak(cfg)
+        except ValueError as error:
+            assert cfg.csir == "ls" and "rank deficient" in str(error), cfg
+            aborted.append(cfg)
+            continue
+        assert peak <= cfg.peak_bytes(), cfg
+        checked += 1
+    assert len(aborted) < checked // 20
+
+
+def test_mcd_only_channel_lets_the_model_go_before_its_centroids():
+    # the full search's channel with MCD alone: the 4 MiB model and the
+    # 2 MiB float64 centroids are never held together, so the channel,
+    # symbol book included, peaks below their sum
+    cfg = _full_search(channel_count=1)
+    model, centroids = 4096 * 16 * 64, 8 * 4096 * 64
+    assert _traced_channel_peak(cfg) < model + centroids
+
+
+@pytest.mark.parametrize("detectors, keeps", [
+    (("mcd",), False), (("mcd", "zf"), False), (("emld", "mcd"), True),
+    (("mcd", "emld"), True), (("mmd", "mcd"), True),
+], ids=["mcd", "mcd-zf", "emld-mcd", "mcd-emld", "mmd-mcd"])
+def test_centroids_keep_the_model_only_for_its_readers(detectors, keeps):
+    # binding reads MCD's centroids from the model's level sums; the model
+    # stays for eMLD and MMD, whichever order the detectors are listed in,
+    # and every receiver decides as on a model trained alone
+    cfg = _cfg(n_t=2, n_r=3, bits=2, training="explicit", artificial_count=7,
+               detectors=detectors)
+    qcfg = core.QuantizerConfig(cfg.bits, cfg.step)
+    book = core.enumerate_symbols(core.qpsk(), 2)
+    h = core.sample_channel(3, 2, np.random.default_rng(1))
+    sigma2 = core.snr_db_to_sigma2(5.0, 2)
+    trained = harness._Trained(
+        cfg, qcfg, book, h, sigma2, np.random.default_rng(2), None)
+    model = training.learn_explicit(
+        h, sigma2, 7, book, qcfg, np.random.default_rng(2))
+    # the centroids' definition, from float64 level sums
+    off = (1 << (cfg.bits - 1)) - 0.5
+    want = ((model.levels.sum(axis=1, dtype=np.float64) - 7 * off)
+            * cfg.step) / 7
+    for name in detectors:
+        getattr(trained, harness._RECEIVERS[name].reads)
+    assert trained.centroids.centers.tobytes() == want.tobytes()
+    assert (trained.model is not None) == keeps
+    decide = harness._receivers(
+        cfg, qcfg, book, h, sigma2, np.random.default_rng(2), None)
+    rows = core.transmit_batch(
+        h, book.vectors, sigma2, qcfg, np.random.default_rng(3))
+    values = core.level_values(rows, qcfg)
+    direct = {
+        "emld": lambda: detection.detect_emld_batch(rows, model),
+        "mmd": lambda: detection.detect_mmd_batch(rows, model),
+        "mcd": lambda: detection.detect_mcd_batch(
+            values, detection.CentroidBook(want)),
+        "zf": lambda: baselines.detect_zf_batch(values, h, core.qpsk()),
+    }
+    for name, d in zip(detectors, decide):
+        assert np.array_equal(d(rows, values), direct[name]()), name
 
 
 def test_downlink_guard_warns():
@@ -631,7 +753,8 @@ def test_noise_free_one_sample_centroids_are_the_codewords(
     book = core.enumerate_symbols(core.constellation(modulation), n_t)
     h = core.sample_channel(n_r, n_t, np.random.default_rng(seed))
     centers = detection.centroids(
-        training.learn_explicit(h, 0.0, 1, book, qcfg)).centers
+        training.learn_explicit(h, 0.0, 1, book, qcfg).level_sums(), 1,
+        qcfg).centers
     codewords = core.level_values(analysis.build_codebook(h, book, qcfg), qcfg)
     assert centers.dtype == codewords.dtype
     assert centers.shape == codewords.shape
@@ -1485,7 +1608,8 @@ def test_trained_detection_never_builds_quantized_vectors(monkeypatch):
     levels = core.transmit_batch(
         h, book.vectors, 0.2, qcfg, np.random.default_rng(6))
     detected = detection.detect_mcd_batch(
-        core.level_values(levels, qcfg), detection.centroids(model))
+        core.level_values(levels, qcfg),
+        detection.centroids(model.level_sums(), 16, qcfg))
     assert detected.shape == (book.size,)
     for cfg, counts in zip(configs, expected):
         assert np.array_equal(harness._ser_channel_counts(cfg, child), counts)
@@ -1686,6 +1810,16 @@ _REDUCED_CSV_SHA256 = {
     "sic_tradeoff_nt1_5.cfg": (
         "sic_tradeoff_nt1_5.cfg", harness.run_ser_experiment, 5,
         "a8fa889f1df77efc2b087b206b43b3ababa35aca47ef232bd16c051234fed02e"),
+    # explicit MCD on BPSK 2 x 2 with b = 3 and l_a = 10 000: its largest
+    # level sum L (2**b - 1) = 70 000 needs uint32, past the uint16 edge;
+    # recorded at commit 84321d7, when the sums accumulated in float64
+    "detector_comparison.cfg-uint32-sums": (
+        "detector_comparison.cfg",
+        lambda cfg: harness.run_ser_experiment(dataclasses.replace(
+            cfg, n_t=2, n_r=2, bits=3, modulation="bpsk",
+            training="explicit", artificial_count=10_000,
+            detectors=("mcd",))), 5,
+        "922be59a9cf7ff2fd9f4ddd803df8881f4123674354b88421fda132e79a14845"),
     # four noisy first-stage signals per pair instead of one
     "sic_tradeoff_nt1_5.cfg-l_a1-4": (
         "sic_tradeoff_nt1_5.cfg",

@@ -32,7 +32,7 @@ def _detectors(rng, bits, n_t, n_r, modulation, sigma2):
     h = core.sample_channel(n_r, n_t, rng)
     model = training.learn_explicit(h, sigma2, 3, book, qcfg, rng)
     trained, count_matrix = model.support_arrays
-    cb = detection.centroids(model)
+    cb = detection.centroids(model.level_sums(), 3, qcfg)
     n_t1 = int(rng.integers(1, n_t + 1))
     book1 = core.enumerate_symbols(c, n_t1)
     book2 = core.enumerate_symbols(c, n_t - n_t1)

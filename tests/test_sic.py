@@ -197,7 +197,9 @@ def _assert_projected_means(model, levels, plan):
     k1, d1 = len(levels), plan.w1.shape[0]
     stacked = training.EmpiricalModel(
         levels.reshape(k1, -1, levels.shape[-1]), model.cfg)
-    means = detection.centroids(stacked).centers @ plan.w1.T
+    means = detection.centroids(
+        stacked.level_sums(), stacked.samples_per_symbol,
+        model.cfg).centers @ plan.w1.T
     assert model.centroids.tobytes() == means.tobytes()
     per_pair = (core.level_values(levels, model.cfg) @ plan.w1.T).reshape(
         k1, -1, d1).mean(axis=1)
@@ -532,7 +534,7 @@ def test_whole_vector_split_reduces_to_plain_explicit_mcd():
         h[:, order] if order != list(range(n_t)) else h,
         sigma2, samples,
         book1, cfg, np.random.default_rng(500))
-    cb = detection.centroids(explicit)
+    cb = detection.centroids(explicit.level_sums(), samples, cfg)
     assert np.allclose(fs.centroids, cb.centers, atol=1e-12)
 
     rng = np.random.default_rng(9)

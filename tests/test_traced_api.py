@@ -103,7 +103,8 @@ def _probe_arguments():
         "training.learn_explicit": (h, 0.5, 3, book, cfg, rng),
         "detection.detect_emld_batch": (levels, model),
         "detection.detect_mmd_batch": (levels, model),
-        "detection.detect_mcd_batch": (values, detection.centroids(model)),
+        "detection.detect_mcd_batch": (values, detection.centroids(
+            model.level_sums(), 3, cfg)),
         "baselines.detect_mld_batch": (levels, h, 0.5, book, cfg),
         "sic.detect_sic_batch": (values, plan, first_stage, half, half),
         "analysis.geometry": (h, book, cfg),

@@ -282,7 +282,8 @@ def _assert_matches_oracle(model, counts, samples):
     for got, want in zip(model.support_arrays, _oracle_support_arrays(counts)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-    centers = detection.centroids(model).centers
+    centers = detection.centroids(
+        model.level_sums(), samples, model.cfg).centers
     want = _oracle_centroids(counts, samples, model.cfg)
     assert centers.tobytes() == want.tobytes()
 
@@ -376,6 +377,27 @@ def test_explicit_training_keeps_only_narrow_levels():
                     + 16 * 128 * 32 + 8 * 16_384 + 16384)
 
 
+@pytest.mark.parametrize("bits, samples, dtype", [
+    (2, 85, np.uint8), (1, 256, np.uint16), (2, 21_845, np.uint16),
+    (1, 65_536, np.uint32), (3, 10_000, np.uint32),
+])
+def test_level_sums_take_the_narrowest_exact_dtype(bits, samples, dtype):
+    # L (2**b - 1) = 255, 256, 65 535, 65 536 and 70 000: the sums of a
+    # symbol at the top level throughout reach it without wrapping
+    top = (1 << bits) - 1
+    levels = np.zeros((2, samples, 3), dtype=np.uint8)
+    levels[0] = top
+    levels[1, :, 1] = top
+    levels[1, -1] = (top, 0, 1)
+    model = training.EmpiricalModel(levels, QuantizerConfig(bits, 0.5))
+    sums = model.level_sums()
+    assert sums.dtype == dtype and sums.shape == (2, 3)
+    want = [[samples * top] * 3, [top, (samples - 1) * top, 1]]
+    assert sums.tolist() == want
+    assert np.array_equal(
+        sums.astype(np.float64), levels.sum(axis=1, dtype=np.float64))
+
+
 def test_implicit_training_keeps_the_level_dtype():
     cfg = QuantizerConfig(bits=3, step=0.5)
     book = core.enumerate_symbols(core.qpsk(), 2)
@@ -389,4 +411,5 @@ def test_implicit_training_keeps_the_level_dtype():
     wide = training.learn_implicit(levels.astype(np.int64), book, 4, cfg)
     assert np.array_equal(model.levels, wide.levels)
     assert np.array_equal(
-        detection.centroids(model).centers, detection.centroids(wide).centers)
+        detection.centroids(model.level_sums(), 4, cfg).centers,
+        detection.centroids(wide.level_sums(), 4, cfg).centers)
