@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
         return 2
     csv_text = harness.render_csv(records)
     if args.out:
-        harness.write_csv(records, args.out)
+        Path(args.out).write_text(csv_text)
     else:
         sys.stdout.write(csv_text)
     return 0

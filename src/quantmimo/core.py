@@ -159,7 +159,7 @@ def quantize_levels(x, cfg: QuantizerConfig) -> np.ndarray:
     that holds them (uint8 up to 8 bits). Saturates below the lowest and
     at/above the highest decision threshold; inputs exactly on a threshold
     land in the upper cell (so 0 maps to the smallest positive output). The
-    input is never modified.
+    input is never modified, and a NaN anywhere in it raises ``ValueError``.
 
     The input is copied into one float64 scratch of :func:`quantize_scratch`
     values, a block of leading-axis rows at a time, and quantized there, so

@@ -44,12 +44,8 @@ CSV_COLUMNS = (
     "snr_db", "detector", "framework", "errors", "trials", "ser", "svep", "bound")
 
 # Largest accepted array estimate of one channel (ExperimentConfig.peak_bytes),
-# of bound's code geometry or of sample_dmin's tile. The
-# K = 4**6 full search, a 4096 x 16 x 64 level model (l_a = 16, n_r = 32)
-# and 200 data vectors, estimates 5.25 MiB with MCD (29 MiB at 40 000 data
-# vectors, most of it the batch; up to 1 575 177 are admitted), and 2.3 GiB
-# with eMLD and MMD, whose count matrix and distances span all 65 536
-# distinct trained rows.
+# of bound's code geometry or of sample_dmin's tile; a run over it is
+# rejected before any channel is drawn.
 _PEAK_BYTES_BUDGET = 1 << 30
 # Allowance in that estimate for the channel, the small arrays and the Python
 # objects of one channel realization.
@@ -512,6 +508,10 @@ class ExperimentConfig:
                 raise ConfigError("framework sic supports only the mcd detector")
             if self.first_stage_count < 1:
                 raise ConfigError("l_a1 must be at least 1")
+            if self.n_t - self.n_t1 > self.n_r:
+                raise ConfigError(
+                    "framework sic needs n_t - n_t1 <= n_r: a channel estimate "
+                    "has rank at most n_r, too few to project the rest out")
         elif self.training == "implicit":
             if _MODEL_DETECTORS & set(self.detectors):
                 if self.repetitions is None or self.repetitions < 1:
@@ -527,6 +527,9 @@ class ExperimentConfig:
             if self.pilot_slots() < self.n_t:
                 raise ConfigError(
                     "ls channel estimation needs t_t >= n_t pilot slots")
+        if "zf" in self.detectors and self.n_t > self.n_r:
+            raise ConfigError(
+                "zf needs n_t <= n_r: a channel estimate has rank at most n_r")
         support = [d for d in self.detectors if _RECEIVERS[d].reads == "model"]
         if support and not sqdist_exact(self.bits, 2 * self.n_r):
             raise ConfigError(

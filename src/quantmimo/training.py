@@ -92,9 +92,10 @@ class EmpiricalModel:
         """(levels, count matrix) over the distinct trained set, in the
         float64 the detectors' products read, exact for these integers.
 
-        ``levels`` is S x d, in first-seen order over the trained rows, and
-        ``count_matrix`` is S x K with the per-symbol multiplicities (at most
-        L); column k divided by ``samples_per_symbol`` is the PMF of symbol k.
+        ``levels`` is S x d, in first-seen order over the trained rows (MMD's
+        float score sums follow this order), and ``count_matrix`` is S x K
+        with the per-symbol multiplicities (at most L); column k divided by
+        ``samples_per_symbol`` is the PMF of symbol k.
         Raises ``ValueError`` unless ``core.sqdist_exact`` holds for them.
         """
         if not sqdist_exact(self.cfg.bits, self.levels.shape[2]):

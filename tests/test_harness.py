@@ -1203,6 +1203,36 @@ def test_cli_reports_rank_deficient_ls_estimates(
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("head, n_r, message", [
+    # a perfect estimate of one receive antenna has rank 1 < n_t = 2
+    ("n_t = 2\ndetectors = zf\n", 1,
+     "zf needs n_t <= n_r: a channel estimate has rank at most n_r"),
+    # the three interferers of a 1/3 split span more than two receive antennas
+    ("n_t = 4\nframework = sic\nn_t1 = 1\n", 2,
+     "framework sic needs n_t - n_t1 <= n_r: a channel estimate has rank at "
+     "most n_r, too few to project the rest out"),
+], ids=["zf", "sic"])
+def test_cli_rejects_rank_deficient_channels_before_drawing(
+        tmp_path, capsys, monkeypatch, head, n_r, message):
+    # whatever csir, such a config aborts on every channel, so it is
+    # rejected before the first one is drawn; one more antenna passes
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a channel was drawn for a config that aborts")
+
+    def text(n_r):
+        return head + (
+            f"n_r = {n_r}\nb = 1\nmodulation = bpsk\nsnr_grid_db = 10\n"
+            "channel_count = 3\nvectors_per_channel = 10\nseed = 0\n")
+
+    for module in (core, harness):
+        monkeypatch.setattr(module, "sample_channel", forbidden)
+    cfg_path = tmp_path / "rank.cfg"
+    cfg_path.write_text(text(n_r))
+    assert main(["ser", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    harness.parse_config(text(n_r + 1)).validate_for_ser()
+
+
 @pytest.mark.parametrize("command, modulation", [
     ("ser", "qpsk"), ("bound", "bpsk"), ("ccdf", "bpsk")])
 def test_cli_rejects_huge_symbol_book_without_building_it(
